@@ -22,33 +22,35 @@ axes.  The per-cell midpoint error then sums to
 
 with S1 = sum_i w1_i sin(m_i), S2 = sum_j w2_j sin(m_j); the engine evaluates
 this bound exactly from its own tables before trusting a grid.
+
+One block sweep serves every integrand.  An axis the integrand does not read
+(per ``uses``) is a length-1 axis with sin = cos = 0, weight 1 and width 0.
+A block is whole eta rows x a theta chunk x all phi, about BLOCK_CELLS cells
+(cache-sized; theta chunks of BLOCK_CELLS // n3 when a row is larger).
+Integrands without a vectorized form are evaluated once per cell on its
+fixed-point versor and feed the same exact accumulator.
+Int64 headroom: cell enclosures must lie in [-m, m], m = (ceil(M)+1) 2^SCALE
+for the declared bound M, and at entry the largest sum formed from m and the
+weight tables must stay below 2^63 - 2^SCALE, else the sweep refuses (M <= 30).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .exactreal import (
-    Dyadic, Interval, ZERO, ONE, NoConvergence,
-    fraction_ceil_to, fraction_floor_to, pi_enclosure,
+    Dyadic, Interval, InvalidBound, ZERO, ONE, NoConvergence, pi_enclosure,
 )
+from .groups import Versor
 
-SCALE = 29                     # int64-safe: products stay below 2^62
-_DEAD = (0, 0)
-
-
-class InvalidBound(ValueError):
-    """An integrand enclosure provably escaped the declared bound [-M, M]."""
-
-
-def _scale_fraction(iv: Interval, q: Fraction, p: int) -> Interval:
-    a = iv.lo.as_fraction() * q
-    b = iv.hi.as_fraction() * q
-    if a > b:
-        a, b = b, a
-    return Interval.from_fractions(a, b, p)
+SCALE = 29                     # fixed-point fraction bits of the sweep
+BLOCK_CELLS = 1 << 16
+MAX_SCALAR_CELLS = 2 * 10 ** 6  # effort cap of the per-cell scalar evaluator
+_LIVE_AXES = {"a": 1, "ab": 2, "abcd": 3}   # grid axes each ``uses`` reads
+_KINDS = ("eta", "theta", "phi")
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +168,11 @@ class _Axis:
         return out
 
 
+_ZERO_IV = Interval(ZERO, ZERO)
+# an axis the integrand does not read: sin = cos = 0, weight 1, width 0
+_DEAD_AXIS = _Axis(1, [_ZERO_IV], [_ZERO_IV], [Interval(ONE, ONE)], Fraction(0))
+
+
 def _build_axis(kind: str, n: int, guard: int) -> _Axis:
     """Midpoint sin/cos tables and exact cumulative weights for one axis."""
     g = guard + 10
@@ -183,9 +190,11 @@ def _build_axis(kind: str, n: int, guard: int) -> _Axis:
         sin_mid.append(s)
         cos_mid.append(c)
     cum = []
+    pi_lo, pi_hi = pi_enc.lo.as_fraction(), pi_enc.hi.as_fraction()
     for i in range(n + 1):
-        b = _scale_fraction(pi_enc, Fraction(i, n), g)
-        s, c = _sincos_of_pi_fraction(Fraction(i, n), g)
+        q = Fraction(i, n)
+        b = Interval.from_fractions(pi_lo * q, pi_hi * q, g)
+        s, c = _sincos_of_pi_fraction(q, g)
         if kind == "eta":
             # W1(x) = (x - sin x cos x) / pi
             v = (b - s * c).divide(pi_enc, guard)
@@ -194,7 +203,7 @@ def _build_axis(kind: str, n: int, guard: int) -> _Axis:
             v = (Interval.from_int(1) - c).scale(Dyadic(1, -1))
         cum.append(v)
     weights = [_nonneg(cum[i + 1] - cum[i]) for i in range(n)]
-    return _Axis(n, sin_mid, cos_mid, weights, pi_enc.hi.as_fraction() / n)
+    return _Axis(n, sin_mid, cos_mid, weights, pi_hi / n)
 
 
 # ---------------------------------------------------------------------------
@@ -209,32 +218,23 @@ def _axis_sums(ax: _Axis):
     s_max2 = Fraction(0)
     for i in range(ax.n):
         shi = ax.sin_mid[i].hi.as_fraction()
-        if ax.weights is not None:
-            s_weighted += ax.weights[i].hi.as_fraction() * shi
+        s_weighted += ax.weights[i].hi.as_fraction() * shi
         smax = min(Fraction(1), shi + half_h)   # sin is 1-Lipschitz
         s_max += smax
         s_max2 += smax * smax
     return s_weighted, s_max, s_max2
 
 
-def _disc_bound(L: Fraction, eta: _Axis, theta, phi) -> Fraction:
+def _disc_bound(L: Fraction, eta: _Axis, theta: _Axis, phi: _Axis) -> Fraction:
     if L == 0:
         return Fraction(0)
     pi_lo = pi_enclosure(40).lo.as_fraction()
-    _, _, e_max2 = _axis_sums(eta)
-    h1 = eta.spacing_hi
-    total = L * (h1 * h1 / 4) * Fraction(2) / pi_lo * e_max2
-    if theta is None:
-        return total
-    s1, _, _ = _axis_sums(eta)
+    s1, _, e_max2 = _axis_sums(eta)
     t_weighted, t_max, _ = _axis_sums(theta)
-    h2 = theta.spacing_hi
-    total += L * s1 * (h2 * h2 / 8) * t_max
-    if phi is None:
-        return total
-    h3 = phi.spacing_hi
-    total += L * s1 * t_weighted * (h3 / 4)
-    return total
+    h1, h2, h3 = eta.spacing_hi, theta.spacing_hi, phi.spacing_hi
+    return (L * (h1 * h1 / 4) * Fraction(2) / pi_lo * e_max2
+            + L * s1 * (h2 * h2 / 8) * t_max
+            + L * s1 * t_weighted * (h3 / 4))
 
 
 # ---------------------------------------------------------------------------
@@ -242,25 +242,23 @@ def _disc_bound(L: Fraction, eta: _Axis, theta, phi) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _shr_floor(x, s):
-    return x >> s
+    x >>= s                 # in place: callers pass fresh products
+    return x
 
 
 def _shr_ceil(x, s):
-    return -((-x) >> s)
+    x += (1 << s) - 1       # in place; needs x < 2^63 - 2^s
+    x >>= s
+    return x
 
 
 def fp_abs(lo, hi):
-    alo = np.where(lo >= 0, lo, np.where(hi <= 0, -hi, 0))
-    ahi = np.maximum(-lo, hi)
-    return alo, ahi
+    # max(lo, -hi, 0) is lo when lo >= 0, -hi when hi <= 0, else 0
+    return np.maximum(np.maximum(lo, -hi), 0), np.maximum(-lo, hi)
 
 
 def fp_add(a, b):
     return a[0] + b[0], a[1] + b[1]
-
-
-def fp_neg(a):
-    return -a[1], -a[0]
 
 
 def fp_mul_nn(a, b, s=SCALE):
@@ -276,7 +274,15 @@ def fp_mul_na(a, b, s=SCALE):
 
 
 def fp_mul(a, b, s=SCALE):
-    """General product, four candidates."""
+    """General product, four candidates; two when one factor is a constant."""
+    if type(b[0]) is int and type(b[1]) is int:
+        a, b = b, a
+    if type(a[0]) is int and type(a[1]) is int and (a[0] >= 0 or a[1] <= 0):
+        # a constant of one sign meets each extreme at one end of b
+        x, y = b if a[0] >= 0 else b[::-1]
+        lo = np.minimum(a[0] * x, a[1] * x)
+        hi = np.maximum(a[0] * y, a[1] * y)
+        return _shr_floor(lo, s), _shr_ceil(hi, s)
     p1 = a[0] * b[0]
     p2 = a[0] * b[1]
     p3 = a[1] * b[0]
@@ -318,36 +324,22 @@ def fp_div_pos(a, b, s=SCALE):
     return lo, hi
 
 
-def fp_const(value: Fraction, s=SCALE):
-    lo = (value.numerator << s) // value.denominator
-    hi = -(((-value.numerator) << s) // value.denominator)
-    return lo, hi
-
-
 # ---------------------------------------------------------------------------
 # the integration loop
 # ---------------------------------------------------------------------------
 
-def _choose_resolution(uses: str, L: float, budget: float) -> tuple[int, int, int]:
+def _choose_resolution(live: int, L: float, budget: float) -> list[int]:
+    """Cells on each of the first ``live`` axes; the budget splits evenly."""
     if L <= 0.0:
-        return 1, 1, 1
+        return [1] * live
     pi_f = 3.14159265358979
-    if uses == "a":
-        return max(1, int(L * pi_f / (4 * budget)) + 1), 1, 1
-    if uses == "ab":
-        d = budget / 2
-        n1 = max(1, int(L * pi_f / (4 * d)) + 1)
-        n2 = max(1, int(0.85 * L * pi_f / (4 * d)) + 1)
-        return n1, n2, 1
-    d = budget / 3
-    n1 = max(1, int(L * pi_f / (4 * d)) + 1)
-    n2 = max(1, int(0.85 * L * pi_f / (4 * d)) + 1)
-    n3 = max(1, int(0.67 * L * 2 * pi_f / (4 * d)) + 1)
-    return n1, n2, n3
+    d = budget / live
+    return [max(1, int(L * pi_f / (4 * d)) + 1),
+            max(1, int(0.85 * L * pi_f / (4 * d)) + 1),
+            max(1, int(0.67 * L * 2 * pi_f / (4 * d)) + 1)][:live]
 
 
-def su2_grid_integral(spec, n: int, *, max_cells: int = 10 ** 11,
-                      max_scalar_cells: int = 2 * 10 ** 6) -> Interval:
+def su2_grid_integral(spec, n: int, *, max_cells: int = 10 ** 11) -> Interval:
     """Certified enclosure of the Haar integral of ``spec`` over SU(2).
 
     Resolution is chosen from spec.lipschitz, then the exact table-based
@@ -356,35 +348,29 @@ def su2_grid_integral(spec, n: int, *, max_cells: int = 10 ** 11,
     the midpoint.
     """
     L = Fraction(spec.lipschitz.as_fraction())
-    uses = getattr(spec, "uses", "abcd")
-    fixed = getattr(spec, "fixed_eval", None)
+    live = _LIVE_AXES[spec.uses]
+    vectorized = spec.fixed_eval is not None
+    cap = max_cells if vectorized else min(max_cells, MAX_SCALAR_CELLS)
     disc_budget = Fraction(7, 8) / (1 << n)
-    n1, n2, n3 = _choose_resolution(uses, float(L), float(disc_budget))
+    ns = _choose_resolution(live, float(L), float(disc_budget))
     guard = SCALE + 6
     for _attempt in range(10):
-        cells = n1 * n2 * n3
-        if cells > max_cells or (fixed is None and cells > max_scalar_cells):
+        cells = math.prod(ns)
+        if cells > cap:
             raise NoConvergence(
-                f"su2 grid needs {cells} cells for 2^-{n}; over the effort cap")
-        eta = _build_axis("eta", n1, guard)
-        theta = _build_axis("theta", n2, guard) if uses != "a" else None
-        phi = _build_axis("phi", n3, guard) if uses == "abcd" else None
+                f"su2 grid needs {cells} cells for 2^-{n}; over the effort "
+                f"cap of {cap}")
+        eta, theta, phi = [_build_axis(kind, m, guard)
+                           for kind, m in zip(_KINDS, ns)] + [_DEAD_AXIS] * (3 - live)
         disc = _disc_bound(L, eta, theta, phi)
         if disc <= disc_budget:
             break
-        grow = 1.25
-        n1 = int(n1 * grow) + 1
-        if uses != "a":
-            n2 = int(n2 * grow) + 1
-        if uses == "abcd":
-            n3 = int(n3 * grow) + 1
+        ns = [int(m * 1.25) + 1 for m in ns]
     else:
         raise NoConvergence("discretization bound failed to meet the budget")
 
-    if fixed is not None:
-        total = _fixed_sweep(spec, eta, theta, phi)
-    else:
-        total = _scalar_sweep(spec, eta, theta, phi)
+    sweep = _fixed_sweep if vectorized else _scalar_sweep
+    total = sweep(spec, eta, theta, phi)
 
     lo = total.lo.as_fraction() - disc
     hi = total.hi.as_fraction() + disc
@@ -396,145 +382,103 @@ def su2_grid_integral(spec, n: int, *, max_cells: int = 10 ** 11,
     return enc
 
 
-def _bound_fixed(spec) -> int:
-    return spec.bound.as_fraction().__ceil__() * (1 << SCALE) + (1 << SCALE)
+def _fixed_sweep(spec, eta: _Axis, theta: _Axis, phi: _Axis) -> Interval:
+    """The block sweep of ``spec.fixed_eval``, or of its polar form."""
+    return _block_sweep(spec.fixed_eval, spec.fixed_eval_polar, spec.bound,
+                        eta, theta, phi)
 
 
-def _fixed_sweep(spec, eta: _Axis, theta, phi) -> Interval:
-    fixed = spec.fixed_eval
-    uses = getattr(spec, "uses", "abcd")
-    m_fx = _bound_fixed(spec)
+def _scalar_sweep(spec, eta: _Axis, theta: _Axis, phi: _Axis) -> Interval:
+    """The block sweep for integrands without a vectorized form.
+
+    ``spec.eval`` runs once per cell on that cell's fixed-point versor.
+    """
+    def fixed(a, b, c, d, scale):
+        ends = np.broadcast_arrays(*a, *b, *c, *d)
+        lo, hi = [], []
+        for e in zip(*(x.ravel().tolist() for x in ends)):
+            q = Versor(*(Interval(Dyadic(e[k], -scale), Dyadic(e[k + 1], -scale))
+                         for k in range(0, 8, 2)))
+            v = spec.eval(q, scale)
+            lo.append(v.lo.scaled_floor(scale))
+            hi.append(v.hi.scaled_ceil(scale))
+        return np.reshape(lo, ends[0].shape), np.reshape(hi, ends[0].shape)
+
+    return _block_sweep(fixed, None, spec.bound, eta, theta, phi)
+
+
+def _block_sweep(fixed, polar, bound: Dyadic, eta: _Axis, theta: _Axis,
+                 phi: _Axis) -> Interval:
+    # glibc unmaps a freed heap top past twice its mmap threshold (128 KB at
+    # start), so each block would fault its temporaries in afresh; freeing a
+    # 16 MB buffer raises the threshold to 16 MB and blocks reuse memory.
+    np.empty(16 << 20, dtype=np.uint8)
+    m_fx = (bound.as_fraction().__ceil__() + 1) << SCALE
     (es_lo, es_hi), (ec_lo, ec_hi), (ew_lo, ew_hi) = eta.fixed(SCALE)
-
-    if uses == "a":
-        flo, fhi = fixed((ec_lo, ec_hi), _DEAD, _DEAD, _DEAD, SCALE)
-        flo = np.broadcast_to(np.asarray(flo, dtype=np.int64), (eta.n,))
-        fhi = np.broadcast_to(np.asarray(fhi, dtype=np.int64), (eta.n,))
-        _check_bound(flo, fhi, m_fx)
-        acc_lo = int(np.minimum(ew_lo * flo, ew_hi * flo).sum())
-        acc_hi = int(np.maximum(ew_lo * fhi, ew_hi * fhi).sum())
-        return _acc_to_interval(acc_lo, acc_hi)
-
     (ts_lo, ts_hi), (tc_lo, tc_hi), (tw_lo, tw_hi) = theta.fixed(SCALE)
-
-    if uses == "ab":
-        acc_lo = acc_hi = 0
-        for i in range(eta.n):
-            se = (int(es_lo[i]), int(es_hi[i]))
-            ce = (int(ec_lo[i]), int(ec_hi[i]))
-            b = fp_mul_na(se, (tc_lo, tc_hi))
-            flo, fhi = fixed(ce, b, _DEAD, _DEAD, SCALE)
-            flo = np.broadcast_to(np.asarray(flo, dtype=np.int64), (theta.n,))
-            fhi = np.broadcast_to(np.asarray(fhi, dtype=np.int64), (theta.n,))
-            _check_bound(flo, fhi, m_fx)
-            jlo = int(np.minimum(tw_lo * flo, tw_hi * flo).sum())
-            jhi = int(np.maximum(tw_lo * fhi, tw_hi * fhi).sum())
-            rl, rh = _shr_floor(jlo, SCALE), _shr_ceil(jhi, SCALE)
-            acc_lo += min(ew_lo[i] * rl, ew_hi[i] * rl)
-            acc_hi += max(ew_lo[i] * rh, ew_hi[i] * rh)
-        return _acc_to_interval(int(acc_lo), int(acc_hi))
-
     (ps_lo, ps_hi), (pc_lo, pc_hi), _ = phi.fixed(SCALE)
-    n3 = phi.n
-    pc = (pc_lo[None, :], pc_hi[None, :])
-    ps = (ps_lo[None, :], ps_hi[None, :])
-    polar = getattr(spec, "fixed_eval_polar", None)
-    chunk = max(1, (1 << 20) // max(n3, 1))
+    n2, n3 = theta.n, phi.n
+    _check_headroom(bound, m_fx, n3, tw_hi, ew_hi)
+    pc, ps = (pc_lo, pc_hi), (ps_lo, ps_hi)
+    rows = max(1, BLOCK_CELLS // (n2 * n3))
+    chunk = max(1, BLOCK_CELLS // n3)
     acc_lo = acc_hi = 0
-    for i in range(eta.n):
-        se = (int(es_lo[i]), int(es_hi[i]))
-        ce = (int(ec_lo[i]), int(ec_hi[i]))
-        row_lo = 0
-        row_hi = 0
-        for j0 in range(0, theta.n, chunk):
-            j1 = min(theta.n, j0 + chunk)
-            ct = (tc_lo[j0:j1], tc_hi[j0:j1])
-            st = (ts_lo[j0:j1], ts_hi[j0:j1])
-            b = fp_mul_na(se, ct)                   # (jb,)
-            sest = fp_mul_nn(se, st)                # (jb,)
+    for i0 in range(0, eta.n, rows):
+        i1 = min(eta.n, i0 + rows)
+        se = (es_lo[i0:i1, None], es_hi[i0:i1, None])      # (rows, 1)
+        ce = (ec_lo[i0:i1, None], ec_hi[i0:i1, None])
+        row_lo = row_hi = 0
+        for j0 in range(0, n2, chunk):
+            j1 = min(n2, j0 + chunk)
+            b = fp_mul_na(se, (tc_lo[j0:j1], tc_hi[j0:j1]))        # (rows, jb)
+            sest = fp_mul_nn(se, (ts_lo[j0:j1], ts_hi[j0:j1]))
             if polar is not None:
-                flo, fhi = polar(ce, b, sest, (pc_lo, pc_hi), (ps_lo, ps_hi),
-                                 SCALE)
+                base_lo, base_hi, flo, fhi = polar(ce, b, sest, pc, ps, SCALE)
             else:
-                col = (sest[0][:, None], sest[1][:, None])
-                c = fp_mul_na(col, pc)              # (jb, n3)
-                d = fp_mul_na(col, ps)
-                flo, fhi = fixed(ce, (b[0][:, None], b[1][:, None]), c, d,
-                                 SCALE)
-            flo = np.broadcast_to(np.asarray(flo, dtype=np.int64), (j1 - j0, n3))
-            fhi = np.broadcast_to(np.asarray(fhi, dtype=np.int64), (j1 - j0, n3))
-            _check_bound(flo, fhi, m_fx)
-            ks_lo = flo.sum(axis=1)
-            ks_hi = fhi.sum(axis=1)
-            mean_lo = ks_lo // n3
-            mean_hi = -((-ks_hi) // n3)
+                base_lo = base_hi = 0
+                col = (sest[0][..., None], sest[1][..., None])
+                flo, fhi = fixed((ce[0][..., None], ce[1][..., None]),
+                                 (b[0][..., None], b[1][..., None]),
+                                 fp_mul_na(col, pc), fp_mul_na(col, ps), SCALE)
+            shape = (i1 - i0, j1 - j0, n3)
+            flo = np.broadcast_to(np.asarray(flo, dtype=np.int64), shape)
+            fhi = np.broadcast_to(np.asarray(fhi, dtype=np.int64), shape)
+            _check_bound(base_lo, flo, base_hi, fhi, m_fx)
+            mean_lo = base_lo + flo.sum(axis=2) // n3
+            mean_hi = base_hi - ((-fhi.sum(axis=2)) // n3)
             wl, wh = tw_lo[j0:j1], tw_hi[j0:j1]
-            row_lo += int(np.minimum(wl * mean_lo, wh * mean_lo).sum())
-            row_hi += int(np.maximum(wl * mean_hi, wh * mean_hi).sum())
+            row_lo = row_lo + np.minimum(wl * mean_lo, wh * mean_lo).sum(axis=1)
+            row_hi = row_hi + np.maximum(wl * mean_hi, wh * mean_hi).sum(axis=1)
         rl, rh = _shr_floor(row_lo, SCALE), _shr_ceil(row_hi, SCALE)
-        acc_lo += min(ew_lo[i] * rl, ew_hi[i] * rl)
-        acc_hi += max(ew_lo[i] * rh, ew_hi[i] * rh)
-    return _acc_to_interval(int(acc_lo), int(acc_hi))
+        el, eh = ew_lo[i0:i1], ew_hi[i0:i1]
+        acc_lo += int(np.minimum(el * rl, eh * rl).sum())
+        acc_hi += int(np.maximum(el * rh, eh * rh).sum())
+    return _acc_to_interval(acc_lo, acc_hi)
 
 
-def _check_bound(flo, fhi, m_fx):
-    if int(flo.max(initial=-m_fx)) > m_fx or int(fhi.min(initial=m_fx)) < -m_fx:
-        raise InvalidBound("integrand enclosure escaped the declared bound")
+def _check_headroom(bound: Dyadic, m_fx: int, n3: int, tw_hi, ew_hi):
+    """Refuse a sweep whose int64 phi, theta or eta sums could pass 2^63."""
+    row = int(tw_hi.sum()) * m_fx
+    need = max(n3 * m_fx, row, int(ew_hi.sum()) * ((row >> SCALE) + 1))
+    if need >= (1 << 63) - (1 << SCALE):    # room for _shr_ceil's addend
+        raise NoConvergence(
+            f"declared bound {float(bound.as_fraction()):g} needs sweep sums up "
+            f"to 2^{need.bit_length()}, past the int64 cap 2^63")
+
+
+def _check_bound(base_lo, flo, base_hi, fhi, m_fx):
+    # a valid enclosure (lo <= hi) that escapes [-m_fx, m_fx] also leaves
+    # it on one side, so the common case costs one pass over each array;
+    # the phi-constant bases add to the per-cell extremes over phi
+    if (int((base_lo + flo.min(axis=2)).min()) < -m_fx
+            or int((base_hi + fhi.max(axis=2)).max()) > m_fx):
+        if (int((base_lo + flo.max(axis=2)).max()) > m_fx
+                or int((base_hi + fhi.min(axis=2)).min()) < -m_fx):
+            raise InvalidBound("integrand enclosure escaped the declared bound")
+        raise NoConvergence(
+            "integrand enclosure wider than the declared bound allows; the "
+            "sweep sums would lose their int64 headroom")
 
 
 def _acc_to_interval(acc_lo: int, acc_hi: int) -> Interval:
     return Interval(Dyadic(acc_lo, -2 * SCALE), Dyadic(acc_hi, -2 * SCALE))
-
-
-def _scalar_sweep(spec, eta: _Axis, theta, phi) -> Interval:
-    """Pure-python sweep for integrands without a vectorized form."""
-    from .groups import Versor
-    wide = Interval(Dyadic(-1), Dyadic(1))
-    pos = Interval(ZERO, ONE)
-    wp = SCALE
-    m_bound = spec.bound.as_fraction() + 1
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for i in range(eta.n):
-        se, ce = eta.sin_mid[i], eta.cos_mid[i]
-        w1 = eta.weights[i]
-        if theta is None:
-            q = Versor(ce, pos, wide, wide)
-            fv = spec.eval(q, wp)
-            _check_scalar_bound(fv, m_bound)
-            lo += min(w1.lo.as_fraction() * fv.lo.as_fraction(),
-                      w1.hi.as_fraction() * fv.lo.as_fraction())
-            hi += max(w1.lo.as_fraction() * fv.hi.as_fraction(),
-                      w1.hi.as_fraction() * fv.hi.as_fraction())
-            continue
-        row_lo = Fraction(0)
-        row_hi = Fraction(0)
-        for j in range(theta.n):
-            st, ct = theta.sin_mid[j], theta.cos_mid[j]
-            w2 = theta.weights[j]
-            beta = se * ct
-            sest = se * st
-            if phi is None:
-                q = Versor(ce, beta, wide, wide)
-                fvals = [spec.eval(q, wp)]
-            else:
-                fvals = []
-                for k in range(phi.n):
-                    q = Versor(ce, beta, sest * phi.cos_mid[k],
-                               sest * phi.sin_mid[k])
-                    fvals.append(spec.eval(q, wp))
-            for fv in fvals:
-                _check_scalar_bound(fv, m_bound)
-            nk = len(fvals)
-            mlo = sum(f.lo.as_fraction() for f in fvals) / nk
-            mhi = sum(f.hi.as_fraction() for f in fvals) / nk
-            row_lo += min(w2.lo.as_fraction() * mlo, w2.hi.as_fraction() * mlo)
-            row_hi += max(w2.lo.as_fraction() * mhi, w2.hi.as_fraction() * mhi)
-        lo += min(w1.lo.as_fraction() * row_lo, w1.hi.as_fraction() * row_lo)
-        hi += max(w1.lo.as_fraction() * row_hi, w1.hi.as_fraction() * row_hi)
-    return Interval(fraction_floor_to(lo, 4 * SCALE), fraction_ceil_to(hi, 4 * SCALE))
-
-
-def _check_scalar_bound(fv: Interval, m_bound: Fraction):
-    if fv.lo.as_fraction() > m_bound or fv.hi.as_fraction() < -m_bound:
-        raise InvalidBound("integrand enclosure escaped the declared bound")

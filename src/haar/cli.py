@@ -1,7 +1,9 @@
 """Command-line front end: integrate / measure / packing / bench.
 
 Exit codes: 0 success, 1 configuration error, 2 the computation gave up
-(NoConvergence / EffortExceeded / KappaUnavailable / PackingExhausted); the
+(NoConvergence / EffortExceeded / KappaUnavailable / PackingExhausted) or
+refused a declared bound (InvalidBound when an integrand provably escapes it,
+NoConvergence when it is too large for the SU(2) grid's int64 sums); the
 error name goes to stderr.  Printed decimal values are outward-rounded so the
 printed interval always contains the certified one.
 """
@@ -16,7 +18,6 @@ from fractions import Fraction
 
 from .exactreal import CertifiedValue, Dyadic, NoConvergence
 from .generic import (
-    InvalidBound as GenericInvalidBound,
     LocatedSet, ModulusOfContinuity, PackingExhausted,
     compute_integral, compute_measure,
 )
@@ -51,8 +52,7 @@ def parse_group(spec: str, cayley_path: str | None):
 
 
 def default_method(kind: str) -> str:
-    return "quadrature" if kind in ("su2", "so3", "o3", "u2") else "generic" \
-        if kind in ("finite", "torus") else "quadrature"
+    return "generic" if kind in ("finite", "torus") else "quadrature"
 
 
 def parse_function(spec: str, G):
@@ -277,13 +277,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    # InvalidBound is a ValueError, so the exit-2 clause comes first
+    except (NoConvergence, EffortExceeded, KappaUnavailable, PackingExhausted,
+            InvalidBound) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, InvalidCayleyTable, FileNotFoundError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (NoConvergence, EffortExceeded, KappaUnavailable, PackingExhausted,
-            InvalidBound, GenericInvalidBound) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -35,6 +35,10 @@ class NoConvergence(RuntimeError):
     """An effort cap was reached before the requested certificate was met."""
 
 
+class InvalidBound(ValueError):
+    """An integrand enclosure provably escaped the declared bound [-M, M]."""
+
+
 class Dyadic:
     """Exact dyadic rational m * 2^e, canonical: m odd or zero (zero has e = 0)."""
 
@@ -48,13 +52,6 @@ class Dyadic:
             k = (m & -m).bit_length() - 1
             self.m = m >> k
             self.e = e + k
-
-    @staticmethod
-    def from_fraction(q: Fraction) -> "Dyadic":
-        den = q.denominator
-        if den & (den - 1):
-            raise ValueError(f"{q} is not dyadic")
-        return Dyadic(q.numerator, -(den.bit_length() - 1))
 
     def as_fraction(self) -> Fraction:
         if self.e >= 0:
@@ -259,10 +256,6 @@ class Interval:
     def square(self) -> "Interval":
         a = self.abs()
         return Interval(a.lo * a.lo, a.hi * a.hi)
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(dyadic_min(self.lo, other.lo),
-                        dyadic_max(self.hi, other.hi))
 
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(dyadic_max(self.lo, other.lo),

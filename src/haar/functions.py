@@ -57,20 +57,18 @@ def _abs_sum_spec() -> IntegrandSpec:
         return al + bl + cl + dl, ah + bh + ch + dh
 
     def polar(ce, b, sest, cphi, sphi, scale):
-        # |y| + |z| = sin(eta)sin(theta) (|cos phi| + |sin phi|), all nonneg
+        # |w| + |x| is constant along phi; |y| + |z| = sin(eta)sin(theta)
+        # (|cos phi| + |sin phi|), all nonneg
         al, ah = fp_abs(*ce)
         bl, bh = fp_abs(*b)
         ul, uh = fp_abs(*cphi)
         vl, vh = fp_abs(*sphi)
         row = (ul + vl, uh + vh)
-        g = fp_mul_nn((sest[0][:, None], sest[1][:, None]),
-                      (row[0][None, :], row[1][None, :]), scale)
-        return (al + bl)[:, None] + g[0], (ah + bh)[:, None] + g[1]
+        lo, hi = fp_mul_nn((sest[0][..., None], sest[1][..., None]), row, scale)
+        return al + bl, ah + bh, lo, hi
 
-    spec = IntegrandSpec(ev, Dyadic(7, -2), Dyadic(2), name="abs-sum",
-                         fixed_eval=fixed, uses="abcd")
-    spec.fixed_eval_polar = polar
-    return spec
+    return IntegrandSpec(ev, Dyadic(7, -2), Dyadic(2), name="abs-sum",
+                         fixed_eval=fixed, fixed_eval_polar=polar, uses="abcd")
 
 
 def _w2_spec() -> IntegrandSpec:

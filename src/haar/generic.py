@@ -25,16 +25,12 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .exactreal import (
-    CertifiedValue, Dyadic, Interval, NoConvergence,
+    CertifiedValue, Dyadic, Interval, InvalidBound, NoConvergence,
     fraction_ceil_to, fraction_floor_to,
 )
 from .groups import Group
 from .packing import PackingTable
 from .regions import BoxRegion, FiniteRegion
-
-
-class InvalidBound(ValueError):
-    """An integrand enclosure provably escaped the declared bound [-M, M]."""
 
 
 class PackingExhausted(RuntimeError):

@@ -82,10 +82,6 @@ class Versor:
     def dot(self, o: "Versor") -> Interval:
         return self.a * o.a + self.b * o.b + self.c * o.c + self.d * o.d
 
-    def max_width(self) -> Dyadic:
-        return dyadic_max(dyadic_max(self.a.width(), self.b.width()),
-                          dyadic_max(self.c.width(), self.d.width()))
-
     def __repr__(self):
         return (f"Versor({float(self.a.midpoint()):.6g}, "
                 f"{float(self.b.midpoint()):.6g}, "

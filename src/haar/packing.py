@@ -200,21 +200,6 @@ class TorusGridPacking:
         return cnt
 
 
-class ListPacking:
-    """Explicit list of elements (output of the dovetail search)."""
-
-    def __init__(self, G: Group, points):
-        self.group = G
-        self._points = list(points)
-        self.size = len(self._points)
-
-    def iter_points(self):
-        return iter(self._points)
-
-    def points_list(self):
-        return list(self._points)
-
-
 class PackingTable:
     """The sequence {T_m} of maximum m-packings with their sizes kappa(m)."""
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._grid import InvalidBound, su2_grid_integral
+from ._grid import su2_grid_integral
 from .exactreal import (
-    CertifiedValue, Dyadic, Interval, NoConvergence, ZERO,
+    CertifiedValue, Dyadic, Interval, InvalidBound, NoConvergence, ZERO,
     cos_enclosure, fraction_ceil_to, fraction_floor_to, sin_enclosure,
 )
 from .groups import Versor
@@ -51,19 +51,27 @@ class IntegrandSpec:
     dominates |f|.  ``fixed_eval`` is an optional vectorized fixed-point form
     used by the SU(2) grid engine; ``uses`` declares which quaternion
     components the function reads ('a', 'ab' or 'abcd') so the engine can drop
-    dead grid axes.  Circle integrands may carry ``eval_complex`` /
-    ``complex_fixed`` evaluating f at a unit complex number given as
-    (re, im) enclosures; the lift to SU(2) requires it.
+    dead grid axes: the other components reach both ``fixed_eval`` and
+    ``eval_fn`` as exact 0.  ``fixed_eval_polar(ce, b, sest, cphi, sphi,
+    scale)`` is an optional faster form of ``fixed_eval`` taking cos(eta),
+    sin(eta)cos(theta), sin(eta)sin(theta) as arrays broadcastable to
+    (rows, theta) and cos/sin(phi) as (phi,) arrays; it returns (base_lo,
+    base_hi, lo, hi) enclosing f by base + [lo, hi], base (rows, theta) being
+    the part constant along phi and lo, hi of shape (rows, theta, phi).  Circle
+    integrands may carry ``eval_complex`` / ``complex_fixed`` evaluating f at
+    a unit complex number given as (re, im) enclosures; the lift to SU(2)
+    requires it.
     """
 
     def __init__(self, eval_fn, lipschitz: Dyadic, bound: Dyadic, *,
-                 name: str = "", fixed_eval=None, uses: str = "abcd",
-                 eval_complex=None, complex_fixed=None):
+                 name: str = "", fixed_eval=None, fixed_eval_polar=None,
+                 uses: str = "abcd", eval_complex=None, complex_fixed=None):
         self.eval = eval_fn
         self.lipschitz = lipschitz
         self.bound = bound
         self.name = name
         self.fixed_eval = fixed_eval
+        self.fixed_eval_polar = fixed_eval_polar
         self.uses = uses
         self.eval_complex = eval_complex
         self.complex_fixed = complex_fixed
@@ -145,33 +153,20 @@ def haar_integral_su2(f: IntegrandSpec, n: int, *,
 # derived groups
 # ---------------------------------------------------------------------------
 
-def _restrict_o3(f: IntegrandSpec, sign_index: int) -> IntegrandSpec:
+def _restrict(f: IntegrandSpec, tag, keyword: str) -> IntegrandSpec:
+    """f on the SU(2) factor with the other factor fixed at ``tag``, which
+    ``fixed_eval`` receives as the keyword argument ``keyword``."""
     def ev(q, wp):
-        return f.eval((q, sign_index), wp)
+        return f.eval((q, tag), wp)
 
     fixed = None
     if f.fixed_eval is not None:
         base = f.fixed_eval
 
-        def fixed(a, b, c, d, scale, _s=sign_index):
-            return base(a, b, c, d, scale, sign_index=_s)
+        def fixed(a, b, c, d, scale):
+            return base(a, b, c, d, scale, **{keyword: tag})
 
-    return IntegrandSpec(ev, f.lipschitz, f.bound, name=f"{f.name}|sign{sign_index}",
-                         fixed_eval=fixed, uses=f.uses)
-
-
-def _restrict_u2(f: IntegrandSpec, t: Dyadic) -> IntegrandSpec:
-    def ev(q, wp):
-        return f.eval((q, t), wp)
-
-    fixed = None
-    if f.fixed_eval is not None:
-        base = f.fixed_eval
-
-        def fixed(a, b, c, d, scale, _t=t):
-            return base(a, b, c, d, scale, circle_point=_t)
-
-    return IntegrandSpec(ev, f.lipschitz, f.bound, name=f"{f.name}|t={t}",
+    return IntegrandSpec(ev, f.lipschitz, f.bound, name=f"{f.name}|{keyword}={tag}",
                          fixed_eval=fixed, uses=f.uses)
 
 
@@ -189,8 +184,10 @@ def haar_integral_derived(kind: str, f: IntegrandSpec, n: int, *,
     if kind == "so3":
         return haar_integral_su2(f, n, max_cells=max_cells)
     if kind == "o3":
-        plus = haar_integral_su2(_restrict_o3(f, 0), n + 1, max_cells=max_cells)
-        minus = haar_integral_su2(_restrict_o3(f, 1), n + 1, max_cells=max_cells)
+        plus = haar_integral_su2(_restrict(f, 0, "sign_index"), n + 1,
+                                 max_cells=max_cells)
+        minus = haar_integral_su2(_restrict(f, 1, "sign_index"), n + 1,
+                                  max_cells=max_cells)
         return CertifiedValue((plus.value + minus.value).half(), -n)
     if kind == "u2":
         L = f.lipschitz.as_fraction()
@@ -203,7 +200,7 @@ def haar_integral_derived(kind: str, f: IntegrandSpec, n: int, *,
         total = ZERO
         for k in range(N):
             t = Dyadic(2 * k + 1, -(N.bit_length() - 1) - 1)
-            inner = haar_integral_su2(_restrict_u2(f, t), n + 1,
+            inner = haar_integral_su2(_restrict(f, t, "circle_point"), n + 1,
                                       max_cells=max_cells)
             total = total + inner.value
         # mean of N values, each within 2^-(n+1); plus the outer midpoint term

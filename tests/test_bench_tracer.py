@@ -1,0 +1,35 @@
+"""The benchmark tracer wraps library names; a refactor must keep them.
+
+``benchmarks/spans.py`` patches ``_grid._build_axis``, ``_grid._disc_bound``,
+``_grid._fixed_sweep`` and ``_grid._scalar_sweep`` (the sweeps take
+``(spec, eta, theta, phi)`` with axes carrying ``.n``),
+``functions._quat_mul_fixed``, and the ``eval`` and ``fixed_eval_polar``
+instance attributes of the workload's integrands.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+from haar import _grid, quadrature  # noqa: E402
+
+
+def test_tracer_records_a_grid_sweep():
+    calls = workloads.build(workloads.make_inputs("su2-sweep", 1))
+    sweep = _grid._fixed_sweep
+    tracer = spans.Tracer()
+    tracer.install(calls)
+    try:
+        quadrature.haar_integral_su2(calls[0].specs[0], 3)
+    finally:
+        tracer.uninstall()
+    assert _grid._fixed_sweep is sweep
+    names = {s[0] for s in tracer.spans}
+    assert {"quadrature.su2", "grid.build_axis", "grid.disc_bound", "grid.sweep",
+            "functions.polar"} <= names
+    metrics = spans.layer_metrics(tracer.spans, tracer.counts)
+    assert metrics["grid.cells"] > 0 and metrics["grid.attempts"] >= 1

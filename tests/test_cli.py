@@ -5,11 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from haar import cli
 from haar.cli import (
     format_certified, format_dyadic_exact_decimal, main, parse_ball,
     parse_group,
 )
-from haar.exactreal import CertifiedValue, Dyadic
+from haar.exactreal import CertifiedValue, Dyadic, NoConvergence
+from haar.generic import InvalidBound as GenericInvalidBound, PackingExhausted
+from haar.groups import EffortExceeded, InvalidCayleyTable
+from haar.packing import KappaUnavailable
+from haar.quadrature import InvalidBound
 
 
 def run(capsys, *argv):
@@ -185,6 +190,23 @@ class TestBench:
                              "--n-min", "5", "--n-max", "4")
         assert code == 1
         assert "precision," not in out
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [
+        (cli.ConfigError, 1), (InvalidCayleyTable, 1), (FileNotFoundError, 1),
+        (ValueError, 1), (NoConvergence, 2), (EffortExceeded, 2),
+        (KappaUnavailable, 2), (PackingExhausted, 2), (InvalidBound, 2),
+        (GenericInvalidBound, 2),
+    ])
+    def test_error_class_exit_code(self, capsys, monkeypatch, error, code):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_packing", fail)
+        got, out, err = run(capsys, "packing", "--group", "circle")
+        assert got == code
+        assert err.startswith(f"{error.__name__}: ")
 
 
 class TestGroupParsing:

@@ -1,0 +1,157 @@
+"""The SU(2) grid kernel against independent oracles.
+
+The block sweep's enclosure must contain the midpoint Riemann sum of its own
+grid, computed here in mpmath at 60 digits: eta weights are differences of
+W1(x) = (x - sin x cos x)/pi, theta weights differences of
+W2(x) = (1 - cos x)/2, phi is uniform, and an axis the integrand does not
+read is the single point sin = cos = 0 with weight 1.  The sin/cos tables
+every axis is built from are checked against mpmath directly.
+"""
+
+from fractions import Fraction
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from haar import _grid
+from haar.exactreal import NoConvergence
+from haar.functions import builtin_integrand
+from haar.quadrature import IntegrandSpec
+
+
+def mp_fraction(x) -> Fraction:
+    sign, man, exp, _ = mpmath.mpf(x)._mpf_
+    if man == 0:
+        return Fraction(0)
+    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -v if sign else v
+
+
+def _lift_re2(a, b, c, d):
+    rho = mpmath.sqrt(a * a + b * b)
+    return (a / rho) ** 2 * rho if rho else mpmath.mpf(0)
+
+
+MP_INTEGRANDS = {
+    "abs-sum": lambda a, b, c, d: abs(a) + abs(b) + abs(c) + abs(d),
+    "w2": lambda a, b, c, d: a * a,
+    "lift:re2": _lift_re2,
+}
+
+
+def mp_axis(kind, n):
+    """[(sin, cos, weight)] of the midpoint cells of one axis; None: dead."""
+    pi = mpmath.pi
+    if n is None:
+        return [(mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1))]
+    if kind == "phi":
+        return [(mpmath.sin(pi * (2 * k + 1) / n), mpmath.cos(pi * (2 * k + 1) / n),
+                 mpmath.mpf(1) / n) for k in range(n)]
+
+    def cum(x):
+        if kind == "eta":
+            return (x - mpmath.sin(x) * mpmath.cos(x)) / pi
+        return (1 - mpmath.cos(x)) / 2
+
+    return [(mpmath.sin(pi * (2 * i + 1) / (2 * n)), mpmath.cos(pi * (2 * i + 1) / (2 * n)),
+             cum(pi * (i + 1) / n) - cum(pi * i / n)) for i in range(n)]
+
+
+def mp_riemann_sum(f, ns):
+    with mpmath.workdps(60):
+        eta, theta, phi = (mp_axis(kind, n) for kind, n in zip(_grid._KINDS, ns))
+        total = mpmath.mpf(0)
+        for se, ce, w1 in eta:
+            for st_, ct, w2 in theta:
+                for sp, cp, w3 in phi:
+                    total += w1 * w2 * w3 * f(ce, se * ct, se * st_ * cp, se * st_ * sp)
+        return mp_fraction(total)
+
+
+def grid_axes(ns):
+    live = [n for n in ns if n is not None]
+    guard = _grid.SCALE + 6
+    return ([_grid._build_axis(kind, n, guard) for kind, n in zip(_grid._KINDS, live)]
+            + [_grid._DEAD_AXIS] * (3 - len(live)))
+
+
+def sweep_paths(spec):
+    """(label, sweep, spec) for every evaluation path the spec can take."""
+    plain = IntegrandSpec(spec.eval, spec.lipschitz, spec.bound, uses=spec.uses,
+                          fixed_eval=spec.fixed_eval)
+    scalar = IntegrandSpec(spec.eval, spec.lipschitz, spec.bound, uses=spec.uses)
+    paths = [("fixed", _grid._fixed_sweep, plain),
+             ("scalar", _grid._scalar_sweep, scalar)]
+    if spec.fixed_eval_polar is not None:
+        paths.append(("polar", _grid._fixed_sweep, spec))
+    return paths
+
+
+GRIDS = {
+    "w2": [(1, None, None), (3, None, None), (5, None, None)],
+    "lift:re2": [(1, 1, None), (2, 3, None), (5, 4, None)],
+    "abs-sum": [(1, 1, 1), (2, 3, 4), (5, 5, 5), (4, 1, 3)],
+}
+
+
+@pytest.mark.parametrize("name, uses", [("w2", "a"), ("lift:re2", "ab"),
+                                        ("abs-sum", "abcd")])
+def test_sweep_encloses_mpmath_riemann_sum(name, uses, monkeypatch):
+    spec = builtin_integrand(name, "su2")
+    assert spec.uses == uses
+    for ns in GRIDS[name]:
+        exact = mp_riemann_sum(MP_INTEGRANDS[name], ns)
+        axes = grid_axes(ns)
+        for label, sweep, s in sweep_paths(spec):
+            enc = sweep(s, *axes)
+            assert enc.lo.as_fraction() <= exact <= enc.hi.as_fraction(), (label, ns)
+            assert enc.width().as_fraction() < Fraction(1, 1 << 10), (label, ns)
+            # one row and one theta cell per block: the exact integer sums
+            # do not depend on how the grid is split
+            with monkeypatch.context() as m:
+                m.setattr(_grid, "BLOCK_CELLS", 1)
+                split = sweep(s, *axes)
+            assert (split.lo, split.hi) == (enc.lo, enc.hi), (label, ns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(-(1 << 24), 1 << 24), den=st.integers(1, 1 << 16),
+       g=st.integers(8, 96))
+@example(num=1, den=2, g=45)
+@example(num=0, den=1, g=45)
+@example(num=2, den=1, g=45)
+@example(num=-1, den=1, g=8)
+def test_sincos_of_pi_fraction_contains_mpmath(num, den, g):
+    q = Fraction(num, den)
+    try:
+        s, c = _grid._sincos_of_pi_fraction(q, g)
+    except NoConvergence:
+        # a coarse pi times a large q: refusing is sound, only a wrong
+        # enclosure is not; grid tables use |q| <= 2 at g = SCALE + 16
+        assume(False)
+    with mpmath.workdps(60):
+        x = mpmath.pi * mpmath.mpf(q.numerator) / q.denominator
+        sin_x, cos_x = mp_fraction(mpmath.sin(x)), mp_fraction(mpmath.cos(x))
+    assert s.lo.as_fraction() <= sin_x <= s.hi.as_fraction()
+    assert c.lo.as_fraction() <= cos_x <= c.hi.as_fraction()
+
+
+@pytest.mark.parametrize("const", [(3, 5), (-5, -3), (-2, 7), (0, 0), (4, 4)])
+def test_fp_mul_matches_exact_outward_products(const):
+    # int64 kernels against Python-int floor/ceil of the extreme products;
+    # a constant factor may come first or second
+    rng = np.random.default_rng(11)
+    b = tuple(np.sort(rng.integers(-(1 << 32), 1 << 32, size=(2, 500)), axis=0))
+    s = _grid.SCALE
+    for got in (_grid.fp_mul(const, b), _grid.fp_mul(b, const)):
+        for k in range(500):
+            ps = [p * int(x[k]) for p in const for x in b]
+            assert int(got[0][k]) == min(ps) >> s
+            assert int(got[1][k]) == -(-max(ps) >> s)
+    alo, ahi = _grid.fp_abs(*b)
+    for k in range(500):
+        lo, hi = int(b[0][k]), int(b[1][k])
+        assert (int(alo[k]), int(ahi[k])) == (0 if lo < 0 < hi else min(abs(lo), abs(hi)),
+                                              max(abs(lo), abs(hi)))

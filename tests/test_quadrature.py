@@ -160,6 +160,42 @@ class TestSU2Integrals:
         with pytest.raises(NoConvergence):
             haar_integral_su2(spec, 8, max_cells=1000)
 
+    @staticmethod
+    def constant_spec(c, bound, vectorized, uses="abcd"):
+        fixed = None
+        if vectorized:
+            def fixed(a, b, cc, d, scale, **kw):
+                return c << scale, c << scale
+        return IntegrandSpec(lambda q, wp: Interval.from_int(c), Dyadic(0),
+                             Dyadic(bound), name=f"const{c}", fixed_eval=fixed,
+                             uses=uses)
+
+    @pytest.mark.parametrize("uses", ["a", "abcd"])
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("c", [64, 1000])
+    def test_bound_past_int64_headroom_refused(self, c, vectorized, uses):
+        # the sweep's int64 sums would wrap for bounds past about 30 (64
+        # used to give -0.000122 and 1000 gave -24.0): refuse, never answer
+        spec = self.constant_spec(c, c, vectorized, uses)
+        with pytest.raises(NoConvergence, match="int64 cap"):
+            haar_integral_su2(spec, 4)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_largest_bound_in_headroom(self, vectorized):
+        check(haar_integral_su2(self.constant_spec(30, 30, vectorized), 4),
+              Fraction(30), 4)
+        with pytest.raises(NoConvergence, match="int64 cap"):
+            haar_integral_su2(self.constant_spec(1, 31, vectorized), 4)
+
+    def test_enclosure_wider_than_bound_refused(self):
+        def wide(a, b, c, d, scale, **kw):
+            return -(1 << 61), 1 << 61
+
+        spec = IntegrandSpec(lambda q, wp: Interval.from_int(0), Dyadic(0),
+                             Dyadic(1), name="wide", fixed_eval=wide)
+        with pytest.raises(NoConvergence, match="headroom"):
+            haar_integral_su2(spec, 4)
+
 
 class TestDerivedIntegrals:
     def test_so3(self):
