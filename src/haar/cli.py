@@ -1,7 +1,8 @@
 """Command-line front end: integrate / measure / packing / bench.
 
 Exit codes: 0 success, 1 configuration error, 2 the computation gave up
-(NoConvergence / EffortExceeded / KappaUnavailable / PackingExhausted) or
+(NoConvergence / EffortExceeded / KappaUnavailable / PackingExhausted), could
+not certify an operation (DomainError / DivisionByIntervalContainingZero) or
 refused a declared bound (InvalidBound when an integrand provably escapes it,
 NoConvergence when it is too large for the SU(2) grid's int64 sums); the
 error name goes to stderr.  Printed decimal values are outward-rounded so the
@@ -16,7 +17,10 @@ import sys
 import time
 from fractions import Fraction
 
-from .exactreal import CertifiedValue, Dyadic, NoConvergence
+from .exactreal import (
+    CertifiedValue, DivisionByIntervalContainingZero, DomainError, Dyadic,
+    NoConvergence,
+)
 from .generic import (
     LocatedSet, ModulusOfContinuity, PackingExhausted,
     compute_integral, compute_measure,
@@ -279,7 +283,7 @@ def main(argv=None) -> int:
         return args.func(args)
     # InvalidBound is a ValueError, so the exit-2 clause comes first
     except (NoConvergence, EffortExceeded, KappaUnavailable, PackingExhausted,
-            InvalidBound) as exc:
+            InvalidBound, DomainError, DivisionByIntervalContainingZero) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, InvalidCayleyTable, FileNotFoundError, ValueError) as exc:

@@ -1,9 +1,15 @@
 """Shared fixtures: small finite groups and oracle helpers."""
 
 import pytest
+from hypothesis import settings
 
 from haar import make_group
 from haar.groups import cyclic_table
+
+# the same examples on every run, so two trees are compared on equal draws;
+# no deadline, since timing on a loaded machine is no property of the code
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def direct_product_table(t1, t2):

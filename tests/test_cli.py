@@ -10,7 +10,10 @@ from haar.cli import (
     format_certified, format_dyadic_exact_decimal, main, parse_ball,
     parse_group,
 )
-from haar.exactreal import CertifiedValue, Dyadic, NoConvergence
+from haar.exactreal import (
+    CertifiedValue, DivisionByIntervalContainingZero, DomainError, Dyadic,
+    NoConvergence,
+)
 from haar.generic import InvalidBound as GenericInvalidBound, PackingExhausted
 from haar.groups import EffortExceeded, InvalidCayleyTable
 from haar.packing import KappaUnavailable
@@ -197,7 +200,8 @@ class TestExitCodes:
         (cli.ConfigError, 1), (InvalidCayleyTable, 1), (FileNotFoundError, 1),
         (ValueError, 1), (NoConvergence, 2), (EffortExceeded, 2),
         (KappaUnavailable, 2), (PackingExhausted, 2), (InvalidBound, 2),
-        (GenericInvalidBound, 2),
+        (GenericInvalidBound, 2), (DomainError, 2),
+        (DivisionByIntervalContainingZero, 2),
     ])
     def test_error_class_exit_code(self, capsys, monkeypatch, error, code):
         def fail(args):

@@ -8,15 +8,15 @@ read is the single point sin = cos = 0 with weight 1.  The sin/cos tables
 every axis is built from are checked against mpmath directly.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from haar import _grid
-from haar.exactreal import NoConvergence
 from haar.functions import builtin_integrand
 from haar.quadrature import IntegrandSpec
 
@@ -123,14 +123,15 @@ def test_sweep_encloses_mpmath_riemann_sum(name, uses, monkeypatch):
 @example(num=0, den=1, g=45)
 @example(num=2, den=1, g=45)
 @example(num=-1, den=1, g=8)
+@example(num=403, den=1, g=8)
+@example(num=(1 << 24) - 1, den=2, g=8)
 def test_sincos_of_pi_fraction_contains_mpmath(num, den, g):
+    # the quadrant reduction is exact, so a large q neither refuses (an
+    # exception fails the test) nor widens the enclosure
     q = Fraction(num, den)
-    try:
-        s, c = _grid._sincos_of_pi_fraction(q, g)
-    except NoConvergence:
-        # a coarse pi times a large q: refusing is sound, only a wrong
-        # enclosure is not; grid tables use |q| <= 2 at g = SCALE + 16
-        assume(False)
+    s, c = _grid._sincos_of_pi_fraction(q, g)
+    assert s.width().as_fraction() <= Fraction(256, 1 << g)
+    assert c.width().as_fraction() <= Fraction(256, 1 << g)
     with mpmath.workdps(60):
         x = mpmath.pi * mpmath.mpf(q.numerator) / q.denominator
         sin_x, cos_x = mp_fraction(mpmath.sin(x)), mp_fraction(mpmath.cos(x))
@@ -155,3 +156,109 @@ def test_fp_mul_matches_exact_outward_products(const):
         lo, hi = int(b[0][k]), int(b[1][k])
         assert (int(alo[k]), int(ahi[k])) == (0 if lo < 0 < hi else min(abs(lo), abs(hi)),
                                               max(abs(lo), abs(hi)))
+
+
+def _near_and_random(rng, top, size=400):
+    """Random int64 values in [0, top) plus the run just below top."""
+    return np.concatenate([rng.integers(0, top, size=size, dtype=np.int64),
+                           np.arange(top - size, top, dtype=np.int64)])
+
+
+def _ceil_isqrt(x: int) -> int:
+    r = math.isqrt(x)
+    return r if r * r == x else r + 1
+
+
+def test_isqrt_vec_matches_math_isqrt():
+    rng = np.random.default_rng(5)
+    roots = rng.integers(0, 1 << 31, size=300, dtype=np.int64)
+    x = np.concatenate([_near_and_random(rng, 1 << 62), roots * roots,
+                        roots * roots - 1, roots * roots + 1,
+                        np.array([0, 1, 2, 3, 4], dtype=np.int64)])
+    x = np.maximum(x, 0)
+    got = _grid._isqrt_vec(x)
+    assert [int(v) for v in got] == [math.isqrt(int(v)) for v in x]
+
+
+def test_fp_sqrt_matches_exact_isqrt():
+    # lo = isqrt(lo 2^s), hi = ceil-isqrt(hi 2^s); a negative lo is noise
+    rng = np.random.default_rng(6)
+    s = _grid.SCALE
+    top = 1 << (62 - s)
+    ends = np.sort(np.stack([_near_and_random(rng, top),
+                             _near_and_random(rng, top)]), axis=0)
+    ends[0, :50] -= 1000
+    lo, hi = _grid.fp_sqrt((ends[0], ends[1]))
+    for k in range(ends.shape[1]):
+        a, b = int(ends[0, k]), int(ends[1, k])
+        assert int(lo[k]) == math.isqrt(max(a, 0) << s)
+        assert int(hi[k]) == _ceil_isqrt(max(b, 0) << s)
+
+
+def test_fp_div_pos_matches_exact_quotients():
+    # floor of the least and ceil of the greatest of the four corner
+    # quotients, taken exactly in Fraction
+    rng = np.random.default_rng(7)
+    s = _grid.SCALE
+    top = 1 << (62 - s)
+    a = np.sort(rng.integers(-top, top, size=(2, 400), dtype=np.int64), axis=0)
+    a[:, :20] = [[top - 2], [top - 1]]
+    a[:, 20:40] = [[-top], [-top + 1]]
+    b = np.sort(rng.integers(1, 1 << 40, size=(2, 400), dtype=np.int64), axis=0)
+    b[:, 40:60] = [[1], [2]]
+    lo, hi = _grid.fp_div_pos((a[0], a[1]), (b[0], b[1]))
+    for k in range(400):
+        qs = [Fraction(int(x) << s, int(y)) for x in a[:, k] for y in b[:, k]]
+        assert int(lo[k]) == math.floor(min(qs))
+        assert int(hi[k]) == math.ceil(max(qs))
+
+
+def test_fp_square_matches_exact_squares():
+    rng = np.random.default_rng(8)
+    s = _grid.SCALE
+    top = 1 << 31     # squares up to 2^62
+    a = np.sort(rng.integers(-top + 1, top, size=(2, 600), dtype=np.int64), axis=0)
+    a[:, :20] = [[top - 3], [top - 1]]
+    a[:, 20:40] = [[-top + 1], [-top + 2]]
+    lo, hi = _grid.fp_square((a[0], a[1]))
+    for k in range(600):
+        x, y = int(a[0, k]), int(a[1, k])
+        least = 0 if x <= 0 <= y else min(x * x, y * y)
+        assert int(lo[k]) == least >> s
+        assert int(hi[k]) == -(-max(x * x, y * y) >> s)
+
+
+def _disc_ratio(live, L, n):
+    budget = Fraction(7, 8) / (1 << n)
+    ns = _grid._choose_resolution(live, float(L), float(budget))
+    axes = grid_axes(ns + [None] * (3 - live))
+    return _grid._disc_bound(L, *axes) / budget
+
+
+@pytest.mark.parametrize("live", [1, 2, 3])
+@pytest.mark.parametrize("L", [Fraction(1), Fraction(7, 4), Fraction(21, 8)], ids=str)
+def test_first_grid_meets_the_budget_without_slack(live, L):
+    # the closed-form sizing passes the exact bound at once and is not
+    # oversized: at least 90% of the budget is used
+    for n in range(3, 8):
+        assert Fraction(9, 10) <= _disc_ratio(live, L, n) <= 1, (live, L, n)
+
+
+@pytest.mark.parametrize("shrink", [Fraction(1, 2), Fraction(4, 5), Fraction(19, 20)], ids=str)
+@pytest.mark.parametrize("name, true", [("abs-sum", mp_fraction(16 / (3 * mpmath.pi))),
+                                        ("w2", Fraction(1, 4))])
+def test_grid_that_misses_grows_by_the_measured_ratio(name, true, shrink, monkeypatch):
+    # a first grid too small by the factor ``shrink`` must still end
+    # certified, after at most two growth steps
+    spec = builtin_integrand(name, "su2")
+    n = 5
+    choose = _grid._choose_resolution
+    monkeypatch.setattr(_grid, "_choose_resolution", lambda *a: [
+        max(1, math.floor(m * shrink)) for m in choose(*a)])
+    calls = []
+    disc_bound = _grid._disc_bound
+    monkeypatch.setattr(_grid, "_disc_bound", lambda *a: calls.append(a) or disc_bound(*a))
+    enc = _grid.su2_grid_integral(spec, n)
+    assert 2 <= len(calls) <= 3
+    assert enc.width().as_fraction() <= Fraction(1, 1 << (n - 1))
+    assert abs(enc.midpoint().as_fraction() - true) <= Fraction(1, 1 << n)
