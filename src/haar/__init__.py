@@ -10,7 +10,7 @@ from .exactreal import (
     CertifiedValue, DivisionByIntervalContainingZero, DomainError, Dyadic,
     Interval, NoConvergence, arccos_enclosure, cos_enclosure,
     elementary_enclosure, interval_arith, pi_enclosure, refine,
-    sin_enclosure, sqrt_enclosure,
+    sin_enclosure, sincos_pi, sqrt_enclosure,
 )
 from .groups import (
     EffortExceeded, Group, InvalidCayleyTable, Versor, biinvariant_metric,

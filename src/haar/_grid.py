@@ -6,6 +6,8 @@ sin(theta)/2 on [0, pi], phi is uniform on [0, 2 pi); their product times the
 map Psi is the Haar measure (this realizes the 1/(2 pi^2) normalization as the
 three per-axis normalizers pi/2, 2, 2 pi).  Cell weights are differences of
 the exact cumulative weights, so the Jacobian never enters the cell loop.
+The sin/cos tables come from ``exactreal.sincos_pi`` at rational multiples
+of pi.
 
 The cell loop runs in fixed point: interval endpoints are int64 multiples of
 2^-SCALE, products round outward by integer shifts, and numpy carries the
@@ -43,6 +45,7 @@ import numpy as np
 
 from .exactreal import (
     Dyadic, Interval, InvalidBound, ZERO, ONE, NoConvergence, pi_enclosure,
+    sincos_pi,
 )
 from .groups import Versor
 
@@ -54,77 +57,8 @@ _KINDS = ("eta", "theta", "phi")
 
 
 # ---------------------------------------------------------------------------
-# fast certified sin/cos on dyadic points (integer fixed-point Taylor)
+# axis tables
 # ---------------------------------------------------------------------------
-
-_PI_FIXED: dict[int, tuple[int, int]] = {}
-
-
-def _pi_fixed(g: int) -> tuple[int, int]:
-    if g not in _PI_FIXED:
-        enc = pi_enclosure(g + 4)
-        _PI_FIXED[g] = (enc.lo.scaled_floor(g), enc.hi.scaled_ceil(g))
-    return _PI_FIXED[g]
-
-
-def _taylor_sincos(y: int, g: int) -> tuple[int, int, int, int]:
-    """Brackets of sin(y/2^g), cos(y/2^g) for |y| <= 0.9 * 2^g.
-
-    Integer Taylor with floor divisions: every step perturbs a term by at
-    most 2 ulps and the factor y^2/2^g < 0.81 damps propagation, so the
-    accumulated error over the < 25 terms stays far below the blanket 64-ulp
-    widening (which also covers the truncated tail, below 1 ulp at exit).
-    """
-    one = 1 << g
-    yy = (y * y) >> g
-    s = t = y
-    k = 1
-    while t:
-        t = -((t * yy) // (one * (k + 1) * (k + 2)))
-        s += t
-        k += 2
-        if k > 80:
-            raise NoConvergence("fixed-point sin series did not settle")
-    c = u = one
-    k = 0
-    while u:
-        u = -((u * yy) // (one * (k + 1) * (k + 2)))
-        c += u
-        k += 2
-        if k > 80:
-            raise NoConvergence("fixed-point cos series did not settle")
-    E = 64
-    return s - E, s + E, c - E, c + E
-
-
-def _sincos_of_pi_fraction(q: Fraction, g: int):
-    """sin/cos Interval pair at pi * q, via the fixed-point path.
-
-    The quadrant reduction q = k/2 + r is exact on the rational q, so only
-    pi r (|r| <= 1/4) carries the rounding of pi, whatever the size of q.
-    """
-    k = round(2 * q)
-    r = q - Fraction(k, 2)
-    plo, phi_ = _pi_fixed(g)
-    num, den = r.numerator, r.denominator
-    if num >= 0:
-        ylo = (num * plo) // den
-        yhi = -((-num * phi_) // den)
-    else:
-        ylo = (num * phi_) // den
-        yhi = -((-num * plo) // den)
-    # the Taylor brackets at the midpoint widen by the half-width (sin and
-    # cos are 1-Lipschitz), then the quadrant k % 4 rotates them
-    h = (yhi - ylo + 1) // 2 + 1
-    cap = 1 << g
-    slo, shi, clo, chi = _taylor_sincos((ylo + yhi) // 2, g)
-    slo, shi = max(slo - h, -cap), min(shi + h, cap)
-    clo, chi = max(clo - h, -cap), min(chi + h, cap)
-    slo, shi, clo, chi = [(slo, shi, clo, chi), (clo, chi, -shi, -slo),
-                          (-shi, -slo, -chi, -clo), (-chi, -clo, slo, shi)][k % 4]
-    return (Interval(Dyadic(slo, -g), Dyadic(shi, -g)),
-            Interval(Dyadic(clo, -g), Dyadic(chi, -g)))
-
 
 def _nonneg(iv: Interval) -> Interval:
     lo = iv.lo if iv.lo.sign() > 0 else ZERO
@@ -158,19 +92,22 @@ _DEAD_AXIS = _Axis(1, [_ZERO_IV], [_ZERO_IV], [Interval(ONE, ONE)], Fraction(0))
 
 
 def _build_axis(kind: str, n: int, guard: int) -> _Axis:
-    """Midpoint sin/cos tables and exact cumulative weights for one axis."""
+    """Midpoint sin/cos tables and exact cumulative weights for one axis.
+
+    ``sincos_pi(q, guard)`` runs its kernel at g = guard + 10 fraction bits.
+    """
     g = guard + 10
     pi_enc = pi_enclosure(guard)
     sin_mid, cos_mid = [], []
     if kind == "phi":
         # midpoints 2 pi (2k+1)/(2n) = pi (2k+1)/n, uniform weights 1/n
         for k in range(n):
-            s, c = _sincos_of_pi_fraction(Fraction(2 * k + 1, n), g)
+            s, c = sincos_pi(Fraction(2 * k + 1, n), guard)
             sin_mid.append(s)
             cos_mid.append(c)
         return _Axis(n, sin_mid, cos_mid, None, 2 * pi_enc.hi.as_fraction() / n)
     for i in range(n):
-        s, c = _sincos_of_pi_fraction(Fraction(2 * i + 1, 2 * n), g)
+        s, c = sincos_pi(Fraction(2 * i + 1, 2 * n), guard)
         sin_mid.append(s)
         cos_mid.append(c)
     cum = []
@@ -178,7 +115,7 @@ def _build_axis(kind: str, n: int, guard: int) -> _Axis:
     for i in range(n + 1):
         q = Fraction(i, n)
         b = Interval.from_fractions(pi_lo * q, pi_hi * q, g)
-        s, c = _sincos_of_pi_fraction(q, g)
+        s, c = sincos_pi(q, guard)
         if kind == "eta":
             # W1(x) = (x - sin x cos x) / pi
             v = (b - s * c).divide(pi_enc, guard)

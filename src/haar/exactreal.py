@@ -11,7 +11,10 @@ Width growth per operation (the enclosure contract, documented per op):
 * ``+ - *``   exact endpoints; width(x+y) = width(x) + width(y), multiplication
               adds |x| width(y) + |y| width(x) up to second order
 * ``/``       outward-rounded, width of the exact quotient + 2^-p
-* ``sin cos`` 1-Lipschitz: width <= width(x) + 2^-p
+* ``sin cos`` 1-Lipschitz: width <= width(x) + 2^-p; one integer Taylor kernel,
+              ``sincos_pi``, evaluates sin/cos(pi q) on exact rationals q with
+              the quadrant reduced exactly, so any magnitude works and no
+              float enters; x goes through a rational enclosure of x/pi
 * ``sqrt``    monotone; slope unbounded near 0, so width <= sqrt-of-width there
 * ``arccos``  monotone; slope 1/sqrt(1-t^2) unbounded near |t| = 1, enclosures
               remain valid but can be wide there
@@ -355,83 +358,111 @@ def pi_enclosure(p: int) -> Interval:
 # sin / cos
 # ---------------------------------------------------------------------------
 
-def _sincos_point(x: Fraction, p: int, want_sin: bool) -> tuple[Fraction, Fraction]:
-    """Exact brackets of sin(x) or cos(x) for |x| <= 8, Taylor + alternating tail."""
-    x2 = x * x
-    if want_sin:
-        term, k = x, 1
+_PI_FIXED: dict[int, tuple[int, int]] = {}
+
+
+def _pi_fixed(g: int) -> tuple[int, int]:
+    if g not in _PI_FIXED:
+        enc = pi_enclosure(g + 4)
+        _PI_FIXED[g] = (enc.lo.scaled_floor(g), enc.hi.scaled_ceil(g))
+    return _PI_FIXED[g]
+
+
+def _taylor_sincos(y: int, g: int) -> tuple[int, int, int, int]:
+    """Brackets of sin(y/2^g), cos(y/2^g) for |y| <= 0.9 * 2^g.
+
+    Integer Taylor with floor divisions.  A computed term is off from the
+    exact one by under 2 ulps: its floor and the floor in y^2/2^g add under
+    1.5 ulps, the first term derives from the exact y or 1, and later ones
+    inherit the previous error damped by y^2/(2^g (k+1)(k+2)) < 0.07.  So
+    the sum is off by under 2 ulps per term, and the tail after the last
+    nonzero term (an alternating series of falling terms) by under 2 ulps
+    more; each bracket widens by max(64, 2 terms + 2) ulps.  A term is below
+    half the previous one plus 1, so a series ends within g + 3 terms.
+    """
+    one = 1 << g
+    yy = (y * y) >> g
+    out = []
+    for t, k in ((y, 1), (one, 0)):
+        s, terms = t, 0
+        while t:
+            t = -((t * yy) // (one * (k + 1) * (k + 2)))
+            s += t
+            k += 2
+            terms += 1
+            if terms > g + 8:
+                raise NoConvergence("fixed-point sin/cos series did not settle")
+        E = max(64, 2 * terms + 2)
+        out += [s - E, s + E]
+    return tuple(out)
+
+
+def sincos_pi(q: Fraction, p: int) -> tuple[Interval, Interval]:
+    """Enclosures of sin(pi q) and cos(pi q), each of width <= 2^-p.
+
+    The quadrant reduction q = k/2 + r is exact on the rational q, so only
+    pi r (|r| <= 1/4) carries the rounding of pi, whatever the size of q.
+    The kernel runs on integers at g = p + max(10, bits of p) fraction bits.
+    """
+    g = p + max(10, p.bit_length())
+    k = round(2 * q)
+    r = q - Fraction(k, 2)
+    plo, phi_ = _pi_fixed(g)
+    num, den = r.numerator, r.denominator
+    if num >= 0:
+        ylo = (num * plo) // den
+        yhi = -((-num * phi_) // den)
     else:
-        term, k = Fraction(1), 0
-    bound = Fraction(1, 1 << (p + 2))
-    s = Fraction(0)
-    sign = 1
-    term = abs(term)
-    sgn0 = -1 if want_sin and x < 0 else 1
-    while True:
-        s += sign * sgn0 * term
-        term = term * x2 / ((k + 1) * (k + 2))
-        k += 2
-        sign = -sign
-        # once terms decrease, the alternating tail is bounded by the next term
-        if x2 < (k + 1) * (k + 2) and term <= bound:
-            break
-        if k > 600:
-            raise NoConvergence("sin/cos series did not settle")
-    return s - term, s + term
+        ylo = (num * phi_) // den
+        yhi = -((-num * plo) // den)
+    # the Taylor brackets at the midpoint widen by the half-width (sin and
+    # cos are 1-Lipschitz), then the quadrant k % 4 rotates them
+    h = (yhi - ylo + 1) // 2 + 1
+    cap = 1 << g
+    slo, shi, clo, chi = _taylor_sincos((ylo + yhi) // 2, g)
+    slo, shi = max(slo - h, -cap), min(shi + h, cap)
+    clo, chi = max(clo - h, -cap), min(chi + h, cap)
+    slo, shi, clo, chi = [(slo, shi, clo, chi), (clo, chi, -shi, -slo),
+                          (-shi, -slo, -chi, -clo), (-chi, -clo, slo, shi)][k % 4]
+    return (Interval(Dyadic(slo, -g), Dyadic(shi, -g)),
+            Interval(Dyadic(clo, -g), Dyadic(chi, -g)))
 
 
-def _reduce_to_pm8(x: Interval, p: int) -> Interval:
-    """Shift x by an exact multiple of the 2*pi enclosure into roughly [-7, 7]."""
-    if -7.8 < float(x.lo) and float(x.hi) < 7.8:
-        return x
-    mag = max(abs(float(x.lo)), abs(float(x.hi)))
-    guard = p + 10 + max(0, int(mag).bit_length())
-    two_pi = pi_enclosure(guard).scale(Dyadic(2))
-    k = round(float(x.midpoint()) / 6.283185307179586)
-    shifted = x - two_pi.scale(Dyadic(k))
-    if not (-7.8 < float(shifted.lo) and float(shifted.hi) < 7.8):
-        # extremely wide input: fall back to the trivial enclosure marker
-        return shifted
-    return shifted.round_out(guard)
+def _meets(qlo: Fraction, qhi: Fraction, a: Fraction) -> bool:
+    """Whether [qlo, qhi] contains a point a + 2m, m an integer."""
+    return math.floor((qhi - a) / 2) >= math.ceil((qlo - a) / 2)
 
 
-def _count_extrema(x: Interval, offset_num: int, p: int) -> bool:
-    """Whether x may contain a point offset + 2*pi*k (offset = offset_num * pi/2)."""
-    pi_enc = pi_enclosure(p + 8)
-    off = pi_enc.scale(Dyadic(offset_num, -1))
-    y = (x - off).divide(pi_enc.scale(Dyadic(2)), p + 8)
-    lo, hi = y.lo.as_fraction(), y.hi.as_fraction()
-    return math.floor(hi) >= math.ceil(lo)
+def _sin_or_cos(x: Interval, p: int, which: int) -> Interval:
+    """sin (which = 0) or cos (which = 1) over x, through x/pi.
+
+    x/pi is enclosed by the rational [qlo, qhi] with pi to p + |x|'s bits
+    + 4, so pi's rounding moves the ends by under 2^-(p+5); the hull of
+    the kernel at both ends is clamped to 1 (-1) where the rational range
+    reaches a maximum (minimum) of sin(pi q) or cos(pi q).
+    """
+    mag = max(0, *(abs(d.m).bit_length() + d.e for d in (x.lo, x.hi)))
+    pi = pi_enclosure(p + mag + 4)
+    pl, ph = pi.lo.as_fraction(), pi.hi.as_fraction()
+    a, b = x.lo.as_fraction(), x.hi.as_fraction()
+    qlo = a / (ph if a >= 0 else pl)
+    qhi = b / (pl if b >= 0 else ph)
+    if qhi - qlo >= 2:
+        return Interval(-ONE, ONE)
+    u, v = sincos_pi(qlo, p + 2)[which], sincos_pi(qhi, p + 2)[which]
+    peak = Fraction(1 - which, 2)          # sin peaks at q = 1/2, cos at 0
+    return Interval(-ONE if _meets(qlo, qhi, peak + 1) else dyadic_min(u.lo, v.lo),
+                    ONE if _meets(qlo, qhi, peak) else dyadic_max(u.hi, v.hi))
 
 
 def sin_enclosure(x: Interval, p: int) -> Interval:
     """Enclosure of sin over x; width <= width(x) + 2^-p."""
-    x = _reduce_to_pm8(x, p)
-    if float(x.width()) > 7.0:
-        return Interval(Dyadic(-1), Dyadic(1))
-    slo, shi = _sincos_point(x.lo.as_fraction(), p + 2, True)
-    tlo, thi = _sincos_point(x.hi.as_fraction(), p + 2, True)
-    lo, hi = min(slo, tlo), max(shi, thi)
-    if _count_extrema(x, 1, p):       # pi/2 + 2 pi k inside -> max is 1
-        hi = Fraction(1)
-    if _count_extrema(x, -1, p):      # -pi/2 + 2 pi k inside -> min is -1
-        lo = Fraction(-1)
-    return Interval.from_fractions(max(lo, Fraction(-1)), min(hi, Fraction(1)), p + 2)
+    return _sin_or_cos(x, p, 0)
 
 
 def cos_enclosure(x: Interval, p: int) -> Interval:
     """Enclosure of cos over x; width <= width(x) + 2^-p."""
-    x = _reduce_to_pm8(x, p)
-    if float(x.width()) > 7.0:
-        return Interval(Dyadic(-1), Dyadic(1))
-    slo, shi = _sincos_point(x.lo.as_fraction(), p + 2, False)
-    tlo, thi = _sincos_point(x.hi.as_fraction(), p + 2, False)
-    lo, hi = min(slo, tlo), max(shi, thi)
-    if _count_extrema(x, 0, p):       # 2 pi k inside -> max is 1
-        hi = Fraction(1)
-    if _count_extrema(x, 2, p):       # pi + 2 pi k inside -> min is -1
-        lo = Fraction(-1)
-    return Interval.from_fractions(max(lo, Fraction(-1)), min(hi, Fraction(1)), p + 2)
+    return _sin_or_cos(x, p, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._grid import fp_abs, fp_mul, fp_mul_nn, fp_square
-from .exactreal import Dyadic, Interval, ZERO, ONE, cos_enclosure, pi_enclosure, sin_enclosure
-from .groups import Group, Versor
+from .exactreal import (
+    Dyadic, Interval, ZERO, ONE, fraction_ceil_to, fraction_floor_to, sincos_pi,
+)
+from .groups import Group, Versor, circle_normalize
 from .quadrature import IntegrandSpec, lift_circle_function
 
 TWO_PI_L = Dyadic(13, -1)       # 6.5 >= 2*pi
@@ -115,10 +117,6 @@ def _sign_spec() -> IntegrandSpec:
 # circle integrands (elements are dyadics t in [0,1))
 # ---------------------------------------------------------------------------
 
-def _two_pi_t(t: Dyadic, wp: int) -> Interval:
-    return pi_enclosure(wp + 4).scale(t).scale(Dyadic(2))
-
-
 def _circle_spec(name: str) -> IntegrandSpec:
     if name == "one":
         def ev(t, wp):
@@ -133,7 +131,7 @@ def _circle_spec(name: str) -> IntegrandSpec:
         spec = IntegrandSpec(ev, ZERO, ONE, name="one")
     elif name == "re":
         def ev(t, wp):
-            return cos_enclosure(_two_pi_t(t, wp), wp)
+            return sincos_pi(2 * t.as_fraction(), wp)[1]
 
         def evc(re, im, wp):
             return re
@@ -144,7 +142,7 @@ def _circle_spec(name: str) -> IntegrandSpec:
         spec = IntegrandSpec(ev, TWO_PI_L, ONE, name="re")
     elif name == "re2":
         def ev(t, wp):
-            return cos_enclosure(_two_pi_t(t, wp), wp).square().round_out(wp)
+            return sincos_pi(2 * t.as_fraction(), wp)[1].square().round_out(wp)
 
         def evc(re, im, wp):
             return re.square()
@@ -155,7 +153,7 @@ def _circle_spec(name: str) -> IntegrandSpec:
         spec = IntegrandSpec(ev, TWO_PI_L, ONE, name="re2")
     elif name == "im":
         def ev(t, wp):
-            return sin_enclosure(_two_pi_t(t, wp), wp)
+            return sincos_pi(2 * t.as_fraction(), wp)[0]
 
         def evc(re, im, wp):
             return im
@@ -166,7 +164,7 @@ def _circle_spec(name: str) -> IntegrandSpec:
         spec = IntegrandSpec(ev, TWO_PI_L, ONE, name="im")
     elif name == "abs-re":
         def ev(t, wp):
-            return cos_enclosure(_two_pi_t(t, wp), wp).abs()
+            return sincos_pi(2 * t.as_fraction(), wp)[1].abs()
 
         def evc(re, im, wp):
             return re.abs()
@@ -234,7 +232,6 @@ def values_integrand(values, M=None) -> IntegrandSpec:
     bound = max((abs(v) for v in vals), default=Fraction(0))
     if M is not None:
         bound = max(bound, Fraction(M))
-    from .exactreal import fraction_ceil_to, fraction_floor_to
 
     def ev(i, wp):
         return Interval(fraction_floor_to(vals[i], wp + 4),
@@ -321,7 +318,6 @@ def invert_su2_integrand(spec: IntegrandSpec) -> IntegrandSpec:
 
 def translate_circle_integrand(spec: IntegrandSpec, g: Dyadic) -> IntegrandSpec:
     """f(g + t mod 1) on the circle; exact translation of the argument."""
-    from .groups import circle_normalize
 
     def ev(t, wp):
         return spec.eval(circle_normalize(t + g), wp)
@@ -331,8 +327,6 @@ def translate_circle_integrand(spec: IntegrandSpec, g: Dyadic) -> IntegrandSpec:
 
 
 def invert_circle_integrand(spec: IntegrandSpec) -> IntegrandSpec:
-    from .groups import circle_normalize
-
     def ev(t, wp):
         return spec.eval(circle_normalize(-t), wp)
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 from .exactreal import (
     CertifiedValue, Dyadic, Interval, InvalidBound, NoConvergence,
-    fraction_ceil_to, fraction_floor_to,
+    dyadic_min, fraction_ceil_to, fraction_floor_to,
 )
 from .groups import Group
 from .packing import PackingTable
@@ -168,7 +168,6 @@ class LocatedSet:
 
         def dist(p, wp):
             e1, e2 = a(p, wp), b(p, wp)
-            from .exactreal import dyadic_min
             return Interval(dyadic_min(e1.lo, e2.lo), dyadic_min(e1.hi, e2.hi))
 
         return LocatedSet(group=self.group, dist_fn=dist,

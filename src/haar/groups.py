@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .exactreal import (
     Dyadic, Interval, ZERO, ONE,
-    arccos_enclosure, dyadic_max, pi_enclosure,
+    arccos_enclosure, dyadic_max, pi_enclosure, sincos_pi,
 )
 
 
@@ -425,11 +425,8 @@ def u2_matrix(element, p: int):
     The versor q maps to [[a+bi, -c+di], [c+di, a-bi]] and the circle point t
     scales it by exp(2 pi i t); entries come back as (real, imag) pairs.
     """
-    from .exactreal import cos_enclosure, sin_enclosure
     q, t = element
-    two_pi_t = pi_enclosure(p + 4).scale(t).scale(TWO)
-    zr = cos_enclosure(two_pi_t, p)
-    zi = sin_enclosure(two_pi_t, p)
+    zi, zr = sincos_pi(2 * t.as_fraction(), p)
     a, b, c, d = q.components()
     entries = ((a, b), (-c, d), (c, d), (a, -b))
     out = []

@@ -119,7 +119,7 @@ class CircleGridPacking:
             return self.size
         lo0 = lo - (lo.numerator // lo.denominator)
         hi0 = lo0 + (hi - lo)
-        if hi0 <= 1:
+        if hi0 < 1:
             return self._count_leq(hi0) - (self.size - self._count_geq(lo0))
         return (self.size - (self.size - self._count_geq(lo0))) \
             + self._count_leq(hi0 - 1)

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._grid import su2_grid_integral
+import numpy as np
+
+from ._grid import fp_add, fp_div_pos, fp_sqrt, fp_square, su2_grid_integral
 from .exactreal import (
     CertifiedValue, Dyadic, Interval, InvalidBound, NoConvergence, ZERO,
     cos_enclosure, fraction_ceil_to, fraction_floor_to, sin_enclosure,
+    sqrt_enclosure,
 )
 from .groups import Versor
 
@@ -231,7 +234,6 @@ def lift_circle_function(f: IntegrandSpec) -> IntegrandSpec:
 
     def ev(q: Versor, wp: int) -> Interval:
         rho2 = q.a.square() + q.b.square()
-        from .exactreal import sqrt_enclosure
         rho = sqrt_enclosure(rho2, wp + 4)
         tiny = Dyadic(1, -(wp // 2))
         if rho.lo <= tiny:
@@ -244,8 +246,6 @@ def lift_circle_function(f: IntegrandSpec) -> IntegrandSpec:
 
     fixed = None
     if f.complex_fixed is not None:
-        import numpy as np
-        from ._grid import fp_add, fp_div_pos, fp_sqrt, fp_square
         cfixed = f.complex_fixed
 
         def fixed(a, b, c, d, scale, **_kw):

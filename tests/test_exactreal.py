@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from haar.exactreal import (
     CertifiedValue, DivisionByIntervalContainingZero, DomainError, Dyadic,
     Interval, NoConvergence, arccos_enclosure, cos_enclosure,
     elementary_enclosure, interval_arith, pi_enclosure, refine,
-    sin_enclosure, sqrt_enclosure,
+    sin_enclosure, sincos_pi, sqrt_enclosure,
 )
 
 mpmath.mp.prec = 160
@@ -113,6 +114,18 @@ class TestElementary:
         assert r.contains(Fraction(-1))
         assert r.width().as_fraction() <= Fraction(1, 1 << 28)
 
+    @pytest.mark.parametrize("x", [Dyadic(3, 200), Dyadic(3, 1030)])
+    def test_sin_cos_of_huge_points(self, x):
+        # x/pi is enclosed by exact rationals, so neither a series on the
+        # unreduced x nor a float conversion of x is ever needed
+        with mpmath.workprec(1200):
+            v = mpmath.mpf(x.m) * mpmath.mpf(2) ** x.e
+            sin_x, cos_x = mp_to_fraction(mpmath.sin(v)), mp_to_fraction(mpmath.cos(v))
+        for ours, true in ((sin_enclosure, sin_x), (cos_enclosure, cos_x)):
+            enc = ours(Interval.point(x), 30)
+            assert enc.lo.as_fraction() <= true <= enc.hi.as_fraction()
+            assert enc.width().as_fraction() <= Fraction(1, 1 << 30)
+
     def test_sqrt_perfect_square(self):
         r = sqrt_enclosure(Interval.from_int(4), 30)
         assert r.contains(Fraction(2))
@@ -180,6 +193,37 @@ class TestElementary:
     def test_dispatch_unknown(self):
         with pytest.raises(ValueError):
             elementary_enclosure("exp", Interval.from_int(1), 20)
+
+
+class TestSincosPi:
+    @settings(max_examples=300)
+    @given(num=st.integers(-(1 << 24), 1 << 24), den=st.integers(1, 1 << 16),
+           p=st.integers(8, 1200))
+    @example(num=1, den=2, p=35)
+    @example(num=0, den=1, p=35)
+    @example(num=2, den=1, p=35)
+    @example(num=-1, den=1, p=8)
+    @example(num=403, den=1, p=8)
+    @example(num=(1 << 24) - 1, den=2, p=8)
+    @example(num=7, den=5, p=1100)
+    def test_contains_mpmath(self, num, den, p):
+        # the quadrant reduction is exact, so a large q neither refuses (an
+        # exception fails the test) nor widens the enclosure
+        q = Fraction(num, den)
+        s, c = sincos_pi(q, p)
+        # the kernel's widening: max(64, 2 terms + 2) ulps at g fraction
+        # bits, with fewer than g/12 + 12 terms, plus pi's share of the
+        # reduced argument
+        g = p + max(10, p.bit_length())
+        ulps = 2 * max(64, g // 6 + 26) + 8
+        for iv in (s, c):
+            assert iv.width().as_fraction() <= Fraction(1, 1 << p)
+            assert iv.width().as_fraction() <= Fraction(ulps, 1 << g)
+        with mpmath.workprec(p + 100):
+            x = mpmath.pi * mpmath.mpf(q.numerator) / q.denominator
+            sin_x, cos_x = mp_to_fraction(mpmath.sin(x)), mp_to_fraction(mpmath.cos(x))
+        assert s.lo.as_fraction() <= sin_x <= s.hi.as_fraction()
+        assert c.lo.as_fraction() <= cos_x <= c.hi.as_fraction()
 
 
 class TestPi:

@@ -4,8 +4,9 @@ The block sweep's enclosure must contain the midpoint Riemann sum of its own
 grid, computed here in mpmath at 60 digits: eta weights are differences of
 W1(x) = (x - sin x cos x)/pi, theta weights differences of
 W2(x) = (1 - cos x)/2, phi is uniform, and an axis the integrand does not
-read is the single point sin = cos = 0 with weight 1.  The sin/cos tables
-every axis is built from are checked against mpmath directly.
+read is the single point sin = cos = 0 with weight 1.  The sin/cos kernel
+the tables are built from, ``exactreal.sincos_pi``, is checked against mpmath
+in ``test_exactreal.py``.
 """
 
 import math
@@ -14,7 +15,6 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from haar import _grid
 from haar.functions import builtin_integrand
@@ -114,29 +114,6 @@ def test_sweep_encloses_mpmath_riemann_sum(name, uses, monkeypatch):
                 m.setattr(_grid, "BLOCK_CELLS", 1)
                 split = sweep(s, *axes)
             assert (split.lo, split.hi) == (enc.lo, enc.hi), (label, ns)
-
-
-@settings(max_examples=300, deadline=None)
-@given(num=st.integers(-(1 << 24), 1 << 24), den=st.integers(1, 1 << 16),
-       g=st.integers(8, 96))
-@example(num=1, den=2, g=45)
-@example(num=0, den=1, g=45)
-@example(num=2, den=1, g=45)
-@example(num=-1, den=1, g=8)
-@example(num=403, den=1, g=8)
-@example(num=(1 << 24) - 1, den=2, g=8)
-def test_sincos_of_pi_fraction_contains_mpmath(num, den, g):
-    # the quadrant reduction is exact, so a large q neither refuses (an
-    # exception fails the test) nor widens the enclosure
-    q = Fraction(num, den)
-    s, c = _grid._sincos_of_pi_fraction(q, g)
-    assert s.width().as_fraction() <= Fraction(256, 1 << g)
-    assert c.width().as_fraction() <= Fraction(256, 1 << g)
-    with mpmath.workdps(60):
-        x = mpmath.pi * mpmath.mpf(q.numerator) / q.denominator
-        sin_x, cos_x = mp_fraction(mpmath.sin(x)), mp_fraction(mpmath.cos(x))
-    assert s.lo.as_fraction() <= sin_x <= s.hi.as_fraction()
-    assert c.lo.as_fraction() <= cos_x <= c.hi.as_fraction()
 
 
 @pytest.mark.parametrize("const", [(3, 5), (-5, -3), (-2, 7), (0, 0), (4, 4)])

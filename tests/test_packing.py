@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from haar.exactreal import Dyadic
 from haar.groups import EffortExceeded, make_group
@@ -107,6 +108,24 @@ class TestGridPackings:
                 slow = sum(1 for p in pk.iter_points()
                            if region.distance((p,)) <= thr)
                 assert fast == slow, (n, num, den)
+
+    @settings(max_examples=300)
+    @given(n=st.integers(0, 6), data=st.data())
+    def test_count_in_arc_matches_enumeration(self, n, data):
+        pk = CircleGridPacking(n)
+        points = [p.as_fraction() for p in pk.iter_points()]
+        nudge = Fraction(1, 1 << (2 * n + 3))
+        # arc ends on a packing point (whole turns away, or nudged off it
+        # by less than the point grid) or anywhere rational
+        end = st.one_of(
+            st.builds(lambda k, turns, d: points[k % len(points)] + turns + d,
+                      st.integers(0, 200), st.integers(-2, 2),
+                      st.sampled_from([0, nudge, -nudge])),
+            st.fractions(min_value=-3, max_value=3, max_denominator=1 << 10))
+        lo, hi = data.draw(end), data.draw(end)
+        length = Fraction(1) if data.draw(st.booleans()) and hi == lo else (hi - lo) % 1
+        slow = sum(1 for p in points if length >= 1 or (p - lo) % 1 <= length)
+        assert pk.count_in_arc(lo, lo + length) == slow
 
     def test_counting_huge_level(self):
         # levels far beyond anything materializable still count in O(1)

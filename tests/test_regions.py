@@ -1,7 +1,11 @@
 """The exact arc/box region algebra that backs located sets."""
 
+import itertools
 import random
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from haar.regions import BoxRegion, FiniteRegion, arc_distance
 
@@ -122,6 +126,58 @@ class TestTorusBoxes:
         s = b.shrink(F(1, 8))
         assert s.measure() == F(1, 16)
         assert s.contains((F(1, 2), F(1, 2)))
+
+
+# Property tests on a lattice: regions are unions of balls with centres on
+# multiples of 1/8 and radii 1/8..1/2, so every box edge is a multiple of 1/8,
+# and the samples are the odd multiples of 1/32.  No sample lies on an edge
+# of an input or of a result, where a closed result and the set it stands for
+# may differ, so membership there is decided exactly by integer arithmetic in
+# units of 1/32.
+UNITS = 32          # sample units per turn
+STEP = 4            # lattice step in sample units
+
+
+def _turn_distance(d: int) -> int:
+    d %= UNITS
+    return min(d, UNITS - d)
+
+
+def lattice_balls(dim):
+    ball = st.tuples(st.tuples(*[st.integers(0, 7)] * dim), st.integers(1, 4))
+    return st.lists(ball, min_size=1, max_size=3)
+
+
+def lattice_region(dim, balls):
+    return BoxRegion(dim, [box for centre, r in balls for box in BoxRegion.ball(
+        dim, [F(c, 8) for c in centre], F(r, 8)).boxes])
+
+
+def in_balls(balls, y) -> bool:
+    return any(all(_turn_distance(yc - STEP * c) <= STEP * r for yc, c in zip(y, centre))
+               for centre, r in balls)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_region_algebra_matches_brute_force(dim, data):
+    A, B = data.draw(lattice_balls(dim)), data.draw(lattice_balls(dim))
+    r = data.draw(st.integers(1, 4))
+    a, b = lattice_region(dim, A), lattice_region(dim, B)
+    results = {"union": a.union(b), "subtract": a.subtract(b),
+               "expand": a.expand(F(r, 8)), "shrink": a.shrink(F(r, 8))}
+    # the max-metric ball of radius r/8 around a sample meets the lattice
+    # cells holding these samples, one each, in their interiors
+    offsets = list(itertools.product(range(-STEP * r, STEP * r + 1, STEP), repeat=dim))
+    for y in itertools.product(range(1, UNITS, 2), repeat=dim):
+        near = [in_balls(A, [yc + o for yc, o in zip(y, off)]) for off in offsets]
+        expect = {"union": in_balls(A, y) or in_balls(B, y),
+                  "subtract": in_balls(A, y) and not in_balls(B, y),
+                  "expand": any(near), "shrink": all(near)}
+        point = tuple(F(yc, UNITS) for yc in y)
+        for name, region in results.items():
+            assert region.contains(point) == expect[name], (name, A, B, r, y)
 
 
 class TestFiniteRegions:
