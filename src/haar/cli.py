@@ -1,6 +1,7 @@
 """Command-line front end: integrate / measure / packing / bench.
 
-Exit codes: 0 success, 1 configuration error, 2 the computation gave up
+Exit codes: 0 success, 1 configuration error (including a negative
+--effort-cap and a torus of dimension below 1), 2 the computation gave up
 (NoConvergence / EffortExceeded / KappaUnavailable / PackingExhausted), could
 not certify an operation (DomainError / DivisionByIntervalContainingZero) or
 refused a declared bound (InvalidBound when an integrand provably escapes it,
@@ -28,12 +29,7 @@ from .generic import (
 from .groups import EffortExceeded, InvalidCayleyTable, make_group, parse_cayley
 from .functions import builtin_integrand, builtin_names, values_integrand
 from .packing import KappaUnavailable, PackingTable, packing_size
-from .quadrature import (
-    InvalidBound, haar_integral_circle, haar_integral_derived,
-    haar_integral_su2,
-)
-
-QUADRATURE_GROUPS = ("circle", "su2", "so3", "o3", "u2")
+from .quadrature import QUADRATURE_KINDS, InvalidBound, haar_integral_derived
 
 
 class ConfigError(ValueError):
@@ -56,7 +52,7 @@ def parse_group(spec: str, cayley_path: str | None):
 
 
 def default_method(kind: str) -> str:
-    return "generic" if kind in ("finite", "torus") else "quadrature"
+    return "quadrature" if kind in QUADRATURE_KINDS else "generic"
 
 
 def parse_function(spec: str, G):
@@ -163,14 +159,8 @@ def format_dyadic_exact_decimal(d: Dyadic) -> str:
 
 def _integrate_value(G, method, spec, n, effort_cap) -> CertifiedValue:
     if method == "quadrature":
-        if G.kind not in QUADRATURE_GROUPS:
-            raise ConfigError(f"quadrature does not handle {G.kind}")
-        max_cells = effort_cap if effort_cap else 10 ** 11
-        if G.kind == "circle":
-            return haar_integral_circle(spec, n)
-        if G.kind == "su2":
-            return haar_integral_su2(spec, n, max_cells=max_cells)
-        return haar_integral_derived(G.kind, spec, n, max_cells=max_cells)
+        return haar_integral_derived(G.kind, spec, n,
+                                     max_cells=effort_cap or 10 ** 11)
     if method == "generic":
         if G.kappa is None:
             raise ConfigError(f"the generic method needs kappa; {G.kind} has none")
@@ -280,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.effort_cap < 0:
+            raise ConfigError("--effort-cap must not be negative")
         return args.func(args)
     # InvalidBound is a ValueError, so the exit-2 clause comes first
     except (NoConvergence, EffortExceeded, KappaUnavailable, PackingExhausted,

@@ -42,6 +42,10 @@ class InvalidBound(ValueError):
     """An integrand enclosure provably escaped the declared bound [-M, M]."""
 
 
+class EffortExceeded(RuntimeError):
+    """A search/grid budget was exhausted before the contract was met."""
+
+
 class Dyadic:
     """Exact dyadic rational m * 2^e, canonical: m odd or zero (zero has e = 0)."""
 

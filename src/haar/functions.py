@@ -37,7 +37,7 @@ def _const_interval(v: int):
 # SU(2) / SO(3) / O(3) / U(2) integrands
 # ---------------------------------------------------------------------------
 
-def _one_spec(kind: str) -> IntegrandSpec:
+def _one_spec() -> IntegrandSpec:
     def ev(element, wp):
         return _const_interval(1)
 
@@ -128,7 +128,6 @@ def _circle_spec(name: str) -> IntegrandSpec:
         def cfx(re, im, scale):
             return (1 << scale, 1 << scale)
 
-        spec = IntegrandSpec(ev, ZERO, ONE, name="one")
     elif name == "re":
         def ev(t, wp):
             return sincos_pi(2 * t.as_fraction(), wp)[1]
@@ -139,7 +138,6 @@ def _circle_spec(name: str) -> IntegrandSpec:
         def cfx(re, im, scale):
             return re
 
-        spec = IntegrandSpec(ev, TWO_PI_L, ONE, name="re")
     elif name == "re2":
         def ev(t, wp):
             return sincos_pi(2 * t.as_fraction(), wp)[1].square().round_out(wp)
@@ -150,7 +148,6 @@ def _circle_spec(name: str) -> IntegrandSpec:
         def cfx(re, im, scale):
             return fp_square(re, scale)
 
-        spec = IntegrandSpec(ev, TWO_PI_L, ONE, name="re2")
     elif name == "im":
         def ev(t, wp):
             return sincos_pi(2 * t.as_fraction(), wp)[0]
@@ -161,7 +158,6 @@ def _circle_spec(name: str) -> IntegrandSpec:
         def cfx(re, im, scale):
             return im
 
-        spec = IntegrandSpec(ev, TWO_PI_L, ONE, name="im")
     elif name == "abs-re":
         def ev(t, wp):
             return sincos_pi(2 * t.as_fraction(), wp)[1].abs()
@@ -172,12 +168,10 @@ def _circle_spec(name: str) -> IntegrandSpec:
         def cfx(re, im, scale):
             return fp_abs(*re)
 
-        spec = IntegrandSpec(ev, TWO_PI_L, ONE, name="abs-re")
     else:
         raise KeyError(name)
-    spec.eval_complex = evc
-    spec.complex_fixed = cfx
-    return spec
+    return IntegrandSpec(ev, ZERO if name == "one" else TWO_PI_L, ONE, name=name,
+                         eval_complex=evc, complex_fixed=cfx)
 
 
 # ---------------------------------------------------------------------------
@@ -186,44 +180,31 @@ def _circle_spec(name: str) -> IntegrandSpec:
 
 _CIRCLE_NAMES = ("one", "re", "re2", "im", "abs-re")
 
+# group kind -> builtin name -> factory of a fresh IntegrandSpec
+_BUILTINS = {
+    "circle": {n: lambda n=n: _circle_spec(n) for n in _CIRCLE_NAMES},
+    "su2": {"one": _one_spec, "abs-sum": _abs_sum_spec, "w2": _w2_spec,
+            **{f"lift:{n}": lambda n=n: lift_circle_function(_circle_spec(n))
+               for n in _CIRCLE_NAMES}},
+    "so3": {"one": _one_spec, "trace": _trace_spec},
+    "o3": {"one": _one_spec, "sign": _sign_spec},
+    "u2": {"one": _one_spec},
+    "finite": {"one": _one_spec},
+    "torus": {"one": _one_spec},
+}
+
 
 def builtin_names(kind: str):
-    if kind == "circle":
-        return list(_CIRCLE_NAMES)
-    if kind == "su2":
-        return ["one", "abs-sum", "w2"] + [f"lift:{n}" for n in _CIRCLE_NAMES]
-    if kind == "so3":
-        return ["one", "trace"]
-    if kind == "o3":
-        return ["one", "sign"]
-    if kind == "u2":
-        return ["one"]
-    if kind == "finite" or kind == "torus":
-        return ["one"]
-    return []
+    return list(_BUILTINS.get(kind, ()))
 
 
 def builtin_integrand(name: str, kind: str) -> IntegrandSpec:
     """Find the builtin integrand ``name`` for a group of the given kind."""
-    if name not in builtin_names(kind):
-        raise KeyError(f"no builtin function {name!r} on {kind}")
-    if name == "one":
-        if kind == "circle":
-            return _circle_spec("one")
-        return _one_spec(kind)
-    if kind == "circle":
-        return _circle_spec(name)
-    if name == "abs-sum":
-        return _abs_sum_spec()
-    if name == "w2":
-        return _w2_spec()
-    if name == "trace":
-        return _trace_spec()
-    if name == "sign":
-        return _sign_spec()
-    if name.startswith("lift:"):
-        return lift_circle_function(_circle_spec(name[5:]))
-    raise KeyError(name)
+    try:
+        factory = _BUILTINS[kind][name]
+    except KeyError:
+        raise KeyError(f"no builtin function {name!r} on {kind}") from None
+    return factory()
 
 
 def values_integrand(values, M=None) -> IntegrandSpec:

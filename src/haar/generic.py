@@ -26,32 +26,14 @@ from typing import Callable, Optional
 
 from .exactreal import (
     CertifiedValue, Dyadic, Interval, InvalidBound, NoConvergence,
-    dyadic_min, fraction_ceil_to, fraction_floor_to,
+    fraction_ceil_to, fraction_floor_to,
 )
 from .groups import Group
 from .packing import PackingTable
-from .regions import BoxRegion, FiniteRegion
 
 
 class PackingExhausted(RuntimeError):
     """A procedure needed packing levels beyond the table/effort cap."""
-
-
-def _region_space(G: Group):
-    if G.kind == "finite":
-        return ("finite", G.order)
-    if G.kind == "circle":
-        return ("torus", 1)
-    if G.kind == "torus":
-        return ("torus", G.dim)
-    return None
-
-
-def _as_point(G: Group, element):
-    """Region coordinates of an element (circle points become 1-tuples)."""
-    if G.kind == "circle":
-        return (element,)
-    return element
 
 
 # ---------------------------------------------------------------------------
@@ -62,62 +44,45 @@ class LocatedSet:
     """A closed set with a certified distance evaluator p -> d(p, S).
 
     Region-backed sets (finite subsets; arc/box unions on circle and torus)
-    are exact: the distance enclosure has width zero.  Sets built from a
-    partition radius known only to a bracket carry an inner and an outer
-    region; the distance enclosure is then [d(p, outer), d(p, inner)].
-    Custom callable-backed sets supply dist(p, wp) -> Interval directly; their
-    generalized balls use d(p, B_r(S)) = max(d(p, S) - r, 0), exact on the
-    geodesic-like builtin metrics.
+    are exact: the distance enclosure has width zero.  Their regions come
+    through the group's ``region`` field, which builds the exact closed ball
+    of a center and a radius; groups without it have no region backend.
+    Sets built from a partition radius known only to a bracket carry an inner
+    and an outer region; the distance enclosure is then [d(p, outer),
+    d(p, inner)].  Custom callable-backed sets supply dist(p, wp) -> Interval
+    directly; their generalized balls use d(p, B_r(S)) = max(d(p, S) - r, 0),
+    exact on the geodesic-like builtin metrics.
     """
 
     def __init__(self, *, group: Group, inner=None, outer=None,
-                 dist_fn: Optional[Callable] = None, description: str = ""):
+                 dist_fn: Optional[Callable] = None):
         self.group = group
         self.inner = inner            # region contained in S
         self.outer = outer            # region containing S
         self.dist_fn = dist_fn
-        self.description = description
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def ball(G: Group, center, radius) -> "LocatedSet":
         r = radius.as_fraction() if hasattr(radius, "as_fraction") else Fraction(radius)
-        space = _region_space(G)
-        if space is None:
-            raise ValueError(f"no located-set backend for group {G.kind!r}")
-        if space[0] == "finite":
-            reg = FiniteRegion.ball(space[1], center, r)
-        else:
-            reg = BoxRegion.ball(space[1], _as_point(G, center), r)
-        return LocatedSet(group=G, inner=reg, outer=reg,
-                          description=f"ball(r={r})")
+        return LocatedSet.ball_bracket(G, center, r, r)
 
     @staticmethod
-    def ball_bracket(G: Group, center, r_lo: Fraction, r_hi: Fraction,
-                     description: str = "") -> "LocatedSet":
-        space = _region_space(G)
-        if space[0] == "finite":
-            inner = FiniteRegion.ball(space[1], center, r_lo)
-            outer = FiniteRegion.ball(space[1], center, r_hi)
-        else:
-            inner = BoxRegion.ball(space[1], _as_point(G, center), r_lo)
-            outer = BoxRegion.ball(space[1], _as_point(G, center), r_hi)
-        return LocatedSet(group=G, inner=inner, outer=outer,
-                          description=description or "ball(bracket)")
+    def ball_bracket(G: Group, center, r_lo: Fraction,
+                     r_hi: Fraction) -> "LocatedSet":
+        if G.region is None:
+            raise ValueError(f"no located-set backend for group {G.kind!r}")
+        return LocatedSet(group=G, inner=G.region(center, r_lo),
+                          outer=G.region(center, r_hi))
 
     @staticmethod
     def whole(G: Group) -> "LocatedSet":
-        space = _region_space(G)
-        if space[0] == "finite":
-            reg = FiniteRegion.whole(space[1])
-        else:
-            reg = BoxRegion.whole(space[1])
-        return LocatedSet(group=G, inner=reg, outer=reg, description="X")
+        return LocatedSet.ball(G, G.identity, G.diameter_bound)
 
     @staticmethod
-    def from_distance(G: Group, dist_fn, description: str = "") -> "LocatedSet":
-        return LocatedSet(group=G, dist_fn=dist_fn, description=description)
+    def from_distance(G: Group, dist_fn) -> "LocatedSet":
+        return LocatedSet(group=G, dist_fn=dist_fn)
 
     def is_region_backed(self) -> bool:
         return self.inner is not None
@@ -130,8 +95,7 @@ class LocatedSet:
         if self.is_region_backed():
             return LocatedSet(group=self.group,
                               inner=self.inner.expand(r),
-                              outer=self.outer.expand(r),
-                              description=f"B(+{r}, {self.description})")
+                              outer=self.outer.expand(r))
         base = self.dist_fn
         rd_lo = fraction_floor_to(r, 64)
         rd_hi = fraction_ceil_to(r, 64)
@@ -145,8 +109,7 @@ class LocatedSet:
             hi = hi if hi >= lo else lo
             return Interval(lo, hi)
 
-        return LocatedSet(group=self.group, dist_fn=dist,
-                          description=f"B(+{r}, {self.description})")
+        return LocatedSet(group=self.group, dist_fn=dist)
 
     def inner_ball(self, r) -> "LocatedSet":
         """B(-r, S) = {x : d(x, complement of S) >= r}."""
@@ -155,23 +118,7 @@ class LocatedSet:
             raise ValueError("inner generalized balls need a region backend")
         return LocatedSet(group=self.group,
                           inner=self.inner.shrink(r),
-                          outer=self.outer.shrink(r),
-                          description=f"B(-{r}, {self.description})")
-
-    def union(self, other: "LocatedSet") -> "LocatedSet":
-        if self.is_region_backed() and other.is_region_backed():
-            return LocatedSet(group=self.group,
-                              inner=self.inner.union(other.inner),
-                              outer=self.outer.union(other.outer),
-                              description=f"({self.description})u({other.description})")
-        a, b = self.dist_enclosure, other.dist_enclosure
-
-        def dist(p, wp):
-            e1, e2 = a(p, wp), b(p, wp)
-            return Interval(dyadic_min(e1.lo, e2.lo), dyadic_min(e1.hi, e2.hi))
-
-        return LocatedSet(group=self.group, dist_fn=dist,
-                          description=f"({self.description})u({other.description})")
+                          outer=self.outer.shrink(r))
 
     def subtract_region(self, other: "LocatedSet") -> "LocatedSet":
         """Closure of self minus other (region-backed sandwich semantics)."""
@@ -179,26 +126,14 @@ class LocatedSet:
             raise ValueError("set difference needs region backends")
         return LocatedSet(group=self.group,
                           inner=self.inner.subtract(other.outer),
-                          outer=self.outer.subtract(other.inner),
-                          description=f"({self.description})\\({other.description})")
+                          outer=self.outer.subtract(other.inner))
 
     # -- distance ---------------------------------------------------------------
 
-    def dist_enclosure(self, p, wp: int) -> Interval:
-        if self.dist_fn is not None:
-            return self.dist_fn(p, wp)
-        pt = _as_point(self.group, p) if isinstance(self.outer, BoxRegion) else p
-        d_out = self.outer.distance(pt)
-        d_in = self.inner.distance(pt)
-        return Interval(fraction_floor_to(d_out, wp + 4),
-                        fraction_ceil_to(d_in, wp + 4))
-
     def dist_upper(self, p, wp: int) -> Fraction:
-        """Upper endpoint of the distance enclosure, as an exact rational."""
-        if self.dist_fn is not None:
-            return self.dist_fn(p, wp).hi.as_fraction()
-        pt = _as_point(self.group, p) if isinstance(self.inner, BoxRegion) else p
-        return self.inner.distance(pt)
+        """Upper endpoint of a callable-backed set's distance enclosure, as an
+        exact rational (region-backed sets are counted by the packing)."""
+        return self.dist_fn(p, wp).hi.as_fraction()
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +188,7 @@ def pseudo_count(S: LocatedSet, T, n: int) -> Fraction:
     at once instead of iterating.
     """
     thr = Fraction(3, 1 << (n + 2))
-    if S.is_region_backed() and hasattr(T, "count_within") \
-            and isinstance(S.inner, (BoxRegion, FiniteRegion)):
+    if S.is_region_backed():
         cnt = T.count_within(S.inner, thr)
         return Fraction(cnt, T.size)
     cnt = 0
@@ -380,7 +314,6 @@ def find_coinner_radius(a: Dyadic, b: Dyadic,
 class PartitionCell:
     center: object
     radius: CertifiedValue
-    predecessors: list
     set: LocatedSet
     index: int
 
@@ -408,7 +341,7 @@ def find_nice_partition(G: Group, packings: PackingTable, n: int, *,
     cells = []
     balls = []
     for i, p in enumerate(centers):
-        ball = LocatedSet.ball_bracket(G, p, r_lo, r_hi, f"B(R,p{i})")
+        ball = LocatedSet.ball_bracket(G, p, r_lo, r_hi)
         # balls certainly farther than 2R cannot intersect: subtracting them
         # is a no-op, so the cell only needs its nearby predecessors
         cell = ball
@@ -417,7 +350,6 @@ def find_nice_partition(G: Group, packings: PackingTable, n: int, *,
                 cell = cell.subtract_region(balls[j])
         cells.append(PartitionCell(center=p,
                                    radius=CertifiedValue(mid, -q),
-                                   predecessors=centers[:i],
                                    set=cell, index=i + 1))
         balls.append(ball)
     return cells

@@ -2,8 +2,10 @@
 the derived groups SO(3), O(3), U(2).
 
 A ``Group`` bundles the data the Haar algorithms consume: a certified metric,
-the group operation, a dense sequence, a diameter bound, and (where available)
-the closed-form maximum-packing size kappa.  Elements are represented per
+the group operation, a dense sequence, a diameter bound, and (on finite groups,
+the circle and tori) its maximum n-packings and exact closed balls.  The
+packing classes in ``packing`` carry the closed-form sizes kappa(n), and
+``Group.kappa`` reads them there.  Elements are represented per
 instance: finite groups use integer indices, circle/torus points are dyadics
 in [0,1), SU(2) elements are ``Versor`` interval quadruples, and the derived
 groups use pairs.  Group descriptors are immutable after construction; all
@@ -12,22 +14,20 @@ evaluators are pure functions of their arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .exactreal import (
-    Dyadic, Interval, ZERO, ONE,
+    Dyadic, EffortExceeded, Interval, ZERO, ONE,
     arccos_enclosure, dyadic_max, pi_enclosure, sincos_pi,
 )
+from .packing import CircleGridPacking, FinitePacking, TorusGridPacking
+from .regions import BoxRegion, FiniteRegion
 
 
 class InvalidCayleyTable(ValueError):
     """The proposed multiplication table violates the group axioms."""
-
-
-class EffortExceeded(RuntimeError):
-    """A search/grid budget was exhausted before the contract was met."""
 
 
 HALF = Dyadic(1, -1)
@@ -180,12 +180,18 @@ class Group:
     inverse: Callable[[object, int], object]
     dense: Callable[[int], object]
     diameter_bound: Dyadic
-    lipschitz_op: Dyadic
-    kappa: Optional[Callable[[int], int]] = None
+    packing: Optional[Callable[[int], object]] = None    # n -> maximum n-packing
+    region: Optional[Callable[[object, Fraction], object]] = None  # closed ball
     order: Optional[int] = None          # finite groups
     dim: Optional[int] = None            # tori
     table: Optional[tuple] = None        # finite groups
-    components: tuple = field(default=())  # product groups
+
+    @property
+    def kappa(self) -> Optional[Callable[[int], int]]:
+        """n -> kappa(n), the size of a maximum n-packing; None without packings."""
+        if self.packing is None:
+            return None
+        return lambda n: self.packing(n).size
 
     def __repr__(self):
         extra = f", order={self.order}" if self.order else ""
@@ -252,10 +258,6 @@ def _finite_group(table) -> Group:
     def metric(a, b, p):
         return Interval.from_int(0 if a == b else 1)
 
-    def kappa(n):
-        # pairwise distances are 1, and a packing needs them > 2^-n
-        return k if n >= 1 else 1
-
     return Group(
         kind="finite", identity=0,
         metric=metric,
@@ -263,8 +265,9 @@ def _finite_group(table) -> Group:
         inverse=lambda a, p: inv[a],
         dense=lambda i: i % k,
         diameter_bound=ONE if k > 1 else ZERO,
-        lipschitz_op=TWO,
-        kappa=kappa, order=k, table=table,
+        packing=lambda n: FinitePacking(k, n),
+        region=lambda c, r: FiniteRegion.ball(k, c, r),
+        order=k, table=table,
     )
 
 
@@ -290,8 +293,8 @@ def _circle_group() -> Group:
         inverse=lambda x, p: circle_normalize(-x),
         dense=dyadic_enumeration,
         diameter_bound=HALF,
-        lipschitz_op=TWO,
-        kappa=lambda n: (1 << n) - 1 if n >= 1 else 1,
+        packing=CircleGridPacking,
+        region=lambda c, r: BoxRegion.ball(1, (c,), r),
     )
 
 
@@ -303,9 +306,6 @@ def _torus_group(d: int) -> Group:
                 circle_distance_fraction(xc.as_fraction(), yc.as_fraction()))
             best = dyadic_max(best, dc)
         return Interval.point(best)
-
-    def kappa(n):
-        return ((1 << n) - 1) ** d if n >= 1 else 1
 
     def dense(i):
         idx = []
@@ -323,8 +323,9 @@ def _torus_group(d: int) -> Group:
         inverse=lambda x, p: tuple(circle_normalize(-a) for a in x),
         dense=dense,
         diameter_bound=HALF,
-        lipschitz_op=TWO,
-        kappa=kappa, dim=d,
+        packing=lambda n: TorusGridPacking(d, n),
+        region=lambda c, r: BoxRegion.ball(d, c, r),
+        dim=d,
     )
 
 
@@ -377,8 +378,6 @@ def _su2_group() -> Group:
         inverse=lambda a, p: a.conjugate(),
         dense=_su2_dense,
         diameter_bound=Dyadic(13, -2),   # 3.25 >= pi
-        lipschitz_op=TWO,
-        kappa=None,
     )
 
 
@@ -390,8 +389,6 @@ def _so3_group() -> Group:
         inverse=lambda a, p: a.conjugate(),
         dense=_su2_dense,
         diameter_bound=Dyadic(13, -3),   # 1.625 >= pi/2
-        lipschitz_op=TWO,
-        kappa=None,
     )
 
 
@@ -413,9 +410,6 @@ def product_group(kind: str, g1: Group, g2: Group) -> Group:
         inverse=lambda x, p: (g1.inverse(x[0], p), g2.inverse(x[1], p)),
         dense=dense,
         diameter_bound=dyadic_max(g1.diameter_bound, g2.diameter_bound),
-        lipschitz_op=TWO,
-        kappa=None,
-        components=(g1, g2),
     )
 
 
@@ -459,7 +453,9 @@ def make_group(kind: str, *, k: int = None, table=None, dim: int = None) -> Grou
     if kind == "circle":
         return _circle_group()
     if kind == "torus":
-        return _torus_group(dim or 1)
+        if dim is None or dim < 1:
+            raise ValueError("torus groups need a dimension dim >= 1")
+        return _torus_group(dim)
     if kind == "su2":
         return _su2_group()
     if kind == "so3":

@@ -7,16 +7,21 @@ builtin instances carry closed forms (circle: 2^n - 1, torus: the product,
 finite: the order), realized as lazily countable grid packings so the measure
 procedures can consume packing levels whose cardinality is astronomically
 large; the dovetail search of the generic construction is available alongside
-for explicit small packings.
+for explicit small packings.  The packing classes are the one place the
+closed forms are written: each group's ``packing`` field builds them and
+``Group.kappa`` reads their sizes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .exactreal import Dyadic
-from .groups import EffortExceeded, Group
+from .exactreal import Dyadic, EffortExceeded
 from .regions import BoxRegion, FiniteRegion
+
+if TYPE_CHECKING:          # groups imports this module to build its packings
+    from .groups import Group
 
 
 class KappaUnavailable(RuntimeError):
@@ -37,12 +42,12 @@ def packing_size(G: Group, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 class FinitePacking:
-    """All elements of a finite group (any n >= 1), or the identity alone."""
+    """All k elements of a finite group of order k (any n >= 1: pairwise
+    distances are 1 > 2^-n), or the identity alone (n < 1)."""
 
-    def __init__(self, G: Group, n: int):
-        self.group = G
-        self.size = G.kappa(n)
-        self._points = range(self.size) if self.size > 1 else (0,)
+    def __init__(self, k: int, n: int):
+        self.size = k if n >= 1 else 1
+        self._points = range(self.size)
 
     def iter_points(self):
         return iter(self._points)
@@ -204,7 +209,7 @@ class PackingTable:
     """The sequence {T_m} of maximum m-packings with their sizes kappa(m)."""
 
     def __init__(self, G: Group):
-        if G.kappa is None:
+        if G.packing is None:
             raise KappaUnavailable(
                 f"group {G.kind!r} has no closed-form kappa")
         self.group = G
@@ -215,15 +220,7 @@ class PackingTable:
 
     def packing(self, n: int):
         if n not in self._cache:
-            G = self.group
-            if G.kind == "finite":
-                self._cache[n] = FinitePacking(G, n)
-            elif G.kind == "circle":
-                self._cache[n] = CircleGridPacking(n)
-            elif G.kind == "torus":
-                self._cache[n] = TorusGridPacking(G.dim, n)
-            else:
-                raise KappaUnavailable(f"no packing table for {G.kind!r}")
+            self._cache[n] = self.group.packing(n)
         return self._cache[n]
 
     def serialize_entry(self, n: int) -> str:

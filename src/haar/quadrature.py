@@ -31,8 +31,10 @@ __all__ = [
     "ParamPoint", "IntegrandSpec", "InvalidBound",
     "psi", "jacobian",
     "haar_integral_su2", "haar_integral_circle", "haar_integral_derived",
-    "lift_circle_function",
+    "lift_circle_function", "QUADRATURE_KINDS",
 ]
+
+QUADRATURE_KINDS = ("circle", "su2", "so3", "o3", "u2")
 
 
 class ParamPoint:
@@ -175,8 +177,10 @@ def _restrict(f: IntegrandSpec, tag, keyword: str) -> IntegrandSpec:
 
 def haar_integral_derived(kind: str, f: IntegrandSpec, n: int, *,
                           max_cells: int = 10 ** 11) -> CertifiedValue:
-    """Haar integrals on SO(3), O(3), U(2) via cover/product reductions.
+    """Haar integral on any group kind in ``QUADRATURE_KINDS``.
 
+    circle and su2 run their own rules (the circle rule takes no cell cap);
+    SO(3), O(3) and U(2) reduce to SU(2) through covers and products.
     so3: elements are versors (the double cover pushes Haar forward, and the
     quotient metric only shrinks distances so the declared Lipschitz constant
     remains valid).  o3: average of the two sign components.  u2: iterated
@@ -184,7 +188,9 @@ def haar_integral_derived(kind: str, f: IntegrandSpec, n: int, *,
     Lipschitz control (moving the circle coordinate moves a U(2) element by
     exactly the circle distance in the max metric).
     """
-    if kind == "so3":
+    if kind == "circle":
+        return haar_integral_circle(f, n)
+    if kind in ("su2", "so3"):
         return haar_integral_su2(f, n, max_cells=max_cells)
     if kind == "o3":
         plus = haar_integral_su2(_restrict(f, 0, "sign_index"), n + 1,
@@ -209,7 +215,7 @@ def haar_integral_derived(kind: str, f: IntegrandSpec, n: int, *,
         # mean of N values, each within 2^-(n+1); plus the outer midpoint term
         mean = Dyadic(total.m, total.e - (N.bit_length() - 1))
         return CertifiedValue(mean, -n)
-    raise ValueError(f"no derived Haar integral for kind {kind!r}")
+    raise ValueError(f"quadrature does not handle {kind!r}")
 
 
 # ---------------------------------------------------------------------------

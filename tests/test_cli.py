@@ -131,6 +131,14 @@ class TestMeasure:
                              "--set", "ball(0,1/8)", "--precision", "3")
         assert code == 1
 
+    @pytest.mark.parametrize("group", ["torus:0", "torus:-2"])
+    def test_torus_below_dimension_one_rejected(self, capsys, group):
+        # torus:0 used to measure as the circle, torus:-2 crashed on a float kappa
+        code, out, err = run(capsys, "measure", "--group", group,
+                             "--set", "ball(0,1/8)", "--precision", "3")
+        assert code == 1
+        assert out == "" and err.startswith("ValueError: ")
+
 
 class TestPacking:
     def test_circle_entry(self, capsys):
@@ -211,6 +219,19 @@ class TestExitCodes:
         got, out, err = run(capsys, "packing", "--group", "circle")
         assert got == code
         assert err.startswith(f"{error.__name__}: ")
+
+
+    @pytest.mark.parametrize("argv", [
+        ("integrate", "--group", "su2", "--function", "builtin:abs-sum"),
+        ("integrate", "--group", "circle", "--function", "builtin:re2"),
+        ("integrate", "--group", "circle", "--method", "generic"),
+        ("measure", "--group", "circle", "--set", "ball(0,1/8)"),
+    ])
+    def test_negative_effort_cap_is_config_error(self, capsys, argv):
+        got, out, err = run(capsys, *argv, "--precision", "3",
+                            "--effort-cap", "-1")
+        assert got == 1
+        assert out == "" and err.startswith("ConfigError: ")
 
 
 class TestGroupParsing:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from haar.cli import parse_group
 from haar.exactreal import Dyadic
 from haar.generic import (
     CoinnerRadiusSearch, LocatedSet, ModulusOfContinuity,
@@ -28,6 +29,16 @@ class TestPseudoCount:
         S = LocatedSet.whole(circle)
         for m in (1, 2, 5):
             assert pseudo_count(S, CircleGridPacking(m), m + 1) == 1
+
+    @pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:5", "circle",
+                                      "torus:2", "torus:3"])
+    def test_whole_is_the_ball_of_measure_one(self, spec):
+        S = LocatedSet.whole(parse_group(spec, None))
+        assert S.inner.measure() == S.outer.measure() == 1
+
+    def test_whole_needs_a_region_backend(self, su2):
+        with pytest.raises(ValueError, match="su2"):
+            LocatedSet.whole(su2)
 
     def test_far_set_counts_nothing(self):
         G = make_group("cyclic", k=5)
@@ -53,7 +64,7 @@ class TestPseudoCount:
             val = max(d - radius, Fraction(0))
             return Interval.from_fractions(val, val, wp + 4)
 
-        custom = LocatedSet.from_distance(circle, dist, "custom ball")
+        custom = LocatedSet.from_distance(circle, dist)
         exact = LocatedSet.ball(circle, center, radius)
         for m in (2, 3, 4):
             T = CircleGridPacking(m)
@@ -158,7 +169,7 @@ class TestComputeMeasure:
 def _finite_set(G, members):
     from haar.regions import FiniteRegion
     reg = FiniteRegion(G.order, members)
-    return LocatedSet(group=G, inner=reg, outer=reg, description="subset")
+    return LocatedSet(group=G, inner=reg, outer=reg)
 
 
 class TestCoreInequality:

@@ -97,6 +97,11 @@ class TestCircleTorus:
             target = Fraction(k, 8)
             assert any(abs(p.as_fraction() - target) <= Fraction(1, 8) for p in pts)
 
+    @pytest.mark.parametrize("dim", [None, 0, -2])
+    def test_torus_needs_dimension_one_or_more(self, dim):
+        with pytest.raises(ValueError, match="dim"):
+            make_group("torus", dim=dim)
+
     def test_torus_max_metric(self):
         T = make_group("torus", dim=2)
         a = (Dyadic(0), Dyadic(0))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from haar.cli import parse_group
 from haar.exactreal import Dyadic
 from haar.groups import EffortExceeded, make_group
 from haar.packing import (
@@ -80,6 +81,20 @@ class TestKappaClosedForms:
     def test_unavailable(self, su2):
         with pytest.raises(KappaUnavailable):
             packing_size(su2, 3)
+
+    @pytest.mark.parametrize("spec, closed_form", [
+        ("cyclic:1", lambda n: 1),
+        ("cyclic:5", lambda n: 5),
+        ("circle", lambda n: (1 << n) - 1),
+        ("torus:2", lambda n: ((1 << n) - 1) ** 2),
+        ("torus:3", lambda n: ((1 << n) - 1) ** 3),
+    ], ids=["cyclic:1", "cyclic:5", "circle", "torus:2", "torus:3"])
+    def test_kappa_is_the_packing_size(self, spec, closed_form):
+        # below level 1 every maximum packing is the identity alone
+        G = parse_group(spec, None)
+        for n in range(-1, 13):
+            expected = closed_form(n) if n >= 1 else 1
+            assert G.kappa(n) == G.packing(n).size == expected, n
 
 
 class TestGridPackings:
