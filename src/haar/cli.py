@@ -1,7 +1,8 @@
 """Command-line front end: integrate / measure / packing / bench.
 
 Exit codes: 0 success, 1 configuration error (including a negative
---effort-cap and a torus of dimension below 1), 2 the computation gave up
+--effort-cap, --precision of integrate and measure, or --n-min of bench, and
+a torus of dimension below 1), 2 the computation gave up
 (NoConvergence / EffortExceeded / KappaUnavailable / PackingExhausted), could
 not certify an operation (DomainError / DivisionByIntervalContainingZero) or
 refused a declared bound (InvalidBound when an integrand provably escapes it,
@@ -175,6 +176,8 @@ def _integrate_value(G, method, spec, n, effort_cap) -> CertifiedValue:
 
 
 def cmd_integrate(args) -> int:
+    if args.precision < 0:
+        raise ConfigError("--precision must not be negative")
     G = parse_group(args.group, args.cayley)
     method = args.method or default_method(G.kind)
     spec = parse_function(args.function, G)
@@ -184,6 +187,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    if args.precision < 0:
+        raise ConfigError("--precision must not be negative")
     G = parse_group(args.group, args.cayley)
     if (args.method or "generic") != "generic":
         raise ConfigError("measure supports only the generic method")
@@ -206,6 +211,8 @@ def cmd_packing(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.n_min < 0:
+        raise ConfigError("--n-min must not be negative")
     G = parse_group(args.group, args.cayley)
     if args.n_min > args.n_max:
         raise ConfigError("--n-min must not exceed --n-max")

@@ -2,8 +2,9 @@
 measure computation, co-inner-regular radius search, nice partitions, and the
 Haar integral itself.
 
-These work on any builtin group with a closed-form packing size (finite,
-circle, torus).  All counting is exact rational arithmetic; certified values
+These work on any builtin group with a closed-form packing size and exact
+closed balls (finite, circle, torus), where a located set is one exact region
+of its group.  All counting is exact rational arithmetic; certified values
 come out as dyadics with 2^-n error bounds.  Determinism: identical inputs
 produce bit-identical outputs (no floats anywhere on these paths).
 
@@ -25,8 +26,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .exactreal import (
-    CertifiedValue, Dyadic, Interval, InvalidBound, NoConvergence,
-    fraction_ceil_to, fraction_floor_to,
+    ZERO, CertifiedValue, Dyadic, Interval, InvalidBound, NoConvergence,
+    dyadic_max, fraction_ceil_to, fraction_floor_to,
 )
 from .groups import Group
 from .packing import PackingTable
@@ -40,100 +41,40 @@ class PackingExhausted(RuntimeError):
 # located sets
 # ---------------------------------------------------------------------------
 
-class LocatedSet:
-    """A closed set with a certified distance evaluator p -> d(p, S).
+def _as_fraction(x) -> Fraction:
+    return x.as_fraction() if hasattr(x, "as_fraction") else Fraction(x)
 
-    Region-backed sets (finite subsets; arc/box unions on circle and torus)
-    are exact: the distance enclosure has width zero.  Their regions come
+
+@dataclass(frozen=True)
+class LocatedSet:
+    """A closed set given by one exact region of its group.
+
+    Regions (finite subsets; arc and box unions on the circle and tori) come
     through the group's ``region`` field, which builds the exact closed ball
-    of a center and a radius; groups without it have no region backend.
-    Sets built from a partition radius known only to a bracket carry an inner
-    and an outer region; the distance enclosure is then [d(p, outer),
-    d(p, inner)].  Custom callable-backed sets supply dist(p, wp) -> Interval
-    directly; their generalized balls use d(p, B_r(S)) = max(d(p, S) - r, 0),
-    exact on the geodesic-like builtin metrics.
+    of a center and a radius; groups without it have no located sets.
+    Distances from points to a region are exact rationals.
     """
 
-    def __init__(self, *, group: Group, inner=None, outer=None,
-                 dist_fn: Optional[Callable] = None):
-        self.group = group
-        self.inner = inner            # region contained in S
-        self.outer = outer            # region containing S
-        self.dist_fn = dist_fn
-
-    # -- constructors ---------------------------------------------------------
+    group: Group
+    region: object
 
     @staticmethod
     def ball(G: Group, center, radius) -> "LocatedSet":
-        r = radius.as_fraction() if hasattr(radius, "as_fraction") else Fraction(radius)
-        return LocatedSet.ball_bracket(G, center, r, r)
-
-    @staticmethod
-    def ball_bracket(G: Group, center, r_lo: Fraction,
-                     r_hi: Fraction) -> "LocatedSet":
         if G.region is None:
             raise ValueError(f"no located-set backend for group {G.kind!r}")
-        return LocatedSet(group=G, inner=G.region(center, r_lo),
-                          outer=G.region(center, r_hi))
+        return LocatedSet(G, G.region(center, _as_fraction(radius)))
 
     @staticmethod
     def whole(G: Group) -> "LocatedSet":
         return LocatedSet.ball(G, G.identity, G.diameter_bound)
 
-    @staticmethod
-    def from_distance(G: Group, dist_fn) -> "LocatedSet":
-        return LocatedSet(group=G, dist_fn=dist_fn)
-
-    def is_region_backed(self) -> bool:
-        return self.inner is not None
-
-    # -- generalized balls -----------------------------------------------------
-
     def outer_ball(self, r) -> "LocatedSet":
         """B(+r, S) = {x : d(x, S) <= r}."""
-        r = Fraction(r) if not hasattr(r, "as_fraction") else r.as_fraction()
-        if self.is_region_backed():
-            return LocatedSet(group=self.group,
-                              inner=self.inner.expand(r),
-                              outer=self.outer.expand(r))
-        base = self.dist_fn
-        rd_lo = fraction_floor_to(r, 64)
-        rd_hi = fraction_ceil_to(r, 64)
-
-        def dist(p, wp, _b=base):
-            enc = _b(p, wp)
-            lo = enc.lo - rd_hi
-            hi = enc.hi - rd_lo
-            z = Dyadic(0)
-            lo = lo if lo.sign() > 0 else z
-            hi = hi if hi >= lo else lo
-            return Interval(lo, hi)
-
-        return LocatedSet(group=self.group, dist_fn=dist)
+        return LocatedSet(self.group, self.region.expand(_as_fraction(r)))
 
     def inner_ball(self, r) -> "LocatedSet":
         """B(-r, S) = {x : d(x, complement of S) >= r}."""
-        r = Fraction(r) if not hasattr(r, "as_fraction") else r.as_fraction()
-        if not self.is_region_backed():
-            raise ValueError("inner generalized balls need a region backend")
-        return LocatedSet(group=self.group,
-                          inner=self.inner.shrink(r),
-                          outer=self.outer.shrink(r))
-
-    def subtract_region(self, other: "LocatedSet") -> "LocatedSet":
-        """Closure of self minus other (region-backed sandwich semantics)."""
-        if not (self.is_region_backed() and other.is_region_backed()):
-            raise ValueError("set difference needs region backends")
-        return LocatedSet(group=self.group,
-                          inner=self.inner.subtract(other.outer),
-                          outer=self.outer.subtract(other.inner))
-
-    # -- distance ---------------------------------------------------------------
-
-    def dist_upper(self, p, wp: int) -> Fraction:
-        """Upper endpoint of a callable-backed set's distance enclosure, as an
-        exact rational (region-backed sets are counted by the packing)."""
-        return self.dist_fn(p, wp).hi.as_fraction()
+        return LocatedSet(self.group, self.region.shrink(_as_fraction(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +82,12 @@ class LocatedSet:
 # ---------------------------------------------------------------------------
 
 def _ceil_log2(q: Fraction) -> int:
+    """The smallest s with q <= 2^s."""
     if q <= 0:
         raise ValueError("positive value required")
-    num, den = q.numerator, q.denominator
-    # smallest s with q <= 2^s
-    s = num.bit_length() - den.bit_length()
-    while Fraction(1 << max(s, 0), 1 << max(-s, 0)) < q:
-        s += 1
-    return s
+    # 2^(s-1) < q < 2^(s+1) for this s
+    s = q.numerator.bit_length() - q.denominator.bit_length()
+    return s + (q > Fraction(2) ** s)
 
 
 @dataclass(frozen=True)
@@ -162,7 +101,7 @@ class ModulusOfContinuity:
 
     @staticmethod
     def from_lipschitz(L) -> "ModulusOfContinuity":
-        Lf = L.as_fraction() if hasattr(L, "as_fraction") else Fraction(L)
+        Lf = _as_fraction(L)
         if Lf <= 0:
             return ModulusOfContinuity(lambda k: 0)
         shift = max(0, _ceil_log2(Lf))
@@ -181,21 +120,13 @@ class ModulusOfContinuity:
 def pseudo_count(S: LocatedSet, T, n: int) -> Fraction:
     """Exact rational q with mu_T(S) <= q <= mu_T(B(2^-n, S)).
 
-    Counts points whose certified distance upper bound is at most
-    3 * 2^-(n+2) (the test "dist(p, S, n+2) < 2^-(n+1)" with the enclosure
-    slack folded in): every point of S is counted, nothing beyond the 2^-n
-    thickening can be.  Grid packings on the circle count whole index ranges
-    at once instead of iterating.
+    Counts the points of T within exact distance 3 * 2^-(n+2) of S's region
+    (the test "dist(p, S, n+2) < 2^-(n+1)" with the enclosure slack folded
+    in): every point of S is counted, nothing beyond the 2^-n thickening can
+    be.  Grid packings on the circle count whole index ranges at once.
     """
     thr = Fraction(3, 1 << (n + 2))
-    if S.is_region_backed():
-        cnt = T.count_within(S.inner, thr)
-        return Fraction(cnt, T.size)
-    cnt = 0
-    for p in T.iter_points():
-        if S.dist_upper(p, n + 2) <= thr:
-            cnt += 1
-    return Fraction(cnt, T.size)
+    return Fraction(T.count_within(S.region, thr), T.size)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +254,11 @@ def find_nice_partition(G: Group, packings: PackingTable, n: int, *,
     """Disjoint covering cells B(R, p_i) minus earlier balls, p_i from T_(n+1).
 
     R is a co-inner-regular radius found in (2^-(n+1), 2^-n); each cell sits
-    inside a closed ball of radius 2^-n.  ``radius_precision`` controls how
-    tightly R is pinned; the cell sets carry the exact rational bracket of R
-    as an inner/outer region sandwich.
+    inside a closed ball of radius 2^-n.  ``radius_precision`` q controls how
+    tightly R is pinned: R lies in a dyadic bracket [r_lo, r_hi] of width
+    below 2^-q, and cell i is the region B(r_lo, p_i) minus the balls
+    B(r_hi, p_j) of its predecessors, which lies inside the true cell.  The
+    mass it leaves out is bounded in ``ring_bound``.
     """
     q = radius_precision if radius_precision is not None else n + 16
     search = CoinnerRadiusSearch(G, packings,
@@ -341,23 +274,44 @@ def find_nice_partition(G: Group, packings: PackingTable, n: int, *,
     cells = []
     balls = []
     for i, p in enumerate(centers):
-        ball = LocatedSet.ball_bracket(G, p, r_lo, r_hi)
         # balls certainly farther than 2R cannot intersect: subtracting them
         # is a no-op, so the cell only needs its nearby predecessors
-        cell = ball
+        cell = G.region(p, r_lo)
         for j in range(i):
             if not G.metric(centers[j], p, q + 8).lo > two_r:
-                cell = cell.subtract_region(balls[j])
+                cell = cell.subtract(balls[j])
         cells.append(PartitionCell(center=p,
                                    radius=CertifiedValue(mid, -q),
-                                   set=cell, index=i + 1))
-        balls.append(ball)
+                                   set=LocatedSet(G, cell), index=i + 1))
+        balls.append(G.region(p, r_hi))
     return cells
 
 
 # ---------------------------------------------------------------------------
 # the Haar integral
 # ---------------------------------------------------------------------------
+
+def ring_bound(G: Group, cells, M: Fraction, n: int) -> Dyadic:
+    """M * ncells^2 * s rounded up to the 2^-(n+10) grid: a bound on the
+    integral mass that the cells' regions leave out.
+
+    With R in [r_lo, r_hi] the co-inner radius, the true cells C_i = B(R, p_i)
+    minus the earlier balls B(R, p_j) partition G up to null sets.  Cell i's
+    region, B(r_lo, p_i) minus the balls B(r_hi, p_j) of its nearby
+    predecessors, lies in C_i up to a null set; a point of C_i it misses lies
+    in the ring B(R, p_i) - B(r_lo, p_i) or in a ring B(r_hi, p_j) - B(R, p_j)
+    of a nearby j (a predecessor farther than 2 r_hi has a ball disjoint from
+    B(r_hi, p_i)).  The cells' radius rho +- 2^-q encloses [r_lo, r_hi], so by
+    translation invariance every ring has mass at most s = mu(B(rho + 2^-q,
+    e)) - mu(B(rho - 2^-q, e)).  A cell has fewer than ncells predecessors, so
+    with |f| <= M the sum of mu(region_i) f(p_i) lies within M * ncells^2 * s
+    of the sum of mu(C_i) f(p_i).  On a finite group both balls are {e}: s = 0.
+    """
+    rho = cells[0].radius.as_interval()
+    s = (G.region(G.identity, rho.hi.as_fraction()).measure()
+         - G.region(G.identity, rho.lo.as_fraction()).measure())
+    return fraction_ceil_to(M * len(cells) ** 2 * s, n + 10)
+
 
 def compute_integral(G: Group, f, modulus: ModulusOfContinuity, bound_M,
                      packings: PackingTable, n: int, *,
@@ -369,9 +323,12 @@ def compute_integral(G: Group, f, modulus: ModulusOfContinuity, bound_M,
     finer than the classical n+1+i schedule to leave room for the interval
     widths of the f evaluations; the geometric series then bounds the measure
     error by 2^-(n+2), the modulus term by 2^-(n+1), and the f enclosures by
-    2^-(n+3), inside the 2^-n certificate with slack for rounding.
+    2^-(n+3), inside the 2^-n certificate with slack for rounding.  The
+    cells' regions miss part of the true cells' mass; ``ring_bound`` widens
+    the enclosure by it, one step of 2^-(n+10) on the circle at this radius
+    precision.
     """
-    M = bound_M.as_fraction() if hasattr(bound_M, "as_fraction") else Fraction(bound_M)
+    M = _as_fraction(bound_M)
     if M <= 0:
         M = Fraction(1)
     m_f = modulus.eval(n + 1)
@@ -380,26 +337,19 @@ def compute_integral(G: Group, f, modulus: ModulusOfContinuity, bound_M,
     qprec = n + 2 + ncells + log_m + 18 + ncells.bit_length()
     cells = find_nice_partition(G, packings, m_f, radius_precision=qprec)
     wp_f = n + 6
-    total_lo = Fraction(0)
-    total_hi = Fraction(0)
+    total = Interval.from_int(0)
     for cell in cells:
         t_i = n + 2 + cell.index + log_m
-        meas = compute_measure(cell.set, packings, t_i, max_level=max_level)
+        meas = compute_measure(cell.set, packings, t_i,
+                               max_level=max_level).as_interval()
         fv = f(cell.center, wp_f)
         if fv.lo.as_fraction() > M or fv.hi.as_fraction() < -M:
             raise InvalidBound(
                 f"f at cell {cell.index} encloses {fv}, outside [-M, M]")
-        m_lo = meas.value.as_fraction() - Fraction(1, 1 << t_i)
-        m_hi = meas.value.as_fraction() + Fraction(1, 1 << t_i)
-        if m_lo < 0:
-            m_lo = Fraction(0)
-        f_lo, f_hi = fv.lo.as_fraction(), fv.hi.as_fraction()
-        cands = (m_lo * f_lo, m_lo * f_hi, m_hi * f_lo, m_hi * f_hi)
-        total_lo += min(cands)
-        total_hi += max(cands)
-    slack = Fraction(1, 1 << (n + 1))
-    enc = Interval(fraction_floor_to(total_lo - slack, n + 10),
-                   fraction_ceil_to(total_hi + slack, n + 10))
+        total = total + Interval(dyadic_max(meas.lo, ZERO), meas.hi) * fv
+    # the ring bound is on the 2^-(n+10) grid, so it keeps the midpoint
+    slack = Dyadic(1, -(n + 1)) + ring_bound(G, cells, M, n)
+    enc = Interval(total.lo - slack, total.hi + slack).round_out(n + 10)
     if enc.width() > Dyadic(1, -(n - 1)):
         raise NoConvergence("integral enclosure wider than its certificate")
     return CertifiedValue(enc.midpoint(), -n)

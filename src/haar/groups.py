@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from .exactreal import (
     Dyadic, EffortExceeded, Interval, ZERO, ONE,
-    arccos_enclosure, dyadic_max, pi_enclosure, sincos_pi,
+    arccos_enclosure, dyadic_max, dyadic_min, pi_enclosure, sincos_pi,
 )
 from .packing import CircleGridPacking, FinitePacking, TorusGridPacking
 from .regions import BoxRegion, FiniteRegion
@@ -124,20 +124,6 @@ def circle_normalize(x: Dyadic) -> Dyadic:
         return ZERO
     den = 1 << -x.e
     return Dyadic(x.m % den, x.e)
-
-
-def circle_distance_fraction(x: Fraction, y: Fraction) -> Fraction:
-    """min(|x-y|, 1-|x-y|) after reduction mod 1, on exact rationals."""
-    d = x - y
-    d -= d.numerator // d.denominator      # d in [0, 1)
-    return min(d, 1 - d)
-
-
-def fraction_to_dyadic(q: Fraction) -> Dyadic:
-    den = q.denominator
-    if den & (den - 1):
-        raise ValueError(f"{q} is not dyadic")
-    return Dyadic(q.numerator, -(den.bit_length() - 1))
 
 
 def dyadic_enumeration(i: int) -> Dyadic:
@@ -280,9 +266,9 @@ def cyclic_table(k: int):
 # ---------------------------------------------------------------------------
 
 def circle_metric(x: Dyadic, y: Dyadic, p: int = 0) -> Interval:
-    """Exact distance min(|x-y|, 1-|x-y|); width-0 enclosure."""
-    d = circle_distance_fraction(x.as_fraction(), y.as_fraction())
-    return Interval.point(fraction_to_dyadic(d))
+    """Exact distance min(d, 1 - d), d = (x - y) mod 1; width-0 enclosure."""
+    d = circle_normalize(x - y)
+    return Interval.point(dyadic_min(d, ONE - d))
 
 
 def _circle_group() -> Group:
@@ -300,12 +286,7 @@ def _circle_group() -> Group:
 
 def _torus_group(d: int) -> Group:
     def metric(x, y, p):
-        best = ZERO
-        for xc, yc in zip(x, y):
-            dc = fraction_to_dyadic(
-                circle_distance_fraction(xc.as_fraction(), yc.as_fraction()))
-            best = dyadic_max(best, dc)
-        return Interval.point(best)
+        return Interval.point(max(circle_metric(a, b).lo for a, b in zip(x, y)))
 
     def dense(i):
         idx = []

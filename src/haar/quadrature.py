@@ -179,7 +179,8 @@ def haar_integral_derived(kind: str, f: IntegrandSpec, n: int, *,
                           max_cells: int = 10 ** 11) -> CertifiedValue:
     """Haar integral on any group kind in ``QUADRATURE_KINDS``.
 
-    circle and su2 run their own rules (the circle rule takes no cell cap);
+    circle and su2 run their own rules (the circle rule takes at most
+    min(max_cells, 2^22) points);
     SO(3), O(3) and U(2) reduce to SU(2) through covers and products.
     so3: elements are versors (the double cover pushes Haar forward, and the
     quotient metric only shrinks distances so the declared Lipschitz constant
@@ -189,7 +190,7 @@ def haar_integral_derived(kind: str, f: IntegrandSpec, n: int, *,
     exactly the circle distance in the max metric).
     """
     if kind == "circle":
-        return haar_integral_circle(f, n)
+        return haar_integral_circle(f, n, max_points=min(max_cells, 1 << 22))
     if kind in ("su2", "so3"):
         return haar_integral_su2(f, n, max_cells=max_cells)
     if kind == "o3":

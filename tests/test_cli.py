@@ -233,6 +233,32 @@ class TestExitCodes:
         assert got == 1
         assert out == "" and err.startswith("ConfigError: ")
 
+    @pytest.mark.parametrize("argv, option", [
+        (("integrate", "--group", "circle", "--function", "builtin:re2",
+          "-n", "-3"), "--precision"),
+        (("integrate", "--group", "circle", "--method", "generic",
+          "--precision", "-1"), "--precision"),
+        (("measure", "--group", "circle", "--set", "ball(0,1/8)", "-n", "-2"),
+         "--precision"),
+        (("bench", "--group", "circle", "--function", "builtin:re2",
+          "--n-min", "-1", "--n-max", "2", "--repeats", "1"), "--n-min"),
+    ])
+    def test_negative_precision_is_config_error(self, capsys, argv, option):
+        got, out, err = run(capsys, *argv)
+        assert got == 1
+        assert out == "" and err.startswith("ConfigError: ") and option in err
+
+    def test_packing_at_precision_minus_one_is_the_identity(self, capsys):
+        got, out, err = run(capsys, "packing", "--group", "circle", "-n", "-1")
+        assert got == 0 and err == ""
+
+    def test_circle_quadrature_honours_effort_cap(self, capsys):
+        got, out, err = run(capsys, "integrate", "--group", "circle",
+                            "--function", "builtin:re2", "-n", "12",
+                            "--effort-cap", "1")
+        assert got == 2
+        assert out == "" and err.startswith("NoConvergence: ")
+
 
 class TestGroupParsing:
     def test_torus_and_cyclic_specs(self):
@@ -244,7 +270,7 @@ class TestGroupParsing:
     def test_ball_parsing(self):
         circle = parse_group("circle", None)
         ball = parse_ball("ball(1/4, 1/8)", circle)
-        assert ball.inner.distance((Dyadic(1, -2),)) == 0
+        assert ball.region.distance((Dyadic(1, -2),)) == 0
         T = parse_group("torus:2", None)
         ball = parse_ball("ball(0:1/2, 1/8)", T)
-        assert ball.inner.distance((Dyadic(0), Dyadic(1, -1))) == 0
+        assert ball.region.distance((Dyadic(0), Dyadic(1, -1))) == 0

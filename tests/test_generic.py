@@ -10,8 +10,9 @@ from haar.exactreal import Dyadic
 from haar.generic import (
     CoinnerRadiusSearch, LocatedSet, ModulusOfContinuity,
     compute_integral, compute_measure, find_coinner_radius,
-    find_nice_partition, pseudo_count,
+    find_nice_partition, pseudo_count, ring_bound,
 )
+from haar import generic
 from haar.groups import make_group
 from haar.packing import CircleGridPacking, PackingTable
 from haar.regions import BoxRegion
@@ -34,7 +35,7 @@ class TestPseudoCount:
                                       "torus:2", "torus:3"])
     def test_whole_is_the_ball_of_measure_one(self, spec):
         S = LocatedSet.whole(parse_group(spec, None))
-        assert S.inner.measure() == S.outer.measure() == 1
+        assert S.region.measure() == 1
 
     def test_whole_needs_a_region_backend(self, su2):
         with pytest.raises(ValueError, match="su2"):
@@ -50,31 +51,6 @@ class TestPseudoCount:
         empty = S.inner_ball(Fraction(2))
         assert pseudo_count(empty, T, 3) == 0
 
-    def test_custom_distance_backend_agrees(self, circle):
-        # a located set given only by its distance evaluator counts the same
-        # points as the exact region backend
-        from haar.exactreal import Interval
-        from haar.groups import circle_metric
-
-        center = Dyadic(1, -2)
-        radius = Fraction(1, 8)
-
-        def dist(p, wp):
-            d = circle_metric(p, center).lo.as_fraction()
-            val = max(d - radius, Fraction(0))
-            return Interval.from_fractions(val, val, wp + 4)
-
-        custom = LocatedSet.from_distance(circle, dist)
-        exact = LocatedSet.ball(circle, center, radius)
-        for m in (2, 3, 4):
-            T = CircleGridPacking(m)
-            assert pseudo_count(custom, T, m + 1) == pseudo_count(exact, T, m + 1)
-        # outer thickening on the callable path
-        thick = custom.outer_ball(Fraction(1, 16))
-        exact_thick = exact.outer_ball(Fraction(1, 16))
-        T = CircleGridPacking(4)
-        assert pseudo_count(thick, T, 5) == pseudo_count(exact_thick, T, 5)
-
     def test_contract_bounds(self, circle):
         # mu_T(S) <= q <= mu_T(B(2^-n, S)) on explicit arcs
         rng = random.Random(21)
@@ -86,9 +62,9 @@ class TestPseudoCount:
             T = CircleGridPacking(rng.randint(2, 6))
             q = pseudo_count(S, T, n)
             inside = sum(1 for p in T.iter_points()
-                         if S.inner.distance((p,)) == 0)
+                         if S.region.distance((p,)) == 0)
             thick = sum(1 for p in T.iter_points()
-                        if S.inner.distance((p,)) <= Fraction(1, 1 << n))
+                        if S.region.distance((p,)) <= Fraction(1, 1 << n))
             assert Fraction(inside, T.size) <= q <= Fraction(thick, T.size)
 
 
@@ -168,8 +144,7 @@ class TestComputeMeasure:
 
 def _finite_set(G, members):
     from haar.regions import FiniteRegion
-    reg = FiniteRegion(G.order, members)
-    return LocatedSet(group=G, inner=reg, outer=reg)
+    return LocatedSet(G, FiniteRegion(G.order, members))
 
 
 class TestCoreInequality:
@@ -260,6 +235,20 @@ class TestCoinnerRadius:
             assert gap <= 2 * Fraction(1, 1 << n)
 
 
+def _outer_cells(cells):
+    """Arc cells that contain the true ones: the ball of the radius' upper
+    end minus the balls of its lower end around the earlier centers."""
+    radius = cells[0].radius.as_interval()
+    lo, hi = radius.lo.as_fraction(), radius.hi.as_fraction()
+    out = []
+    for i, c in enumerate(cells):
+        reg = BoxRegion.ball(1, (c.center,), hi)
+        for prev in cells[:i]:
+            reg = reg.subtract(BoxRegion.ball(1, (prev.center,), lo))
+        out.append(reg)
+    return out
+
+
 class TestNicePartition:
     def test_circle_covers_and_disjoint(self, circle):
         """Spec example: n=2 gives 7 arc cells; 10^4 sample points lie in
@@ -267,24 +256,26 @@ class TestNicePartition:
         pk = PackingTable(circle)
         cells = find_nice_partition(circle, pk, 2)
         assert len(cells) == 7
+        outer = _outer_cells(cells)
         rng = random.Random(31)
         for _ in range(10 ** 4 // 4):
             p = (Dyadic(rng.randint(0, 4095), -12),)
-            inner_hits = sum(1 for c in cells if c.set.inner.contains(p))
-            outer_hits = sum(1 for c in cells if c.set.outer.contains(p))
+            inner_hits = sum(1 for c in cells if c.set.region.contains(p))
+            outer_hits = sum(1 for reg in outer if reg.contains(p))
             assert inner_hits <= 1
             assert outer_hits >= 1
 
     def test_cells_inside_small_balls(self, circle):
-        # every cell is contained in the closed 2^-n ball around its center
+        # every cell and its outer arc cell lie in the closed 2^-n ball around
+        # its center
         pk = PackingTable(circle)
         n = 2
         cells = find_nice_partition(circle, pk, n)
         r = Fraction(1, 1 << n)
-        for c in cells:
+        for c, outer in zip(cells, _outer_cells(cells)):
             big = BoxRegion.ball(1, (c.center,), r)
-            left = c.set.outer.subtract(big)
-            assert left.measure() == 0, c.index
+            assert outer.subtract(big).measure() == 0, c.index
+            assert c.set.region.subtract(outer).measure() == 0, c.index
 
     def test_finite_cells_are_singletons(self):
         G = make_group("cyclic", k=5)
@@ -292,7 +283,7 @@ class TestNicePartition:
         cells = find_nice_partition(G, pk, 1)
         assert len(cells) == 5
         for c in cells:
-            assert c.set.inner.members == frozenset({c.center})
+            assert c.set.region.members == frozenset({c.center})
 
     def test_radius_inside_bracket(self, circle):
         pk = PackingTable(circle)
@@ -341,6 +332,31 @@ class TestComputeIntegral:
                              ModulusOfContinuity.from_lipschitz(spec.lipschitz),
                              spec.bound, pk, 6)
         assert abs(v.value.as_fraction() - Fraction(1, 2)) <= Fraction(1, 64)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_circle_ring_bound_is_one_grid_step(self, circle, monkeypatch, n):
+        # the mass the arc cells leave out widens the enclosure by at most
+        # 2^-(n+10), so the returned midpoint keeps its grid
+        from haar.functions import builtin_integrand
+        seen = []
+
+        def spy(*args):
+            seen.append(ring_bound(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(generic, "ring_bound", spy)
+        spec = builtin_integrand("re2", "circle")
+        v = compute_integral(circle, spec.eval,
+                             ModulusOfContinuity.from_lipschitz(spec.lipschitz),
+                             spec.bound, PackingTable(circle), n)
+        assert len(seen) == 1
+        assert 0 < seen[0].as_fraction() <= Fraction(1, 1 << (n + 10))
+        assert abs(v.value.as_fraction() - Fraction(1, 2)) <= Fraction(1, 1 << n)
+
+    def test_finite_ring_bound_is_zero(self):
+        G = make_group("cyclic", k=5)
+        cells = find_nice_partition(G, PackingTable(G), 1)
+        assert ring_bound(G, cells, Fraction(9), 10) == Dyadic(0)
 
     def test_left_invariance_finite(self):
         rng = random.Random(42)

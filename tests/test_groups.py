@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from haar.exactreal import Dyadic, Interval, pi_enclosure
 from haar.groups import (
@@ -108,6 +109,43 @@ class TestCircleTorus:
         b = (Dyadic(1, -2), Dyadic(1, -3))
         assert T.metric(a, b, 10).lo == Dyadic(1, -2)
         assert group_op(T, a, b, 10) == b
+
+
+def _circle_distance(x: Fraction, y: Fraction) -> Fraction:
+    d = (x - y) % 1
+    return min(d, 1 - d)
+
+
+circle_points = st.integers(0, 12).flatmap(
+    lambda k: st.builds(lambda m: Dyadic(m, -k), st.integers(0, (1 << k) - 1)))
+
+
+class TestCircleMetricExact:
+    """The dyadic circle and torus metrics equal the exact rational formula
+    min(d, 1 - d), d = (x - y) mod 1."""
+
+    @settings(max_examples=300)
+    @given(x=circle_points, y=circle_points)
+    @example(x=Dyadic(1, -2), y=Dyadic(3, -2))      # distance 1/2
+    @example(x=Dyadic(0), y=Dyadic(1, -1))          # distance 1/2 from 0
+    @example(x=Dyadic(1, -4), y=Dyadic(15, -4))     # wraps: 1/8
+    @example(x=Dyadic(4095, -12), y=Dyadic(0))      # wraps: 2^-12
+    def test_circle(self, x, y):
+        d = make_group("circle").metric(x, y, 0)
+        assert d.lo == d.hi
+        assert d.lo.as_fraction() == _circle_distance(x.as_fraction(),
+                                                      y.as_fraction())
+
+    @settings(max_examples=100)
+    @given(x=st.tuples(circle_points, circle_points),
+           y=st.tuples(circle_points, circle_points))
+    @example(x=(Dyadic(1, -2), Dyadic(1, -3)), y=(Dyadic(3, -2), Dyadic(7, -3)))
+    def test_torus(self, x, y):
+        d = make_group("torus", dim=2).metric(x, y, 0)
+        assert d.lo == d.hi
+        assert d.lo.as_fraction() == max(
+            _circle_distance(a.as_fraction(), b.as_fraction())
+            for a, b in zip(x, y))
 
 
 class TestSU2:
