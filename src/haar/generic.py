@@ -4,7 +4,8 @@ Haar integral itself.
 
 These work on any builtin group with a closed-form packing size and exact
 closed balls (finite, circle, torus), where a located set is one exact region
-of its group.  All counting is exact rational arithmetic; certified values
+of its group.  Regions are exact rational arithmetic and packing counts are
+exact integers (index ranges on the circle and tori); certified values
 come out as dyadics with 2^-n error bounds.  Determinism: identical inputs
 produce bit-identical outputs (no floats anywhere on these paths).
 
@@ -123,7 +124,8 @@ def pseudo_count(S: LocatedSet, T, n: int) -> Fraction:
     Counts the points of T within exact distance 3 * 2^-(n+2) of S's region
     (the test "dist(p, S, n+2) < 2^-(n+1)" with the enclosure slack folded
     in): every point of S is counted, nothing beyond the 2^-n thickening can
-    be.  Grid packings on the circle count whole index ranges at once.
+    be.  No packing point is visited: grid packings on the circle and tori
+    count unions of index ranges, finite packings the region's members.
     """
     thr = Fraction(3, 1 << (n + 2))
     return Fraction(T.count_within(S.region, thr), T.size)

@@ -4,10 +4,13 @@ bracketing of packing sizes at arbitrary radii.
 A packing at radius 2^-n is a set of points whose pairwise distances are
 *strictly* greater than 2^-n, certified through interval lower bounds.  The
 builtin instances carry closed forms (circle: 2^n - 1, torus: the product,
-finite: the order), realized as lazily countable grid packings so the measure
+finite: the order).  Counting never enumerates a packing: the circle and
+torus grid packings count the points near a box region as a union of index
+ranges, and the finite packing counts the region's members, so the measure
 procedures can consume packing levels whose cardinality is astronomically
-large; the dovetail search of the generic construction is available alongside
-for explicit small packings.  The packing classes are the one place the
+large.  Points are materialized only for partition centres and printing; the
+dovetail search of the generic construction is available alongside for
+explicit small packings.  The packing classes are the one place the
 closed forms are written: each group's ``packing`` field builds them and
 ``Group.kappa`` reads their sizes.
 """
@@ -15,6 +18,7 @@ closed forms are written: each group's ``packing`` field builds them and
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import TYPE_CHECKING
 
 from .exactreal import Dyadic, EffortExceeded
@@ -56,11 +60,11 @@ class FinitePacking:
         return list(self._points)
 
     def count_within(self, region: FiniteRegion, threshold: Fraction) -> int:
-        cnt = 0
-        for p in self._points:
-            if region.distance(p) <= threshold:
-                cnt += 1
-        return cnt
+        """#points at discrete distance <= threshold: the region's members,
+        or every point once the threshold reaches 1."""
+        if threshold >= 1 and region.members:
+            return self.size
+        return len(region.members.intersection(self._points))
 
 
 class CircleGridPacking:
@@ -70,108 +74,90 @@ class CircleGridPacking:
     consecutive gap is floor((k+1)A/K) - floor(kA/K) >= floor(A/K) > 2^(n+2)
     = A 2^-n (and the wrap gap is >= A/K as well), so all pairwise circle
     distances, being sums of gaps on one side, strictly exceed 2^-n: a valid
-    n-packing of the closed-form maximum size.  Points are never materialized;
-    membership counts reduce to exact index-range arithmetic.
+    n-packing of the closed-form maximum size.  Below level 1, K = 1 and
+    A = 4 give the single point 0.  Points are never materialized to count
+    them: membership counts reduce to exact index-range arithmetic.
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            self.size = 1
-            self.n = n
-            self.A = 4
-            return
         self.n = n
-        self.size = (1 << n) - 1
-        self.A = 1 << (2 * n + 2)
-        assert self.A // self.size > (1 << (n + 2)), "separation certificate"
+        self.size = (1 << n) - 1 if n >= 1 else 1
+        self.A = 1 << (2 * max(n, 0) + 2)
+        assert self.size == 1 or self.A // self.size > (1 << (n + 2)), \
+            "separation certificate"
 
     def point(self, k: int) -> Dyadic:
-        if self.n < 1:
-            return Dyadic(0)
         return Dyadic((k * self.A) // self.size, -(2 * self.n + 2))
 
     def iter_points(self):
-        if self.n < 1:
-            yield Dyadic(0)
-            return
-        A, K = self.A, self.size
-        e = -(2 * self.n + 2)
-        for k in range(K):
-            yield Dyadic((k * A) // K, e)
+        for k in range(self.size):
+            yield self.point(k)
 
     def points_list(self):
         return list(self.iter_points())
 
-    def _count_leq(self, beta: Fraction) -> int:
-        """#k in [0, K) with x_k <= beta (beta within [0, 1))."""
-        A, K = self.A, self.size
-        c = (beta.numerator * A) // beta.denominator      # floor(beta A)
-        # x_k <= beta  <=>  floor(kA/K) <= floor(beta A)
-        hi = ((c + 1) * K + A - 1) // A                   # ceil((c+1)K/A)
-        return min(hi, K)
+    def _ranges(self, lo: Fraction, hi: Fraction):
+        """Half-open index ranges in [0, K) of the points in the closed arc
+        [lo, hi] (cover coordinates): none, one, or two when it wraps.
 
-    def _count_geq(self, alpha: Fraction) -> int:
+        The lifted points x_m = floor(mA/K)/A, m in Z, repeat the packing
+        with period K, and x_m lies in [lo, hi] exactly when
+        ceil(lo A) <= floor(mA/K) <= floor(hi A), a run of consecutive m.
+        """
         A, K = self.A, self.size
-        c = -((-alpha.numerator * A) // alpha.denominator)  # ceil(alpha A)
-        lo = (c * K + A - 1) // A                           # ceil(cK/A)
-        return max(K - lo, 0)
+        c_lo = -(-lo.numerator * A // lo.denominator)       # ceil(lo A)
+        c_hi = hi.numerator * A // hi.denominator           # floor(hi A)
+        start = -(-c_lo * K // A)                           # ceil(c_lo K/A)
+        stop = -(-(c_hi + 1) * K // A)                      # ceil((c_hi+1)K/A)
+        if stop - start >= K:
+            return [(0, K)]
+        if stop <= start:
+            return []
+        s = start % K
+        e = s + stop - start
+        return [(s, e)] if e <= K else [(s, K), (0, e - K)]
 
     def count_in_arc(self, lo: Fraction, hi: Fraction) -> int:
         """#points in the closed arc [lo, hi] (cover coordinates, hi <= lo+1)."""
-        if self.n < 1:
-            return 1 if (hi - lo >= 1 or _in_arc01(Fraction(0), lo, hi)) else 0
-        if hi - lo >= 1:
-            return self.size
-        lo0 = lo - (lo.numerator // lo.denominator)
-        hi0 = lo0 + (hi - lo)
-        if hi0 < 1:
-            return self._count_leq(hi0) - (self.size - self._count_geq(lo0))
-        return (self.size - (self.size - self._count_geq(lo0))) \
-            + self._count_leq(hi0 - 1)
+        return sum(e - s for s, e in self._ranges(lo, hi))
 
     def count_within(self, region: BoxRegion, threshold: Fraction) -> int:
         """#points with exact circle distance <= threshold to the region."""
-        arcs = [(_a[0] - threshold, _a[1] + threshold) for _a in region.arcs()]
-        merged = _merge_arcs(arcs)
-        if merged is None:
-            return self.size if self.n >= 1 else 1
-        return sum(self.count_in_arc(a, b) for a, b in merged)
+        return _count_near(self, region, threshold)
 
 
-def _in_arc01(x: Fraction, lo: Fraction, hi: Fraction) -> bool:
-    rel = (x - lo) - ((x - lo).numerator // (x - lo).denominator)
-    return rel <= hi - lo
+def _count_near(circle: CircleGridPacking, region: BoxRegion,
+               threshold: Fraction) -> int:
+    """#points of the d-fold product of ``circle`` within max-metric distance
+    threshold >= 0 of the region: every box thickened by the threshold is a
+    union of index boxes, and their union is counted once by a sweep."""
+    return _union_size([ib for box in region.boxes for ib in product(
+        *(circle._ranges(lo - threshold, hi + threshold) for lo, hi in box))])
 
 
-def _merge_arcs(arcs):
-    """Merge closed arcs on the circle; None means they cover everything."""
-    total = sum(b - a for a, b in arcs)
-    if total >= 1:
-        return None
-    norm = []
-    for a, b in arcs:
-        if b - a < 0:
-            continue
-        s = a - (a.numerator // a.denominator)
-        norm.append((s, s + (b - a)))
-    norm.sort()
-    merged = []
-    for a, b in norm:
-        if merged and a <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
-        else:
-            merged.append((a, b))
-    # wrap: last may reach around to the first
-    if len(merged) > 1 and merged[-1][1] >= merged[0][0] + 1:
-        first = merged.pop(0)
-        merged[-1] = (merged[-1][0], max(merged[-1][1], first[1] + 1))
-    if merged and merged[0][1] - merged[0][0] >= 1:
-        return None
-    return merged
+def _union_size(boxes) -> int:
+    """#lattice points in a union of index boxes (tuples of half-open ranges):
+    cut the first axis at every box end, and count each slab's cross-section
+    (the boxes that cover it, on the remaining axes) once."""
+    if not boxes:
+        return 0
+    if not boxes[0]:
+        return 1
+    boxes = sorted(boxes)
+    cuts = sorted({c for box in boxes for c in box[0]})
+    total, i, cover = 0, 0, []
+    for a, z in zip(cuts, cuts[1:]):
+        while i < len(boxes) and boxes[i][0][0] <= a:
+            cover.append(boxes[i])
+            i += 1
+        cover = [box for box in cover if a < box[0][1]]
+        total += (z - a) * _union_size([box[1:] for box in cover])
+    return total
 
 
 class TorusGridPacking:
-    """Product of circle grid packings; points iterated explicitly (capped)."""
+    """Product of circle grid packings, counted as products of the circle's
+    index ranges; points are materialized only on request (capped)."""
 
     MAX_ITER = 1 << 21
 
@@ -185,24 +171,14 @@ class TorusGridPacking:
         if self.size > self.MAX_ITER:
             raise EffortExceeded(
                 f"torus packing level {self.n} has {self.size} points")
-        def rec(d):
-            if d == 0:
-                yield ()
-                return
-            for rest in rec(d - 1):
-                for x in self.circle.iter_points():
-                    yield rest + (x,)
-        return rec(self.dim)
+        return product(self.circle.points_list(), repeat=self.dim)
 
     def points_list(self):
         return list(self.iter_points())
 
     def count_within(self, region: BoxRegion, threshold: Fraction) -> int:
-        cnt = 0
-        for p in self.iter_points():
-            if region.distance(p) <= threshold:
-                cnt += 1
-        return cnt
+        """#points with exact max-metric distance <= threshold to the region."""
+        return _count_near(self.circle, region, threshold)
 
 
 class PackingTable:

@@ -218,12 +218,6 @@ class BoxRegion:
             total += v
         return total
 
-    def arcs(self):
-        """dim-1 convenience: the region as a list of arcs."""
-        if self.dim != 1:
-            raise ValueError("arcs() is one-dimensional")
-        return [box[0] for box in self.boxes]
-
     def __repr__(self):
         return f"BoxRegion(dim={self.dim}, boxes={len(self.boxes)})"
 

@@ -81,6 +81,17 @@ class TestIntegrate:
         v, e = parse_printed(out)
         assert abs(v - 4) <= Fraction(1, 256)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_torus_generic_one(self, capsys, k):
+        # the partition radius is pinned to about n + 22 bits, so the radius
+        # search counts torus packings far past any materializable level
+        code, out, err = run(capsys, "integrate", "--group", "torus:2",
+                             "--method", "generic", "--function",
+                             "builtin:one", "-n", str(k))
+        assert code == 0 and err == ""
+        v, e = parse_printed(out)
+        assert abs(v - 1) <= min(e, Fraction(1, 1 << k))
+
     def test_unknown_function_is_config_error(self, capsys):
         code, out, err = run(capsys, "integrate", "--group", "circle",
                              "--function", "builtin:nope", "--precision", "3")
@@ -101,6 +112,13 @@ class TestMeasure:
         assert code == 0
         v, e = parse_printed(out)
         assert abs(v - Fraction(1, 4)) <= Fraction(1, 16)
+
+    def test_torus_ball(self, capsys):
+        code, out, err = run(capsys, "measure", "--group", "torus:2",
+                             "--set", "ball(1/2:0,1/8)", "-n", "6")
+        assert code == 0 and err == ""
+        v, e = parse_printed(out)
+        assert abs(v - Fraction(1, 16)) <= min(e, Fraction(1, 64))
 
     def test_finite_identity_ball(self, capsys, tmp_path):
         cay = tmp_path / "z5.txt"

@@ -9,9 +9,11 @@ from haar.cli import parse_group
 from haar.exactreal import Dyadic
 from haar.groups import EffortExceeded, make_group
 from haar.packing import (
-    CircleGridPacking, KappaUnavailable, PackingTable, max_packing,
-    packing_size, packing_size_bracket, separation_certificate,
+    CircleGridPacking, FinitePacking, KappaUnavailable, PackingTable,
+    TorusGridPacking, max_packing, packing_size, packing_size_bracket,
+    separation_certificate,
 )
+from haar.regions import BoxRegion, FiniteRegion
 
 
 def grid_sweep_max(n: int, g: int) -> int:
@@ -150,6 +152,64 @@ class TestGridPackings:
         cnt = pk.count_within(region, Fraction(0))
         ratio = Fraction(cnt, pk.size)
         assert abs(ratio - Fraction(1, 2)) < Fraction(1, 1 << 60)
+
+    @settings(max_examples=120)
+    @given(dim=st.sampled_from([2, 3]), n=st.integers(0, 4), data=st.data())
+    def test_torus_count_matches_enumeration(self, dim, n, data):
+        pk = TorusGridPacking(dim, n)
+        lattice = st.integers(0, 31).map(lambda k: Fraction(k, 32))
+
+        def ball():
+            center = tuple(data.draw(lattice) for _ in range(dim))
+            return BoxRegion.ball(dim, center, data.draw(lattice) / 4)
+
+        region = ball()
+        for op in data.draw(st.lists(
+                st.sampled_from(["union", "subtract", "expand"]), max_size=2)):
+            region = (region.expand(data.draw(lattice) / 8) if op == "expand"
+                      else getattr(region, op)(ball()))
+        # thresholds that carry a box end exactly onto a packing point (both
+        # sit on the 1/A lattice), zero, or anything rational
+        threshold = data.draw(st.one_of(
+            st.just(Fraction(0)),
+            st.integers(0, pk.circle.A // 2).map(
+                lambda j: Fraction(j, pk.circle.A)),
+            st.fractions(min_value=0, max_value=1, max_denominator=1 << 8)))
+        slow = sum(1 for p in pk.iter_points()
+                   if region.distance(p) <= threshold)
+        assert pk.count_within(region, threshold) == slow
+
+    @settings(max_examples=150)
+    @given(k=st.integers(1, 6), n=st.integers(-1, 2), data=st.data())
+    def test_finite_count_matches_enumeration(self, k, n, data):
+        pk = FinitePacking(k, n)
+        radius = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2),
+                                  Fraction(1), Fraction(3, 2)])
+
+        def ball():
+            return FiniteRegion.ball(k, data.draw(st.integers(0, k - 1)),
+                                     data.draw(radius))
+
+        region = ball()
+        for op in data.draw(st.lists(
+                st.sampled_from(["union", "subtract", "expand"]), max_size=3)):
+            region = (region.expand(data.draw(radius)) if op == "expand"
+                      else getattr(region, op)(ball()))
+        threshold = data.draw(st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+            st.fractions(min_value=0, max_value=2, max_denominator=16)))
+        slow = sum(1 for p in pk.iter_points()
+                   if region.distance(p) <= threshold)
+        assert pk.count_within(region, threshold) == slow
+
+    def test_torus_counting_past_the_iteration_cap(self):
+        # level 12 has 4095^2 points, eight times the materialization cap
+        pk = TorusGridPacking(2, 12)
+        assert pk.size > TorusGridPacking.MAX_ITER
+        region = BoxRegion.ball(2, (Fraction(1, 3), Fraction(5, 7)),
+                                Fraction(1, 8))
+        ratio = Fraction(pk.count_within(region, Fraction(0)), pk.size)
+        assert abs(ratio - Fraction(1, 16)) <= Fraction(1, 1 << 10)
 
     def test_serialization_format(self, circle):
         table = PackingTable(circle)
