@@ -31,6 +31,19 @@ A block is whole eta rows x a theta chunk x all phi, about BLOCK_CELLS cells
 (cache-sized; theta chunks of BLOCK_CELLS // n3 when a row is larger).
 Integrands without a vectorized form are evaluated once per cell on its
 fixed-point versor and feed the same exact accumulator.
+
+``fixed_eval`` reads M x, x the grid versor, for the integrand's pre-map M
+(the identity when it has none; a translation or an inversion folded into a
+constant 4x4 matrix, entries outward fixed-point pairs).  On the grid
+
+    (M x)_k = [M_k0 cos eta + M_k1 sin eta cos theta]
+              + sin eta sin theta * [M_k2 cos phi + M_k3 sin phi]
+
+so the second bracket is one length-n3 table per integral, the first a 2-D
+table per block, and each cell costs one nonnegative x interval product per
+component.  Exact-zero entries are skipped, so the identity costs what the
+plain grid versor does and gives it bit for bit.
+
 Int64 headroom: cell enclosures must lie in [-m, m], m = (ceil(M)+1) 2^SCALE
 for the declared bound M, and at entry the largest sum formed from m and the
 weight tables must stay below 2^63 - 2^SCALE, else the sweep refuses (M <= 30).
@@ -53,6 +66,9 @@ SCALE = 29                     # fixed-point fraction bits of the sweep
 BLOCK_CELLS = 1 << 16
 MAX_SCALAR_CELLS = 2 * 10 ** 6  # effort cap of the per-cell scalar evaluator
 _LIVE_AXES = {"a": 1, "ab": 2, "abcd": 3}   # grid axes each ``uses`` reads
+# the pre-map of an integrand that reads the grid versor itself
+IDENTITY_PREMAP = tuple(tuple((1 << SCALE, 1 << SCALE) if j == k else (0, 0)
+                              for j in range(4)) for k in range(4))
 _KINDS = ("eta", "theta", "phi")
 
 
@@ -327,9 +343,10 @@ def su2_grid_integral(spec, n: int, *, max_cells: int = 10 ** 11) -> Interval:
 
 
 def _fixed_sweep(spec, eta: _Axis, theta: _Axis, phi: _Axis) -> Interval:
-    """The block sweep of ``spec.fixed_eval``, or of its polar form."""
-    return _block_sweep(spec.fixed_eval, spec.fixed_eval_polar, spec.bound,
-                        eta, theta, phi)
+    """The block sweep of ``spec.fixed_eval`` after its pre-map, or of its
+    polar form."""
+    return _block_sweep(spec.fixed_eval, spec.fixed_eval_polar, spec.premap,
+                        spec.bound, eta, theta, phi)
 
 
 def _scalar_sweep(spec, eta: _Axis, theta: _Axis, phi: _Axis) -> Interval:
@@ -348,11 +365,21 @@ def _scalar_sweep(spec, eta: _Axis, theta: _Axis, phi: _Axis) -> Interval:
             hi.append(v.hi.scaled_ceil(scale))
         return np.reshape(lo, ends[0].shape), np.reshape(hi, ends[0].shape)
 
-    return _block_sweep(fixed, None, spec.bound, eta, theta, phi)
+    return _block_sweep(fixed, None, IDENTITY_PREMAP, spec.bound, eta, theta, phi)
 
 
-def _block_sweep(fixed, polar, bound: Dyadic, eta: _Axis, theta: _Axis,
-                 phi: _Axis) -> Interval:
+def _combine(coefs, xs):
+    """sum_j coefs[j] x_j over the nonzero constant pairs; None when all are 0."""
+    out = None
+    for c, x in zip(coefs, xs):
+        if c != (0, 0):
+            t = fp_mul(c, x)
+            out = t if out is None else fp_add(out, t)
+    return out
+
+
+def _block_sweep(fixed, polar, premap, bound: Dyadic, eta: _Axis,
+                 theta: _Axis, phi: _Axis) -> Interval:
     # glibc unmaps a freed heap top past twice its mmap threshold (128 KB at
     # start), so each block would fault its temporaries in afresh; freeing a
     # 16 MB buffer raises the threshold to 16 MB and blocks reuse memory.
@@ -364,6 +391,8 @@ def _block_sweep(fixed, polar, bound: Dyadic, eta: _Axis, theta: _Axis,
     n2, n3 = theta.n, phi.n
     _check_headroom(bound, m_fx, n3, tw_hi, ew_hi)
     pc, ps = (pc_lo, pc_hi), (ps_lo, ps_hi)
+    # P_k = M_k2 cos(phi) + M_k3 sin(phi), one length-n3 table per integral
+    ptabs = [_combine(row[2:], (pc, ps)) for row in premap]
     rows = max(1, BLOCK_CELLS // (n2 * n3))
     chunk = max(1, BLOCK_CELLS // n3)
     acc_lo = acc_hi = 0
@@ -381,9 +410,19 @@ def _block_sweep(fixed, polar, bound: Dyadic, eta: _Axis, theta: _Axis,
             else:
                 base_lo = base_hi = 0
                 col = (sest[0][..., None], sest[1][..., None])
-                flo, fhi = fixed((ce[0][..., None], ce[1][..., None]),
-                                 (b[0][..., None], b[1][..., None]),
-                                 fp_mul_na(col, pc), fp_mul_na(col, ps), SCALE)
+                comps = []
+                for m_k, p in zip(premap, ptabs):    # row k of M, P_k
+                    a = _combine(m_k[:2], (ce, b))    # (rows, jb) or (rows, 1)
+                    if p is None:
+                        comps.append((0, 0) if a is None else
+                                     (a[0][..., None], a[1][..., None]))
+                        continue
+                    lo, hi = fp_mul_na(col, p)        # fresh: add in place
+                    if a is not None:
+                        lo += a[0][..., None]
+                        hi += a[1][..., None]
+                    comps.append((lo, hi))
+                flo, fhi = fixed(*comps, SCALE)
             shape = (i1 - i0, j1 - j0, n3)
             flo = np.broadcast_to(np.asarray(flo, dtype=np.int64), shape)
             fhi = np.broadcast_to(np.asarray(fhi, dtype=np.int64), shape)

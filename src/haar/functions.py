@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._grid import fp_abs, fp_mul, fp_mul_nn, fp_square
+from ._grid import SCALE, fp_abs, fp_mul, fp_mul_nn, fp_square
 from .exactreal import (
     Dyadic, Interval, ZERO, ONE, fraction_ceil_to, fraction_floor_to, sincos_pi,
 )
@@ -226,13 +226,6 @@ def values_integrand(values, M=None) -> IntegrandSpec:
 # translations and inversion (for the invariance checks)
 # ---------------------------------------------------------------------------
 
-def _versor_fixed_components(g: Versor, scale: int):
-    comps = []
-    for iv in g.components():
-        comps.append((iv.lo.scaled_floor(scale), iv.hi.scaled_ceil(scale)))
-    return comps
-
-
 def _quat_mul_fixed(x, y, scale):
     """Fixed-point quaternion product of component interval quadruples."""
     a, b, c, d = x
@@ -250,51 +243,63 @@ def _quat_mul_fixed(x, y, scale):
     return w, i, j, k
 
 
+def _neg(u):
+    return -u[1], -u[0]
+
+
 def translate_su2_integrand(spec: IntegrandSpec, g: Versor, G: Group,
                             side: str = "left") -> IntegrandSpec:
-    """f(g o x) (or f(x o g)); Lipschitz/bound survive by bi-invariance."""
-    wp_g = 48
+    """f(g o x) (or f(x o g)); Lipschitz/bound survive by bi-invariance.
 
+    The vectorized form is ``spec.fixed_eval`` behind the pre-map M L_g (or
+    M R_g), M being ``spec``'s own.  Left and right multiplication matrices
+    transpose to multiplication by conj(g), so row k of M L_g is the
+    quaternion conj(g) (row k of M), and of M R_g it is (row k of M) conj(g).
+    On the identity's rows, whose entries are 0 or 2^SCALE, every product is
+    exact; composing onto an earlier pre-map rounds outward.
+    """
     def ev(q, wp):
         prod = g.multiply(q, wp) if side == "left" else q.multiply(g, wp)
         return spec.eval(prod, wp)
 
-    fixed = None
-    if spec.fixed_eval is not None:
-        base = spec.fixed_eval
-
-        def fixed(a, b, c, d, scale, **kw):
-            gf = _versor_fixed_components(g, scale)
-            if side == "left":
-                w, i, j, k = _quat_mul_fixed(gf, (a, b, c, d), scale)
-            else:
-                w, i, j, k = _quat_mul_fixed((a, b, c, d), gf, scale)
-            return base(w, i, j, k, scale, **kw)
+    gc = [(iv.lo.scaled_floor(SCALE), iv.hi.scaled_ceil(SCALE))
+          for iv in g.conjugate().components()]
+    premap = tuple(
+        tuple((int(lo), int(hi)) for lo, hi in (
+            _quat_mul_fixed(gc, row, SCALE) if side == "left"
+            else _quat_mul_fixed(row, gc, SCALE)))
+        for row in spec.premap)
 
     # a translate mixes every quaternion component into every other, so the
-    # grid must stay fully three-dimensional whatever the base f reads
+    # grid must stay fully three-dimensional whatever the base f reads; the
+    # polar form reads the grid versor itself and cannot follow the map
     return IntegrandSpec(ev, spec.lipschitz, spec.bound,
-                         name=f"{spec.name}o{side}", fixed_eval=fixed,
-                         uses="abcd")
+                         name=f"{spec.name}o{side}", fixed_eval=spec.fixed_eval,
+                         premap=premap, uses="abcd")
 
 
 def invert_su2_integrand(spec: IntegrandSpec) -> IntegrandSpec:
-    """f(x^-1); on versors inversion is conjugation (negate the vector part)."""
+    """f(x^-1); on versors inversion is conjugation (negate the vector part).
+
+    The vectorized form is ``spec.fixed_eval`` behind M D, D = diag(1, -1,
+    -1, -1): columns 1-3 of the pre-map are negated, exactly.  A polar form
+    is kept: conj(x) = (cos eta, -b, sest (-cos phi), sest (-sin phi)) with
+    sest = sin eta sin theta >= 0 as before.
+    """
     def ev(q, wp):
         return spec.eval(q.conjugate(), wp)
 
-    fixed = None
-    if spec.fixed_eval is not None:
-        base = spec.fixed_eval
+    premap = tuple((row[0], *map(_neg, row[1:])) for row in spec.premap)
+    polar = None
+    if spec.fixed_eval_polar is not None:
+        base_polar = spec.fixed_eval_polar
 
-        def fixed(a, b, c, d, scale, **kw):
-            def neg(u):
-                return -u[1], -u[0]
-            return base(a, neg(b), neg(c), neg(d), scale, **kw)
+        def polar(ce, b, sest, cphi, sphi, scale):
+            return base_polar(ce, _neg(b), sest, _neg(cphi), _neg(sphi), scale)
 
     return IntegrandSpec(ev, spec.lipschitz, spec.bound,
-                         name=f"{spec.name}^-1", fixed_eval=fixed,
-                         uses=spec.uses)
+                         name=f"{spec.name}^-1", fixed_eval=spec.fixed_eval,
+                         fixed_eval_polar=polar, premap=premap, uses=spec.uses)
 
 
 def translate_circle_integrand(spec: IntegrandSpec, g: Dyadic) -> IntegrandSpec:

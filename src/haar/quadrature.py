@@ -19,7 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._grid import fp_add, fp_div_pos, fp_sqrt, fp_square, su2_grid_integral
+from ._grid import (
+    IDENTITY_PREMAP, fp_add, fp_div_pos, fp_sqrt, fp_square, su2_grid_integral,
+)
 from .exactreal import (
     CertifiedValue, Dyadic, Interval, InvalidBound, NoConvergence, ZERO,
     cos_enclosure, fraction_ceil_to, fraction_floor_to, sin_enclosure,
@@ -62,21 +64,34 @@ class IntegrandSpec:
     sin(eta)cos(theta), sin(eta)sin(theta) as arrays broadcastable to
     (rows, theta) and cos/sin(phi) as (phi,) arrays; it returns (base_lo,
     base_hi, lo, hi) enclosing f by base + [lo, hi], base (rows, theta) being
-    the part constant along phi and lo, hi of shape (rows, theta, phi).  Circle
-    integrands may carry ``eval_complex`` / ``complex_fixed`` evaluating f at
-    a unit complex number given as (re, im) enclosures; the lift to SU(2)
-    requires it.
+    the part constant along phi and lo, hi of shape (rows, theta, phi).
+
+    ``premap`` is a 4x4 matrix M, ``premap[k][j]`` = M_kj as an outward
+    (lo, hi) pair of python ints at ``_grid.SCALE`` fraction bits, by default
+    the identity: the grid engine calls ``fixed_eval`` on M x instead of on
+    the grid versor x (``_grid`` folds M into its axis tables).  It belongs to ``fixed_eval``
+    alone: ``eval_fn`` and ``fixed_eval_polar`` evaluate the whole integrand
+    on x itself.  A translation is such a map (``functions``), so a wrapper
+    that forwards ``fixed_eval`` must forward ``premap`` too, or compose it
+    with its own map; dropping it makes the sweep certify a different
+    function.
+
+    Circle integrands may carry ``eval_complex`` / ``complex_fixed``
+    evaluating f at a unit complex number given as (re, im) enclosures; the
+    lift to SU(2) requires it.
     """
 
     def __init__(self, eval_fn, lipschitz: Dyadic, bound: Dyadic, *,
                  name: str = "", fixed_eval=None, fixed_eval_polar=None,
-                 uses: str = "abcd", eval_complex=None, complex_fixed=None):
+                 premap=IDENTITY_PREMAP, uses: str = "abcd", eval_complex=None,
+                 complex_fixed=None):
         self.eval = eval_fn
         self.lipschitz = lipschitz
         self.bound = bound
         self.name = name
         self.fixed_eval = fixed_eval
         self.fixed_eval_polar = fixed_eval_polar
+        self.premap = premap
         self.uses = uses
         self.eval_complex = eval_complex
         self.complex_fixed = complex_fixed
@@ -172,7 +187,7 @@ def _restrict(f: IntegrandSpec, tag, keyword: str) -> IntegrandSpec:
             return base(a, b, c, d, scale, **{keyword: tag})
 
     return IntegrandSpec(ev, f.lipschitz, f.bound, name=f"{f.name}|{keyword}={tag}",
-                         fixed_eval=fixed, uses=f.uses)
+                         fixed_eval=fixed, premap=f.premap, uses=f.uses)
 
 
 def haar_integral_derived(kind: str, f: IntegrandSpec, n: int, *,

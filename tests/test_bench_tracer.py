@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-from haar import _grid, quadrature  # noqa: E402
+from haar import _grid, functions, quadrature  # noqa: E402
 
 
 def test_tracer_records_a_grid_sweep():
@@ -33,3 +33,22 @@ def test_tracer_records_a_grid_sweep():
             "functions.polar"} <= names
     metrics = spans.layer_metrics(tracer.spans, tracer.counts)
     assert metrics["grid.cells"] > 0 and metrics["grid.attempts"] >= 1
+
+
+def test_tracer_records_the_translated_calls():
+    # translations fold into a pre-map when built, so the sweep no longer
+    # calls _quat_mul_fixed; the inverted call keeps its polar form
+    calls = workloads.build(workloads.make_inputs("su2-translated", 1))
+    assert len(calls) == 3
+    quat_mul = functions._quat_mul_fixed
+    tracer = spans.Tracer()
+    tracer.install(calls)
+    try:
+        for call in calls:
+            quadrature.haar_integral_su2(call.specs[0], 3)
+    finally:
+        tracer.uninstall()
+    assert functions._quat_mul_fixed is quat_mul
+    names = [s[0] for s in tracer.spans]
+    assert names.count("grid.sweep") == 3
+    assert "functions.polar" in names

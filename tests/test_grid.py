@@ -4,12 +4,15 @@ The block sweep's enclosure must contain the midpoint Riemann sum of its own
 grid, computed here in mpmath at 60 digits: eta weights are differences of
 W1(x) = (x - sin x cos x)/pi, theta weights differences of
 W2(x) = (1 - cos x)/2, phi is uniform, and an axis the integrand does not
-read is the single point sin = cos = 0 with weight 1.  The sin/cos kernel
+read is the single point sin = cos = 0 with weight 1.  Translated, inverted
+and composed integrands, which the sweep reaches through a pre-map, are
+summed as f of the mpmath quaternion product.  The sin/cos kernel
 the tables are built from, ``exactreal.sincos_pi``, is checked against mpmath
 in ``test_exactreal.py``.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -17,8 +20,10 @@ import numpy as np
 import pytest
 
 from haar import _grid
-from haar.functions import builtin_integrand
-from haar.quadrature import IntegrandSpec
+from haar.exactreal import Dyadic
+from haar.functions import builtin_integrand, invert_su2_integrand, translate_su2_integrand
+from haar.groups import Versor, make_group
+from haar.quadrature import IntegrandSpec, _restrict
 
 
 def mp_fraction(x) -> Fraction:
@@ -38,6 +43,7 @@ MP_INTEGRANDS = {
     "abs-sum": lambda a, b, c, d: abs(a) + abs(b) + abs(c) + abs(d),
     "w2": lambda a, b, c, d: a * a,
     "lift:re2": _lift_re2,
+    "skew": lambda a, b, c, d: (a + c) ** 2 + c,
 }
 
 
@@ -78,9 +84,12 @@ def grid_axes(ns):
 
 
 def sweep_paths(spec):
-    """(label, sweep, spec) for every evaluation path the spec can take."""
+    """(label, sweep, spec) for every evaluation path the spec can take.
+
+    The pre-map belongs to ``fixed_eval``; ``eval`` applies its own map.
+    """
     plain = IntegrandSpec(spec.eval, spec.lipschitz, spec.bound, uses=spec.uses,
-                          fixed_eval=spec.fixed_eval)
+                          fixed_eval=spec.fixed_eval, premap=spec.premap)
     scalar = IntegrandSpec(spec.eval, spec.lipschitz, spec.bound, uses=spec.uses)
     paths = [("fixed", _grid._fixed_sweep, plain),
              ("scalar", _grid._scalar_sweep, scalar)]
@@ -96,13 +105,9 @@ GRIDS = {
 }
 
 
-@pytest.mark.parametrize("name, uses", [("w2", "a"), ("lift:re2", "ab"),
-                                        ("abs-sum", "abcd")])
-def test_sweep_encloses_mpmath_riemann_sum(name, uses, monkeypatch):
-    spec = builtin_integrand(name, "su2")
-    assert spec.uses == uses
-    for ns in GRIDS[name]:
-        exact = mp_riemann_sum(MP_INTEGRANDS[name], ns)
+def check_sweeps(spec, mp_f, grids, monkeypatch):
+    for ns in grids:
+        exact = mp_riemann_sum(mp_f, ns)
         axes = grid_axes(ns)
         for label, sweep, s in sweep_paths(spec):
             enc = sweep(s, *axes)
@@ -114,6 +119,132 @@ def test_sweep_encloses_mpmath_riemann_sum(name, uses, monkeypatch):
                 m.setattr(_grid, "BLOCK_CELLS", 1)
                 split = sweep(s, *axes)
             assert (split.lo, split.hi) == (enc.lo, enc.hi), (label, ns)
+
+
+@pytest.mark.parametrize("name, uses", [("w2", "a"), ("lift:re2", "ab"),
+                                        ("abs-sum", "abcd")])
+def test_sweep_encloses_mpmath_riemann_sum(name, uses, monkeypatch):
+    spec = builtin_integrand(name, "su2")
+    assert spec.uses == uses
+    check_sweeps(spec, MP_INTEGRANDS[name], GRIDS[name], monkeypatch)
+
+
+def mp_mul(p, q):
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+
+def mp_conj(q):
+    return (q[0], -q[1], -q[2], -q[3])
+
+
+def half_versor(*signs):
+    return Versor.exact(*(Dyadic(m, -1) for m in signs))
+
+
+def mp_point(g):
+    # any point of g's enclosure is a translation the sweep must enclose
+    return tuple(mpmath.mpf((iv.lo.m, iv.lo.e)) for iv in g.components())
+
+
+def _skew_spec():
+    """(w + y)^2 + y, with a polar form.  Unlike abs-sum it tells left from
+    right translations on these grids (their abs-sum Riemann sums agree by
+    symmetry), and on a one-cell phi axis its sum changes with the sign of
+    y, which the polar form reads from cos(phi)."""
+    def ev(q, wp):
+        return ((q.a + q.c).square() + q.c).round_out(wp)
+
+    def fixed(a, b, c, d, scale, **kw):
+        return _grid.fp_add(_grid.fp_square(_grid.fp_add(a, c), scale), c)
+
+    def polar(ce, b, sest, cphi, sphi, scale):
+        y = _grid.fp_mul_na((sest[0][..., None], sest[1][..., None]), cphi, scale)
+        w = (ce[0][..., None], ce[1][..., None])
+        lo, hi = _grid.fp_add(_grid.fp_square(_grid.fp_add(w, y), scale), y)
+        return 0, 0, lo, hi
+
+    return IntegrandSpec(ev, Dyadic(4), Dyadic(3), name="skew", fixed_eval=fixed,
+                         fixed_eval_polar=polar)
+
+
+MOVED = ("left h", "right k", "left r", "right r", "inverted", "left r o inverted",
+         "inverted o right r", "left s o left r", "right r o left s")
+
+
+def moved_specs(name):
+    """label -> (spec, f on mpmath 4-tuples) for the integrand ``name``
+    translated by exact and interval versors, inverted, and composed."""
+    from test_groups import rand_versor
+    G = make_group("su2")
+    base = _skew_spec() if name == "skew" else builtin_integrand(name, "su2")
+    f = MP_INTEGRANDS[name]
+    h, k = half_versor(1, 1, 1, 1), half_versor(1, -1, 1, -1)
+    r, s = rand_versor(random.Random(17)), rand_versor(random.Random(18))
+    mh, mk, mr, ms = map(mp_point, (h, k, r, s))
+
+    def left(spec, g):
+        return translate_su2_integrand(spec, g, G, "left")
+
+    def right(spec, g):
+        return translate_su2_integrand(spec, g, G, "right")
+
+    inv = invert_su2_integrand
+    specs = {
+        "left h": (left(base, h), lambda *x: f(*mp_mul(mh, x))),
+        "right k": (right(base, k), lambda *x: f(*mp_mul(x, mk))),
+        "left r": (left(base, r), lambda *x: f(*mp_mul(mr, x))),
+        "right r": (right(base, r), lambda *x: f(*mp_mul(x, mr))),
+        "inverted": (inv(base), lambda *x: f(*mp_conj(x))),
+        "left r o inverted": (left(inv(base), r),
+                              lambda *x: f(*mp_conj(mp_mul(mr, x)))),
+        "inverted o right r": (inv(right(base, r)),
+                               lambda *x: f(*mp_mul(mp_conj(x), mr))),
+        # r s != s r: composing in the wrong order fails here
+        "left s o left r": (left(left(base, s), r),
+                            lambda *x: f(*mp_mul(ms, mp_mul(mr, x)))),
+        "right r o left s": (right(left(base, s), r),
+                             lambda *x: f(*mp_mul(ms, mp_mul(x, mr)))),
+    }
+    assert tuple(specs) == MOVED
+    return specs
+
+
+@pytest.mark.parametrize("label", MOVED)
+@pytest.mark.parametrize("name", ["abs-sum", "skew"])
+def test_moved_sweep_encloses_mpmath_riemann_sum(name, label, monkeypatch):
+    # the pre-map folded into the tables against f(M x) summed in mpmath,
+    # on the fixed, scalar and (inverted only) polar paths
+    spec, mp_f = moved_specs(name)[label]
+    assert spec.premap != _grid.IDENTITY_PREMAP
+    check_sweeps(spec, mp_f, GRIDS["abs-sum"], monkeypatch)
+
+
+def test_restriction_forwards_the_premap():
+    # the O(3) and U(2) restriction keeps the map, so it sweeps f(M x) too
+    spec, _ = moved_specs("skew")["right r o left s"]
+    restricted = _restrict(spec, 0, "sign_index")
+    for ns in GRIDS["abs-sum"]:
+        axes = grid_axes(ns)
+        a = _grid._fixed_sweep(spec, *axes)
+        b = _grid._fixed_sweep(restricted, *axes)
+        assert (a.lo, a.hi) == (b.lo, b.hi), ns
+
+
+def test_inversion_keeps_the_polar_form():
+    # negation is exact and abs-sum is invariant under conjugation, so the
+    # inverted polar sweep repeats abs-sum's own bit for bit
+    base = builtin_integrand("abs-sum", "su2")
+    inv = invert_su2_integrand(base)
+    assert inv.fixed_eval_polar is not None
+    for ns in GRIDS["abs-sum"]:
+        axes = grid_axes(ns)
+        a, b = _grid._fixed_sweep(base, *axes), _grid._fixed_sweep(inv, *axes)
+        assert (a.lo, a.hi) == (b.lo, b.hi), ns
+    a, b = _grid.su2_grid_integral(base, 4), _grid.su2_grid_integral(inv, 4)
+    assert (a.lo, a.hi) == (b.lo, b.hi)
 
 
 @pytest.mark.parametrize("const", [(3, 5), (-5, -3), (-2, 7), (0, 0), (4, 4)])
