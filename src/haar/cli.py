@@ -69,7 +69,7 @@ def parse_function(spec: str, G):
         if G.kind != "finite":
             raise ConfigError("values: files apply to finite groups")
         with open(spec.split(":", 1)[1]) as fh:
-            vals = [Fraction(tok) for tok in fh.read().split()]
+            vals = [_parse_rational(tok) for tok in fh.read().split()]
         if len(vals) != G.order:
             raise ConfigError(
                 f"expected {G.order} values, found {len(vals)}")
@@ -78,7 +78,10 @@ def parse_function(spec: str, G):
 
 
 def _parse_rational(tok: str) -> Fraction:
-    return Fraction(tok.strip())
+    try:
+        return Fraction(tok.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{tok.strip()!r} is not a rational number") from None
 
 
 def parse_ball(spec: str, G):

@@ -4,9 +4,10 @@ Haar integral itself.
 
 These work on any builtin group with a closed-form packing size and exact
 closed balls (finite, circle, torus), where a located set is one exact region
-of its group.  Regions are exact rational arithmetic and packing counts are
-exact integers (index ranges on the circle and tori); certified values
-come out as dyadics with 2^-n error bounds.  Determinism: identical inputs
+of its group.  Regions are integers over one denominator, radii pass through
+as the ints, fractions or dyadics they are, and packing counts are exact
+integers (index ranges on the circle and tori); certified values come out as
+dyadics with 2^-n error bounds.  Determinism: identical inputs
 produce bit-identical outputs (no floats anywhere on these paths).
 
 Measure loop.  The termination test pairs an observable upper witness with an
@@ -63,7 +64,7 @@ class LocatedSet:
     def ball(G: Group, center, radius) -> "LocatedSet":
         if G.region is None:
             raise ValueError(f"no located-set backend for group {G.kind!r}")
-        return LocatedSet(G, G.region(center, _as_fraction(radius)))
+        return LocatedSet(G, G.region(center, radius))
 
     @staticmethod
     def whole(G: Group) -> "LocatedSet":
@@ -71,11 +72,11 @@ class LocatedSet:
 
     def outer_ball(self, r) -> "LocatedSet":
         """B(+r, S) = {x : d(x, S) <= r}."""
-        return LocatedSet(self.group, self.region.expand(_as_fraction(r)))
+        return LocatedSet(self.group, self.region.expand(r))
 
     def inner_ball(self, r) -> "LocatedSet":
         """B(-r, S) = {x : d(x, complement of S) >= r}."""
-        return LocatedSet(self.group, self.region.shrink(_as_fraction(r)))
+        return LocatedSet(self.group, self.region.shrink(r))
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +128,7 @@ def pseudo_count(S: LocatedSet, T, n: int) -> Fraction:
     be.  No packing point is visited: grid packings on the circle and tori
     count unions of index ranges, finite packings the region's members.
     """
-    thr = Fraction(3, 1 << (n + 2))
-    return Fraction(T.count_within(S.region, thr), T.size)
+    return Fraction(T.count_within(S.region, Dyadic(3, -(n + 2))), T.size)
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +149,10 @@ def compute_measure(U: LocatedSet, packings: PackingTable, n: int, *,
     cap = max_level if max_level is not None else n + 48
     m = max(1, n - 4)
     while m <= cap:
-        r = Fraction(1, 1 << m)
-        r4 = Fraction(4, 1 << m)
+        r, r4 = Dyadic(1, -m), Dyadic(1, 2 - m)
         T = packings.packing(m)
         upper = pseudo_count(U.outer_ball(r4).inner_ball(r), T, m + 1)
-        lower = pseudo_count(U.inner_ball(r4).outer_ball(r / 2), T, m + 1)
+        lower = pseudo_count(U.inner_ball(r4).outer_ball(r.half()), T, m + 1)
         if upper - lower <= target:
             mid = (upper + lower) / 2
             return CertifiedValue(fraction_floor_to(mid, n + 8), -n)
@@ -268,11 +267,11 @@ def find_nice_partition(G: Group, packings: PackingTable, n: int, *,
     r_lo, r_hi = search.bracket_below(Fraction(1, 1 << (q + 1)))
     # outward rounding to dyadics keeps the bracket valid and keeps all later
     # region arithmetic on power-of-two denominators
-    r_lo = fraction_floor_to(r_lo, q + 4).as_fraction()
-    r_hi = fraction_ceil_to(r_hi, q + 4).as_fraction()
+    r_lo = fraction_floor_to(r_lo, q + 4)
+    r_hi = fraction_ceil_to(r_hi, q + 4)
     centers = packings.packing(n + 1).points_list()
-    mid = fraction_floor_to((r_lo + r_hi) / 2, q + 4)
-    two_r = fraction_ceil_to(2 * r_hi, q + 4)
+    mid = (r_lo + r_hi).half().floor_to(q + 4)
+    two_r = r_hi.scale2(1)
     cells = []
     balls = []
     for i, p in enumerate(centers):
@@ -310,8 +309,8 @@ def ring_bound(G: Group, cells, M: Fraction, n: int) -> Dyadic:
     of the sum of mu(C_i) f(p_i).  On a finite group both balls are {e}: s = 0.
     """
     rho = cells[0].radius.as_interval()
-    s = (G.region(G.identity, rho.hi.as_fraction()).measure()
-         - G.region(G.identity, rho.lo.as_fraction()).measure())
+    s = (G.region(G.identity, rho.hi).measure()
+         - G.region(G.identity, rho.lo).measure())
     return fraction_ceil_to(M * len(cells) ** 2 * s, n + 10)
 
 

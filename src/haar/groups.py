@@ -167,7 +167,7 @@ class Group:
     dense: Callable[[int], object]
     diameter_bound: Dyadic
     packing: Optional[Callable[[int], object]] = None    # n -> maximum n-packing
-    region: Optional[Callable[[object, Fraction], object]] = None  # closed ball
+    region: Optional[Callable[[object, object], object]] = None  # closed ball
     order: Optional[int] = None          # finite groups
     dim: Optional[int] = None            # tori
     table: Optional[tuple] = None        # finite groups

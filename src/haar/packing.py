@@ -22,7 +22,7 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from .exactreal import Dyadic, EffortExceeded
-from .regions import BoxRegion, FiniteRegion
+from .regions import BoxRegion, FiniteRegion, ratio
 
 if TYPE_CHECKING:          # groups imports this module to build its packings
     from .groups import Group
@@ -59,10 +59,11 @@ class FinitePacking:
     def points_list(self):
         return list(self._points)
 
-    def count_within(self, region: FiniteRegion, threshold: Fraction) -> int:
+    def count_within(self, region: FiniteRegion, threshold) -> int:
         """#points at discrete distance <= threshold: the region's members,
         or every point once the threshold reaches 1."""
-        if threshold >= 1 and region.members:
+        num, den = ratio(threshold)
+        if num >= den and region.members:
             return self.size
         return len(region.members.intersection(self._points))
 
@@ -96,17 +97,18 @@ class CircleGridPacking:
     def points_list(self):
         return list(self.iter_points())
 
-    def _ranges(self, lo: Fraction, hi: Fraction):
+    def _ranges(self, lo: int, hi: int, den: int):
         """Half-open index ranges in [0, K) of the points in the closed arc
-        [lo, hi] (cover coordinates): none, one, or two when it wraps.
+        [lo/den, hi/den] (cover coordinates): none, one, or two when it wraps.
 
         The lifted points x_m = floor(mA/K)/A, m in Z, repeat the packing
-        with period K, and x_m lies in [lo, hi] exactly when
-        ceil(lo A) <= floor(mA/K) <= floor(hi A), a run of consecutive m.
+        with period K, and x_m lies in the arc exactly when
+        ceil(lo A/den) <= floor(mA/K) <= floor(hi A/den), a run of
+        consecutive m.
         """
         A, K = self.A, self.size
-        c_lo = -(-lo.numerator * A // lo.denominator)       # ceil(lo A)
-        c_hi = hi.numerator * A // hi.denominator           # floor(hi A)
+        c_lo = -(-lo * A // den)                            # ceil(lo A/den)
+        c_hi = hi * A // den                                # floor(hi A/den)
         start = -(-c_lo * K // A)                           # ceil(c_lo K/A)
         stop = -(-(c_hi + 1) * K // A)                      # ceil((c_hi+1)K/A)
         if stop - start >= K:
@@ -117,22 +119,18 @@ class CircleGridPacking:
         e = s + stop - start
         return [(s, e)] if e <= K else [(s, K), (0, e - K)]
 
-    def count_in_arc(self, lo: Fraction, hi: Fraction) -> int:
-        """#points in the closed arc [lo, hi] (cover coordinates, hi <= lo+1)."""
-        return sum(e - s for s, e in self._ranges(lo, hi))
-
-    def count_within(self, region: BoxRegion, threshold: Fraction) -> int:
+    def count_within(self, region: BoxRegion, threshold) -> int:
         """#points with exact circle distance <= threshold to the region."""
         return _count_near(self, region, threshold)
 
 
-def _count_near(circle: CircleGridPacking, region: BoxRegion,
-               threshold: Fraction) -> int:
+def _count_near(circle: CircleGridPacking, region: BoxRegion, threshold) -> int:
     """#points of the d-fold product of ``circle`` within max-metric distance
     threshold >= 0 of the region: every box thickened by the threshold is a
     union of index boxes, and their union is counted once by a sweep."""
-    return _union_size([ib for box in region.boxes for ib in product(
-        *(circle._ranges(lo - threshold, hi + threshold) for lo, hi in box))])
+    den, boxes, t = region.lifted(threshold)
+    return _union_size([ib for box in boxes for ib in product(
+        *(circle._ranges(lo - t, hi + t, den) for lo, hi in box))])
 
 
 def _union_size(boxes) -> int:
@@ -176,7 +174,7 @@ class TorusGridPacking:
     def points_list(self):
         return list(self.iter_points())
 
-    def count_within(self, region: BoxRegion, threshold: Fraction) -> int:
+    def count_within(self, region: BoxRegion, threshold) -> int:
         """#points with exact max-metric distance <= threshold to the region."""
         return _count_near(self.circle, region, threshold)
 

@@ -7,238 +7,223 @@ subtraction removes the *interior* of the cut, so results stay closed and the
 algebra is exact: distances evaluate to exact rationals.  On finite groups a
 region is a subset of element indices.
 
-Arc convention: (lo, hi) with 0 <= lo < 1 and lo <= hi <= lo + 1 describes
-the closed arc from lo upward to hi; length hi - lo; the full circle is
-(0, 1).  All arithmetic is on ``fractions.Fraction``.
+A box region stores integers over one denominator ``den``: the arc (lo, hi)
+stands for lo/den to hi/den.  Arc convention: 0 <= lo < den and lo <= hi <=
+lo + den describe the closed arc from lo upward to hi; length hi - lo; the
+full circle is (0, den).  Every number enters through ``ratio`` and every
+operation works at the lcm of its operands' denominators (a power of two on
+dyadic inputs), so only ``distance`` and ``measure`` build fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-FULL_ARC = (Fraction(0), Fraction(1))
+from .exactreal import Dyadic
+
 FAR = Fraction(1 << 40)          # stand-in for the distance to an empty set
 
 
-def _norm_start(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
+def ratio(x) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an int, Fraction or Dyadic."""
+    if isinstance(x, Dyadic):
+        return (x.m << x.e, 1) if x.e >= 0 else (x.m, 1 << -x.e)
+    return x.numerator, x.denominator
 
 
-def _normalize_arc(lo: Fraction, hi: Fraction):
-    if hi - lo >= 1:
-        return FULL_ARC
-    s = _norm_start(lo)
-    return (s, s + (hi - lo))
+def _arc(lo: int, hi: int, den: int):
+    """The normalized arc from lo to hi (the full circle once hi - lo >= den)."""
+    if hi - lo >= den:
+        return (0, den)
+    s = lo % den
+    return (s, s + hi - lo)
 
 
-def arc_length(arc) -> Fraction:
-    return arc[1] - arc[0]
-
-
-def arc_contains(arc, x: Fraction) -> bool:
-    lo, hi = arc
-    if hi - lo >= 1:
-        return True
-    x = _norm_start(x - lo)       # position relative to lo, in [0, 1)
-    return x <= hi - lo
-
-
-def arc_distance(arc, x: Fraction) -> Fraction:
-    """Exact circle distance from point x to the closed arc."""
-    lo, hi = arc
-    if hi - lo >= 1:
-        return Fraction(0)
-    rel = _norm_start(x - lo)
+def _arc_distance(lo: int, hi: int, x: int, den: int) -> int:
+    """Circle distance from point x to the closed arc (lo, hi), times den."""
+    if hi - lo >= den:
+        return 0
+    rel = (x - lo) % den
     if rel <= hi - lo:
-        return Fraction(0)
+        return 0
     # distance to the hi end going down, or to lo going up (around)
-    return min(rel - (hi - lo), 1 - rel)
+    return min(rel - (hi - lo), den - rel)
 
 
-def arc_expand(arc, r: Fraction):
-    if r <= 0:
-        return arc
-    return _normalize_arc(arc[0] - r, arc[1] + r)
+def _split_arc(arc, cut, den: int):
+    """Closed pieces of arc outside the *interior* of cut, and closed pieces
+    of arc inside cut (0, 1 or 2 arcs each).
 
-
-def _shift_window(lo: Fraction, chi: Fraction):
-    d = lo - chi
-    k0 = d.numerator // d.denominator
-    return range(k0 - 1, k0 + 4)
-
-
-def _arc_subtract(arc, cut):
-    """Closed pieces of arc minus the *interior* of cut (0, 1 or 2 arcs)."""
+    Normalized arcs lie in [0, 2 den), so only the cut's shifts by -den, 0
+    and +den can meet the arc; those shifts are disjoint and ascending, so
+    one walk along the arc cuts them out in order.
+    """
     lo, hi = arc
     clo, chi = cut
-    if chi - clo >= 1:
-        return []
-    if hi - lo >= 1:
-        return [_normalize_arc(chi, clo + 1)]
-    remaining = [(lo, hi)]
-    for k in _shift_window(lo, chi):
-        nlo, nhi = clo + k, chi + k
-        nxt = []
-        for alo, ahi in remaining:
-            if nhi <= alo or nlo >= ahi:          # open cut misses closed piece
-                nxt.append((alo, ahi))
-                continue
-            if nlo > alo:
-                nxt.append((alo, min(nlo, ahi)))
-            if nhi < ahi:
-                nxt.append((max(nhi, alo), ahi))
-        remaining = nxt
-    return [_normalize_arc(a, b) for a, b in remaining]
+    if chi - clo >= den:
+        return [], [arc]
+    if hi - lo >= den:
+        return [_arc(chi, clo + den, den)], [cut]
+    outside, inside = [], []
+    rest = lo               # the part of the arc not yet cut is [rest, hi]
+    for k in (-den, 0, den):
+        a, b = clo + k, chi + k
+        if max(lo, a) <= min(hi, b):
+            inside.append(_arc(max(lo, a), min(hi, b), den))
+        if rest is not None and a < hi and b > rest:   # open cut meets the rest
+            if a > rest:
+                outside.append(_arc(rest, a, den))
+            rest = b if b < hi else None
+    if rest is not None:
+        outside.append(_arc(rest, hi, den))
+    return outside, inside
+
+
+def _grow(box, g: int, den: int):
+    return tuple(_arc(lo - g, hi + g, den) for lo, hi in box)
+
+
+def _subtract_box(boxes, cut, den: int) -> list:
+    """The boxes minus the interior of one cut box."""
+    out = []
+    for box in boxes:
+        # cores: parts matching the cut on all coordinates processed so far
+        cores = [box]
+        for c, cut_arc in enumerate(cut):
+            nxt_cores = []
+            for b in cores:
+                outside, inside = _split_arc(b[c], cut_arc, den)
+                out += [b[:c] + (arc,) + b[c + 1:] for arc in outside]
+                nxt_cores += [b[:c] + (arc,) + b[c + 1:] for arc in inside]
+            cores = nxt_cores
+        # cores are inside the cut on every coordinate: removed
+    return out
+
+
+def _union(boxes, more, den: int) -> list:
+    """The boxes together with the parts of ``more`` they do not cover."""
+    for box in more:
+        extra = [box]
+        for mine in boxes:
+            extra = _subtract_box(extra, mine, den)
+        boxes = boxes + extra
+    return boxes
 
 
 class BoxRegion:
     """Finite union of closed boxes on the d-torus (d = 1 is the circle)."""
 
-    __slots__ = ("dim", "boxes")
+    __slots__ = ("dim", "den", "boxes")
 
-    def __init__(self, dim: int, boxes):
+    def __init__(self, dim: int, den: int, boxes):
         self.dim = dim
-        self.boxes = [tuple(b) for b in boxes]
+        self.den = den
+        self.boxes = list(boxes)
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def empty(dim: int) -> "BoxRegion":
-        return BoxRegion(dim, [])
+        return BoxRegion(dim, 1, [])
 
     @staticmethod
     def whole(dim: int) -> "BoxRegion":
-        return BoxRegion(dim, [tuple([FULL_ARC] * dim)])
+        return BoxRegion(dim, 1, [((0, 1),) * dim])
 
     @staticmethod
-    def ball(dim: int, center, radius: Fraction) -> "BoxRegion":
+    def ball(dim: int, center, radius) -> "BoxRegion":
         """Closed max-metric ball: a product of arcs."""
-        if radius < 0:
+        rn, rd = ratio(radius)
+        if rn < 0:
             return BoxRegion.empty(dim)
-        arcs = []
-        for c in center:
-            cf = Fraction(c) if not hasattr(c, "as_fraction") else c.as_fraction()
-            arcs.append(_normalize_arc(cf - radius, cf + radius))
-        return BoxRegion(dim, [tuple(arcs)])
+        coords = [ratio(c) for c in center]
+        den = lcm(rd, *(d for _, d in coords))
+        r = rn * (den // rd)
+        return BoxRegion(dim, den, [tuple(
+            _arc(n * (den // d) - r, n * (den // d) + r, den) for n, d in coords)])
 
     def is_empty(self) -> bool:
         return not self.boxes
 
+    def boxes_at(self, den: int) -> list:
+        """The boxes over a multiple ``den`` of this region's denominator."""
+        k = den // self.den
+        if k == 1:
+            return self.boxes
+        return [tuple((lo * k, hi * k) for lo, hi in box) for box in self.boxes]
+
+    def lifted(self, r):
+        """(den, boxes, g): the boxes over den, the lcm of this region's
+        denominator and r's, and r as g / den."""
+        rn, rd = ratio(r)
+        den = lcm(self.den, rd)
+        return den, self.boxes_at(den), rn * (den // rd)
+
     # -- set operations (exact; subtraction removes interiors) ----------------
 
-    def _subtract_box(self, cut) -> "BoxRegion":
-        out = []
-        for box in self.boxes:
-            # cores: parts matching the cut on all coordinates processed so far
-            cores = [box]
-            for c in range(self.dim):
-                nxt_cores = []
-                for b in cores:
-                    for arc in _arc_subtract(b[c], cut[c]):
-                        nb = list(b)
-                        nb[c] = arc
-                        out.append(tuple(nb))     # outside in coord c: survives
-                    for arc in _arc_intersections(b[c], cut[c]):
-                        nb = list(b)
-                        nb[c] = arc
-                        nxt_cores.append(tuple(nb))
-                cores = nxt_cores
-            # cores are inside the cut on every coordinate: removed
-        return BoxRegion(self.dim, out)
-
     def union(self, other: "BoxRegion") -> "BoxRegion":
-        acc = BoxRegion(self.dim, list(self.boxes))
-        for box in other.boxes:
-            extra = BoxRegion(self.dim, [box])
-            for mine in acc.boxes:
-                extra = extra._subtract_box(mine)
-            acc = BoxRegion(self.dim, acc.boxes + extra.boxes)
-        return acc
+        den = lcm(self.den, other.den)
+        return BoxRegion(self.dim, den,
+                         _union(self.boxes_at(den), other.boxes_at(den), den))
 
     def subtract(self, other: "BoxRegion") -> "BoxRegion":
-        acc = self
-        for box in other.boxes:
-            acc = acc._subtract_box(box)
-        return acc
+        den = lcm(self.den, other.den)
+        acc = self.boxes_at(den)
+        for box in other.boxes_at(den):
+            acc = _subtract_box(acc, box, den)
+        return BoxRegion(self.dim, den, acc)
 
     def complement(self) -> "BoxRegion":
         return BoxRegion.whole(self.dim).subtract(self)
 
-    def expand(self, r: Fraction) -> "BoxRegion":
+    def expand(self, r) -> "BoxRegion":
         """Outer generalized ball: every box grown by r in the max metric."""
-        if self.is_empty() or r <= 0:
-            return BoxRegion(self.dim, list(self.boxes)) if r <= 0 else self
-        acc = BoxRegion.empty(self.dim)
-        for box in self.boxes:
-            grown = BoxRegion(self.dim, [tuple(arc_expand(a, r) for a in box)])
-            acc = acc.union(grown)
-        return acc
+        den, boxes, g = self.lifted(r)
+        if not boxes or g <= 0:
+            return self
+        return BoxRegion(self.dim, den,
+                         _union([], [_grow(box, g, den) for box in boxes], den))
 
-    def shrink(self, r: Fraction) -> "BoxRegion":
-        """Inner generalized ball {x : d(x, complement) >= r}."""
+    def shrink(self, r) -> "BoxRegion":
+        """Inner generalized ball {x : d(x, complement) >= r}: the whole space
+        minus the interiors of the complement's boxes grown by r."""
         if self.is_empty():
             return self
-        comp = self.complement()
-        if comp.is_empty():
-            return BoxRegion.whole(self.dim)
-        grown_boxes = [tuple(arc_expand(a, r) for a in box) for box in comp.boxes]
-        acc = BoxRegion.whole(self.dim)
-        for box in grown_boxes:
-            acc = acc._subtract_box(box)
-        return acc
+        den, comp, g = self.complement().lifted(r)
+        acc = BoxRegion.whole(self.dim).boxes_at(den)
+        for box in comp:
+            acc = _subtract_box(acc, _grow(box, g, den) if g > 0 else box, den)
+        return BoxRegion(self.dim, den, acc)
 
     # -- queries --------------------------------------------------------------
 
     def contains(self, point) -> bool:
-        pt = [Fraction(c) if not hasattr(c, "as_fraction") else c.as_fraction()
-              for c in point]
-        return any(all(arc_contains(a, x) for a, x in zip(box, pt))
-                   for box in self.boxes)
+        return self.distance(point) == 0
 
     def distance(self, point) -> Fraction:
         """Exact max-metric distance from point to the region (FAR if empty)."""
         if self.is_empty():
             return FAR
-        pt = [Fraction(c) if not hasattr(c, "as_fraction") else c.as_fraction()
-              for c in point]
-        best = None
-        for box in self.boxes:
-            d = max(arc_distance(a, x) for a, x in zip(box, pt))
-            if best is None or d < best:
-                best = d
-        return best
+        coords = [ratio(c) for c in point]
+        den = lcm(self.den, *(d for _, d in coords))
+        xs = [n * (den // d) for n, d in coords]
+        return Fraction(min(max(_arc_distance(lo, hi, x, den)
+                                for (lo, hi), x in zip(box, xs))
+                            for box in self.boxes_at(den)), den)
 
     def measure(self) -> Fraction:
         """Total content, valid when the boxes overlap at most in boundaries."""
-        total = Fraction(0)
+        total = 0
         for box in self.boxes:
-            v = Fraction(1)
-            for a in box:
-                v *= min(arc_length(a), Fraction(1))
+            v = 1
+            for lo, hi in box:
+                v *= hi - lo
             total += v
-        return total
+        return Fraction(total, self.den ** self.dim)
 
     def __repr__(self):
         return f"BoxRegion(dim={self.dim}, boxes={len(self.boxes)})"
-
-
-def _arc_intersections(arc, other):
-    """Closed intersection pieces of two arcs (0, 1 or 2 arcs)."""
-    lo, hi = arc
-    olo, ohi = other
-    if ohi - olo >= 1:
-        return [arc]
-    if hi - lo >= 1:
-        return [_normalize_arc(olo, ohi)]
-    res = []
-    for k in _shift_window(lo, ohi):
-        nlo, nhi = olo + k, ohi + k
-        s, e = max(lo, nlo), min(hi, nhi)
-        if s <= e:
-            a = _normalize_arc(s, e)
-            if a not in res:
-                res.append(a)
-    return res
 
 
 class FiniteRegion:
@@ -259,10 +244,11 @@ class FiniteRegion:
         return FiniteRegion(order, range(order))
 
     @staticmethod
-    def ball(order: int, center: int, radius: Fraction) -> "FiniteRegion":
-        if radius < 0:
+    def ball(order: int, center: int, radius) -> "FiniteRegion":
+        num, den = ratio(radius)
+        if num < 0:
             return FiniteRegion.empty(order)
-        if radius >= 1:
+        if num >= den:
             return FiniteRegion.whole(order)
         return FiniteRegion(order, (center,))
 
@@ -278,13 +264,15 @@ class FiniteRegion:
     def complement(self) -> "FiniteRegion":
         return FiniteRegion(self.order, set(range(self.order)) - self.members)
 
-    def expand(self, r: Fraction) -> "FiniteRegion":
-        if r >= 1 and self.members:
+    def expand(self, r) -> "FiniteRegion":
+        num, den = ratio(r)
+        if num >= den and self.members:
             return FiniteRegion.whole(self.order)
         return self
 
-    def shrink(self, r: Fraction) -> "FiniteRegion":
-        if r <= 1:
+    def shrink(self, r) -> "FiniteRegion":
+        num, den = ratio(r)
+        if num <= den:
             return self
         if len(self.members) == self.order:
             return self

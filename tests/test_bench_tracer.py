@@ -4,7 +4,11 @@
 ``_grid._fixed_sweep`` and ``_grid._scalar_sweep`` (the sweeps take
 ``(spec, eta, theta, phi)`` with axes carrying ``.n``),
 ``functions._quat_mul_fixed``, and the ``eval`` and ``fixed_eval_polar``
-instance attributes of the workload's integrands.
+instance attributes of the workload's integrands.  On the generic route it
+reads ``expand``, ``shrink``, ``subtract`` and ``union`` from each region
+class's own ``__dict__``, ``count_within`` and ``iter_points`` from each
+packing class's, ``generic.pseudo_count``, ``generic.compute_measure`` and
+``CoinnerRadiusSearch.level``.
 """
 
 import sys
@@ -15,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-from haar import _grid, functions, quadrature  # noqa: E402
+from haar import _grid, functions, generic, quadrature, regions  # noqa: E402
 
 
 def test_tracer_records_a_grid_sweep():
@@ -52,3 +56,23 @@ def test_tracer_records_the_translated_calls():
     names = [s[0] for s in tracer.spans]
     assert names.count("grid.sweep") == 3
     assert "functions.polar" in names
+
+
+def test_tracer_records_the_generic_layers():
+    calls = workloads.build(workloads.make_inputs("generic", 1))
+    ball = next(c for c in calls if c.label.startswith("circle ball"))
+    integral = next(c for c in calls if "values integral" in c.label)
+    originals = (regions.BoxRegion.__dict__["shrink"], generic.pseudo_count,
+                 generic.CoinnerRadiusSearch.__dict__["level"])
+    tracer = spans.Tracer()
+    tracer.install(calls)
+    try:
+        ball.run()
+        integral.run()
+    finally:
+        tracer.uninstall()
+    assert (regions.BoxRegion.__dict__["shrink"], generic.pseudo_count,
+            generic.CoinnerRadiusSearch.__dict__["level"]) == originals
+    names = {s[0] for s in tracer.spans}
+    assert {"regions.op", "packing.count_within", "generic.pseudo_count",
+            "generic.radius_level"} <= names

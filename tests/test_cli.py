@@ -266,6 +266,20 @@ class TestExitCodes:
         assert got == 1
         assert out == "" and err.startswith("ConfigError: ") and option in err
 
+    @pytest.mark.parametrize("argv", [
+        ("measure", "--group", "circle", "--set", "ball(0,1/0)"),
+        ("measure", "--group", "circle", "--set", "ball(1/0,1/8)"),
+        ("measure", "--group", "torus:2", "--set", "ball(0:1/0,1/8)"),
+        ("integrate", "--group", "cyclic:2", "--function", "values:{}"),
+    ])
+    def test_zero_denominator_is_config_error(self, capsys, tmp_path, argv):
+        # each used to end in an uncaught ZeroDivisionError traceback
+        values = tmp_path / "values.txt"
+        values.write_text("1 1/0\n")
+        got, out, err = run(capsys, *(a.format(values) for a in argv), "-n", "4")
+        assert got == 1
+        assert out == "" and err.startswith("ConfigError: ") and "'1/0'" in err
+
     def test_packing_at_precision_minus_one_is_the_identity(self, capsys):
         got, out, err = run(capsys, "packing", "--group", "circle", "-n", "-1")
         assert got == 0 and err == ""

@@ -71,9 +71,10 @@ class TestPseudoCount:
 class TestComputeMeasure:
     def test_circle_ball_arc_length(self, circle):
         pk = PackingTable(circle)
-        ball = LocatedSet.ball(circle, Dyadic(0), Fraction(1, 8))
-        v = compute_measure(ball, pk, 4)
-        assert abs(v.value.as_fraction() - Fraction(1, 4)) <= Fraction(1, 16)
+        for r in (Fraction(1, 8), Fraction(1, 3)):
+            ball = LocatedSet.ball(circle, Dyadic(0), r)
+            v = compute_measure(ball, pk, 4)
+            assert abs(v.value.as_fraction() - 2 * r) <= Fraction(1, 16), r
 
     def test_whole_space_is_one(self, circle):
         pk = PackingTable(circle)

@@ -142,7 +142,8 @@ class TestGridPackings:
         lo, hi = data.draw(end), data.draw(end)
         length = Fraction(1) if data.draw(st.booleans()) and hi == lo else (hi - lo) % 1
         slow = sum(1 for p in points if length >= 1 or (p - lo) % 1 <= length)
-        assert pk.count_in_arc(lo, lo + length) == slow
+        arc = BoxRegion.ball(1, (lo + length / 2,), length / 2)
+        assert pk.count_within(arc, 0) == slow
 
     def test_counting_huge_level(self):
         # levels far beyond anything materializable still count in O(1)

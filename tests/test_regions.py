@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haar.regions import BoxRegion, FiniteRegion, arc_distance
+from haar.regions import BoxRegion, FiniteRegion
 
 
 def F(a, b):
@@ -20,10 +20,10 @@ def circle_ball(c, r):
 
 class TestArcs:
     def test_distance_inside_and_out(self):
-        arc = (F(1, 8), F(3, 8))
-        assert arc_distance(arc, F(1, 4)) == 0
-        assert arc_distance(arc, F(1, 2)) == F(1, 8)
-        assert arc_distance(arc, F(15, 16)) == F(3, 16)   # wraps to lo end
+        arc = circle_ball(F(1, 4), F(1, 8))        # [1/8, 3/8]
+        assert arc.distance((F(1, 4),)) == 0
+        assert arc.distance((F(1, 2),)) == F(1, 8)
+        assert arc.distance((F(15, 16),)) == F(3, 16)   # wraps to lo end
 
     def test_wrap_membership(self):
         ball = circle_ball(0, F(1, 8))    # arc [-1/8, 1/8]
@@ -96,7 +96,7 @@ class TestBooleanOps:
 
 def _on_boundary(ball_region, x):
     (arc,) = ball_region.boxes[0]
-    lo, hi = arc
+    lo, hi = (F(e, ball_region.den) for e in arc)
     rel = (x - lo) - ((x - lo).numerator // (x - lo).denominator)
     return rel == 0 or rel == hi - lo
 
@@ -128,14 +128,16 @@ class TestTorusBoxes:
         assert s.contains((F(1, 2), F(1, 2)))
 
 
-# Property tests on a lattice: regions are unions of balls with centres on
-# multiples of 1/8 and radii 1/8..1/2, so every box edge is a multiple of 1/8,
-# and the samples are the odd multiples of 1/32.  No sample lies on an edge
-# of an input or of a result, where a closed result and the set it stands for
-# may differ, so membership there is decided exactly by integer arithmetic in
-# units of 1/32.
-UNITS = 32          # sample units per turn
-STEP = 4            # lattice step in sample units
+# Property tests on two lattices: A is a union of balls with centres on
+# multiples of 1/8 and radii 1/8..1/2, B one with centres on multiples of 1/12
+# and radii 1/12..1/2, so every box edge is a multiple of 1/24 and union and
+# subtract work over a denominator that is not a power of two.  The samples
+# are the odd multiples of 1/48, one inside each open 1/24-cell.  No sample
+# lies on an edge of an input or of a result, where a closed result and the
+# set it stands for may differ, so membership there is decided exactly by
+# integer arithmetic in units of 1/48.
+UNITS = 48          # sample units per turn
+STEP_A, STEP_B = 6, 4       # lattice steps of A and B in sample units
 
 
 def _turn_distance(d: int) -> int:
@@ -143,18 +145,20 @@ def _turn_distance(d: int) -> int:
     return min(d, UNITS - d)
 
 
-def lattice_balls(dim):
-    ball = st.tuples(st.tuples(*[st.integers(0, 7)] * dim), st.integers(1, 4))
+def lattice_balls(dim, step):
+    ball = st.tuples(st.tuples(*[st.integers(0, UNITS // step - 1)] * dim),
+                     st.integers(1, UNITS // step // 2))
     return st.lists(ball, min_size=1, max_size=3)
 
 
-def lattice_region(dim, balls):
-    return BoxRegion(dim, [box for centre, r in balls for box in BoxRegion.ball(
-        dim, [F(c, 8) for c in centre], F(r, 8)).boxes])
+def lattice_region(dim, balls, step):
+    den = UNITS // step
+    return BoxRegion(dim, den, [box for centre, r in balls for box in BoxRegion.ball(
+        dim, [F(c, den) for c in centre], F(r, den)).boxes_at(den)])
 
 
-def in_balls(balls, y) -> bool:
-    return any(all(_turn_distance(yc - STEP * c) <= STEP * r for yc, c in zip(y, centre))
+def in_balls(balls, step, y) -> bool:
+    return any(all(_turn_distance(yc - step * c) <= step * r for yc, c in zip(y, centre))
                for centre, r in balls)
 
 
@@ -162,18 +166,22 @@ def in_balls(balls, y) -> bool:
 @settings(max_examples=100)
 @given(data=st.data())
 def test_region_algebra_matches_brute_force(dim, data):
-    A, B = data.draw(lattice_balls(dim)), data.draw(lattice_balls(dim))
+    A, B = data.draw(lattice_balls(dim, STEP_A)), data.draw(lattice_balls(dim, STEP_B))
     r = data.draw(st.integers(1, 4))
-    a, b = lattice_region(dim, A), lattice_region(dim, B)
+    a, b = lattice_region(dim, A, STEP_A), lattice_region(dim, B, STEP_B)
     results = {"union": a.union(b), "subtract": a.subtract(b),
                "expand": a.expand(F(r, 8)), "shrink": a.shrink(F(r, 8))}
-    # the max-metric ball of radius r/8 around a sample meets the lattice
+    samples = list(itertools.product(range(1, UNITS, 2), repeat=dim))
+    in_a = {y: in_balls(A, STEP_A, y) for y in samples}
+    # the max-metric ball of radius r/8 around a sample meets the 1/8-lattice
     # cells holding these samples, one each, in their interiors
-    offsets = list(itertools.product(range(-STEP * r, STEP * r + 1, STEP), repeat=dim))
-    for y in itertools.product(range(1, UNITS, 2), repeat=dim):
-        near = [in_balls(A, [yc + o for yc, o in zip(y, off)]) for off in offsets]
-        expect = {"union": in_balls(A, y) or in_balls(B, y),
-                  "subtract": in_balls(A, y) and not in_balls(B, y),
+    offsets = list(itertools.product(
+        range(-STEP_A * r, STEP_A * r + 1, STEP_A), repeat=dim))
+    for y in samples:
+        near = [in_a[tuple((yc + o) % UNITS for yc, o in zip(y, off))]
+                for off in offsets]
+        expect = {"union": in_a[y] or in_balls(B, STEP_B, y),
+                  "subtract": in_a[y] and not in_balls(B, STEP_B, y),
                   "expand": any(near), "shrink": all(near)}
         point = tuple(F(yc, UNITS) for yc in y)
         for name, region in results.items():
