@@ -6,9 +6,11 @@ These work on any builtin group with a closed-form packing size and exact
 closed balls (finite, circle, torus), where a located set is one exact region
 of its group.  Regions are integers over one denominator, radii pass through
 as the ints, fractions or dyadics they are, and packing counts are exact
-integers (index ranges on the circle and tori); certified values come out as
-dyadics with 2^-n error bounds.  Determinism: identical inputs
-produce bit-identical outputs (no floats anywhere on these paths).
+integers (index ranges on the circle and tori); the radius search holds its
+levels as integers too, and a partition cell subtracts only the neighbours a
+packing's index query names.  Certified values come out as dyadics with 2^-n
+error bounds.  Determinism: identical inputs produce bit-identical outputs
+(no floats anywhere on these paths).
 
 Measure loop.  The termination test pairs an observable upper witness with an
 observable lower witness built from the generalized-ball identities
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional
 
 from .exactreal import (
@@ -33,6 +36,7 @@ from .exactreal import (
 )
 from .groups import Group
 from .packing import PackingTable
+from .regions import ratio
 
 
 class PackingExhausted(RuntimeError):
@@ -119,6 +123,11 @@ class ModulusOfContinuity:
 # pseudo-counting
 # ---------------------------------------------------------------------------
 
+def _near_count(region, T, n: int) -> int:
+    """#points of T within exact distance 3 * 2^-(n+2) of the region."""
+    return T.count_within(region, Dyadic(3, -(n + 2)))
+
+
 def pseudo_count(S: LocatedSet, T, n: int) -> Fraction:
     """Exact rational q with mu_T(S) <= q <= mu_T(B(2^-n, S)).
 
@@ -128,7 +137,7 @@ def pseudo_count(S: LocatedSet, T, n: int) -> Fraction:
     be.  No packing point is visited: grid packings on the circle and tori
     count unions of index ranges, finite packings the region's members.
     """
-    return Fraction(T.count_within(S.region, Dyadic(3, -(n + 2))), T.size)
+    return Fraction(_near_count(S.region, T, n), T.size)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +156,7 @@ def compute_measure(U: LocatedSet, packings: PackingTable, n: int, *,
     """
     target = Fraction(1, 1 << n)
     cap = max_level if max_level is not None else n + 48
-    m = max(1, n - 4)
+    start = m = max(1, n - 4)
     while m <= cap:
         r, r4 = Dyadic(1, -m), Dyadic(1, 2 - m)
         T = packings.packing(m)
@@ -157,6 +166,12 @@ def compute_measure(U: LocatedSet, packings: PackingTable, n: int, *,
             mid = (upper + lower) / 2
             return CertifiedValue(fraction_floor_to(mid, n + 8), -n)
         m += 1
+    if max_level is not None:
+        tried = (f"levels {start}..{cap} did not pinch" if cap >= start else
+                 f"no level tried, since the first is {start}")
+        raise PackingExhausted(
+            f"measure to 2^-{n} hit the effort cap at packing level {cap}: "
+            f"{tried}")
     raise NoConvergence(
         f"measure witnesses did not pinch to 2^-{n} by packing level {cap}; "
         "the set is likely not co-inner regular")
@@ -165,6 +180,14 @@ def compute_measure(U: LocatedSet, packings: PackingTable, n: int, *,
 # ---------------------------------------------------------------------------
 # co-inner-regular radius search
 # ---------------------------------------------------------------------------
+
+def _packing_level(num: int, den: int) -> int:
+    """The smallest N >= 3 with 2^-(N-3) <= num/den (num, den > 0), from bit
+    lengths: j = bitlen(den) - bitlen(num) puts num 2^j within a factor 2 of
+    den."""
+    j = max(0, den.bit_length() - num.bit_length())
+    return 3 + j + ((num << j) < den)
+
 
 class CoinnerRadiusSearch:
     """Nested rational intervals converging to a co-inner-regular radius.
@@ -175,44 +198,51 @@ class CoinnerRadiusSearch:
     the interval (one bit stronger than strictly needed, which absorbs the
     counting slacks), and the half with the smaller measure difference
     survives, pulled in by epsilon = width/10 on both sides.
+
+    A level is held as ints (lo, hi, den) read as lo/den, hi/den.  The next
+    level works over 10 den, where the marks and epsilon are integers: with
+    e = hi - lo, the marks are 10 lo + e, + 5e, + 9e and epsilon is e.  N is
+    read off bit lengths (``_packing_level``).  The three balls share one
+    packing, so their pseudo-counts compare as point counts.  ``level``
+    returns the exact rational pair.
     """
 
-    def __init__(self, G: Group, packings: PackingTable,
-                 a: Fraction, b: Fraction):
-        if not 0 < a < b:
+    def __init__(self, G: Group, packings: PackingTable, a, b):
+        (an, ad), (bn, bd) = ratio(a), ratio(b)
+        if not 0 < an * bd < bn * ad:
             raise ValueError("need 0 < a < b")
         self.group = G
         self.packings = packings
         self.center = G.dense(0)
-        self.levels = [(a + (b - a) / 10, b - (b - a) / 10)]
+        den = 10 * lcm(ad, bd)
+        lo, hi = an * (den // ad), bn * (den // bd)
+        e = (hi - lo) // 10
+        self.levels = [(lo + e, hi - e, den)]
 
     def level(self, k: int) -> tuple[Fraction, Fraction]:
         while len(self.levels) <= k:
-            a1, b1 = self.levels[-1]
-            w = b1 - a1
-            r1, r5, r9 = a1 + w / 10, a1 + w / 2, a1 + 9 * w / 10
-            eps = w / 10
-            N = 3
-            while Fraction(1, 1 << (N - 3)) > eps:
-                N += 1
+            lo, hi, den = self.levels[-1]
+            e, lo, den = hi - lo, 10 * lo, 10 * den
+            N = _packing_level(e, den)
             if N > 4096:
                 raise PackingExhausted(f"radius search needs packing level {N}")
             T = self.packings.packing(N)
-            m1 = pseudo_count(LocatedSet.ball(self.group, self.center, r1), T, N)
-            m5 = pseudo_count(LocatedSet.ball(self.group, self.center, r5), T, N)
-            m9 = pseudo_count(LocatedSet.ball(self.group, self.center, r9), T, N)
-            if m9 - m5 <= m5 - m1:
-                self.levels.append((r1 + eps, r5 - eps))
-            else:
-                self.levels.append((r5 + eps, r9 - eps))
-        return self.levels[k]
+            c1, c5, c9 = (_near_count(
+                self.group.region(self.center, Fraction(lo + i * e, den)), T, N)
+                for i in (1, 5, 9))
+            lo += 2 * e if c9 - c5 <= c5 - c1 else 6 * e
+            self.levels.append((lo, lo + 2 * e, den))
+        lo, hi, den = self.levels[k]
+        return Fraction(lo, den), Fraction(hi, den)
 
-    def bracket_below(self, width: Fraction) -> tuple[Fraction, Fraction]:
+    def bracket_below(self, width) -> tuple[Fraction, Fraction]:
+        wn, wd = ratio(width)
         k = 0
         while True:
-            a, b = self.level(k)
-            if b - a <= width:
-                return a, b
+            self.level(k)
+            lo, hi, den = self.levels[k]
+            if (hi - lo) * wd <= wn * den:
+                return Fraction(lo, den), Fraction(hi, den)
             k += 1
 
 
@@ -228,8 +258,7 @@ def find_coinner_radius(a: Dyadic, b: Dyadic,
     guaranteed to halve, so the search must descend to level n even when the
     interval narrows earlier.
     """
-    search = CoinnerRadiusSearch(packings.group, packings,
-                                 a.as_fraction(), b.as_fraction())
+    search = CoinnerRadiusSearch(packings.group, packings, a, b)
     k = n
     while True:
         lo, hi = search.level(k)
@@ -260,27 +289,32 @@ def find_nice_partition(G: Group, packings: PackingTable, n: int, *,
     below 2^-q, and cell i is the region B(r_lo, p_i) minus the balls
     B(r_hi, p_j) of its predecessors, which lies inside the true cell.  The
     mass it leaves out is bounded in ``ring_bound``.
+
+    A predecessor farther than 2 r_hi has a ball disjoint from the cell, so
+    only the packing's ``indices_within`` answer for the point p_i at
+    threshold 2 r_hi is subtracted, in index order: exact index arithmetic
+    on the circle and tori, membership on finite groups.  No metric is
+    evaluated, and the cells are those of a scan over all pairs.
     """
     q = radius_precision if radius_precision is not None else n + 16
-    search = CoinnerRadiusSearch(G, packings,
-                                 Fraction(1, 1 << (n + 1)), Fraction(1, 1 << n))
-    r_lo, r_hi = search.bracket_below(Fraction(1, 1 << (q + 1)))
+    search = CoinnerRadiusSearch(G, packings, Dyadic(1, -(n + 1)), Dyadic(1, -n))
+    r_lo, r_hi = search.bracket_below(Dyadic(1, -(q + 1)))
     # outward rounding to dyadics keeps the bracket valid and keeps all later
     # region arithmetic on power-of-two denominators
     r_lo = fraction_floor_to(r_lo, q + 4)
     r_hi = fraction_ceil_to(r_hi, q + 4)
-    centers = packings.packing(n + 1).points_list()
+    T = packings.packing(n + 1)
+    centers = T.points_list()
     mid = (r_lo + r_hi).half().floor_to(q + 4)
     two_r = r_hi.scale2(1)
     cells = []
     balls = []
     for i, p in enumerate(centers):
-        # balls certainly farther than 2R cannot intersect: subtracting them
-        # is a no-op, so the cell only needs its nearby predecessors
         cell = G.region(p, r_lo)
-        for j in range(i):
-            if not G.metric(centers[j], p, q + 8).lo > two_r:
-                cell = cell.subtract(balls[j])
+        for j in T.indices_within(G.region(p, 0), two_r):
+            if j >= i:
+                break
+            cell = cell.subtract(balls[j])
         cells.append(PartitionCell(center=p,
                                    radius=CertifiedValue(mid, -q),
                                    set=LocatedSet(G, cell), index=i + 1))
@@ -302,11 +336,13 @@ def ring_bound(G: Group, cells, M: Fraction, n: int) -> Dyadic:
     predecessors, lies in C_i up to a null set; a point of C_i it misses lies
     in the ring B(R, p_i) - B(r_lo, p_i) or in a ring B(r_hi, p_j) - B(R, p_j)
     of a nearby j (a predecessor farther than 2 r_hi has a ball disjoint from
-    B(r_hi, p_i)).  The cells' radius rho +- 2^-q encloses [r_lo, r_hi], so by
-    translation invariance every ring has mass at most s = mu(B(rho + 2^-q,
-    e)) - mu(B(rho - 2^-q, e)).  A cell has fewer than ncells predecessors, so
-    with |f| <= M the sum of mu(region_i) f(p_i) lies within M * ncells^2 * s
-    of the sum of mu(C_i) f(p_i).  On a finite group both balls are {e}: s = 0.
+    B(r_hi, p_i); ``find_nice_partition``'s neighbour query subtracts exactly
+    the predecessors within 2 r_hi, the same set as a scan over all pairs).
+    The cells' radius rho +- 2^-q encloses [r_lo, r_hi], so by translation
+    invariance every ring has mass at most s = mu(B(rho + 2^-q, e)) -
+    mu(B(rho - 2^-q, e)).  A cell has fewer than ncells predecessors, so with
+    |f| <= M the sum of mu(region_i) f(p_i) lies within M * ncells^2 * s of
+    the sum of mu(C_i) f(p_i).  On a finite group both balls are {e}: s = 0.
     """
     rho = cells[0].radius.as_interval()
     s = (G.region(G.identity, rho.hi).measure()
@@ -320,14 +356,22 @@ def compute_integral(G: Group, f, modulus: ModulusOfContinuity, bound_M,
     """Certified Haar integral: partition at the modulus scale, then sum
     cell measures times center values.
 
-    Cell i's measure is computed to 2^-(n+2+i+ceil(log2 max(M,1))), one bit
-    finer than the classical n+1+i schedule to leave room for the interval
-    widths of the f evaluations; the geometric series then bounds the measure
-    error by 2^-(n+2), the modulus term by 2^-(n+1), and the f enclosures by
-    2^-(n+3), inside the 2^-n certificate with slack for rounding.  The
-    cells' regions miss part of the true cells' mass; ``ring_bound`` widens
-    the enclosure by it, one step of 2^-(n+10) on the circle at this radius
-    precision.
+    Flat measure schedule.  Let b = bitlen(ncells) and log M =
+    ceil(log2 max(M, 1)), so ncells < 2^b and |f| <= M <= 2^log M.  Every
+    cell's measure is computed to the same 2^-t, t = n + 3 + b + log M, so
+    the summed measure error is at most M ncells 2^-t < 2^-(n+3).  The
+    modulus term is at most 2^-(n+1) and the f enclosures add at most
+    2^-(n+3), inside the 2^-n certificate with slack for rounding.  Whatever
+    t is, the interval sum keeps the enclosure sound; the schedule only makes
+    the width check below pass.
+
+    Radius precision.  The cells' regions miss part of the true cells' mass;
+    ``ring_bound`` widens the enclosure by it.  The radius is pinned to
+    q = t + 18 + b = n + 21 + 2b + log M bits, and on the circle a ring has
+    mass s <= 4 * 2^-q, so M ncells^2 s <= 2^(log M + 2b + 2 - q) =
+    2^-(n+19): one step of 2^-(n+10) (on torus:d at most d times that, on
+    finite groups 0).  Both t and q grow with log ncells, not with ncells,
+    so no cell needs measures or radii of ncells bits.
     """
     M = _as_fraction(bound_M)
     if M <= 0:
@@ -335,13 +379,13 @@ def compute_integral(G: Group, f, modulus: ModulusOfContinuity, bound_M,
     m_f = modulus.eval(n + 1)
     ncells = packings.size(m_f + 1)
     log_m = max(0, _ceil_log2(max(M, Fraction(1))))
-    qprec = n + 2 + ncells + log_m + 18 + ncells.bit_length()
+    t = n + 3 + ncells.bit_length() + log_m
+    qprec = t + 18 + ncells.bit_length()
     cells = find_nice_partition(G, packings, m_f, radius_precision=qprec)
     wp_f = n + 6
     total = Interval.from_int(0)
     for cell in cells:
-        t_i = n + 2 + cell.index + log_m
-        meas = compute_measure(cell.set, packings, t_i,
+        meas = compute_measure(cell.set, packings, t,
                                max_level=max_level).as_interval()
         fv = f(cell.center, wp_f)
         if fv.lo.as_fraction() > M or fv.hi.as_fraction() < -M:

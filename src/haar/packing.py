@@ -8,11 +8,12 @@ finite: the order).  Counting never enumerates a packing: the circle and
 torus grid packings count the points near a box region as a union of index
 ranges, and the finite packing counts the region's members, so the measure
 procedures can consume packing levels whose cardinality is astronomically
-large.  Points are materialized only for partition centres and printing; the
-dovetail search of the generic construction is available alongside for
-explicit small packings.  The packing classes are the one place the
-closed forms are written: each group's ``packing`` field builds them and
-``Group.kappa`` reads their sizes.
+large.  The same index boxes (or members) answer ``indices_within``, which
+points lie near a region, for the partition's neighbour scan.  Points are
+materialized only for partition centres and printing; the dovetail search of
+the generic construction is available alongside for explicit small packings.
+The packing classes are the one place the closed forms are written: each
+group's ``packing`` field builds them and ``Group.kappa`` reads their sizes.
 """
 
 from __future__ import annotations
@@ -59,13 +60,17 @@ class FinitePacking:
     def points_list(self):
         return list(self._points)
 
-    def count_within(self, region: FiniteRegion, threshold) -> int:
-        """#points at discrete distance <= threshold: the region's members,
-        or every point once the threshold reaches 1."""
+    def indices_within(self, region: FiniteRegion, threshold) -> list[int]:
+        """Sorted indices of the points at discrete distance <= threshold:
+        the region's members, or every point once the threshold reaches 1
+        (point k is element k)."""
         num, den = ratio(threshold)
         if num >= den and region.members:
-            return self.size
-        return len(region.members.intersection(self._points))
+            return list(self._points)
+        return sorted(region.members.intersection(self._points))
+
+    def count_within(self, region: FiniteRegion, threshold) -> int:
+        return len(self.indices_within(region, threshold))
 
 
 class CircleGridPacking:
@@ -121,16 +126,34 @@ class CircleGridPacking:
 
     def count_within(self, region: BoxRegion, threshold) -> int:
         """#points with exact circle distance <= threshold to the region."""
-        return _count_near(self, region, threshold)
+        return _union_size(_near_boxes(self, region, threshold))
+
+    def indices_within(self, region: BoxRegion, threshold) -> list[int]:
+        """Sorted indices k of the points x_k within exact circle distance
+        threshold of the region."""
+        return _box_indices(_near_boxes(self, region, threshold), self.size)
 
 
-def _count_near(circle: CircleGridPacking, region: BoxRegion, threshold) -> int:
-    """#points of the d-fold product of ``circle`` within max-metric distance
-    threshold >= 0 of the region: every box thickened by the threshold is a
-    union of index boxes, and their union is counted once by a sweep."""
+def _near_boxes(circle: CircleGridPacking, region: BoxRegion, threshold) -> list:
+    """The points of the d-fold product of ``circle`` within max-metric
+    distance threshold >= 0 of the region, as a union of index boxes (tuples
+    of half-open index ranges, one per axis): every box thickened by the
+    threshold is a product of the circle's index ranges."""
     den, boxes, t = region.lifted(threshold)
-    return _union_size([ib for box in boxes for ib in product(
-        *(circle._ranges(lo - t, hi + t, den) for lo, hi in box))])
+    return [ib for box in boxes for ib in product(
+        *(circle._ranges(lo - t, hi + t, den) for lo, hi in box))]
+
+
+def _box_indices(boxes, K: int) -> list[int]:
+    """Sorted row-major indices, base K, of the lattice points in a union of
+    index boxes: the positions of those points in the product packing."""
+    out = set()
+    for box in boxes:
+        flat = [0]
+        for a, z in box:
+            flat = [f * K + k for f in flat for k in range(a, z)]
+        out.update(flat)
+    return sorted(out)
 
 
 def _union_size(boxes) -> int:
@@ -176,7 +199,13 @@ class TorusGridPacking:
 
     def count_within(self, region: BoxRegion, threshold) -> int:
         """#points with exact max-metric distance <= threshold to the region."""
-        return _count_near(self.circle, region, threshold)
+        return _union_size(_near_boxes(self.circle, region, threshold))
+
+    def indices_within(self, region: BoxRegion, threshold) -> list[int]:
+        """Sorted positions in ``iter_points`` order of the points within
+        exact max-metric distance threshold of the region."""
+        return _box_indices(_near_boxes(self.circle, region, threshold),
+                            self.circle.size)
 
 
 class PackingTable:

@@ -106,6 +106,23 @@ class TestIntegrate:
 
 
 class TestMeasure:
+    def test_effort_cap_below_the_first_level_names_the_cap(self, capsys):
+        # at precision 10 the measure loop starts at packing level 6
+        code, out, err = run(capsys, "measure", "--group", "circle",
+                             "--set", "ball(0,1/4)", "--precision", "10",
+                             "--effort-cap", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("PackingExhausted: ")
+        assert "packing level 3" in err and "the first is 6" in err
+        assert "co-inner" not in err
+
+    def test_effort_cap_names_the_levels_tried(self, capsys):
+        code, out, err = run(capsys, "measure", "--group", "circle",
+                             "--set", "ball(0,1/4)", "--precision", "10",
+                             "--effort-cap", "7")
+        assert code == 2 and out == ""
+        assert err.startswith("PackingExhausted: ") and "levels 6..7" in err
+
     def test_circle_arc(self, capsys):
         code, out, err = run(capsys, "measure", "--group", "circle",
                              "--set", "ball(0,1/8)", "--precision", "4")

@@ -1,15 +1,19 @@
 """The packing-based measure/integral machinery and its supporting lemmas."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from haar.cli import parse_group
-from haar.exactreal import Dyadic
+from haar.exactreal import (
+    CertifiedValue, Dyadic, fraction_ceil_to, fraction_floor_to,
+)
 from haar.generic import (
-    CoinnerRadiusSearch, LocatedSet, ModulusOfContinuity,
-    compute_integral, compute_measure, find_coinner_radius,
+    CoinnerRadiusSearch, LocatedSet, ModulusOfContinuity, PackingExhausted,
+    PartitionCell, compute_integral, compute_measure, find_coinner_radius,
     find_nice_partition, pseudo_count, ring_bound,
 )
 from haar import generic
@@ -236,6 +240,140 @@ class TestCoinnerRadius:
             assert gap <= 2 * Fraction(1, 1 << n)
 
 
+class _FractionRadiusSearch:
+    """The radius search as it was on ``Fraction`` intervals, kept verbatim
+    as an oracle for the integer search."""
+
+    def __init__(self, G, packings, a: Fraction, b: Fraction):
+        if not 0 < a < b:
+            raise ValueError("need 0 < a < b")
+        self.group = G
+        self.packings = packings
+        self.center = G.dense(0)
+        self.levels = [(a + (b - a) / 10, b - (b - a) / 10)]
+
+    def level(self, k: int) -> tuple[Fraction, Fraction]:
+        while len(self.levels) <= k:
+            a1, b1 = self.levels[-1]
+            w = b1 - a1
+            r1, r5, r9 = a1 + w / 10, a1 + w / 2, a1 + 9 * w / 10
+            eps = w / 10
+            N = 3
+            while Fraction(1, 1 << (N - 3)) > eps:
+                N += 1
+            if N > 4096:
+                raise PackingExhausted(f"radius search needs packing level {N}")
+            T = self.packings.packing(N)
+            m1 = pseudo_count(LocatedSet.ball(self.group, self.center, r1), T, N)
+            m5 = pseudo_count(LocatedSet.ball(self.group, self.center, r5), T, N)
+            m9 = pseudo_count(LocatedSet.ball(self.group, self.center, r9), T, N)
+            if m9 - m5 <= m5 - m1:
+                self.levels.append((r1 + eps, r5 - eps))
+            else:
+                self.levels.append((r5 + eps, r9 - eps))
+        return self.levels[k]
+
+    def bracket_below(self, width: Fraction) -> tuple[Fraction, Fraction]:
+        k = 0
+        while True:
+            a, b = self.level(k)
+            if b - a <= width:
+                return a, b
+            k += 1
+
+
+RADIUS_GROUPS = ["circle", "torus:1", "torus:2", "cyclic:1", "cyclic:6"]
+
+
+class TestRadiusSearchOracle:
+    @settings(max_examples=40)
+    @given(spec=st.sampled_from(RADIUS_GROUPS), a_m=st.integers(1, 1 << 10),
+           a_e=st.integers(0, 12), w_m=st.integers(1, 1 << 10),
+           w_e=st.integers(0, 12))
+    def test_levels_match_the_fraction_search(self, spec, a_m, a_e, w_m, w_e):
+        G = parse_group(spec, None)
+        a = Dyadic(a_m, -a_e)
+        b = a + Dyadic(w_m, -w_e)
+        new_pk, old_pk = PackingTable(G), PackingTable(G)
+        new = CoinnerRadiusSearch(G, new_pk, a, b)
+        old = _FractionRadiusSearch(G, old_pk, a.as_fraction(), b.as_fraction())
+        for k in range(13):
+            assert new.level(k) == old.level(k), k
+        # the same packing levels were consulted
+        assert sorted(new_pk._cache) == sorted(old_pk._cache)
+
+    @settings(max_examples=300)
+    @given(num=st.integers(1, 1 << 64), den=st.integers(1, 1 << 128))
+    def test_packing_level_matches_the_stepping_loop(self, num, den):
+        eps = Fraction(num, den)
+        N = 3
+        while Fraction(1, 1 << (N - 3)) > eps:
+            N += 1
+        assert generic._packing_level(num, den) == N
+
+
+def _all_pairs_partition(G, packings, n, q):
+    """Nice partition by a scan over all pairs of centres, with the radius
+    bracket from the ``Fraction`` search: the oracle for the neighbour scan."""
+    search = _FractionRadiusSearch(G, packings,
+                                   Fraction(1, 1 << (n + 1)), Fraction(1, 1 << n))
+    r_lo, r_hi = search.bracket_below(Fraction(1, 1 << (q + 1)))
+    r_lo = fraction_floor_to(r_lo, q + 4)
+    r_hi = fraction_ceil_to(r_hi, q + 4)
+    centers = packings.packing(n + 1).points_list()
+    mid = (r_lo + r_hi).half().floor_to(q + 4)
+    two_r = r_hi.scale2(1)
+    cells = []
+    balls = []
+    for i, p in enumerate(centers):
+        cell = G.region(p, r_lo)
+        for j in range(i):
+            if not G.metric(centers[j], p, q + 8).lo > two_r:
+                cell = cell.subtract(balls[j])
+        cells.append(PartitionCell(center=p,
+                                   radius=CertifiedValue(mid, -q),
+                                   set=LocatedSet(G, cell), index=i + 1))
+        balls.append(G.region(p, r_hi))
+    return cells
+
+
+def _cell_key(cell):
+    reg = cell.set.region
+    shape = ((reg.den, reg.boxes) if isinstance(reg, BoxRegion)
+             else sorted(reg.members))
+    return (cell.index, cell.center, cell.radius.value,
+            cell.radius.error_exponent, shape)
+
+
+PARTITION_CASES = ([("circle", n) for n in range(1, 6)]
+                   + [("torus:1", n) for n in range(1, 4)]
+                   + [("torus:2", 1)]
+                   + [(name, n) for name in ("cyclic:1", "cyclic:5", "z2xz2",
+                                             "s3", "q8") for n in (1, 2)])
+
+
+def _partition_group(name):
+    if name in FIXTURE_TABLES:
+        return make_group("finite", table=FIXTURE_TABLES[name]())
+    return parse_group(name, None)
+
+
+@pytest.mark.parametrize("name,n", PARTITION_CASES)
+def test_partition_equals_the_all_pairs_scan(name, n):
+    G = _partition_group(name)
+    calls = []
+
+    def counted(x, y, p):
+        calls.append(1)
+        return G.metric(x, y, p)
+
+    counted_G = dataclasses.replace(G, metric=counted)
+    got = find_nice_partition(counted_G, PackingTable(counted_G), n)
+    assert calls == []
+    want = _all_pairs_partition(G, PackingTable(G), n, n + 16)
+    assert [_cell_key(c) for c in got] == [_cell_key(c) for c in want]
+
+
 def _outer_cells(cells):
     """Arc cells that contain the true ones: the ball of the radius' upper
     end minus the balls of its lower end around the earlier centers."""
@@ -324,7 +462,6 @@ class TestComputeIntegral:
                              spec.bound, pk, 4)
         assert abs(v.value.as_fraction() - Fraction(1, 2)) <= Fraction(1, 16)
 
-    @pytest.mark.slow
     def test_circle_cos2_n6(self, circle):
         from haar.functions import builtin_integrand
         pk = PackingTable(circle)
@@ -353,6 +490,42 @@ class TestComputeIntegral:
         assert len(seen) == 1
         assert 0 < seen[0].as_fraction() <= Fraction(1, 1 << (n + 10))
         assert abs(v.value.as_fraction() - Fraction(1, 2)) <= Fraction(1, 1 << n)
+
+    @pytest.mark.parametrize("name", ["re", "re2", "abs-re"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_flat_schedule_certificate(self, circle, monkeypatch, name, n):
+        # every cell is measured to one 2^-t whose summed error fits 2^-(n+3),
+        # the left-out ring mass fits one 2^-(n+10) step, and the value is
+        # certified against the closed form
+        from haar.functions import builtin_integrand
+        ts, rings = [], []
+        measure, ring = generic.compute_measure, generic.ring_bound
+
+        def spy_measure(U, packings, t, **kw):
+            ts.append(t)
+            return measure(U, packings, t, **kw)
+
+        def spy_ring(*args):
+            rings.append(ring(*args))
+            return rings[-1]
+
+        monkeypatch.setattr(generic, "compute_measure", spy_measure)
+        monkeypatch.setattr(generic, "ring_bound", spy_ring)
+        spec = builtin_integrand(name, "circle")
+        v = compute_integral(circle, spec.eval,
+                             ModulusOfContinuity.from_lipschitz(spec.lipschitz),
+                             spec.bound, PackingTable(circle), n)
+        M = spec.bound.as_fraction()
+        (t,) = set(ts)
+        assert M * len(ts) / (1 << t) <= Fraction(1, 1 << (n + 3))
+        assert len(rings) == 1
+        assert rings[0].as_fraction() <= Fraction(1, 1 << (n + 10))
+        # 2/pi lies in [lo, hi]; the certified interval must cover it
+        lo, hi = {"re": (Fraction(0),) * 2, "re2": (Fraction(1, 2),) * 2,
+                  "abs-re": (Fraction(6366197723675813, 10 ** 16),
+                             Fraction(6366197723675814, 10 ** 16))}[name]
+        err = Fraction(1, 1 << n)
+        assert v.value.as_fraction() - err <= lo and hi <= v.value.as_fraction() + err
 
     def test_finite_ring_bound_is_zero(self):
         G = make_group("cyclic", k=5)

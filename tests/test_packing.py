@@ -13,7 +13,7 @@ from haar.packing import (
     TorusGridPacking, max_packing, packing_size, packing_size_bracket,
     separation_certificate,
 )
-from haar.regions import BoxRegion, FiniteRegion
+from haar.regions import BoxRegion, FiniteRegion, ratio
 
 
 def grid_sweep_max(n: int, g: int) -> int:
@@ -219,6 +219,63 @@ class TestGridPackings:
         assert lines[0] == "3 7"
         assert len(lines) == 8
         assert all("*2^" in ln or ln == "0*2^0" for ln in lines[1:])
+
+
+# the largest level per group whose packing the brute force still enumerates
+NEIGHBOUR_GROUPS = {"circle": 6, "torus:1": 6, "torus:2": 4, "torus:3": 2,
+                    "cyclic:1": 2, "cyclic:5": 2, "cyclic:8": 2}
+
+
+def _draw_element(G, data):
+    if G.kind == "finite":
+        return data.draw(st.integers(0, G.order - 1))
+    coord = st.integers(0, 1023).map(lambda k: Dyadic(k, -10))
+    if G.kind == "circle":
+        return data.draw(coord)
+    return tuple(data.draw(coord) for _ in range(G.dim))
+
+
+def _coords(G, p):
+    """A packing point as the argument of ``region.distance``."""
+    return (p,) if G.kind == "circle" else p
+
+
+class TestNeighbourQuery:
+    """``indices_within`` against brute force over ``iter_points``."""
+
+    @settings(max_examples=150)
+    @given(spec=st.sampled_from(sorted(NEIGHBOUR_GROUPS)), data=st.data())
+    def test_point_neighbours_match_the_metric(self, spec, data):
+        G = parse_group(spec, None)
+        pk = G.packing(data.draw(st.integers(-1, NEIGHBOUR_GROUPS[spec])))
+        c = _draw_element(G, data)
+        r = data.draw(st.one_of(
+            st.integers(0, 1 << 12).map(lambda k: Dyadic(k, -12)),
+            st.fractions(min_value=0, max_value=1, max_denominator=1 << 8)))
+        bound = Fraction(*ratio(r))
+        slow = [k for k, p in enumerate(pk.iter_points())
+                if G.metric(p, c, 0).lo.as_fraction() <= bound]
+        assert pk.indices_within(G.region(c, 0), r) == slow
+
+    @settings(max_examples=150)
+    @given(spec=st.sampled_from(sorted(NEIGHBOUR_GROUPS)), data=st.data())
+    def test_region_neighbours_match_enumeration(self, spec, data):
+        G = parse_group(spec, None)
+        pk = G.packing(data.draw(st.integers(-1, NEIGHBOUR_GROUPS[spec])))
+        radius = st.integers(0, 1 << 6).map(lambda k: Fraction(k, 1 << 7))
+        region = G.region(_draw_element(G, data), data.draw(radius))
+        for op in data.draw(st.lists(
+                st.sampled_from(["union", "subtract", "expand"]), max_size=2)):
+            region = (region.expand(data.draw(radius)) if op == "expand"
+                      else getattr(region, op)(
+                          G.region(_draw_element(G, data), data.draw(radius))))
+        threshold = data.draw(st.fractions(min_value=0, max_value=1,
+                                           max_denominator=1 << 8))
+        slow = [k for k, p in enumerate(pk.iter_points())
+                if region.distance(_coords(G, p)) <= threshold]
+        got = pk.indices_within(region, threshold)
+        assert got == slow
+        assert pk.count_within(region, threshold) == len(got)
 
 
 class TestMaxPacking:
