@@ -8,17 +8,15 @@ interval arithmetic underneath in ``haar.exactreal``.
 
 from .exactreal import (
     CertifiedValue, DivisionByIntervalContainingZero, DomainError, Dyadic,
-    Interval, NoConvergence, arccos_enclosure, cos_enclosure,
-    elementary_enclosure, interval_arith, pi_enclosure, refine,
-    sin_enclosure, sincos_pi, sqrt_enclosure,
+    EffortExceeded, Interval, NoConvergence, arccos_enclosure, cos_enclosure,
+    pi_enclosure, sin_enclosure, sincos_pi, sqrt_enclosure,
 )
 from .groups import (
-    EffortExceeded, Group, InvalidCayleyTable, Versor, biinvariant_metric,
-    group_op, make_group, parse_cayley, so3_from_versor, u2_matrix,
+    Group, InvalidCayleyTable, Versor, make_group, parse_cayley,
 )
 from .packing import (
-    KappaUnavailable, PackingTable, max_packing, packing_size,
-    packing_size_bracket, separation_certificate,
+    KappaUnavailable, PackingTable, packing_size, packing_size_bracket,
+    separation_certificate,
 )
 from .generic import (
     LocatedSet, ModulusOfContinuity, PackingExhausted, PartitionCell,

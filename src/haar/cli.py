@@ -21,15 +21,15 @@ from fractions import Fraction
 
 from .exactreal import (
     CertifiedValue, DivisionByIntervalContainingZero, DomainError, Dyadic,
-    NoConvergence,
+    EffortExceeded, NoConvergence,
 )
 from .generic import (
     LocatedSet, ModulusOfContinuity, PackingExhausted,
     compute_integral, compute_measure,
 )
-from .groups import EffortExceeded, InvalidCayleyTable, make_group, parse_cayley
+from .groups import InvalidCayleyTable, make_group, parse_cayley
 from .functions import builtin_integrand, builtin_names, values_integrand
-from .packing import KappaUnavailable, PackingTable, packing_size
+from .packing import KappaUnavailable, PackingTable
 from .quadrature import QUADRATURE_KINDS, InvalidBound, haar_integral_derived
 
 
@@ -207,8 +207,7 @@ def cmd_measure(args) -> int:
 
 def cmd_packing(args) -> int:
     G = parse_group(args.group, args.cayley)
-    packing_size(G, args.precision)      # raises KappaUnavailable if absent
-    table = PackingTable(G)
+    table = PackingTable(G)              # raises KappaUnavailable if absent
     print(table.serialize_entry(args.precision))
     return 0
 

@@ -304,19 +304,6 @@ class CertifiedValue:
         return f"CertifiedValue({self.value!r}, {self.error_exponent})"
 
 
-def interval_arith(a: Interval, b: Interval, op: str, p: int = 53) -> Interval:
-    """Dispatch form of the four interval operations; division rounds to 2^-p."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a.divide(b, p)
-    raise ValueError(f"unknown operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # pi
 # ---------------------------------------------------------------------------
@@ -578,47 +565,3 @@ def arccos_enclosure(x: Interval, p: int) -> Interval:
     lo, _ = _arccos_point_brackets(b, p + 2)   # arccos decreasing
     _, hi = _arccos_point_brackets(a, p + 2)
     return Interval.from_fractions(max(lo, Fraction(0)), hi, p + 2)
-
-
-def abs_enclosure(x: Interval, p: int = 0) -> Interval:
-    """Exact enclosure of |x|; p accepted for interface uniformity."""
-    return x.abs()
-
-
-_ELEMENTARY = {
-    "sin": sin_enclosure,
-    "cos": cos_enclosure,
-    "sqrt": sqrt_enclosure,
-    "arccos": arccos_enclosure,
-    "abs": abs_enclosure,
-}
-
-
-def elementary_enclosure(name: str, x: Interval, p: int) -> Interval:
-    try:
-        f = _ELEMENTARY[name]
-    except KeyError:
-        raise ValueError(f"no elementary enclosure named {name!r}") from None
-    return f(x, p)
-
-
-# ---------------------------------------------------------------------------
-# precision-refinement driver
-# ---------------------------------------------------------------------------
-
-def refine(computation, n: int, max_iterations: int = 40) -> CertifiedValue:
-    """Run ``computation(working_precision) -> Interval`` until width <= 2^-n.
-
-    Working precision starts at max(n+4, 16) and doubles per iteration, so the
-    total cost stays within a constant factor of the final iteration.  Returns
-    the midpoint of the first sufficiently narrow interval, error bound 2^-n.
-    """
-    target = Dyadic(1, -n)
-    wp = max(n + 4, 16)
-    for _ in range(max_iterations):
-        enc = computation(wp)
-        if enc.width() <= target:
-            return CertifiedValue(enc.midpoint(), -n)
-        wp *= 2
-    raise NoConvergence(
-        f"no interval of width <= 2^-{n} after {max_iterations} refinements")

@@ -213,7 +213,7 @@ class CoinnerRadiusSearch:
             raise ValueError("need 0 < a < b")
         self.group = G
         self.packings = packings
-        self.center = G.dense(0)
+        self.center = G.identity
         den = 10 * lcm(ad, bd)
         lo, hi = an * (den // ad), bn * (den // bd)
         e = (hi - lo) // 10

@@ -2,8 +2,8 @@
 the derived groups SO(3), O(3), U(2).
 
 A ``Group`` bundles the data the Haar algorithms consume: a certified metric,
-the group operation, a dense sequence, a diameter bound, and (on finite groups,
-the circle and tori) its maximum n-packings and exact closed balls.  The
+the group operation and inverse, an identity, a diameter bound, and (on finite
+groups, the circle and tori) its maximum n-packings and exact closed balls.  The
 packing classes in ``packing`` carry the closed-form sizes kappa(n), and
 ``Group.kappa`` reads them there.  Elements are represented per
 instance: finite groups use integer indices, circle/torus points are dyadics
@@ -15,12 +15,10 @@ evaluators are pure functions of their arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .exactreal import (
-    Dyadic, EffortExceeded, Interval, ZERO, ONE,
-    arccos_enclosure, dyadic_max, dyadic_min, pi_enclosure, sincos_pi,
+    Dyadic, Interval, ZERO, ONE, arccos_enclosure, dyadic_max, dyadic_min,
 )
 from .packing import CircleGridPacking, FinitePacking, TorusGridPacking
 from .regions import BoxRegion, FiniteRegion
@@ -31,7 +29,6 @@ class InvalidCayleyTable(ValueError):
 
 
 HALF = Dyadic(1, -1)
-TWO = Dyadic(2)
 
 
 # ---------------------------------------------------------------------------
@@ -95,25 +92,6 @@ QUAT_J = Versor.exact(ZERO, ZERO, ONE, ZERO)
 QUAT_K = Versor.exact(ZERO, ZERO, ZERO, ONE)
 
 
-def so3_from_versor(q: Versor, p: int) -> tuple:
-    """3x3 interval rotation matrix of v -> q v q^-1 on pure quaternions.
-
-    q and -q give the same matrix (the double cover); column norms and the
-    determinant enclose 1 when q encloses a unit quaternion.
-    """
-    a, b, c, d = q.components()
-    aa, bb, cc, dd = a.square(), b.square(), c.square(), d.square()
-    ab, ac, ad = a * b, a * c, a * d
-    bc, bd, cd = b * c, b * d, c * d
-    two = Interval.from_int(2)
-    rows = (
-        (aa + bb - cc - dd, two * (bc - ad), two * (bd + ac)),
-        (two * (bc + ad), aa - bb + cc - dd, two * (cd - ab)),
-        (two * (bd - ac), two * (cd + ab), aa - bb - cc + dd),
-    )
-    return tuple(tuple(x.round_out(p) for x in row) for row in rows)
-
-
 # ---------------------------------------------------------------------------
 # circle helpers (elements are dyadics in [0,1), exact arithmetic)
 # ---------------------------------------------------------------------------
@@ -124,33 +102,6 @@ def circle_normalize(x: Dyadic) -> Dyadic:
         return ZERO
     den = 1 << -x.e
     return Dyadic(x.m % den, x.e)
-
-
-def dyadic_enumeration(i: int) -> Dyadic:
-    """Level-order dyadics in [0,1): 0, 1/2, 1/4, 3/4, 1/8, 3/8, ...
-
-    Every point of the circle is within 2^-m of some index < 2^m.
-    """
-    if i == 0:
-        return ZERO
-    level = i.bit_length()          # i in [2^(level-1), 2^level)
-    k = i - (1 << (level - 1))      # 0 .. 2^(level-1) - 1
-    return Dyadic(2 * k + 1, -level)
-
-
-def _pair_index(i: int) -> tuple[int, int]:
-    # Cantor diagonal unpairing
-    s = 0
-    while (s + 1) * (s + 2) // 2 <= i:
-        s += 1
-    a = i - s * (s + 1) // 2
-    return a, s - a
-
-
-def _triple_index(i: int) -> tuple[int, int, int]:
-    a, rest = _pair_index(i)
-    b, c = _pair_index(rest)
-    return a, b, c
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +115,6 @@ class Group:
     metric: Callable[[object, object, int], Interval]
     op: Callable[[object, object, int], object]
     inverse: Callable[[object, int], object]
-    dense: Callable[[int], object]
     diameter_bound: Dyadic
     packing: Optional[Callable[[int], object]] = None    # n -> maximum n-packing
     region: Optional[Callable[[object, object], object]] = None  # closed ball
@@ -249,7 +199,6 @@ def _finite_group(table) -> Group:
         metric=metric,
         op=lambda a, b, p: table[a][b],
         inverse=lambda a, p: inv[a],
-        dense=lambda i: i % k,
         diameter_bound=ONE if k > 1 else ZERO,
         packing=lambda n: FinitePacking(k, n),
         region=lambda c, r: FiniteRegion.ball(k, c, r),
@@ -277,7 +226,6 @@ def _circle_group() -> Group:
         metric=circle_metric,
         op=lambda x, y, p: circle_normalize(x + y),
         inverse=lambda x, p: circle_normalize(-x),
-        dense=dyadic_enumeration,
         diameter_bound=HALF,
         packing=CircleGridPacking,
         region=lambda c, r: BoxRegion.ball(1, (c,), r),
@@ -288,21 +236,11 @@ def _torus_group(d: int) -> Group:
     def metric(x, y, p):
         return Interval.point(max(circle_metric(a, b).lo for a, b in zip(x, y)))
 
-    def dense(i):
-        idx = []
-        rest = i
-        for _ in range(d - 1):
-            a, rest = _pair_index(rest)
-            idx.append(a)
-        idx.append(rest)
-        return tuple(dyadic_enumeration(j) for j in idx)
-
     return Group(
         kind="torus", identity=tuple([ZERO] * d),
         metric=metric,
         op=lambda x, y, p: tuple(circle_normalize(a + b) for a, b in zip(x, y)),
         inverse=lambda x, p: tuple(circle_normalize(-a) for a in x),
-        dense=dense,
         diameter_bound=HALF,
         packing=lambda n: TorusGridPacking(d, n),
         region=lambda c, r: BoxRegion.ball(d, c, r),
@@ -337,27 +275,12 @@ def so3_metric(q1: Versor, q2: Versor, p: int) -> Interval:
     return arccos_enclosure(_clamp_to_unit(q1.dot(q2).abs()), p)
 
 
-def _psi_dense_triple(a: Dyadic, b: Dyadic, c: Dyadic, p: int = 48) -> Versor:
-    # deferred import: psi lives with the quadrature code
-    from .quadrature import ParamPoint, psi
-    pi_enc = pi_enclosure(p + 4)
-    return psi(ParamPoint(pi_enc.scale(a), pi_enc.scale(b),
-                          pi_enc.scale(c).scale(TWO)), p)
-
-
-def _su2_dense(i: int) -> Versor:
-    ia, ib, ic = _triple_index(i)
-    return _psi_dense_triple(dyadic_enumeration(ia), dyadic_enumeration(ib),
-                             dyadic_enumeration(ic))
-
-
 def _su2_group() -> Group:
     return Group(
         kind="su2", identity=QUAT_ONE,
         metric=su2_geodesic_metric,
         op=lambda a, b, p: a.multiply(b, p),
         inverse=lambda a, p: a.conjugate(),
-        dense=_su2_dense,
         diameter_bound=Dyadic(13, -2),   # 3.25 >= pi
     )
 
@@ -368,7 +291,6 @@ def _so3_group() -> Group:
         metric=so3_metric,
         op=lambda a, b, p: a.multiply(b, p),
         inverse=lambda a, p: a.conjugate(),
-        dense=_su2_dense,
         diameter_bound=Dyadic(13, -3),   # 1.625 >= pi/2
     )
 
@@ -380,35 +302,13 @@ def product_group(kind: str, g1: Group, g2: Group) -> Group:
         m2 = g2.metric(x[1], y[1], p)
         return Interval(dyadic_max(m1.lo, m2.lo), dyadic_max(m1.hi, m2.hi))
 
-    def dense(i):
-        a, b = _pair_index(i)
-        return (g1.dense(a), g2.dense(b))
-
     return Group(
         kind=kind, identity=(g1.identity, g2.identity),
         metric=metric,
         op=lambda x, y, p: (g1.op(x[0], y[0], p), g2.op(x[1], y[1], p)),
         inverse=lambda x, p: (g1.inverse(x[0], p), g2.inverse(x[1], p)),
-        dense=dense,
         diameter_bound=dyadic_max(g1.diameter_bound, g2.diameter_bound),
     )
-
-
-def u2_matrix(element, p: int):
-    """2x2 complex interval matrix of a (versor, circle point) U(2) element.
-
-    The versor q maps to [[a+bi, -c+di], [c+di, a-bi]] and the circle point t
-    scales it by exp(2 pi i t); entries come back as (real, imag) pairs.
-    """
-    q, t = element
-    zi, zr = sincos_pi(2 * t.as_fraction(), p)
-    a, b, c, d = q.components()
-    entries = ((a, b), (-c, d), (c, d), (a, -b))
-    out = []
-    for re, im in entries:
-        out.append(((zr * re - zi * im).round_out(p),
-                    (zr * im + zi * re).round_out(p)))
-    return ((out[0], out[1]), (out[2], out[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -446,93 +346,3 @@ def make_group(kind: str, *, k: int = None, table=None, dim: int = None) -> Grou
     if kind == "u2":
         return product_group("u2", _su2_group(), _circle_group())
     raise ValueError(f"unknown group kind {kind!r}")
-
-
-def group_op(G: Group, a, b, p: int):
-    """Enclosure of a o b; exact on finite/torus instances."""
-    return G.op(a, b, p)
-
-
-# ---------------------------------------------------------------------------
-# the derived bi-invariant metric d'(a,b) = sup_{x,y} d(x a y, x b y)
-# ---------------------------------------------------------------------------
-
-def biinvariant_metric(G: Group, p: int, grid_cap: int = 2_000_000):
-    """Certified evaluator of d'(a,b) = sup_x sup_y d(x a y, x b y).
-
-    Since the group operation is 2-Lipschitz in the max metric, the maximand
-    moves at most 4 max(d(x,x'), d(y,y')) when (x, y) moves, so a grid that is
-    2^-(p+2)-dense in each variable encloses the sup to width 2^-p plus metric
-    widths.  Finite groups are maximised exhaustively (exact).  On the circle
-    the maximand is constant in (x, y) because d(u, v) there is a function of
-    u - v, so d' = d without any grid.  For su2/so3 and products the dense
-    grid required for small 2^-p is cubic per variable and squared across the
-    pair; EffortExceeded is raised when it would exceed ``grid_cap`` points,
-    which in practice limits certification to coarse p on those instances.
-    """
-    if G.kind == "finite":
-        k = G.order
-
-        def exact_eval(a, b, wp=p):
-            best = Interval.from_int(0)
-            for x in range(k):
-                for y in range(k):
-                    xa = G.op(G.op(x, a, wp), y, wp)
-                    xb = G.op(G.op(x, b, wp), y, wp)
-                    m = G.metric(xa, xb, wp)
-                    best = Interval(dyadic_max(best.lo, m.lo),
-                                    dyadic_max(best.hi, m.hi))
-            return best
-
-        return exact_eval
-
-    if G.kind in ("circle", "torus"):
-        # d(x a y, x b y) = rho((x+a+y) - (x+b+y)) = rho(a - b) = d(a, b)
-        def translation_eval(a, b, wp=p):
-            return G.metric(a, b, wp)
-
-        return translation_eval
-
-    if G.kind in ("su2", "so3"):
-        # net from the Psi parameter grid: coordinate speeds of Psi are 1,
-        # sin(eta) <= 1 and sin(eta)sin(theta) <= 1, so midpoints of an
-        # (n1, n1, 2 n1) grid cover the sphere to radius 3 pi / (2 n1); the
-        # maximand moves at most 8 max(d(x,x'), d(y,y')), hence slack
-        # 8 * covering radius, which must be <= 2^-p
-        slack = Fraction(1, 1 << p) if p >= 0 else Fraction(1 << -p)
-        r = slack / 8
-        need = Fraction(333, 100) * 3 / (2 * r)       # 3.33 >= pi
-        n1 = 1
-        while n1 < need:
-            n1 *= 2
-        n3 = 2 * n1
-        if (n1 * n1 * n3) ** 2 > grid_cap:
-            raise EffortExceeded(
-                f"bi-invariant metric on {G.kind} needs a {n1 * n1 * n3}^2-pair "
-                f"grid for width 2^-{p}; raise grid_cap or lower p")
-        lg = n1.bit_length() - 1
-        pts = [
-            _psi_dense_triple(Dyadic(2 * ia + 1, -(lg + 1)),
-                              Dyadic(2 * ib + 1, -(lg + 1)),
-                              Dyadic(2 * ic + 1, -(lg + 2)))
-            for ia in range(n1) for ib in range(n1) for ic in range(n3)
-        ]
-        slack_dy = Dyadic(1, -p)
-
-        def grid_eval(a, b, wp=max(p + 4, 8), _pts=pts):
-            best = Interval.from_int(0)
-            for x in _pts:
-                xa = x.multiply(a, wp)
-                xb = x.multiply(b, wp)
-                for y in _pts:
-                    m = G.metric(xa.multiply(y, wp), xb.multiply(y, wp), wp)
-                    best = Interval(dyadic_max(best.lo, m.lo),
-                                    dyadic_max(best.hi, m.hi))
-            upper = best.hi + slack_dy
-            if upper > G.diameter_bound:
-                upper = G.diameter_bound
-            return Interval(best.lo, dyadic_max(best.lo, upper))
-
-        return grid_eval
-
-    raise EffortExceeded(f"no bi-invariant evaluator for kind {G.kind!r}")

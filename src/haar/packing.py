@@ -10,10 +10,10 @@ ranges, and the finite packing counts the region's members, so the measure
 procedures can consume packing levels whose cardinality is astronomically
 large.  The same index boxes (or members) answer ``indices_within``, which
 points lie near a region, for the partition's neighbour scan.  Points are
-materialized only for partition centres and printing; the dovetail search of
-the generic construction is available alongside for explicit small packings.
-The packing classes are the one place the closed forms are written: each
-group's ``packing`` field builds them and ``Group.kappa`` reads their sizes.
+materialized only for partition centres and printing, and never more than
+``MAX_ITER`` of them.  The packing classes are the one place the closed
+forms are written: each group's ``packing`` field builds them and
+``Group.kappa`` reads their sizes.
 """
 
 from __future__ import annotations
@@ -29,16 +29,31 @@ if TYPE_CHECKING:          # groups imports this module to build its packings
     from .groups import Group
 
 
+# the most points a packing materializes (``iter_points``)
+MAX_ITER = 1 << 21
+
+
 class KappaUnavailable(RuntimeError):
-    """The instance has no closed-form kappa and none was supplied."""
+    """The instance has no closed-form kappa."""
+
+
+def _no_packings(G: Group) -> KappaUnavailable:
+    return KappaUnavailable(
+        f"group {G.kind!r} has no closed-form packings; only finite, "
+        "circle and torus groups have them")
+
+
+def _check_iter(n: int, size: int) -> None:
+    if size > MAX_ITER:
+        raise EffortExceeded(
+            f"packing level {n} has {size} points, more than the "
+            f"{MAX_ITER} that are materialized")
 
 
 def packing_size(G: Group, n: int) -> int:
     """kappa(n), the size of a maximum n-packing; exact closed form."""
     if G.kappa is None:
-        raise KappaUnavailable(
-            f"group {G.kind!r} has no closed-form kappa; use "
-            "packing_size_bracket or supply one")
+        raise _no_packings(G)
     return G.kappa(n)
 
 
@@ -96,6 +111,7 @@ class CircleGridPacking:
         return Dyadic((k * self.A) // self.size, -(2 * self.n + 2))
 
     def iter_points(self):
+        _check_iter(self.n, self.size)
         for k in range(self.size):
             yield self.point(k)
 
@@ -180,8 +196,6 @@ class TorusGridPacking:
     """Product of circle grid packings, counted as products of the circle's
     index ranges; points are materialized only on request (capped)."""
 
-    MAX_ITER = 1 << 21
-
     def __init__(self, dim: int, n: int):
         self.dim = dim
         self.n = n
@@ -189,9 +203,7 @@ class TorusGridPacking:
         self.size = self.circle.size ** dim
 
     def iter_points(self):
-        if self.size > self.MAX_ITER:
-            raise EffortExceeded(
-                f"torus packing level {self.n} has {self.size} points")
+        _check_iter(self.n, self.size)
         return product(self.circle.points_list(), repeat=self.dim)
 
     def points_list(self):
@@ -213,8 +225,7 @@ class PackingTable:
 
     def __init__(self, G: Group):
         if G.packing is None:
-            raise KappaUnavailable(
-                f"group {G.kind!r} has no closed-form kappa")
+            raise _no_packings(G)
         self.group = G
         self._cache = {}
 
@@ -246,7 +257,7 @@ def format_element(p) -> str:
 
 
 # ---------------------------------------------------------------------------
-# certified separation and the dovetail search
+# certified separation
 # ---------------------------------------------------------------------------
 
 def separation_certificate(G: Group, points, n: int, wp: int = 48) -> bool:
@@ -257,52 +268,6 @@ def separation_certificate(G: Group, points, n: int, wp: int = 48) -> bool:
             if not G.metric(points[i], points[j], wp).lo > radius:
                 return False
     return True
-
-
-def max_packing(G: Group, n: int, kappa_n: int, *,
-                effort: int = 2_000_000):
-    """Dovetailed search for a maximum n-packing inside the dense sequence.
-
-    Enumerates kappa_n-tuples over growing dense-sequence prefixes interleaved
-    with growing working precision, accepting the first tuple (in enumeration
-    order) whose pairwise distances are certified strictly greater than 2^-n.
-    Deterministic; raises EffortExceeded when the pair-test budget runs out.
-    """
-    if kappa_n <= 0:
-        return []
-    radius = Dyadic(1, -n)
-    budget = [effort]
-
-    def dfs(prefix, chosen, start, wp):
-        if len(chosen) == kappa_n:
-            return list(chosen)
-        for idx in range(start, prefix):
-            cand = G.dense(idx)
-            ok = True
-            for q in chosen:
-                if budget[0] <= 0:
-                    raise EffortExceeded("dovetail budget exhausted")
-                budget[0] -= 1
-                if not G.metric(cand, q, wp).lo > radius:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(cand)
-                res = dfs(prefix, chosen, idx + 1, wp)
-                if res is not None:
-                    return res
-                chosen.pop()
-        return None
-
-    prefix = max(4, 2 * kappa_n)
-    wp = max(16, n + 8)
-    for _round in range(20):
-        res = dfs(prefix, [], 0, wp)
-        if res is not None:
-            return res
-        prefix *= 2
-        wp *= 2
-    raise EffortExceeded("dovetail rounds exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -331,29 +296,12 @@ def _circle_lower(delta: Fraction) -> int:
     return count
 
 
-def _greedy_lower(G: Group, delta: Fraction, effort: int) -> int:
-    radius_num = delta
-    chosen = []
-    wp = 32
-    for i in range(effort):
-        cand = G.dense(i)
-        ok = True
-        for q in chosen:
-            if not G.metric(cand, q, wp).lo.as_fraction() > radius_num:
-                ok = False
-                break
-        if ok:
-            chosen.append(cand)
-    return len(chosen)
-
-
-def packing_size_bracket(G: Group, delta, *, effort: int = 4000) -> tuple[int, int]:
+def packing_size_bracket(G: Group, delta) -> tuple[int, int]:
     """(lower, upper) bracket of the maximum packing size at radius delta.
 
-    Lower bounds exhibit separated tuples (greedy over instance candidate
-    streams or the dense sequence); upper bounds come from instance covering
-    arguments: the circle gap-sum bound m * delta < 1, finite order, torus and
-    su2 explicit nets of radius delta/2 (one packing point per net ball).
+    Finite groups have the exact size.  On the circle the lower bound
+    exhibits a separated tuple on a fine dyadic grid and the upper bound is
+    the gap-sum bound m * delta < 1.  Other kinds raise KappaUnavailable.
     """
     delta = delta.as_fraction() if hasattr(delta, "as_fraction") else Fraction(delta)
     if delta <= 0:
@@ -370,21 +318,5 @@ def packing_size_bracket(G: Group, delta, *, effort: int = 4000) -> tuple[int, i
             upper -= 1
         upper = max(upper, 1)
         lower = _circle_lower(delta)
-        return lower, upper
-    if G.kind == "torus":
-        q = Fraction(1) / delta
-        m = -((-q.numerator) // q.denominator)            # ceil(1/delta)
-        upper = m ** G.dim
-        lower = _greedy_lower(G, delta, effort)
-        return lower, upper
-    if G.kind in ("su2", "so3"):
-        # Psi parameter net: (n1, n1, 2 n1) midpoints cover to 3 pi/(2 n1)
-        target = delta / 2
-        need = Fraction(333, 100) * 3 / (2 * target)
-        n1 = 1
-        while n1 < need:
-            n1 += 1
-        upper = 2 * n1 ** 3
-        lower = _greedy_lower(G, delta, min(effort, 600))
         return lower, upper
     raise KappaUnavailable(f"no bracket strategy for {G.kind!r}")

@@ -12,10 +12,10 @@ from haar.cli import (
 )
 from haar.exactreal import (
     CertifiedValue, DivisionByIntervalContainingZero, DomainError, Dyadic,
-    NoConvergence,
+    EffortExceeded, NoConvergence,
 )
 from haar.generic import InvalidBound as GenericInvalidBound, PackingExhausted
-from haar.groups import EffortExceeded, InvalidCayleyTable
+from haar.groups import InvalidCayleyTable
 from haar.packing import KappaUnavailable
 from haar.quadrature import InvalidBound
 
@@ -200,7 +200,21 @@ class TestPacking:
     def test_su2_unavailable(self, capsys):
         code, out, err = run(capsys, "packing", "--group", "su2",
                              "--precision", "2")
-        assert code == 2 and "KappaUnavailable" in err
+        assert code == 2 and out == ""
+        assert err.startswith("KappaUnavailable: ")
+        assert "only finite, circle and torus groups" in err
+
+    @pytest.mark.parametrize("group, level, size", [
+        ("circle", 40, (1 << 40) - 1), ("torus:2", 11, ((1 << 11) - 1) ** 2),
+    ])
+    def test_level_past_the_iteration_cap_is_refused(self, capsys, group,
+                                                     level, size):
+        # the entry is refused before any point is built
+        code, out, err = run(capsys, "packing", "--group", group,
+                             "--precision", str(level))
+        assert code == 2 and out == ""
+        assert err.startswith("EffortExceeded: ")
+        assert f"level {level} has {size} points" in err
 
 
 class TestBench:

@@ -15,9 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from haar.exactreal import (
     CertifiedValue, DivisionByIntervalContainingZero, DomainError, Dyadic,
-    Interval, NoConvergence, arccos_enclosure, cos_enclosure,
-    elementary_enclosure, interval_arith, pi_enclosure, refine,
-    sin_enclosure, sincos_pi, sqrt_enclosure,
+    Interval, arccos_enclosure, cos_enclosure, pi_enclosure, sin_enclosure,
+    sincos_pi, sqrt_enclosure,
 )
 
 mpmath.mp.prec = 160
@@ -69,13 +68,12 @@ class TestDyadic:
 class TestIntervalArith:
     def test_point_product(self):
         # [1,1] x [2,2] -> [2,2]
-        r = interval_arith(Interval.from_int(1), Interval.from_int(2), "*")
+        r = Interval.from_int(1) * Interval.from_int(2)
         assert r.lo == Dyadic(2) and r.hi == Dyadic(2)
 
     def test_endpoint_sums(self):
         # [0,1] + [0,1] -> [0,2]
-        r = interval_arith(Interval(Dyadic(0), Dyadic(1)),
-                           Interval(Dyadic(0), Dyadic(1)), "+")
+        r = Interval(Dyadic(0), Dyadic(1)) + Interval(Dyadic(0), Dyadic(1))
         assert r.lo == Dyadic(0) and r.hi == Dyadic(2)
 
     def test_division_encloses_rational_endpoints(self):
@@ -182,17 +180,12 @@ class TestElementary:
             w2 = abs(rand_dyadic(rng, mag=1))
             inner = Interval(lo, lo + w1)
             outer = Interval(lo - w2, lo + w1 + w2)
-            for name in ("sin", "cos", "abs"):
-                fi = elementary_enclosure(name, inner, 40)
-                fo = elementary_enclosure(name, outer, 40)
-                assert fo.contains_interval(fi), name
+            for f in (sin_enclosure, cos_enclosure):
+                assert f(outer, 40).contains_interval(f(inner, 40)), f.__name__
+            assert outer.abs().contains_interval(inner.abs())
             if outer.lo.sign() >= 0:
                 assert sqrt_enclosure(outer, 40).contains_interval(
                     sqrt_enclosure(inner, 40))
-
-    def test_dispatch_unknown(self):
-        with pytest.raises(ValueError):
-            elementary_enclosure("exp", Interval.from_int(1), 20)
 
 
 class TestSincosPi:
@@ -247,28 +240,7 @@ class TestPi:
             prev = cur
 
 
-class TestRefine:
-    def test_constant_computation(self):
-        q = Dyadic(7, -3)
-        cv = refine(lambda wp: Interval.point(q), 25)
-        assert cv.value == q and cv.error_exponent == -25
-
-    def test_pi_to_20_bits(self):
-        cv = refine(lambda wp: pi_enclosure(wp), 20)
-        true_pi = mp_to_fraction(mpmath.mpf(mpmath.pi))
-        assert abs(cv.value.as_fraction() - true_pi) <= Fraction(1, 1 << 20)
-
-    def test_no_convergence(self):
-        stuck = Interval(Dyadic(0), Dyadic(1))
-        with pytest.raises(NoConvergence):
-            refine(lambda wp: stuck, 4, max_iterations=10)
-
-    def test_adjacent_precisions_agree(self):
-        c1 = refine(lambda wp: pi_enclosure(wp), 12)
-        c2 = refine(lambda wp: pi_enclosure(wp), 13)
-        gap = abs(c1.value.as_fraction() - c2.value.as_fraction())
-        assert gap <= Fraction(1, 1 << 12) + Fraction(1, 1 << 13)
-
+class TestCertifiedValue:
     def test_certified_interval(self):
         cv = CertifiedValue(Dyadic(1, -1), -3)
         iv = cv.as_interval()

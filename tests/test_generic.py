@@ -249,7 +249,7 @@ class _FractionRadiusSearch:
             raise ValueError("need 0 < a < b")
         self.group = G
         self.packings = packings
-        self.center = G.dense(0)
+        self.center = G.identity
         self.levels = [(a + (b - a) / 10, b - (b - a) / 10)]
 
     def level(self, k: int) -> tuple[Fraction, Fraction]:

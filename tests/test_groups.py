@@ -1,4 +1,4 @@
-"""Group instances: axioms, metrics, bi-invariance, the SO(3) cover."""
+"""Group instances: axioms, metrics, bi-invariance."""
 
 import random
 from fractions import Fraction
@@ -8,10 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from haar.exactreal import Dyadic, Interval, pi_enclosure
 from haar.groups import (
-    EffortExceeded, InvalidCayleyTable, Versor,
-    QUAT_ONE, QUAT_I, QUAT_J, QUAT_K,
-    biinvariant_metric, cyclic_table, group_op, make_group, parse_cayley,
-    so3_from_versor, u2_matrix, validate_cayley_table,
+    InvalidCayleyTable, Versor, QUAT_ONE, QUAT_I, QUAT_J,
+    cyclic_table, make_group, parse_cayley, validate_cayley_table,
 )
 from conftest import finite_fixture_groups
 
@@ -38,7 +36,7 @@ class TestFiniteGroups:
 
     def test_cyclic_addition(self):
         G = make_group("cyclic", k=5)
-        assert group_op(G, 3, 4, 10) == 2
+        assert G.op(3, 4, 10) == 2
 
     def test_axioms_exhaustive_small_orders(self):
         groups = finite_fixture_groups(max_order=8)
@@ -83,20 +81,12 @@ class TestCircleTorus:
         assert d.lo == Dyadic(1, -1) == d.hi
 
     def test_addition_mod_one(self, circle):
-        r = group_op(circle, Dyadic(3, -2), Dyadic(1, -1), 10)  # 0.75 + 0.5
+        r = circle.op(Dyadic(3, -2), Dyadic(1, -1), 10)  # 0.75 + 0.5
         assert r == Dyadic(1, -2)
 
     def test_inverse(self, circle):
         assert circle.inverse(Dyadic(3, -2), 10) == Dyadic(1, -2)
         assert circle.inverse(Dyadic(0), 10) == Dyadic(0)
-
-    def test_dense_sequence_covers(self, circle):
-        # every ball of radius 2^-m around a grid point holds dense(i), i < 2^(m+1)
-        pts = [circle.dense(i) for i in range(16)]
-        assert Dyadic(0) in pts and Dyadic(1, -1) in pts
-        for k in range(8):
-            target = Fraction(k, 8)
-            assert any(abs(p.as_fraction() - target) <= Fraction(1, 8) for p in pts)
 
     @pytest.mark.parametrize("dim", [None, 0, -2])
     def test_torus_needs_dimension_one_or_more(self, dim):
@@ -108,7 +98,7 @@ class TestCircleTorus:
         a = (Dyadic(0), Dyadic(0))
         b = (Dyadic(1, -2), Dyadic(1, -3))
         assert T.metric(a, b, 10).lo == Dyadic(1, -2)
-        assert group_op(T, a, b, 10) == b
+        assert T.op(a, b, 10) == b
 
 
 def _circle_distance(x: Fraction, y: Fraction) -> Fraction:
@@ -150,7 +140,7 @@ class TestCircleMetricExact:
 
 class TestSU2:
     def test_unit_table(self, su2):
-        prod = group_op(su2, QUAT_I, QUAT_J, 40)
+        prod = su2.op(QUAT_I, QUAT_J, 40)
         assert prod.d.contains(Fraction(1)) and prod.a.contains(Fraction(0))
         assert float(prod.d.width()) < 1e-9
 
@@ -163,7 +153,7 @@ class TestSU2:
         rng = random.Random(5)
         for _ in range(20):
             q = rand_versor(rng)
-            prod = group_op(su2, q, su2.inverse(q, 40), 40)
+            prod = su2.op(q, su2.inverse(q, 40), 40)
             assert prod.a.contains(Fraction(1)) or prod.a.hi.as_fraction() > Fraction(99, 100)
             for comp in (prod.b, prod.c, prod.d):
                 assert comp.contains(Fraction(0)) or abs(float(comp.midpoint())) < 1e-6
@@ -172,7 +162,7 @@ class TestSU2:
         rng = random.Random(6)
         for _ in range(30):
             q1, q2 = rand_versor(rng), rand_versor(rng)
-            n2 = group_op(su2, q1, q2, 40).norm2()
+            n2 = su2.op(q1, q2, 40).norm2()
             assert n2.lo.as_fraction() <= 1 <= n2.hi.as_fraction() + Fraction(1, 1000)
 
 
@@ -195,7 +185,7 @@ class TestMetricProperties:
         for _ in range(1000):
             a, b, c = (Dyadic(rng.randint(0, 255), -8) for _ in range(3))
             d0 = circle.metric(a, b, 0)
-            dr = circle.metric(group_op(circle, a, c, 0), group_op(circle, b, c, 0), 0)
+            dr = circle.metric(circle.op(a, c, 0), circle.op(b, c, 0), 0)
             assert d0.lo == dr.lo
 
     def test_biinvariance_su2_enclosures(self, su2):
@@ -203,8 +193,8 @@ class TestMetricProperties:
         for _ in range(1000):
             a, b, c = rand_versor(rng), rand_versor(rng), rand_versor(rng)
             d0 = su2.metric(a, b, 24)
-            dr = su2.metric(group_op(su2, a, c, 40), group_op(su2, b, c, 40), 24)
-            dl = su2.metric(group_op(su2, c, a, 40), group_op(su2, c, b, 40), 24)
+            dr = su2.metric(su2.op(a, c, 40), su2.op(b, c, 40), 24)
+            dl = su2.metric(su2.op(c, a, 40), su2.op(c, b, 40), 24)
             for other in (dr, dl):
                 assert other.lo <= d0.hi and d0.lo <= other.hi
 
@@ -223,10 +213,25 @@ class TestMetricProperties:
             for _ in range(200):
                 a, b, c = sample(), sample(), sample()
                 d0 = G.metric(a, b, 20)
-                dr = G.metric(group_op(G, a, c, 36), group_op(G, b, c, 36), 20)
-                dl = G.metric(group_op(G, c, a, 36), group_op(G, c, b, 36), 20)
+                dr = G.metric(G.op(a, c, 36), G.op(b, c, 36), 20)
+                dl = G.metric(G.op(c, a, 36), G.op(c, b, 36), 20)
                 for other in (dr, dl):
                     assert other.lo <= d0.hi and d0.lo <= other.hi
+
+    def test_su2_no_gridpoint_exceeds_plain_metric(self, su2):
+        # the paper's bi-invariant d'(a, b) = sup d(x a y, x b y) equals d on
+        # SU(2): no two-sided translate moves a pair farther apart
+        rng = random.Random(11)
+        for _ in range(25):
+            a, b = rand_versor(rng), rand_versor(rng)
+            d0 = su2.metric(a, b, 24)
+            for _ in range(4):
+                x, y = rand_versor(rng), rand_versor(rng)
+                xa = su2.op(su2.op(x, a, 40), y, 40)
+                xb = su2.op(su2.op(x, b, 40), y, 40)
+                moved = su2.metric(xa, xb, 24)
+                slack = Dyadic(1, -10)
+                assert moved.lo <= d0.hi + slack
 
     def test_triangle_inequality_su2(self, su2):
         rng = random.Random(9)
@@ -245,127 +250,14 @@ class TestMetricProperties:
             assert d1.lo == d2.lo and d1.hi == d2.hi
 
 
-class TestBiinvariantDerivedMetric:
-    def test_finite_discrete_unchanged(self):
-        G = make_group("cyclic", k=5)
-        dprime = biinvariant_metric(G, 8)
-        assert dprime(1, 3).lo == Dyadic(1)
-        assert dprime(2, 2).hi == Dyadic(0)
-
-    def test_circle_translation_invariance(self, circle):
-        dprime = biinvariant_metric(circle, 10)
-        a, b = Dyadic(1, -3), Dyadic(5, -3)
-        d0 = circle.metric(a, b, 10)
-        dp = dprime(a, b)
-        assert dp.lo <= d0.hi and d0.lo <= dp.hi
-
-    def test_su2_encloses_geodesic(self, su2):
-        dprime = biinvariant_metric(su2, -6)
-        enc = dprime(QUAT_ONE, QUAT_I)
-        assert enc.contains(pi_enclosure(20).scale(Dyadic(1, -1)).midpoint())
-
-    def test_su2_no_gridpoint_exceeds_plain_metric(self, su2):
-        # the real content of d' = d: no translated distance exceeds d(a, b)
-        rng = random.Random(11)
-        for _ in range(25):
-            a, b = rand_versor(rng), rand_versor(rng)
-            d0 = su2.metric(a, b, 24)
-            for _ in range(4):
-                x, y = rand_versor(rng), rand_versor(rng)
-                xa = group_op(su2, group_op(su2, x, a, 40), y, 40)
-                xb = group_op(su2, group_op(su2, x, b, 40), y, 40)
-                moved = su2.metric(xa, xb, 24)
-                slack = Dyadic(1, -10)
-                assert moved.lo <= d0.hi + slack
-
-    def test_su2_fine_precision_exceeds_cap(self, su2):
-        with pytest.raises(EffortExceeded):
-            biinvariant_metric(su2, 10, grid_cap=1000)
-
-
-class TestSO3Cover:
-    def test_identity(self):
-        R = so3_from_versor(QUAT_ONE, 40)
-        for i in range(3):
-            for j in range(3):
-                assert R[i][j].contains(Fraction(1 if i == j else 0))
-
-    def test_k_rotates_pi_about_z(self):
-        R = so3_from_versor(QUAT_K, 40)
-        expect = ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
-        for i in range(3):
-            for j in range(3):
-                assert R[i][j].contains(Fraction(expect[i][j]))
-
-    def test_double_cover_sign_cancels(self):
-        rng = random.Random(12)
-        for _ in range(10):
-            q = rand_versor(rng)
-            R1 = so3_from_versor(q, 40)
-            R2 = so3_from_versor(-q, 40)
-            for i in range(3):
-                for j in range(3):
-                    assert R1[i][j].lo == R2[i][j].lo
-                    assert R1[i][j].hi == R2[i][j].hi
-
-    def test_rational_conjugation_oracle(self):
-        # exact rational versor (3/5, 4/5, 0, 0): independent quaternion
-        # conjugation in plain Fractions against the matrix action
-        q = (Fraction(3, 5), Fraction(4, 5), Fraction(0), Fraction(0))
-
-        def qmul(p, r):
-            a, b, c, d = p
-            e, f, g, h = r
-            return (a * e - b * f - c * g - d * h,
-                    a * f + b * e + c * h - d * g,
-                    a * g - b * h + c * e + d * f,
-                    a * h + b * g - c * f + d * e)
-
-        qc = (q[0], -q[1], -q[2], -q[3])
-        basis = [(Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
-                 (Fraction(0), Fraction(0), Fraction(1), Fraction(0)),
-                 (Fraction(0), Fraction(0), Fraction(0), Fraction(1))]
-        comps = [Interval.from_fractions(x, x, 40) for x in q]
-        R = so3_from_versor(Versor(*comps), 60)
-        for col, v in enumerate(basis):
-            image = qmul(qmul(q, v), qc)
-            for row in range(3):
-                assert R[row][col].contains(image[row + 1]), (row, col)
-
-    def test_columns_unit_and_det_one(self):
-        rng = random.Random(13)
-        for _ in range(10):
-            q = rand_versor(rng)
-            R = so3_from_versor(q, 40)
-            for j in range(3):
-                n2 = R[0][j].square() + R[1][j].square() + R[2][j].square()
-                assert n2.lo.as_fraction() - Fraction(1, 100) <= 1 <= n2.hi.as_fraction() + Fraction(1, 100)
-            det = (R[0][0] * (R[1][1] * R[2][2] - R[1][2] * R[2][1])
-                   - R[0][1] * (R[1][0] * R[2][2] - R[1][2] * R[2][0])
-                   + R[0][2] * (R[1][0] * R[2][1] - R[1][1] * R[2][0]))
-            assert det.lo.as_fraction() <= 1 <= det.hi.as_fraction() + Fraction(1, 50)
-
-
 class TestProductGroups:
     def test_o3_structure(self):
         G = make_group("o3")
         e = G.identity
         assert e[1] == 0
         flip = (QUAT_ONE, 1)
-        prod = group_op(G, flip, flip, 40)
+        prod = G.op(flip, flip, 40)
         assert prod[1] == 0        # (-1)(-1) = +1
-
-    def test_u2_matrix_identity(self):
-        G = make_group("u2")
-        M = u2_matrix((QUAT_ONE, Dyadic(0)), 30)
-        assert M[0][0][0].contains(Fraction(1))     # top-left real part 1
-        assert M[0][1][0].contains(Fraction(0))
-        assert M[1][1][0].contains(Fraction(1))
-
-    def test_u2_scalar_phase(self):
-        # t = 1/2 multiplies by exp(i pi) = -1
-        M = u2_matrix((QUAT_ONE, Dyadic(1, -1)), 30)
-        assert M[0][0][0].contains(Fraction(-1))
 
     def test_max_metric(self):
         G = make_group("u2")

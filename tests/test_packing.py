@@ -1,4 +1,4 @@
-"""Packing sizes, certified packings, dovetail search, and brackets."""
+"""Packing sizes, certified packings, and the circle and finite brackets."""
 
 from fractions import Fraction
 
@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from haar.cli import parse_group
-from haar.exactreal import Dyadic
-from haar.groups import EffortExceeded, make_group
+from haar.exactreal import Dyadic, EffortExceeded
+from haar.groups import make_group
 from haar.packing import (
-    CircleGridPacking, FinitePacking, KappaUnavailable, PackingTable,
-    TorusGridPacking, max_packing, packing_size, packing_size_bracket,
+    MAX_ITER, CircleGridPacking, FinitePacking, KappaUnavailable,
+    PackingTable, TorusGridPacking, packing_size, packing_size_bracket,
     separation_certificate,
 )
 from haar.regions import BoxRegion, FiniteRegion, ratio
@@ -206,11 +206,17 @@ class TestGridPackings:
     def test_torus_counting_past_the_iteration_cap(self):
         # level 12 has 4095^2 points, eight times the materialization cap
         pk = TorusGridPacking(2, 12)
-        assert pk.size > TorusGridPacking.MAX_ITER
+        assert pk.size > MAX_ITER
         region = BoxRegion.ball(2, (Fraction(1, 3), Fraction(5, 7)),
                                 Fraction(1, 8))
         ratio = Fraction(pk.count_within(region, Fraction(0)), pk.size)
         assert abs(ratio - Fraction(1, 16)) <= Fraction(1, 1 << 10)
+
+    def test_materializing_past_the_cap_is_refused(self):
+        for pk in (CircleGridPacking(22), TorusGridPacking(2, 11)):
+            assert pk.size > MAX_ITER
+            with pytest.raises(EffortExceeded, match=f"has {pk.size} points"):
+                pk.points_list()
 
     def test_serialization_format(self, circle):
         table = PackingTable(circle)
@@ -278,25 +284,6 @@ class TestNeighbourQuery:
         assert pk.count_within(region, threshold) == len(got)
 
 
-class TestMaxPacking:
-    def test_finite_whole_group(self):
-        G = make_group("cyclic", k=4)
-        pts = max_packing(G, 1, 4)
-        assert sorted(pts) == [0, 1, 2, 3]
-
-    def test_circle_singleton(self, circle):
-        assert max_packing(circle, 1, 1) == [Dyadic(0)]
-
-    def test_circle_triple_certified(self, circle):
-        pts = max_packing(circle, 2, 3)
-        assert len(pts) == 3
-        assert separation_certificate(circle, pts, 2)
-
-    def test_budget_exhaustion(self, circle):
-        with pytest.raises(EffortExceeded):
-            max_packing(circle, 2, 3, effort=2)
-
-
 class TestBrackets:
     def test_circle_quarter_closes(self, circle):
         lo, hi = packing_size_bracket(circle, Fraction(1, 4))
@@ -316,13 +303,3 @@ class TestBrackets:
         for num, den in ((1, 3), (1, 5), (2, 7), (1, 10)):
             lo, hi = packing_size_bracket(circle, Fraction(num, den))
             assert lo <= hi
-
-    def test_su2_unit_radius(self, su2):
-        lo, hi = packing_size_bracket(su2, Fraction(1))
-        assert lo >= 2          # e.g. 1 and -1 sit at geodesic distance pi
-        assert lo <= hi
-
-    def test_torus(self):
-        T = make_group("torus", dim=2)
-        lo, hi = packing_size_bracket(T, Fraction(1, 4))
-        assert lo <= 9 <= hi
