@@ -7,9 +7,9 @@ interval arithmetic underneath in ``haar.exactreal``.
 """
 
 from .exactreal import (
-    CertifiedValue, DivisionByIntervalContainingZero, DomainError, Dyadic,
-    EffortExceeded, Interval, NoConvergence, arccos_enclosure, cos_enclosure,
-    pi_enclosure, sin_enclosure, sincos_pi, sqrt_enclosure,
+    CertifiedValue, ConfigError, DivisionByIntervalContainingZero, DomainError,
+    Dyadic, HaarError, Interval, InvalidBound, NoConvergence, arccos_enclosure,
+    cos_enclosure, pi_enclosure, sin_enclosure, sincos_pi, sqrt_enclosure,
 )
 from .groups import (
     Group, InvalidCayleyTable, Versor, make_group, parse_cayley,
@@ -19,14 +19,12 @@ from .packing import (
     separation_certificate,
 )
 from .generic import (
-    LocatedSet, ModulusOfContinuity, PackingExhausted, PartitionCell,
-    compute_integral, compute_measure, find_coinner_radius,
-    find_nice_partition, pseudo_count,
+    LocatedSet, ModulusOfContinuity, PartitionCell, compute_integral,
+    compute_measure, find_coinner_radius, find_nice_partition, pseudo_count,
 )
 from .quadrature import (
-    IntegrandSpec, InvalidBound, ParamPoint, haar_integral_circle,
-    haar_integral_derived, haar_integral_su2, jacobian, lift_circle_function,
-    psi,
+    IntegrandSpec, ParamPoint, haar_integral_circle, haar_integral_derived,
+    haar_integral_su2, jacobian, lift_circle_function, psi,
 )
 from .functions import builtin_integrand, builtin_names, values_integrand
 

@@ -1,14 +1,22 @@
 """Command-line front end: integrate / measure / packing / bench.
 
-Exit codes: 0 success, 1 configuration error (including a negative
---effort-cap, --precision of integrate and measure, or --n-min of bench, and
-a torus of dimension below 1), 2 the computation gave up
-(NoConvergence / EffortExceeded / KappaUnavailable / PackingExhausted), could
-not certify an operation (DomainError / DivisionByIntervalContainingZero) or
-refused a declared bound (InvalidBound when an integrand provably escapes it,
-NoConvergence when it is too large for the SU(2) grid's int64 sums); the
-error name goes to stderr.  Printed decimal values are outward-rounded so the
-printed interval always contains the certified one.
+Exit codes: 0 on success, else the ``exit_code`` of the ``HaarError`` raised,
+whose name and message go to stderr as one line ``Name: message``:
+
+* 1, the request cannot be served as posed, whatever the effort: a
+  ``ConfigError`` (a malformed or missing option or token, a negative
+  --precision, --effort-cap or --n-min, a torus below dimension 1, a method
+  the group lacks), ``InvalidCayleyTable`` or ``KappaUnavailable`` (no
+  closed-form packings for measure, generic integration or packing).  An
+  unreadable file (``OSError``) and any untyped ``ValueError`` exit 1 too.
+* 2, the request is valid, but the computation could not certify it:
+  ``NoConvergence`` (an effort cap was hit, named with how far the
+  computation got, or a bound too large for the SU(2) grid's int64 sums),
+  ``InvalidBound`` (an integrand provably escaped its declared bound),
+  ``DomainError`` or ``DivisionByIntervalContainingZero``.
+
+Printed decimal values are outward-rounded so the printed interval always
+contains the certified one.
 """
 
 from __future__ import annotations
@@ -19,29 +27,28 @@ import sys
 import time
 from fractions import Fraction
 
-from .exactreal import (
-    CertifiedValue, DivisionByIntervalContainingZero, DomainError, Dyadic,
-    EffortExceeded, NoConvergence,
-)
+from .exactreal import CertifiedValue, ConfigError, Dyadic, HaarError
 from .generic import (
-    LocatedSet, ModulusOfContinuity, PackingExhausted,
-    compute_integral, compute_measure,
+    LocatedSet, ModulusOfContinuity, compute_integral, compute_measure,
 )
-from .groups import InvalidCayleyTable, make_group, parse_cayley
+from .groups import make_group, parse_cayley
 from .functions import builtin_integrand, builtin_names, values_integrand
-from .packing import KappaUnavailable, PackingTable
-from .quadrature import QUADRATURE_KINDS, InvalidBound, haar_integral_derived
+from .packing import PackingTable
+from .quadrature import QUADRATURE_KINDS, haar_integral_derived
 
 
-class ConfigError(ValueError):
-    pass
+def _parse_int(tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ConfigError(f"{what} {tok!r} is not an integer") from None
 
 
 def parse_group(spec: str, cayley_path: str | None):
     if spec.startswith("torus:"):
-        return make_group("torus", dim=int(spec.split(":", 1)[1]))
+        return make_group("torus", dim=_parse_int(spec[6:], "torus dimension"))
     if spec.startswith("cyclic:"):
-        return make_group("cyclic", k=int(spec.split(":", 1)[1]))
+        return make_group("cyclic", k=_parse_int(spec[7:], "cyclic order"))
     if spec == "finite":
         if not cayley_path:
             raise ConfigError("--group finite requires --cayley FILE")
@@ -84,7 +91,17 @@ def _parse_rational(tok: str) -> Fraction:
         raise ConfigError(f"{tok.strip()!r} is not a rational number") from None
 
 
+def _parse_dyadic(tok: str) -> Dyadic:
+    q = _parse_rational(tok)
+    if q.denominator & (q.denominator - 1):
+        raise ConfigError(f"center {tok.strip()!r} is not a dyadic rational")
+    return Dyadic(q.numerator, -(q.denominator.bit_length() - 1))
+
+
 def parse_ball(spec: str, G):
+    """The located ball ``ball(center,radius)`` of a group with packings
+    (finite, circle, torus); the center is an index or ``e``, a dyadic, or
+    ``:``-separated dyadics."""
     spec = spec.strip()
     if not (spec.startswith("ball(") and spec.endswith(")")):
         raise ConfigError("set spec must look like ball(center,radius)")
@@ -95,26 +112,15 @@ def parse_ball(spec: str, G):
     center_tok, radius_tok = parts[0].strip(), parts[1].strip()
     radius = _parse_rational(radius_tok)
     if G.kind == "finite":
-        center = 0 if center_tok == "e" else int(center_tok)
+        center = 0 if center_tok == "e" else _parse_int(center_tok, "center")
         if not 0 <= center < G.order:
             raise ConfigError(f"center index {center} out of range")
     elif G.kind == "circle":
-        q = _parse_rational(center_tok)
-        if q.denominator & (q.denominator - 1):
-            raise ConfigError("circle centers must be dyadic rationals")
-        center = Dyadic(q.numerator, -(q.denominator.bit_length() - 1))
-    elif G.kind == "torus":
-        coords = []
-        for tok in center_tok.split(":"):
-            q = _parse_rational(tok)
-            if q.denominator & (q.denominator - 1):
-                raise ConfigError("torus centers must be dyadic rationals")
-            coords.append(Dyadic(q.numerator, -(q.denominator.bit_length() - 1)))
-        if len(coords) != G.dim:
-            raise ConfigError(f"expected {G.dim} coordinates")
-        center = tuple(coords)
+        center = _parse_dyadic(center_tok)
     else:
-        raise ConfigError(f"measure is not supported on {G.kind}")
+        center = tuple(_parse_dyadic(tok) for tok in center_tok.split(":"))
+        if len(center) != G.dim:
+            raise ConfigError(f"expected {G.dim} coordinates")
     return LocatedSet.ball(G, center, radius)
 
 
@@ -165,22 +171,16 @@ def _integrate_value(G, method, spec, n, effort_cap) -> CertifiedValue:
     if method == "quadrature":
         return haar_integral_derived(G.kind, spec, n,
                                      max_cells=effort_cap or 10 ** 11)
-    if method == "generic":
-        if G.kappa is None:
-            raise ConfigError(f"the generic method needs kappa; {G.kind} has none")
-        packings = PackingTable(G)
-        if G.kind == "finite":
-            modulus = ModulusOfContinuity.discrete()
-        else:
-            modulus = ModulusOfContinuity.from_lipschitz(spec.lipschitz)
-        return compute_integral(G, spec.eval, modulus, spec.bound, packings, n,
-                                max_level=effort_cap or None)
-    raise ConfigError(f"unknown method {method!r}")
+    packings = PackingTable(G)
+    if G.kind == "finite":
+        modulus = ModulusOfContinuity.discrete()
+    else:
+        modulus = ModulusOfContinuity.from_lipschitz(spec.lipschitz)
+    return compute_integral(G, spec.eval, modulus, spec.bound, packings, n,
+                            max_level=effort_cap or None)
 
 
 def cmd_integrate(args) -> int:
-    if args.precision < 0:
-        raise ConfigError("--precision must not be negative")
     G = parse_group(args.group, args.cayley)
     method = args.method or default_method(G.kind)
     spec = parse_function(args.function, G)
@@ -190,15 +190,9 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    if args.precision < 0:
-        raise ConfigError("--precision must not be negative")
     G = parse_group(args.group, args.cayley)
-    if (args.method or "generic") != "generic":
-        raise ConfigError("measure supports only the generic method")
-    if G.kappa is None:
-        raise ConfigError(f"measure needs a packing table; {G.kind} has none")
-    ball = parse_ball(args.set, G)
     packings = PackingTable(G)
+    ball = parse_ball(args.set, G)
     value = compute_measure(ball, packings, args.precision,
                             max_level=args.effort_cap or None)
     print(format_certified(value))
@@ -207,14 +201,11 @@ def cmd_measure(args) -> int:
 
 def cmd_packing(args) -> int:
     G = parse_group(args.group, args.cayley)
-    table = PackingTable(G)              # raises KappaUnavailable if absent
-    print(table.serialize_entry(args.precision))
+    print(PackingTable(G).serialize_entry(args.precision))
     return 0
 
 
 def cmd_bench(args) -> int:
-    if args.n_min < 0:
-        raise ConfigError("--n-min must not be negative")
     G = parse_group(args.group, args.cayley)
     if args.n_min > args.n_max:
         raise ConfigError("--n-min must not exceed --n-max")
@@ -239,57 +230,72 @@ def cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are ``ConfigError``s; sub-parsers share this class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def natural(text: str) -> int:
+    """argparse type of a count, an int that is not negative (argparse
+    reports either refusal as "invalid natural value")."""
+    value = int(text)
+    if value < 0:
+        raise ConfigError(f"{text} is negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="haar",
         description="Certified Haar measures and integrals on compact groups")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_function=True):
+    def command(name, func, help_text, *options):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--group", required=True)
-        p.add_argument("--method", choices=("generic", "quadrature"))
-        if with_function:
-            p.add_argument("--function", default="builtin:one")
-        p.add_argument("--precision", "-n", type=int, default=4)
-        p.add_argument("--effort-cap", type=int, default=0)
         p.add_argument("--cayley")
+        for add in options:
+            add(p)
+        return p
 
-    p = sub.add_parser("integrate", help="certified Haar integral")
-    common(p)
-    p.set_defaults(func=cmd_integrate)
+    def integrand(p):
+        p.add_argument("--method", choices=("generic", "quadrature"))
+        p.add_argument("--function", default="builtin:one")
 
-    p = sub.add_parser("measure", help="certified Haar measure of a ball")
-    common(p, with_function=False)
+    def precision(p):
+        p.add_argument("--precision", "-n", type=natural, default=4)
+
+    def effort_cap(p):
+        p.add_argument("--effort-cap", type=natural, default=0)
+
+    command("integrate", cmd_integrate, "certified Haar integral",
+            integrand, precision, effort_cap)
+    p = command("measure", cmd_measure, "certified Haar measure of a ball",
+                precision, effort_cap)
     p.add_argument("--set", required=True, help="ball(center,radius)")
-    p.set_defaults(func=cmd_measure)
-
-    p = sub.add_parser("packing", help="print a maximum packing")
-    common(p, with_function=False)
-    p.set_defaults(func=cmd_packing)
-
-    p = sub.add_parser("bench", help="timing CSV over a precision range")
-    common(p)
-    p.add_argument("--n-min", type=int, default=4)
+    p = command("packing", cmd_packing, "print a maximum packing")
+    p.add_argument("--precision", "-n", type=int, default=4)
+    p = command("bench", cmd_bench, "timing CSV over a precision range",
+                integrand, effort_cap)
+    p.add_argument("--n-min", type=natural, default=4)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--repeats", type=int, default=5)
-    p.set_defaults(func=cmd_bench)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.effort_cap < 0:
-            raise ConfigError("--effort-cap must not be negative")
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    # InvalidBound is a ValueError, so the exit-2 clause comes first
-    except (NoConvergence, EffortExceeded, KappaUnavailable, PackingExhausted,
-            InvalidBound, DomainError, DivisionByIntervalContainingZero) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, InvalidCayleyTable, FileNotFoundError, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    except HaarError as exc:
+        error, code = exc, exc.exit_code
+    except (OSError, ValueError) as exc:   # unreadable files, untyped input
+        error, code = exc, 1
+    print(f"{type(error).__name__}: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -26,24 +26,34 @@ import math
 from fractions import Fraction
 
 
-class DomainError(ArithmeticError):
+class HaarError(Exception):
+    """Root of the errors the package raises on purpose; ``exit_code`` 2: the
+    request is valid, but the computation could not certify it."""
+
+    exit_code = 2
+
+
+class ConfigError(HaarError, ValueError):
+    """The request cannot be served as posed, whatever the effort."""
+
+    exit_code = 1
+
+
+class DomainError(HaarError):
     """Input definitely outside the mathematical domain of the function."""
 
 
-class DivisionByIntervalContainingZero(ZeroDivisionError):
+class DivisionByIntervalContainingZero(HaarError):
     """Interval division where the divisor encloses zero."""
 
 
-class NoConvergence(RuntimeError):
-    """An effort cap was reached before the requested certificate was met."""
+class NoConvergence(HaarError):
+    """An effort cap was reached before the requested certificate was met;
+    the message names the cap and how far the computation got."""
 
 
-class InvalidBound(ValueError):
+class InvalidBound(HaarError):
     """An integrand enclosure provably escaped the declared bound [-M, M]."""
-
-
-class EffortExceeded(RuntimeError):
-    """A search/grid budget was exhausted before the contract was met."""
 
 
 class Dyadic:
@@ -241,9 +251,6 @@ class Interval:
             return Interval(self.lo * d, self.hi * d)
         return Interval(self.hi * d, self.lo * d)
 
-    def shift(self, d: Dyadic) -> "Interval":
-        return Interval(self.lo + d, self.hi + d)
-
     def divide(self, other: "Interval", p: int) -> "Interval":
         """Enclosure of self/other, endpoints outward-rounded to the 2^-p grid."""
         if other.lo.sign() <= 0 and other.hi.sign() >= 0:
@@ -263,10 +270,6 @@ class Interval:
     def square(self) -> "Interval":
         a = self.abs()
         return Interval(a.lo * a.lo, a.hi * a.hi)
-
-    def intersect(self, other: "Interval") -> "Interval":
-        return Interval(dyadic_max(self.lo, other.lo),
-                        dyadic_min(self.hi, other.hi))
 
     def contains(self, x) -> bool:
         if isinstance(x, Dyadic):

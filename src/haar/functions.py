@@ -29,17 +29,13 @@ from .quadrature import IntegrandSpec, lift_circle_function
 TWO_PI_L = Dyadic(13, -1)       # 6.5 >= 2*pi
 
 
-def _const_interval(v: int):
-    return Interval.from_int(v)
-
-
 # ---------------------------------------------------------------------------
 # SU(2) / SO(3) / O(3) / U(2) integrands
 # ---------------------------------------------------------------------------
 
 def _one_spec() -> IntegrandSpec:
     def ev(element, wp):
-        return _const_interval(1)
+        return Interval.from_int(1)
 
     def fixed(a, b, c, d, scale, **kw):
         return (1 << scale, 1 << scale)
@@ -103,7 +99,7 @@ def _trace_spec() -> IntegrandSpec:
 def _sign_spec() -> IntegrandSpec:
     def ev(element, wp):
         _q, s = element
-        return _const_interval(1 if s == 0 else -1)
+        return Interval.from_int(1 if s == 0 else -1)
 
     def fixed(a, b, c, d, scale, sign_index=0, **kw):
         v = (1 << scale) if sign_index == 0 else -(1 << scale)
@@ -117,59 +113,26 @@ def _sign_spec() -> IntegrandSpec:
 # circle integrands (elements are dyadics t in [0,1))
 # ---------------------------------------------------------------------------
 
+# name -> (f at (re, im) enclosures, its fixed-point form at ``scale`` bits)
+_CIRCLE_FORMS = {
+    "one": (lambda re, im, wp: Interval.from_int(1),
+            lambda re, im, scale: (1 << scale, 1 << scale)),
+    "re": (lambda re, im, wp: re, lambda re, im, scale: re),
+    "re2": (lambda re, im, wp: re.square().round_out(wp),
+            lambda re, im, scale: fp_square(re, scale)),
+    "im": (lambda re, im, wp: im, lambda re, im, scale: im),
+    "abs-re": (lambda re, im, wp: re.abs(),
+               lambda re, im, scale: fp_abs(*re)),
+}
+
+
 def _circle_spec(name: str) -> IntegrandSpec:
-    if name == "one":
-        def ev(t, wp):
-            return _const_interval(1)
+    evc, cfx = _CIRCLE_FORMS[name]
 
-        def evc(re, im, wp):
-            return _const_interval(1)
+    def ev(t, wp):
+        s, c = sincos_pi(2 * t.as_fraction(), wp)
+        return evc(c, s, wp)
 
-        def cfx(re, im, scale):
-            return (1 << scale, 1 << scale)
-
-    elif name == "re":
-        def ev(t, wp):
-            return sincos_pi(2 * t.as_fraction(), wp)[1]
-
-        def evc(re, im, wp):
-            return re
-
-        def cfx(re, im, scale):
-            return re
-
-    elif name == "re2":
-        def ev(t, wp):
-            return sincos_pi(2 * t.as_fraction(), wp)[1].square().round_out(wp)
-
-        def evc(re, im, wp):
-            return re.square()
-
-        def cfx(re, im, scale):
-            return fp_square(re, scale)
-
-    elif name == "im":
-        def ev(t, wp):
-            return sincos_pi(2 * t.as_fraction(), wp)[0]
-
-        def evc(re, im, wp):
-            return im
-
-        def cfx(re, im, scale):
-            return im
-
-    elif name == "abs-re":
-        def ev(t, wp):
-            return sincos_pi(2 * t.as_fraction(), wp)[1].abs()
-
-        def evc(re, im, wp):
-            return re.abs()
-
-        def cfx(re, im, scale):
-            return fp_abs(*re)
-
-    else:
-        raise KeyError(name)
     return IntegrandSpec(ev, ZERO if name == "one" else TWO_PI_L, ONE, name=name,
                          eval_complex=evc, complex_fixed=cfx)
 
@@ -178,14 +141,12 @@ def _circle_spec(name: str) -> IntegrandSpec:
 # registry
 # ---------------------------------------------------------------------------
 
-_CIRCLE_NAMES = ("one", "re", "re2", "im", "abs-re")
-
 # group kind -> builtin name -> factory of a fresh IntegrandSpec
 _BUILTINS = {
-    "circle": {n: lambda n=n: _circle_spec(n) for n in _CIRCLE_NAMES},
+    "circle": {n: lambda n=n: _circle_spec(n) for n in _CIRCLE_FORMS},
     "su2": {"one": _one_spec, "abs-sum": _abs_sum_spec, "w2": _w2_spec,
             **{f"lift:{n}": lambda n=n: lift_circle_function(_circle_spec(n))
-               for n in _CIRCLE_NAMES}},
+               for n in _CIRCLE_FORMS}},
     "so3": {"one": _one_spec, "trace": _trace_spec},
     "o3": {"one": _one_spec, "sign": _sign_spec},
     "u2": {"one": _one_spec},

@@ -31,16 +31,12 @@ from math import lcm
 from typing import Callable, Optional
 
 from .exactreal import (
-    ZERO, CertifiedValue, Dyadic, Interval, InvalidBound, NoConvergence,
-    dyadic_max, fraction_ceil_to, fraction_floor_to,
+    ZERO, CertifiedValue, ConfigError, Dyadic, Interval, InvalidBound,
+    NoConvergence, dyadic_max, fraction_ceil_to, fraction_floor_to,
 )
 from .groups import Group
 from .packing import PackingTable
 from .regions import ratio
-
-
-class PackingExhausted(RuntimeError):
-    """A procedure needed packing levels beyond the table/effort cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +63,7 @@ class LocatedSet:
     @staticmethod
     def ball(G: Group, center, radius) -> "LocatedSet":
         if G.region is None:
-            raise ValueError(f"no located-set backend for group {G.kind!r}")
+            raise ConfigError(f"no located-set backend for group {G.kind!r}")
         return LocatedSet(G, G.region(center, radius))
 
     @staticmethod
@@ -153,6 +149,8 @@ def compute_measure(U: LocatedSet, packings: PackingTable, n: int, *,
     granularity plus the 2^(-m+4)-band mass, which cannot fall below 2^-n
     until m is within a few levels of n.  Levels below max(1, n-4) are
     therefore skipped; the value is unchanged, only dead iterations go.
+    Past ``max_level`` (default n + 48, where a set that is not co-inner
+    regular ends up) it raises ``NoConvergence``.
     """
     target = Fraction(1, 1 << n)
     cap = max_level if max_level is not None else n + 48
@@ -166,15 +164,11 @@ def compute_measure(U: LocatedSet, packings: PackingTable, n: int, *,
             mid = (upper + lower) / 2
             return CertifiedValue(fraction_floor_to(mid, n + 8), -n)
         m += 1
-    if max_level is not None:
-        tried = (f"levels {start}..{cap} did not pinch" if cap >= start else
-                 f"no level tried, since the first is {start}")
-        raise PackingExhausted(
-            f"measure to 2^-{n} hit the effort cap at packing level {cap}: "
-            f"{tried}")
+    tried = (f"levels {start}..{cap} did not pinch" if cap >= start else
+             f"no level tried, since the first is {start}")
     raise NoConvergence(
-        f"measure witnesses did not pinch to 2^-{n} by packing level {cap}; "
-        "the set is likely not co-inner regular")
+        f"measure to 2^-{n} hit the effort cap at packing level {cap}: "
+        f"{tried}")
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +219,9 @@ class CoinnerRadiusSearch:
             e, lo, den = hi - lo, 10 * lo, 10 * den
             N = _packing_level(e, den)
             if N > 4096:
-                raise PackingExhausted(f"radius search needs packing level {N}")
+                raise NoConvergence(
+                    f"radius search level {len(self.levels)} needs packing "
+                    f"level {N}, past the cap of 4096")
             T = self.packings.packing(N)
             c1, c5, c9 = (_near_count(
                 self.group.region(self.center, Fraction(lo + i * e, den)), T, N)

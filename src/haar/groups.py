@@ -18,13 +18,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .exactreal import (
-    Dyadic, Interval, ZERO, ONE, arccos_enclosure, dyadic_max, dyadic_min,
+    ConfigError, Dyadic, Interval, ZERO, ONE, arccos_enclosure, dyadic_max,
+    dyadic_min,
 )
 from .packing import CircleGridPacking, FinitePacking, TorusGridPacking
 from .regions import BoxRegion, FiniteRegion
 
 
-class InvalidCayleyTable(ValueError):
+class InvalidCayleyTable(ConfigError):
     """The proposed multiplication table violates the group axioms."""
 
 
@@ -89,7 +90,6 @@ class Versor:
 QUAT_ONE = Versor.exact(ONE, ZERO, ZERO, ZERO)
 QUAT_I = Versor.exact(ZERO, ONE, ZERO, ZERO)
 QUAT_J = Versor.exact(ZERO, ZERO, ONE, ZERO)
-QUAT_K = Versor.exact(ZERO, ZERO, ZERO, ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +325,17 @@ def make_group(kind: str, *, k: int = None, table=None, dim: int = None) -> Grou
     """
     if kind == "finite":
         if table is None:
-            raise ValueError("finite groups need a Cayley table")
+            raise ConfigError("finite groups need a Cayley table")
         return _finite_group(table)
     if kind == "cyclic":
-        if not k or k < 1:
-            raise ValueError("cyclic groups need an order k >= 1")
+        if k is None or k < 1:
+            raise ConfigError(f"cyclic groups need an order k >= 1, not {k}")
         return _finite_group(cyclic_table(k))
     if kind == "circle":
         return _circle_group()
     if kind == "torus":
         if dim is None or dim < 1:
-            raise ValueError("torus groups need a dimension dim >= 1")
+            raise ConfigError(f"torus groups need a dimension dim >= 1, not {dim}")
         return _torus_group(dim)
     if kind == "su2":
         return _su2_group()
@@ -345,4 +345,4 @@ def make_group(kind: str, *, k: int = None, table=None, dim: int = None) -> Grou
         return product_group("o3", _so3_group(), _finite_group(cyclic_table(2)))
     if kind == "u2":
         return product_group("u2", _su2_group(), _circle_group())
-    raise ValueError(f"unknown group kind {kind!r}")
+    raise ConfigError(f"unknown group kind {kind!r}")

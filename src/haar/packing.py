@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING
 
-from .exactreal import Dyadic, EffortExceeded
+from .exactreal import ConfigError, Dyadic, NoConvergence
 from .regions import BoxRegion, FiniteRegion, ratio
 
 if TYPE_CHECKING:          # groups imports this module to build its packings
@@ -33,28 +33,20 @@ if TYPE_CHECKING:          # groups imports this module to build its packings
 MAX_ITER = 1 << 21
 
 
-class KappaUnavailable(RuntimeError):
-    """The instance has no closed-form kappa."""
-
-
-def _no_packings(G: Group) -> KappaUnavailable:
-    return KappaUnavailable(
-        f"group {G.kind!r} has no closed-form packings; only finite, "
-        "circle and torus groups have them")
+class KappaUnavailable(ConfigError):
+    """The group has no closed-form kappa, so no packings."""
 
 
 def _check_iter(n: int, size: int) -> None:
     if size > MAX_ITER:
-        raise EffortExceeded(
+        raise NoConvergence(
             f"packing level {n} has {size} points, more than the "
             f"{MAX_ITER} that are materialized")
 
 
 def packing_size(G: Group, n: int) -> int:
     """kappa(n), the size of a maximum n-packing; exact closed form."""
-    if G.kappa is None:
-        raise _no_packings(G)
-    return G.kappa(n)
+    return PackingTable(G).size(n)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +217,9 @@ class PackingTable:
 
     def __init__(self, G: Group):
         if G.packing is None:
-            raise _no_packings(G)
+            raise KappaUnavailable(
+                f"group {G.kind!r} has no closed-form packings; only finite, "
+                "circle and torus groups have them")
         self.group = G
         self._cache = {}
 

@@ -23,8 +23,8 @@ from ._grid import (
     IDENTITY_PREMAP, fp_add, fp_div_pos, fp_sqrt, fp_square, su2_grid_integral,
 )
 from .exactreal import (
-    CertifiedValue, Dyadic, Interval, InvalidBound, NoConvergence, ZERO,
-    cos_enclosure, fraction_ceil_to, fraction_floor_to, sin_enclosure,
+    CertifiedValue, ConfigError, Dyadic, Interval, InvalidBound, NoConvergence,
+    ZERO, cos_enclosure, fraction_ceil_to, fraction_floor_to, sin_enclosure,
     sqrt_enclosure,
 )
 from .groups import Versor
@@ -231,7 +231,8 @@ def haar_integral_derived(kind: str, f: IntegrandSpec, n: int, *,
         # mean of N values, each within 2^-(n+1); plus the outer midpoint term
         mean = Dyadic(total.m, total.e - (N.bit_length() - 1))
         return CertifiedValue(mean, -n)
-    raise ValueError(f"quadrature does not handle {kind!r}")
+    raise ConfigError(f"quadrature does not handle {kind!r}; it covers "
+                      f"{', '.join(QUADRATURE_KINDS)}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,23 @@
 import pytest
 from hypothesis import settings
 
-from haar import make_group
+from haar import HaarError, make_group
 from haar.groups import cyclic_table
 
 # the same examples on every run, so two trees are compared on equal draws;
 # no deadline, since timing on a loaded machine is no property of the code
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
+
+
+def haar_errors() -> list:
+    """``HaarError`` and all its subclasses, found recursively, by name."""
+    found, todo = set(), [HaarError]
+    while todo:
+        cls = todo.pop()
+        found.add(cls)
+        todo += cls.__subclasses__()
+    return sorted(found, key=lambda cls: cls.__name__)
 
 
 def direct_product_table(t1, t2):

@@ -1,23 +1,20 @@
 """CLI behavior: output formats, exit codes, file inputs."""
 
+import contextlib
+import io
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from haar import cli
 from haar.cli import (
     format_certified, format_dyadic_exact_decimal, main, parse_ball,
     parse_group,
 )
-from haar.exactreal import (
-    CertifiedValue, DivisionByIntervalContainingZero, DomainError, Dyadic,
-    EffortExceeded, NoConvergence,
-)
-from haar.generic import InvalidBound as GenericInvalidBound, PackingExhausted
-from haar.groups import InvalidCayleyTable
-from haar.packing import KappaUnavailable
-from haar.quadrature import InvalidBound
+from haar.exactreal import CertifiedValue, ConfigError, Dyadic
+from conftest import haar_errors
 
 
 def run(capsys, *argv):
@@ -112,7 +109,7 @@ class TestMeasure:
                              "--set", "ball(0,1/4)", "--precision", "10",
                              "--effort-cap", "3")
         assert code == 2 and out == ""
-        assert err.startswith("PackingExhausted: ")
+        assert err.startswith("NoConvergence: ")
         assert "packing level 3" in err and "the first is 6" in err
         assert "co-inner" not in err
 
@@ -121,7 +118,7 @@ class TestMeasure:
                              "--set", "ball(0,1/4)", "--precision", "10",
                              "--effort-cap", "7")
         assert code == 2 and out == ""
-        assert err.startswith("PackingExhausted: ") and "levels 6..7" in err
+        assert err.startswith("NoConvergence: ") and "levels 6..7" in err
 
     def test_circle_arc(self, capsys):
         code, out, err = run(capsys, "measure", "--group", "circle",
@@ -156,15 +153,18 @@ class TestMeasure:
         assert abs(v - Fraction(31, 32)) <= Fraction(1, 4)
 
     def test_quadrature_method_rejected(self, capsys):
+        # measure has no --method: the generic route is its only one
         code, out, err = run(capsys, "measure", "--group", "circle",
                              "--method", "quadrature",
                              "--set", "ball(0,1/8)", "--precision", "3")
         assert code == 1
+        assert out == "" and err.startswith("ConfigError: ") and "--method" in err
 
     def test_su2_rejected(self, capsys):
         code, out, err = run(capsys, "measure", "--group", "su2",
                              "--set", "ball(0,1/8)", "--precision", "3")
         assert code == 1
+        assert out == "" and err.startswith("KappaUnavailable: ")
 
     @pytest.mark.parametrize("group", ["torus:0", "torus:-2"])
     def test_torus_below_dimension_one_rejected(self, capsys, group):
@@ -172,7 +172,7 @@ class TestMeasure:
         code, out, err = run(capsys, "measure", "--group", group,
                              "--set", "ball(0,1/8)", "--precision", "3")
         assert code == 1
-        assert out == "" and err.startswith("ValueError: ")
+        assert out == "" and err.startswith("ConfigError: ") and group[6:] in err
 
 
 class TestPacking:
@@ -200,7 +200,7 @@ class TestPacking:
     def test_su2_unavailable(self, capsys):
         code, out, err = run(capsys, "packing", "--group", "su2",
                              "--precision", "2")
-        assert code == 2 and out == ""
+        assert code == 1 and out == ""
         assert err.startswith("KappaUnavailable: ")
         assert "only finite, circle and torus groups" in err
 
@@ -213,7 +213,7 @@ class TestPacking:
         code, out, err = run(capsys, "packing", "--group", group,
                              "--precision", str(level))
         assert code == 2 and out == ""
-        assert err.startswith("EffortExceeded: ")
+        assert err.startswith("NoConvergence: ")
         assert f"level {level} has {size} points" in err
 
 
@@ -252,14 +252,15 @@ class TestBench:
         assert "precision," not in out
 
 
+HAAR_ERRORS = haar_errors()
+# every HaarError exits with its own code; untyped input errors exit 1
+EXIT_CASES = [(cls, cls.exit_code) for cls in HAAR_ERRORS] + \
+    [(FileNotFoundError, 1), (ValueError, 1)]
+
+
 class TestExitCodes:
-    @pytest.mark.parametrize("error, code", [
-        (cli.ConfigError, 1), (InvalidCayleyTable, 1), (FileNotFoundError, 1),
-        (ValueError, 1), (NoConvergence, 2), (EffortExceeded, 2),
-        (KappaUnavailable, 2), (PackingExhausted, 2), (InvalidBound, 2),
-        (GenericInvalidBound, 2), (DomainError, 2),
-        (DivisionByIntervalContainingZero, 2),
-    ])
+    @pytest.mark.parametrize("error, code", EXIT_CASES, ids=[
+        f"{error.__name__}-{code}" for error, code in EXIT_CASES])
     def test_error_class_exit_code(self, capsys, monkeypatch, error, code):
         def fail(args):
             raise error("boom")
@@ -267,8 +268,13 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_packing", fail)
         got, out, err = run(capsys, "packing", "--group", "circle")
         assert got == code
-        assert err.startswith(f"{error.__name__}: ")
+        assert out == "" and err == f"{error.__name__}: boom\n"
 
+    def test_exit_1_is_exactly_the_config_errors(self):
+        assert cli.ConfigError is ConfigError
+        assert {cls.__name__ for cls in HAAR_ERRORS if cls.exit_code == 1} == {
+            cls.__name__ for cls in HAAR_ERRORS if issubclass(cls, ConfigError)}
+        assert {cls.exit_code for cls in HAAR_ERRORS} == {1, 2}
 
     @pytest.mark.parametrize("argv", [
         ("integrate", "--group", "su2", "--function", "builtin:abs-sum"),
@@ -321,6 +327,120 @@ class TestExitCodes:
                             "--effort-cap", "1")
         assert got == 2
         assert out == "" and err.startswith("NoConvergence: ")
+
+
+class TestRefusals:
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and "integrate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, named", [
+        (("integrate", "--group", "circle", "--precision", "abc"), "'abc'"),
+        (("integrate",), "--group"),
+        (("integrate", "--group", "circle", "--bogus", "1"), "--bogus"),
+        ((), "command"),
+    ])
+    def test_usage_errors_exit_1(self, capsys, argv, named):
+        # argparse's own usage errors used to exit 2, the code of a
+        # computation that gave up
+        got, out, err = run(capsys, *argv)
+        assert got == 1
+        assert out == "" and err.startswith("ConfigError: ") and named in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, named", [
+        (("measure", "--group", "torus:x", "--set", "ball(0,1/8)"), "'x'"),
+        (("integrate", "--group", "cyclic:x"), "'x'"),
+        (("measure", "--group", "cyclic:3", "--set", "ball(x,1/8)"), "'x'"),
+        (("integrate", "--group", "cyclic:0"), "not 0"),
+    ])
+    def test_bad_tokens_are_named(self, capsys, argv, named):
+        # each used to print Python's own ValueError text
+        got, out, err = run(capsys, *argv)
+        assert got == 1
+        assert out == "" and err.startswith("ConfigError: ") and named in err
+
+    @pytest.mark.parametrize("argv", [
+        ("packing", "--group", "circle", "--method", "generic"),
+        ("packing", "--group", "circle", "--effort-cap", "3"),
+        ("measure", "--group", "circle", "--set", "ball(0,1/8)",
+         "--method", "generic"),
+        ("bench", "--group", "circle", "--precision", "3"),
+    ])
+    def test_unread_options_are_refused(self, capsys, argv):
+        got, out, err = run(capsys, *argv)
+        assert got == 1
+        assert out == "" and err.startswith("ConfigError: unrecognized")
+
+    @pytest.mark.parametrize("argv", [
+        ("integrate", "--group", "su2", "--method", "generic"),
+        ("packing", "--group", "so3"),
+    ])
+    def test_missing_packings_exit_1_everywhere(self, capsys, argv):
+        # as measure does (TestMeasure.test_su2_rejected)
+        got, out, err = run(capsys, *argv, "-n", "2")
+        assert got == 1
+        assert out == "" and err.startswith("KappaUnavailable: ")
+
+    def test_quadrature_on_a_torus_is_config_error(self, capsys):
+        got, out, err = run(capsys, "integrate", "--group", "torus:2",
+                            "--method", "quadrature")
+        assert got == 1
+        assert out == "" and err.startswith("ConfigError: ") and "torus" in err
+
+
+# malformed tokens, each read before any computation starts
+BAD_INTS = ["x", "1.5", "", "1/0", "0x10"]
+BAD_TOKENS = {
+    "group": [f"{kind}:{tok}" for kind in ("torus", "cyclic")
+              for tok in BAD_INTS + ["0", "-1"]],
+    "--precision": BAD_INTS,
+    "--effort-cap": BAD_INTS + ["-1", "-8"],
+    "--function": ["builtin:nope", "builtin:", "builtin:ONE", "sin(x)"],
+    "--set": [f"ball({c},1/8)" for c in ("1/3", "x", "1/0", "0.3")]
+             + [f"ball(0,{r})" for r in ("1/0", "x", "")],
+}
+BASE_ARGV = {
+    "integrate": ["--function", "builtin:one", "-n", "3"],
+    "measure": ["--set", "ball(0,1/8)", "-n", "3"],
+    "packing": ["-n", "3"],
+    "bench": ["--function", "builtin:one", "--n-min", "2", "--n-max", "3",
+              "--repeats", "1"],
+}
+ERRORS_BY_NAME = {cls.__name__: cls for cls in HAAR_ERRORS}
+
+
+@st.composite
+def malformed_argv(draw):
+    command = draw(st.sampled_from(sorted(BASE_ARGV)))
+    group = draw(st.sampled_from(["circle", "torus:2", "cyclic:3", "su2",
+                                  "so3"]))
+    method = draw(st.sampled_from([None, "generic", "quadrature"]))
+    slot = draw(st.sampled_from(sorted(BAD_TOKENS)))
+    token = draw(st.sampled_from(BAD_TOKENS[slot]))
+    if slot == "group":
+        group = token
+    argv = [command, "--group", group, *BASE_ARGV[command]]
+    if method is not None:
+        argv += ["--method", method]
+    if slot != "group":
+        argv += [slot, token]
+    return argv
+
+
+class TestRefusalFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=malformed_argv())
+    def test_malformed_input_is_one_named_refusal(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got = main(argv)
+        err = err.getvalue()
+        name, _, message = err.partition(": ")
+        assert out.getvalue() == "" and err.count("\n") == 1, (argv, err)
+        assert name in ERRORS_BY_NAME and message.strip(), (argv, err)
+        assert got == ERRORS_BY_NAME[name].exit_code, (argv, err)
 
 
 class TestGroupParsing:

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from haar.cli import parse_group
 from haar.exactreal import (
-    CertifiedValue, Dyadic, fraction_ceil_to, fraction_floor_to,
+    CertifiedValue, Dyadic, NoConvergence, fraction_ceil_to, fraction_floor_to,
 )
 from haar.generic import (
-    CoinnerRadiusSearch, LocatedSet, ModulusOfContinuity, PackingExhausted,
-    PartitionCell, compute_integral, compute_measure, find_coinner_radius,
+    CoinnerRadiusSearch, LocatedSet, ModulusOfContinuity, PartitionCell,
+    compute_integral, compute_measure, find_coinner_radius,
     find_nice_partition, pseudo_count, ring_bound,
 )
 from haar import generic
@@ -262,7 +262,7 @@ class _FractionRadiusSearch:
             while Fraction(1, 1 << (N - 3)) > eps:
                 N += 1
             if N > 4096:
-                raise PackingExhausted(f"radius search needs packing level {N}")
+                raise NoConvergence(f"radius search needs packing level {N}")
             T = self.packings.packing(N)
             m1 = pseudo_count(LocatedSet.ball(self.group, self.center, r1), T, N)
             m5 = pseudo_count(LocatedSet.ball(self.group, self.center, r5), T, N)

@@ -1,5 +1,6 @@
-"""Each module imports cleanly when it is the first one loaded, and every
-top-level function and class is used.
+"""Each module imports cleanly when it is the first one loaded, every
+definition (function, class, method, module constant) is used, and every
+raise refuses with a ``HaarError`` or is a listed check for a caller's bug.
 
 ``groups`` imports ``packing`` to build its packings, so a module-level import
 of ``groups`` from ``packing`` (or from anything ``packing`` imports) would
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import haar
+from conftest import haar_errors
 
 SRC = Path(haar.__file__).resolve().parents[1]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(haar.__path__))
@@ -45,8 +47,9 @@ def test_module_imports_first(module):
     assert proc.returncode == 0, proc.stderr
 
 
-# Top-level names that no other code in the package uses, each with the
-# acceptance criterion, benchmark or documented entry point that keeps it.
+# Definitions that no other code in the package reads, each with the
+# acceptance criterion, benchmark, test or documented entry point that keeps
+# it.  Methods are named Class.method.
 ENTRY_POINTS = {
     "translate_su2_integrand": "criterion 8; the su2-translated benchmark",
     "invert_su2_integrand": "criterion 8; the su2-translated benchmark",
@@ -58,34 +61,128 @@ ENTRY_POINTS = {
     "find_coinner_radius": "the paper's coinner radius, a documented entry point",
     "psi": "the paper's parametrization Psi, a documented entry point",
     "jacobian": "the Jacobian of Psi, a documented entry point",
+    "Interval.contains": "the enclosure oracle of criterion 11 and the tests",
+    "Interval.contains_interval": "the nesting tests of the exactreal kernels",
+    "Versor.norm2": "the unit-norm tests of psi and the SU(2) product",
+    "QUAT_I": "the quaternion product tests",
+    "QUAT_J": "the quaternion product tests",
+    "BoxRegion.union": "the region algebra's oracle tests; the tracer's "
+                       "regions.op span",
+    "FiniteRegion.union": "the region algebra's oracle tests; the tracer's "
+                          "regions.op span",
+    "BoxRegion.contains": "the region and partition oracle tests",
+    "FiniteRegion.contains": "the region and partition oracle tests",
+    "_Parser.error": "argparse calls it on every usage error",
 }
 
 
+def _definitions(tree):
+    """(path, line) of each top-level def and class, each non-dunder method
+    (path (Class, name)) and each module-level constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield (node.name,), node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and \
+                        not item.name.startswith("__"):
+                    yield (node.name, item.name), item.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and \
+                            not sub.id.startswith("__"):
+                        yield (sub.id,), node.lineno
+
+
+def _reads(node, path=()):
+    """(name, is an attribute, path of the innermost def or class around it)
+    of each Name and Attribute the tree loads."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        path = path + (node.name,)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id, False, path
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr, True, path
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, path)
+
+
 def _unused_definitions() -> tuple[set, list]:
-    """(every top-level def/class name, those that no code in ``src/haar``
-    reads outside their own body).  ``__init__`` re-exports do not count."""
+    """(every definition's dotted name, those that no code in ``src/haar``
+    reads outside their own body).  ``__init__`` re-exports do not count.
+    Reads match by name: any ``.name`` counts for every method ``name``, and
+    only an attribute read counts for a method."""
     defined, readers = {}, {}
     for path in sorted((SRC / "haar").glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for node in ast.parse(path.read_text()).body:
-            owner = None
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                owner = (path.stem, node.name)
-                defined[owner] = node.lineno
-            for sub in ast.walk(node):
-                name = (sub.id if isinstance(sub, ast.Name) else
-                        sub.attr if isinstance(sub, ast.Attribute) else None)
-                if name is not None:
-                    readers.setdefault(name, set()).add(owner)
-    unused = [f"{mod}.py:{line} {name}"
-              for (mod, name), line in sorted(defined.items())
-              if not readers.get(name, set()) - {(mod, name)}
-              and name not in ENTRY_POINTS]
-    return {name for _, name in defined}, unused
+        tree = ast.parse(path.read_text())
+        for owner, line in _definitions(tree):
+            defined[(path.stem, owner)] = line
+        for name, is_attr, owner in _reads(tree):
+            readers.setdefault(name, set()).add((is_attr, path.stem, owner))
+    unused = []
+    for (mod, owner), line in sorted(defined.items()):
+        read = any((is_attr or len(owner) == 1)
+                   and (m != mod or reader[:len(owner)] != owner)
+                   for is_attr, m, reader in readers.get(owner[-1], ()))
+        if not read and ".".join(owner) not in ENTRY_POINTS:
+            unused.append(f"{mod}.py:{line} {'.'.join(owner)}")
+    return {".".join(owner) for _, owner in defined}, unused
 
 
 def test_no_dead_definitions():
     names, unused = _unused_definitions()
     assert set(ENTRY_POINTS) <= names, set(ENTRY_POINTS) - names
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+# Raises that catch a bug in the calling code instead of refusing a request,
+# as (module, enclosing definition, exception): every other raise in the
+# package raises a HaarError, so the command line maps it to its exit code.
+BUG_RAISES = {
+    ("exactreal", "Interval.__init__", "ValueError"):
+        "an interval whose ends are out of order is built only by a bug",
+    ("exactreal", "pi_enclosure", "AssertionError"):
+        "the width of the pi enclosure is proved; the check guards edits",
+    ("generic", "_ceil_log2", "ValueError"):
+        "its one caller passes a positive Lipschitz constant",
+    ("generic", "CoinnerRadiusSearch.__init__", "ValueError"):
+        "callers pass radii 0 < a < b",
+    ("packing", "packing_size_bracket", "ValueError"):
+        "a packing radius is positive by definition",
+    ("quadrature", "lift_circle_function", "ValueError"):
+        "only circle integrands, which carry eval_complex, are lifted",
+    ("cli", "_format_fraction_decimal", "ValueError"):
+        "callers round the value onto the decimal grid first",
+    ("functions", "builtin_integrand", "KeyError"):
+        "a mapping lookup's error; the command line names the choices",
+}
+
+
+def _raises(node, path=()):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        path = path + (node.name,)
+    if isinstance(node, ast.Raise):
+        yield ".".join(path), node
+    for child in ast.iter_child_nodes(node):
+        yield from _raises(child, path)
+
+
+def test_every_raise_is_a_refusal():
+    refusals = {cls.__name__ for cls in haar_errors()}
+    seen, stray = set(), []
+    for path in sorted((SRC / "haar").glob("*.py")):
+        for owner, node in _raises(ast.parse(path.read_text())):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = (exc.id if isinstance(exc, ast.Name) else
+                    exc.attr if isinstance(exc, ast.Attribute) else None)
+            if (path.stem, owner, name) in BUG_RAISES:
+                seen.add((path.stem, owner, name))
+            elif name not in refusals:
+                stray.append(f"{path.name}:{node.lineno} raise {name}")
+    assert not stray, "raises outside the HaarError hierarchy: " + ", ".join(stray)
+    assert seen == set(BUG_RAISES), set(BUG_RAISES) - seen

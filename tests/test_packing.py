@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from haar.cli import parse_group
-from haar.exactreal import Dyadic, EffortExceeded
+from haar.exactreal import Dyadic, NoConvergence
 from haar.groups import make_group
 from haar.packing import (
     MAX_ITER, CircleGridPacking, FinitePacking, KappaUnavailable,
@@ -215,7 +215,7 @@ class TestGridPackings:
     def test_materializing_past_the_cap_is_refused(self):
         for pk in (CircleGridPacking(22), TorusGridPacking(2, 11)):
             assert pk.size > MAX_ITER
-            with pytest.raises(EffortExceeded, match=f"has {pk.size} points"):
+            with pytest.raises(NoConvergence, match=f"has {pk.size} points"):
                 pk.points_list()
 
     def test_serialization_format(self, circle):
