@@ -117,10 +117,12 @@ def parse_ball(spec: str, G):
             raise ConfigError(f"center index {center} out of range")
     elif G.kind == "circle":
         center = _parse_dyadic(center_tok)
-    else:
+    elif G.kind == "torus":
         center = tuple(_parse_dyadic(tok) for tok in center_tok.split(":"))
         if len(center) != G.dim:
             raise ConfigError(f"expected {G.dim} coordinates")
+    else:   # no located sets: ``LocatedSet.ball`` refuses, naming the group
+        center = None
     return LocatedSet.ball(G, center, radius)
 
 

@@ -43,10 +43,6 @@ from .regions import ratio
 # located sets
 # ---------------------------------------------------------------------------
 
-def _as_fraction(x) -> Fraction:
-    return x.as_fraction() if hasattr(x, "as_fraction") else Fraction(x)
-
-
 @dataclass(frozen=True)
 class LocatedSet:
     """A closed set given by one exact region of its group.
@@ -103,7 +99,7 @@ class ModulusOfContinuity:
 
     @staticmethod
     def from_lipschitz(L) -> "ModulusOfContinuity":
-        Lf = _as_fraction(L)
+        Lf = Fraction(*ratio(L))
         if Lf <= 0:
             return ModulusOfContinuity(lambda k: 0)
         shift = max(0, _ceil_log2(Lf))
@@ -369,7 +365,7 @@ def compute_integral(G: Group, f, modulus: ModulusOfContinuity, bound_M,
     finite groups 0).  Both t and q grow with log ncells, not with ncells,
     so no cell needs measures or radii of ncells bits.
     """
-    M = _as_fraction(bound_M)
+    M = Fraction(*ratio(bound_M))
     if M <= 0:
         M = Fraction(1)
     m_f = modulus.eval(n + 1)

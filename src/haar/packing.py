@@ -297,7 +297,7 @@ def packing_size_bracket(G: Group, delta) -> tuple[int, int]:
     exhibits a separated tuple on a fine dyadic grid and the upper bound is
     the gap-sum bound m * delta < 1.  Other kinds raise KappaUnavailable.
     """
-    delta = delta.as_fraction() if hasattr(delta, "as_fraction") else Fraction(delta)
+    delta = Fraction(*ratio(delta))
     if delta <= 0:
         raise ValueError("radius must be positive")
     if G.kind == "finite":

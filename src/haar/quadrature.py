@@ -2,10 +2,11 @@
 
 U(1) integrates as an ordinary interval-certified midpoint rule on [0, 1);
 SU(2) goes through the quaternion spherical parameterization (see ``_grid``);
-SO(3) integrates through the double cover, O(3) as two SO(3) halves, and U(2)
-as an iterated SU(2) x U(1) integral.  All routines return a ``CertifiedValue``
-carrying the requested absolute error bound 2^-n, or raise ``NoConvergence``
-when the certified budget cannot be met within the effort caps.
+SO(3) integrates through the double cover; O(3) and U(2), products with
+{+-1} and U(1), as one SU(2) integral of the mean over the second factor.
+All routines return a ``CertifiedValue`` carrying the requested absolute
+error bound 2^-n, or raise ``NoConvergence`` when the certified budget cannot
+be met within the effort caps.
 
 Quadrature is composite midpoint with Lipschitz error control throughout: the
 integrands are only assumed Lipschitz (the canonical test function
@@ -20,18 +21,18 @@ from fractions import Fraction
 import numpy as np
 
 from ._grid import (
-    IDENTITY_PREMAP, fp_add, fp_div_pos, fp_sqrt, fp_square, su2_grid_integral,
+    IDENTITY_PREMAP, _nonneg, fp_add, fp_div_pos, fp_sqrt, fp_square,
+    su2_grid_integral,
 )
 from .exactreal import (
     CertifiedValue, ConfigError, Dyadic, Interval, InvalidBound, NoConvergence,
-    ZERO, cos_enclosure, fraction_ceil_to, fraction_floor_to, sin_enclosure,
+    cos_enclosure, fraction_ceil_to, fraction_floor_to, sin_enclosure,
     sqrt_enclosure,
 )
 from .groups import Versor
 
 __all__ = [
-    "ParamPoint", "IntegrandSpec", "InvalidBound",
-    "psi", "jacobian",
+    "ParamPoint", "IntegrandSpec", "InvalidBound", "psi", "jacobian",
     "haar_integral_su2", "haar_integral_circle", "haar_integral_derived",
     "lift_circle_function", "QUADRATURE_KINDS",
 ]
@@ -118,35 +119,35 @@ def psi(p: ParamPoint, wp: int) -> Versor:
 def jacobian(eta: Interval, theta: Interval, wp: int) -> Interval:
     """|det Psi'| = sin^2(eta) sin(theta); nonnegative on the parameter box."""
     v = sin_enclosure(eta, wp + 2).square() * sin_enclosure(theta, wp + 2)
-    lo = v.lo if v.lo.sign() > 0 else ZERO
-    hi = v.hi if v.hi >= lo else lo
-    return Interval(lo, hi).round_out(wp)
+    return _nonneg(v).round_out(wp)
 
 
 # ---------------------------------------------------------------------------
 # U(1)
 # ---------------------------------------------------------------------------
 
+def _midpoints(L: Fraction, n: int, cap: int):
+    """The N = 2^k dyadic midpoints (2j+1)/(2N) of [0, 1), N the least power
+    of two with L/(4N) <= 2^-(n+1), the midpoint rule's Lipschitz term for
+    an L-Lipschitz function on U(1).  Refuses when N > cap."""
+    N = 1 << max(0, -(-L * (1 << n + 1) // 4) - 1).bit_length()
+    if N > cap:
+        raise NoConvergence(f"circle midpoint rule needs N = {N} points for "
+                            f"2^-{n}; over the effort cap of {cap}")
+    return (Dyadic(2 * j + 1, -N.bit_length()) for j in range(N))
+
+
 def haar_integral_circle(f: IntegrandSpec, n: int,
                          max_points: int = 1 << 22) -> CertifiedValue:
     """Certified composite midpoint rule for the Haar integral on U(1).
 
-    Elements are circle coordinates t in [0,1); the rule uses N = 2^k dyadic
-    midpoints with N chosen so the Lipschitz term L/(4N) fits in half the
-    error budget, the other half covering the evaluation enclosures.
+    Elements are circle coordinates t in [0,1); the Lipschitz term of the
+    rule takes half the error budget, the evaluation enclosures the rest.
     """
     L = f.lipschitz.as_fraction()
-    budget = Fraction(1, 1 << (n + 1))
-    N = 1
-    while L / (4 * N) > budget:
-        N *= 2
-        if N > max_points:
-            raise NoConvergence(f"circle rule needs > {max_points} points")
     wp = n + 6
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for k in range(N):
-        t = Dyadic(2 * k + 1, -(N.bit_length() - 1) - 1)
+    lo = hi = Fraction(0)
+    for N, t in enumerate(_midpoints(L, n, max_points), 1):
         fv = f.eval(t, wp)
         lo += fv.lo.as_fraction()
         hi += fv.hi.as_fraction()
@@ -173,20 +174,32 @@ def haar_integral_su2(f: IntegrandSpec, n: int, *,
 # derived groups
 # ---------------------------------------------------------------------------
 
-def _restrict(f: IntegrandSpec, tag, keyword: str) -> IntegrandSpec:
-    """f on the SU(2) factor with the other factor fixed at ``tag``, which
-    ``fixed_eval`` receives as the keyword argument ``keyword``."""
+def _average(f: IntegrandSpec, tags, keyword: str) -> IntegrandSpec:
+    """The mean of f over the 2^k ``tags`` of the second factor, on the SU(2)
+    factor, with f's Lipschitz constant and bound (a mean keeps both).
+    ``fixed_eval`` passes each tag as ``keyword`` and adds the enclosures one
+    at a time, each within 2^(62-k) so that the sum cannot wrap int64."""
+    k = len(tags).bit_length() - 1
+
     def ev(q, wp):
-        return f.eval((q, tag), wp)
+        return sum((f.eval((q, t), wp) for t in tags[1:]),
+                   f.eval((q, tags[0]), wp)).scale(Dyadic(1, -k))
 
     fixed = None
     if f.fixed_eval is not None:
-        base = f.fixed_eval
+        base, lim = f.fixed_eval, (1 << 62) >> k
 
         def fixed(a, b, c, d, scale):
-            return base(a, b, c, d, scale, **{keyword: tag})
+            lo = hi = 0
+            for t in tags:
+                tlo, thi = base(a, b, c, d, scale, **{keyword: t})
+                if np.min(tlo) < -lim or np.max(thi) > lim:
+                    raise NoConvergence(f"enclosure at {keyword}={t} is past "
+                                        f"2^{62 - k}: its mean would wrap int64")
+                lo, hi = lo + tlo, hi + thi
+            return lo >> k, -((-hi) >> k)
 
-    return IntegrandSpec(ev, f.lipschitz, f.bound, name=f"{f.name}|{keyword}={tag}",
+    return IntegrandSpec(ev, f.lipschitz, f.bound, name=f"mean:{f.name}",
                          fixed_eval=fixed, premap=f.premap, uses=f.uses)
 
 
@@ -195,42 +208,28 @@ def haar_integral_derived(kind: str, f: IntegrandSpec, n: int, *,
     """Haar integral on any group kind in ``QUADRATURE_KINDS``.
 
     circle and su2 run their own rules (the circle rule takes at most
-    min(max_cells, 2^22) points);
-    SO(3), O(3) and U(2) reduce to SU(2) through covers and products.
+    min(max_cells, 2^22) points); the others make one SU(2) integral each.
     so3: elements are versors (the double cover pushes Haar forward, and the
-    quotient metric only shrinks distances so the declared Lipschitz constant
-    remains valid).  o3: average of the two sign components.  u2: iterated
-    integral, outer circle midpoint rule over the U(1) factor with the same
-    Lipschitz control (moving the circle coordinate moves a U(2) element by
-    exactly the circle distance in the max metric).
+    quotient metric only shrinks distances, so L stays valid).  o3: Haar
+    measure on the signs is their mean, so this is exact.  u2: the integral
+    of g(t) = int f(q, t) dq over U(1); moving t moves (q, t) by the circle
+    distance in the max metric, so g is L-Lipschitz and the midpoint rule on
+    N <= 2^12 points ts errs by L/(4N) <= 2^-(n+1); its value, the SU(2)
+    integral of the mean of f(., t) over ts, is certified to 2^-(n+1).  The
+    grid keeps its cell caps, each cell evaluating f once per tag.
     """
     if kind == "circle":
         return haar_integral_circle(f, n, max_points=min(max_cells, 1 << 22))
     if kind in ("su2", "so3"):
         return haar_integral_su2(f, n, max_cells=max_cells)
     if kind == "o3":
-        plus = haar_integral_su2(_restrict(f, 0, "sign_index"), n + 1,
+        return haar_integral_su2(_average(f, (0, 1), "sign_index"), n,
                                  max_cells=max_cells)
-        minus = haar_integral_su2(_restrict(f, 1, "sign_index"), n + 1,
-                                  max_cells=max_cells)
-        return CertifiedValue((plus.value + minus.value).half(), -n)
     if kind == "u2":
-        L = f.lipschitz.as_fraction()
-        budget = Fraction(1, 1 << (n + 1))
-        N = 1
-        while L / (4 * N) > budget:
-            N *= 2
-            if N > 1 << 12:
-                raise NoConvergence("u2 outer rule needs too many circle points")
-        total = ZERO
-        for k in range(N):
-            t = Dyadic(2 * k + 1, -(N.bit_length() - 1) - 1)
-            inner = haar_integral_su2(_restrict(f, t, "circle_point"), n + 1,
-                                      max_cells=max_cells)
-            total = total + inner.value
-        # mean of N values, each within 2^-(n+1); plus the outer midpoint term
-        mean = Dyadic(total.m, total.e - (N.bit_length() - 1))
-        return CertifiedValue(mean, -n)
+        ts = tuple(_midpoints(f.lipschitz.as_fraction(), n, 1 << 12))
+        inner = haar_integral_su2(_average(f, ts, "circle_point"), n + 1,
+                                  max_cells=max_cells)
+        return CertifiedValue(inner.value, -n)
     raise ConfigError(f"quadrature does not handle {kind!r}; it covers "
                       f"{', '.join(QUADRATURE_KINDS)}")
 

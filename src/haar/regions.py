@@ -20,9 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .exactreal import Dyadic
+from .exactreal import Dyadic, NoConvergence
 
 FAR = Fraction(1 << 40)          # stand-in for the distance to an empty set
+MAX_BOXES = 1 << 16              # effort cap on the boxes of one subtraction
 
 
 def ratio(x) -> tuple[int, int]:
@@ -98,6 +99,9 @@ def _subtract_box(boxes, cut, den: int) -> list:
                 nxt_cores += [b[:c] + (arc,) + b[c + 1:] for arc in inside]
             cores = nxt_cores
         # cores are inside the cut on every coordinate: removed
+    if len(out) > MAX_BOXES:
+        raise NoConvergence(f"box algebra reached {len(out)} boxes; over the "
+                            f"effort cap of {MAX_BOXES}")
     return out
 
 

@@ -457,3 +457,10 @@ class TestGroupParsing:
         T = parse_group("torus:2", None)
         ball = parse_ball("ball(0:1/2, 1/8)", T)
         assert ball.region.distance((Dyadic(0), Dyadic(1, -1))) == 0
+
+    @pytest.mark.parametrize("group", ["su2", "so3", "o3", "u2"])
+    def test_ball_on_a_group_without_located_sets(self, group):
+        # the refusal names the group, as LocatedSet.ball's own does
+        with pytest.raises(ConfigError,
+                           match=f"no located-set backend for group '{group}'"):
+            parse_ball("ball(0,1/8)", parse_group(group, None))

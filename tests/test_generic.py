@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from haar.cli import parse_group
 from haar.exactreal import (
-    CertifiedValue, Dyadic, NoConvergence, fraction_ceil_to, fraction_floor_to,
+    CertifiedValue, Dyadic, Interval, NoConvergence, fraction_ceil_to,
+    fraction_floor_to,
 )
 from haar.generic import (
     CoinnerRadiusSearch, LocatedSet, ModulusOfContinuity, PartitionCell,
@@ -432,6 +433,15 @@ class TestNicePartition:
 
 
 class TestComputeIntegral:
+    def test_torus_lipschitz_integral_is_refused_not_hung(self):
+        # the cells of a Lipschitz integrand on torus:2 are shrunk through
+        # complements whose boxes pass MAX_BOXES: a refusal, not a long run
+        T = make_group("torus", dim=2)
+        with pytest.raises(NoConvergence, match="over the effort cap of 65536"):
+            compute_integral(T, lambda x, wp: Interval.from_int(1),
+                             ModulusOfContinuity.from_lipschitz(Dyadic(1)),
+                             Dyadic(1), PackingTable(T), 1)
+
     def test_finite_exact_average(self):
         rng = random.Random(41)
         from haar.functions import values_integrand

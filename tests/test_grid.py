@@ -23,7 +23,7 @@ from haar import _grid
 from haar.exactreal import Dyadic
 from haar.functions import builtin_integrand, invert_su2_integrand, translate_su2_integrand
 from haar.groups import Versor, make_group
-from haar.quadrature import IntegrandSpec, _restrict
+from haar.quadrature import IntegrandSpec, _average
 
 
 def mp_fraction(x) -> Fraction:
@@ -223,14 +223,74 @@ def test_moved_sweep_encloses_mpmath_riemann_sum(name, label, monkeypatch):
 
 
 def test_restriction_forwards_the_premap():
-    # the O(3) and U(2) restriction keeps the map, so it sweeps f(M x) too
+    # the O(3) and U(2) mean keeps the map, so it sweeps f(M x) too; the
+    # mean over one tag is the spec itself, bit for bit
     spec, _ = moved_specs("skew")["right r o left s"]
-    restricted = _restrict(spec, 0, "sign_index")
+    averaged = _average(spec, (0,), "sign_index")
     for ns in GRIDS["abs-sum"]:
         axes = grid_axes(ns)
         a = _grid._fixed_sweep(spec, *axes)
-        b = _grid._fixed_sweep(restricted, *axes)
+        b = _grid._fixed_sweep(averaged, *axes)
         assert (a.lo, a.hi) == (b.lo, b.hi), ns
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_average_kernel_rounds_the_exact_mean_outward(k):
+    # _average's fixed form against exact integer means: lo is the floor and
+    # hi the ceiling of the mean over the 2^k tags' enclosures
+    rng = np.random.default_rng(k)
+    ends = np.sort(rng.integers(-(3 << 30), 3 << 30, size=(1 << k, 2, 64)), axis=1)
+
+    def fixed(a, b, c, d, scale, tag):
+        return ends[tag][0], ends[tag][1]
+
+    spec = IntegrandSpec(None, Dyadic(0), Dyadic(2), fixed_eval=fixed)
+    lo, hi = _average(spec, tuple(range(1 << k)), "tag").fixed_eval(
+        None, None, None, None, _grid.SCALE)
+    sums = ends.sum(axis=0).tolist()
+    assert lo.tolist() == [x // (1 << k) for x in sums[0]]
+    assert hi.tolist() == [-(-x // (1 << k)) for x in sums[1]]
+
+
+def _halved_on_sign_one(spec):
+    """spec on pairs (q, s): f(q) at s = 0 and f(q)/2 at s = 1, exactly."""
+    def ev(element, wp):
+        q, s = element
+        v = spec.eval(q, wp)
+        return v if s == 0 else v.scale(Dyadic(1, -1))
+
+    def fixed(a, b, c, d, scale, sign_index=0):
+        lo, hi = spec.fixed_eval(a, b, c, d, scale)
+        return (lo, hi) if sign_index == 0 else (lo >> 1, -((-hi) >> 1))
+
+    return IntegrandSpec(ev, spec.lipschitz, spec.bound, fixed_eval=fixed,
+                         premap=spec.premap, uses=spec.uses)
+
+
+def test_two_tag_mean_encloses_the_mean_of_the_tag_sweeps():
+    # the mean of f and f/2 over the signs against the mean of the two
+    # one-tag sweeps on the same path, fixed and scalar, and against the
+    # mpmath Riemann sum of (3/4) f(M x); the sweeps round at different
+    # places, so the ends may differ by a unit of the last place
+    spec, mp_f = moved_specs("skew")["right r o left s"]
+    tagged = _halved_on_sign_one(spec)
+    ulp = Fraction(1, 1 << _grid.SCALE)
+
+    def swept(tags, axes):
+        return {label: sweep(s, *axes) for label, sweep, s
+                in sweep_paths(_average(tagged, tags, "sign_index"))}
+
+    for ns in GRIDS["abs-sum"]:
+        axes = grid_axes(ns)
+        exact = Fraction(3, 4) * mp_riemann_sum(mp_f, ns)
+        one = [swept((s,), axes) for s in (0, 1)]
+        for label, enc in swept((0, 1), axes).items():
+            lo = sum(v[label].lo.as_fraction() for v in one) / 2
+            hi = sum(v[label].hi.as_fraction() for v in one) / 2
+            elo, ehi = enc.lo.as_fraction(), enc.hi.as_fraction()
+            assert elo <= exact <= ehi, (label, ns)
+            assert elo <= lo + ulp and hi - ulp <= ehi, (label, ns)
+            assert ehi - elo <= hi - lo + 2 * ulp, (label, ns)
 
 
 def test_inversion_keeps_the_polar_form():

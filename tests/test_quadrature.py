@@ -13,8 +13,10 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
+from haar import _grid, quadrature
 from haar.exactreal import Dyadic, Interval, NoConvergence, pi_enclosure
 from haar.functions import (
     builtin_integrand, invert_circle_integrand, invert_su2_integrand,
@@ -114,6 +116,23 @@ class TestCircleIntegrals:
         for n in range(1, 13):
             check(haar_integral_circle(spec, n), Fraction(1), n)
 
+    @pytest.mark.parametrize("L", [Fraction(0), Fraction(1, 3), Fraction(1),
+                                   Fraction(7, 4), Fraction(13, 2), Fraction(15, 2)])
+    def test_midpoints_are_the_least_rule_in_budget(self, L):
+        # the circle rule and U(2)'s outer rule: N = 2^k midpoints, N the
+        # least power of two whose Lipschitz term L/(4N) fits 2^-(n+1)
+        for n in range(0, 9):
+            budget = Fraction(1, 1 << (n + 1))
+            ts = [t.as_fraction() for t in quadrature._midpoints(L, n, 1 << 12)]
+            N = len(ts)
+            assert N & (N - 1) == 0 and L / (4 * N) <= budget, (L, n)
+            assert N == 1 or L / (2 * N) > budget, (L, n)
+            assert ts == [Fraction(2 * j + 1, 2 * N) for j in range(N)]
+
+    def test_midpoints_past_the_cap_are_refused(self):
+        with pytest.raises(NoConvergence, match="N = 2048 .* cap of 1024"):
+            quadrature._midpoints(Fraction(13, 2), 9, 1 << 10)
+
 
 class TestSU2Integrals:
     @pytest.mark.parametrize("name", ["one", "abs-sum", "w2"])
@@ -205,16 +224,18 @@ class TestDerivedIntegrals:
               Fraction(0), 6)
 
     def test_o3(self):
-        check(haar_integral_derived("o3", builtin_integrand("one", "o3"), 8),
-              Fraction(1), 8)
-        check(haar_integral_derived("o3", builtin_integrand("sign", "o3"), 8),
-              Fraction(0), 8)
+        # one SU(2) integral of the mean over both signs, certified at n
+        for n in range(4, 11):
+            for name in ("one", "sign"):
+                check(haar_integral_derived("o3", builtin_integrand(name, "o3"), n),
+                      TRUE_VALUES[name], n)
 
     def test_u2(self):
         check(haar_integral_derived("u2", builtin_integrand("one", "u2"), 10),
               Fraction(1), 10)
 
-    def test_u2_nontrivial_factor_function(self):
+    @staticmethod
+    def re_factor_spec():
         # f((q, t)) = cos(2 pi t): integrates to 0 over the U(1) factor
         base = builtin_integrand("re", "circle")
 
@@ -222,11 +243,11 @@ class TestDerivedIntegrals:
             _q, t = element
             return base.eval(t, wp)
 
-        spec = IntegrandSpec(ev, base.lipschitz, base.bound, name="re-factor",
+        return IntegrandSpec(ev, base.lipschitz, base.bound, name="re-factor",
                              uses="a")
-        check(haar_integral_derived("u2", spec, 5), Fraction(0), 5)
 
-    def test_u2_mixed_product_function(self):
+    @staticmethod
+    def mixed_spec():
         # f((q, t)) = w^2 * cos(2 pi t): product of independent factors -> 0
         w2 = builtin_integrand("w2", "su2")
         re = builtin_integrand("re", "circle")
@@ -236,9 +257,70 @@ class TestDerivedIntegrals:
             return (w2.eval(q, wp) * re.eval(t, wp)).round_out(wp)
 
         # slope bound: |d(fg)| <= |f||dg| + |g||df| <= 1*13/2 + 1*1
-        spec = IntegrandSpec(ev, Dyadic(15, -1), Dyadic(1), name="w2*re",
+        return IntegrandSpec(ev, Dyadic(15, -1), Dyadic(1), name="w2*re",
                              uses="a")
-        check(haar_integral_derived("u2", spec, 4), Fraction(0), 4)
+
+    def test_u2_nontrivial_factor_function(self):
+        for n in range(3, 7):
+            check(haar_integral_derived("u2", self.re_factor_spec(), n),
+                  Fraction(0), n)
+
+    def test_u2_mixed_product_function(self):
+        for n in range(3, 7):
+            check(haar_integral_derived("u2", self.mixed_spec(), n),
+                  Fraction(0), n)
+
+    @pytest.mark.parametrize("kind, name, n, live", [
+        ("o3", "sign", 8, 1), ("o3", "abs-sum", 4, 3),
+        ("u2", "re-factor", 4, 1), ("u2", "w2*re", 3, 1)])
+    def test_one_su2_integral_per_derived_group(self, kind, name, n, live,
+                                                monkeypatch):
+        # the second factor is averaged inside one sweep: one SU(2) integral
+        # and one table per live axis per grid attempt, not one per tag
+        spec = {"sign": lambda: builtin_integrand("sign", "o3"),
+                "abs-sum": lambda: builtin_integrand("abs-sum", "su2"),
+                "re-factor": self.re_factor_spec, "w2*re": self.mixed_spec}[name]()
+        counts = {"su2": 0, "axis": 0, "attempt": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(quadrature, "haar_integral_su2",
+                            counted("su2", quadrature.haar_integral_su2))
+        monkeypatch.setattr(_grid, "_build_axis",
+                            counted("axis", _grid._build_axis))
+        monkeypatch.setattr(_grid, "_disc_bound",
+                            counted("attempt", _grid._disc_bound))
+        check(haar_integral_derived(kind, spec, n), TRUE_VALUES.get(name, Fraction(0)), n)
+        assert counts["su2"] == 1
+        assert counts["attempt"] >= 1
+        assert counts["axis"] == live * counts["attempt"]
+
+    def test_mean_that_would_wrap_int64_is_refused(self):
+        # two int64 enclosures near 2^63 sum past it and would wrap to a
+        # mean near 0, inside the declared bound: refused before the sum
+        def fixed(a, b, c, d, scale, sign_index=0, **kw):
+            v = np.zeros_like(a[0]) + ((1 << 63) - 2)
+            return v, v
+
+        spec = IntegrandSpec(lambda e, wp: Interval.from_int(0), Dyadic(0),
+                             Dyadic(1), name="huge", fixed_eval=fixed, uses="a")
+        with pytest.raises(NoConvergence, match="wrap int64"):
+            haar_integral_derived("o3", spec, 4)
+
+    def test_u2_outer_rule_refused_before_any_sweep(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("grid built for a refused integral")
+
+        monkeypatch.setattr(_grid, "_build_axis", no_grid)
+        spec = IntegrandSpec(lambda e, wp: Interval.from_int(0), Dyadic(1, 20),
+                             Dyadic(1), name="steep", uses="a")
+        # L/(4N) <= 2^-5 needs N >= 2^20 * 2^3 outer points
+        with pytest.raises(NoConvergence, match=r"N = 8388608 .* cap of 4096"):
+            haar_integral_derived("u2", spec, 4)
 
     def test_double_cover_consistency(self):
         # SO(3) integration is SU(2) integration of the pulled-back function

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haar.regions import BoxRegion, FiniteRegion
+from haar.exactreal import NoConvergence
+from haar.regions import MAX_BOXES, BoxRegion, FiniteRegion
 
 
 def F(a, b):
@@ -126,6 +127,20 @@ class TestTorusBoxes:
         s = b.shrink(F(1, 8))
         assert s.measure() == F(1, 16)
         assert s.contains((F(1, 2), F(1, 2)))
+
+    def test_shrink_past_the_box_cap_is_refused(self):
+        # five torus:2 balls: the union has 19 boxes and its complement 589,
+        # and the shrink splits these past MAX_BOXES, so it must refuse,
+        # naming the cap and the count it reached, rather than run on
+        u = BoxRegion.ball(2, (F(0, 1), F(0, 1)), F(1, 8))
+        for k in range(1, 5):
+            u = u.union(BoxRegion.ball(
+                2, (F(k % 8 + 1, 8), F(2 * k % 8 + 1, 8)), F(1, 8)))
+        assert len(u.boxes) == 19
+        with pytest.raises(NoConvergence,
+                           match=rf"reached \d+ boxes; over the effort cap "
+                                 rf"of {MAX_BOXES}"):
+            u.shrink(F(1, 64))
 
 
 # Property tests on two lattices: A is a union of balls with centres on
