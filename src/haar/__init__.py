@@ -23,8 +23,8 @@ from .generic import (
     compute_measure, find_coinner_radius, find_nice_partition, pseudo_count,
 )
 from .quadrature import (
-    IntegrandSpec, ParamPoint, haar_integral_circle, haar_integral_derived,
-    haar_integral_su2, jacobian, lift_circle_function, psi,
+    IntegrandSpec, haar_integral_circle, haar_integral_derived,
+    haar_integral_su2, lift_circle_function,
 )
 from .functions import builtin_integrand, builtin_names, values_integrand
 

@@ -1,13 +1,16 @@
 """Fixed-point grid engine behind the SU(2) Haar quadrature.
 
 The integral is written as nested probability averages over the spherical
-parameters: eta has density sin^2(eta)*(2/pi) on [0, pi], theta has density
-sin(theta)/2 on [0, pi], phi is uniform on [0, 2 pi); their product times the
-map Psi is the Haar measure (this realizes the 1/(2 pi^2) normalization as the
-three per-axis normalizers pi/2, 2, 2 pi).  Cell weights are differences of
-the exact cumulative weights, so the Jacobian never enters the cell loop.
-The sin/cos tables come from ``exactreal.sincos_pi`` at rational multiples
-of pi.
+parameters of Psi(eta, theta, phi) = cos eta + i sin eta cos theta
++ j sin eta sin theta cos phi + k sin eta sin theta sin phi, whose Jacobian
+is sin^2(eta) sin(theta): eta has density sin^2(eta)*(2/pi) on [0, pi], theta
+has density sin(theta)/2 on [0, pi], phi is uniform on [0, 2 pi); their
+product pushed forward by Psi is the Haar measure (this realizes the
+1/(2 pi^2) normalization as the three per-axis normalizers pi/2, 2, 2 pi).
+Cell weights are differences of the exact cumulative weights, so the
+Jacobian never enters the cell loop.  Psi exists only as these tables: the
+midpoint sin/cos come from ``exactreal.sincos_pi`` at rational multiples of
+pi.
 
 The cell loop runs in fixed point: interval endpoints are int64 multiples of
 2^-SCALE, products round outward by integer shifts, and numpy carries the

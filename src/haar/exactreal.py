@@ -175,14 +175,6 @@ ZERO = Dyadic(0)
 ONE = Dyadic(1)
 
 
-def dyadic_min(a: Dyadic, b: Dyadic) -> Dyadic:
-    return a if a <= b else b
-
-
-def dyadic_max(a: Dyadic, b: Dyadic) -> Dyadic:
-    return a if a >= b else b
-
-
 def fraction_floor_to(q: Fraction, p: int) -> Dyadic:
     """Largest multiple of 2^-p that is <= q (p >= 0)."""
     return Dyadic((q.numerator << p) // q.denominator, -p)
@@ -265,7 +257,7 @@ class Interval:
             return self
         if self.hi.sign() <= 0:
             return -self
-        return Interval(ZERO, dyadic_max(-self.lo, self.hi))
+        return Interval(ZERO, max(-self.lo, self.hi))
 
     def square(self) -> "Interval":
         a = self.abs()
@@ -445,8 +437,8 @@ def _sin_or_cos(x: Interval, p: int, which: int) -> Interval:
         return Interval(-ONE, ONE)
     u, v = sincos_pi(qlo, p + 2)[which], sincos_pi(qhi, p + 2)[which]
     peak = Fraction(1 - which, 2)          # sin peaks at q = 1/2, cos at 0
-    return Interval(-ONE if _meets(qlo, qhi, peak + 1) else dyadic_min(u.lo, v.lo),
-                    ONE if _meets(qlo, qhi, peak) else dyadic_max(u.hi, v.hi))
+    return Interval(-ONE if _meets(qlo, qhi, peak + 1) else min(u.lo, v.lo),
+                    ONE if _meets(qlo, qhi, peak) else max(u.hi, v.hi))
 
 
 def sin_enclosure(x: Interval, p: int) -> Interval:

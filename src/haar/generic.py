@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 from .exactreal import (
     ZERO, CertifiedValue, ConfigError, Dyadic, Interval, InvalidBound,
-    NoConvergence, dyadic_max, fraction_ceil_to, fraction_floor_to,
+    NoConvergence, fraction_ceil_to, fraction_floor_to,
 )
 from .groups import Group
 from .packing import PackingTable
@@ -383,7 +383,7 @@ def compute_integral(G: Group, f, modulus: ModulusOfContinuity, bound_M,
         if fv.lo.as_fraction() > M or fv.hi.as_fraction() < -M:
             raise InvalidBound(
                 f"f at cell {cell.index} encloses {fv}, outside [-M, M]")
-        total = total + Interval(dyadic_max(meas.lo, ZERO), meas.hi) * fv
+        total = total + Interval(max(meas.lo, ZERO), meas.hi) * fv
     # the ring bound is on the 2^-(n+10) grid, so it keeps the midpoint
     slack = Dyadic(1, -(n + 1)) + ring_bound(G, cells, M, n)
     enc = Interval(total.lo - slack, total.hi + slack).round_out(n + 10)

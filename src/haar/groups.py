@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .exactreal import (
-    ConfigError, Dyadic, Interval, ZERO, ONE, arccos_enclosure, dyadic_max,
-    dyadic_min,
+    ConfigError, Dyadic, Interval, ZERO, ONE, arccos_enclosure,
 )
 from .packing import CircleGridPacking, FinitePacking, TorusGridPacking
 from .regions import BoxRegion, FiniteRegion
@@ -217,7 +216,7 @@ def cyclic_table(k: int):
 def circle_metric(x: Dyadic, y: Dyadic, p: int = 0) -> Interval:
     """Exact distance min(d, 1 - d), d = (x - y) mod 1; width-0 enclosure."""
     d = circle_normalize(x - y)
-    return Interval.point(dyadic_min(d, ONE - d))
+    return Interval.point(min(d, ONE - d))
 
 
 def _circle_group() -> Group:
@@ -254,7 +253,7 @@ def _torus_group(d: int) -> Group:
 
 def _clamp_to_unit(x: Interval) -> Interval:
     """Intersect an enclosure of a value known to lie in [-1, 1] with [-1, 1]."""
-    lo = dyadic_max(x.lo, Dyadic(-1))
+    lo = max(x.lo, Dyadic(-1))
     hi = x.hi if x.hi <= ONE else ONE
     if lo > hi:        # pure rounding noise around an endpoint
         lo = hi
@@ -300,14 +299,14 @@ def product_group(kind: str, g1: Group, g2: Group) -> Group:
     def metric(x, y, p):
         m1 = g1.metric(x[0], y[0], p)
         m2 = g2.metric(x[1], y[1], p)
-        return Interval(dyadic_max(m1.lo, m2.lo), dyadic_max(m1.hi, m2.hi))
+        return Interval(max(m1.lo, m2.lo), max(m1.hi, m2.hi))
 
     return Group(
         kind=kind, identity=(g1.identity, g2.identity),
         metric=metric,
         op=lambda x, y, p: (g1.op(x[0], y[0], p), g2.op(x[1], y[1], p)),
         inverse=lambda x, p: (g1.inverse(x[0], p), g2.inverse(x[1], p)),
-        diameter_bound=dyadic_max(g1.diameter_bound, g2.diameter_bound),
+        diameter_bound=max(g1.diameter_bound, g2.diameter_bound),
     )
 
 

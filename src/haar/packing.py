@@ -269,25 +269,19 @@ def separation_certificate(G: Group, points, n: int, wp: int = 48) -> bool:
 # ---------------------------------------------------------------------------
 
 def _circle_lower(delta: Fraction) -> int:
-    """Greedy sweep on a fine dyadic grid: a certified separated tuple size.
+    """A certified separated tuple size on a fine dyadic grid, in closed form.
 
-    Points sit at integer multiples of 2^-g with consecutive steps strictly
-    greater than delta; all pairwise circle distances are sums of such gaps on
-    one side, hence also > delta once the wrap gap qualifies.
+    The points j * step / 2^g, j = 0..count-1, have consecutive steps
+    strictly greater than delta; all pairwise circle distances are sums of
+    such gaps on one side, hence also > delta once the wrap gap
+    1 - j step / 2^g qualifies, that is while j step den < 2^g (den - num)
+    for delta = num/den: count is the least j >= 1 where it fails.
     """
-    g = 2 * max(4, delta.denominator.bit_length()) + 4
+    num, den = delta.numerator, delta.denominator
+    g = 2 * max(4, den.bit_length()) + 4
     scale = 1 << g
-    step = (delta.numerator * scale) // delta.denominator + 1   # > delta*scale
-    pos = 0
-    count = 1
-    while True:
-        nxt = pos + step
-        # wrap distance from nxt back to 0 must also exceed delta
-        if (scale - nxt) * delta.denominator <= delta.numerator * scale:
-            break
-        pos = nxt
-        count += 1
-    return count
+    step = (num * scale) // den + 1   # > delta*scale
+    return max(1, -(-scale * (den - num) // (step * den)))
 
 
 def packing_size_bracket(G: Group, delta) -> tuple[int, int]:

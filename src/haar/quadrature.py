@@ -21,34 +21,20 @@ from fractions import Fraction
 import numpy as np
 
 from ._grid import (
-    IDENTITY_PREMAP, _nonneg, fp_add, fp_div_pos, fp_sqrt, fp_square,
-    su2_grid_integral,
+    IDENTITY_PREMAP, fp_add, fp_div_pos, fp_sqrt, fp_square, su2_grid_integral,
 )
 from .exactreal import (
     CertifiedValue, ConfigError, Dyadic, Interval, InvalidBound, NoConvergence,
-    cos_enclosure, fraction_ceil_to, fraction_floor_to, sin_enclosure,
     sqrt_enclosure,
 )
 from .groups import Versor
 
 __all__ = [
-    "ParamPoint", "IntegrandSpec", "InvalidBound", "psi", "jacobian",
-    "haar_integral_su2", "haar_integral_circle", "haar_integral_derived",
-    "lift_circle_function", "QUADRATURE_KINDS",
+    "IntegrandSpec", "InvalidBound", "haar_integral_su2", "haar_integral_circle",
+    "haar_integral_derived", "lift_circle_function", "QUADRATURE_KINDS",
 ]
 
 QUADRATURE_KINDS = ("circle", "su2", "so3", "o3", "u2")
-
-
-class ParamPoint:
-    """Spherical parameters (eta, theta, phi) in [0,pi) x [0,pi) x [0,2pi)."""
-
-    __slots__ = ("eta", "theta", "phi")
-
-    def __init__(self, eta: Interval, theta: Interval, phi: Interval):
-        self.eta = eta
-        self.theta = theta
-        self.phi = phi
 
 
 class IntegrandSpec:
@@ -99,30 +85,6 @@ class IntegrandSpec:
 
 
 # ---------------------------------------------------------------------------
-# the parameterization and its Jacobian
-# ---------------------------------------------------------------------------
-
-def psi(p: ParamPoint, wp: int) -> Versor:
-    """Psi(eta, theta, phi) = cos(eta) + i sin(eta)cos(theta)
-    + j sin(eta)sin(theta)cos(phi) + k sin(eta)sin(theta)sin(phi)."""
-    se = sin_enclosure(p.eta, wp + 2)
-    ce = cos_enclosure(p.eta, wp + 2)
-    st = sin_enclosure(p.theta, wp + 2)
-    ct = cos_enclosure(p.theta, wp + 2)
-    sf = sin_enclosure(p.phi, wp + 2)
-    cf = cos_enclosure(p.phi, wp + 2)
-    sest = se * st
-    return Versor(ce.round_out(wp), (se * ct).round_out(wp),
-                  (sest * cf).round_out(wp), (sest * sf).round_out(wp))
-
-
-def jacobian(eta: Interval, theta: Interval, wp: int) -> Interval:
-    """|det Psi'| = sin^2(eta) sin(theta); nonnegative on the parameter box."""
-    v = sin_enclosure(eta, wp + 2).square() * sin_enclosure(theta, wp + 2)
-    return _nonneg(v).round_out(wp)
-
-
-# ---------------------------------------------------------------------------
 # U(1)
 # ---------------------------------------------------------------------------
 
@@ -144,16 +106,15 @@ def haar_integral_circle(f: IntegrandSpec, n: int,
     Elements are circle coordinates t in [0,1); the Lipschitz term of the
     rule takes half the error budget, the evaluation enclosures the rest.
     """
-    L = f.lipschitz.as_fraction()
     wp = n + 6
-    lo = hi = Fraction(0)
-    for N, t in enumerate(_midpoints(L, n, max_points), 1):
-        fv = f.eval(t, wp)
-        lo += fv.lo.as_fraction()
-        hi += fv.hi.as_fraction()
-    lo = lo / N - L / (4 * N)
-    hi = hi / N + L / (4 * N)
-    enc = Interval(fraction_floor_to(lo, n + 8), fraction_ceil_to(hi, n + 8))
+    total = Interval.from_int(0)
+    for N, t in enumerate(_midpoints(f.lipschitz.as_fraction(), n, max_points), 1):
+        total = total + f.eval(t, wp)
+    # N = 2^k: the mean and the Lipschitz term L/(4N) are exact dyadics
+    k = N.bit_length() - 1
+    lip = f.lipschitz.scale2(-(k + 2))
+    enc = Interval(total.lo.scale2(-k) - lip,
+                   total.hi.scale2(-k) + lip).round_out(n + 8)
     if enc.width() > Dyadic(1, -(n - 1)):
         raise NoConvergence("circle enclosure wider than the certificate")
     return CertifiedValue(enc.midpoint(), -n)

@@ -6,9 +6,10 @@ W1(x) = (x - sin x cos x)/pi, theta weights differences of
 W2(x) = (1 - cos x)/2, phi is uniform, and an axis the integrand does not
 read is the single point sin = cos = 0 with weight 1.  Translated, inverted
 and composed integrands, which the sweep reaches through a pre-map, are
-summed as f of the mpmath quaternion product.  The sin/cos kernel
-the tables are built from, ``exactreal.sincos_pi``, is checked against mpmath
-in ``test_exactreal.py``.
+summed as f of the mpmath quaternion product.  The axis tables, the only
+form of Psi and its Jacobian in the package, are checked entry by entry
+against the same mpmath values; the sin/cos kernel they are built from,
+``exactreal.sincos_pi``, is checked against mpmath in ``test_exactreal.py``.
 """
 
 import math
@@ -34,15 +35,24 @@ def mp_fraction(x) -> Fraction:
     return -v if sign else v
 
 
-def _lift_re2(a, b, c, d):
-    rho = mpmath.sqrt(a * a + b * b)
-    return (a / rho) ** 2 * rho if rho else mpmath.mpf(0)
+def _lift(g):
+    """The lift of the circle function g(re, im): g((a, b)/rho) rho, 0 at rho = 0."""
+    def lifted(a, b, c, d):
+        rho = mpmath.sqrt(a * a + b * b)
+        return g(a / rho, b / rho) * rho if rho else mpmath.mpf(0)
+    return lifted
 
 
 MP_INTEGRANDS = {
+    "one": lambda a, b, c, d: mpmath.mpf(1),
     "abs-sum": lambda a, b, c, d: abs(a) + abs(b) + abs(c) + abs(d),
     "w2": lambda a, b, c, d: a * a,
-    "lift:re2": _lift_re2,
+    "trace": lambda a, b, c, d: 4 * a * a - 1,
+    "lift:one": _lift(lambda re, im: 1),
+    "lift:re": _lift(lambda re, im: re),
+    "lift:re2": _lift(lambda re, im: re * re),
+    "lift:im": _lift(lambda re, im: im),
+    "lift:abs-re": _lift(lambda re, im: abs(re)),
     "skew": lambda a, b, c, d: (a + c) ** 2 + c,
 }
 
@@ -63,6 +73,28 @@ def mp_axis(kind, n):
 
     return [(mpmath.sin(pi * (2 * i + 1) / (2 * n)), mpmath.cos(pi * (2 * i + 1) / (2 * n)),
              cum(pi * (i + 1) / n) - cum(pi * i / n)) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257])
+@pytest.mark.parametrize("kind", _grid._KINDS)
+def test_axis_tables_enclose_mpmath_entry_by_entry(kind, n):
+    # every midpoint sin/cos and every exact cumulative weight difference
+    # against mpmath at 60 digits; the weights are a probability vector
+    ax = _grid._build_axis(kind, n, _grid.SCALE + 6)
+    with mpmath.workdps(60):
+        oracle = [tuple(map(mp_fraction, row)) for row in mp_axis(kind, n)]
+        width = mp_fraction((2 if kind == "phi" else 1) * mpmath.pi / n)
+    assert ax.n == n == len(ax.sin_mid) == len(ax.cos_mid)
+    for i, (s, c, w) in enumerate(oracle):
+        assert ax.sin_mid[i].contains(s) and ax.cos_mid[i].contains(c), i
+        if kind != "phi":
+            assert ax.weights[i].contains(w) and ax.weights[i].lo.sign() >= 0, i
+    if kind == "phi":
+        assert ax.weights is None
+    else:
+        assert sum(v.lo.as_fraction() for v in ax.weights) <= 1
+        assert sum(v.hi.as_fraction() for v in ax.weights) >= 1
+    assert ax.spacing_hi >= width
 
 
 def mp_riemann_sum(f, ns):
@@ -98,9 +130,11 @@ def sweep_paths(spec):
     return paths
 
 
+ONE_AXIS = [(1, None, None), (3, None, None), (5, None, None)]
+TWO_AXES = [(1, 1, None), (2, 3, None), (5, 4, None)]
 GRIDS = {
-    "w2": [(1, None, None), (3, None, None), (5, None, None)],
-    "lift:re2": [(1, 1, None), (2, 3, None), (5, 4, None)],
+    "one": ONE_AXIS, "w2": ONE_AXIS, "trace": ONE_AXIS,
+    **{f"lift:{name}": TWO_AXES for name in ("one", "re", "re2", "im", "abs-re")},
     "abs-sum": [(1, 1, 1), (2, 3, 4), (5, 5, 5), (4, 1, 3)],
 }
 
@@ -121,10 +155,13 @@ def check_sweeps(spec, mp_f, grids, monkeypatch):
             assert (split.lo, split.hi) == (enc.lo, enc.hi), (label, ns)
 
 
-@pytest.mark.parametrize("name, uses", [("w2", "a"), ("lift:re2", "ab"),
-                                        ("abs-sum", "abcd")])
+@pytest.mark.parametrize("name, uses", [
+    ("one", "a"), ("w2", "a"), ("trace", "a"), ("lift:one", "ab"), ("lift:re", "ab"),
+    ("lift:re2", "ab"), ("lift:im", "ab"), ("lift:abs-re", "ab"), ("abs-sum", "abcd")])
 def test_sweep_encloses_mpmath_riemann_sum(name, uses, monkeypatch):
-    spec = builtin_integrand(name, "su2")
+    # the fixed and the scalar path of each builtin (``sign`` needs a tag;
+    # the O(3) tests cover it)
+    spec = builtin_integrand(name, "so3" if name == "trace" else "su2")
     assert spec.uses == uses
     check_sweeps(spec, MP_INTEGRANDS[name], GRIDS[name], monkeypatch)
 
@@ -212,8 +249,11 @@ def moved_specs(name):
     return specs
 
 
-@pytest.mark.parametrize("label", MOVED)
-@pytest.mark.parametrize("name", ["abs-sum", "skew"])
+@pytest.mark.parametrize("name, label", [
+    *((name, label) for name in ("abs-sum", "skew") for label in MOVED),
+    # both lifts sum to 0 on the plain grids by symmetry; only a translate
+    # shows which component each form reads
+    ("lift:re", "left r"), ("lift:im", "left r")])
 def test_moved_sweep_encloses_mpmath_riemann_sum(name, label, monkeypatch):
     # the pre-map folded into the tables against f(M x) summed in mpmath,
     # on the fixed, scalar and (inverted only) polar paths

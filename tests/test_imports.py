@@ -59,11 +59,11 @@ ENTRY_POINTS = {
     "packing_size_bracket": "criterion 7",
     "separation_certificate": "criterion 7",
     "find_coinner_radius": "the paper's coinner radius, a documented entry point",
-    "psi": "the paper's parametrization Psi, a documented entry point",
-    "jacobian": "the Jacobian of Psi, a documented entry point",
+    "sin_enclosure": "criterion 11; the routes reach sin/cos through sincos_pi",
+    "cos_enclosure": "criterion 11; the routes reach sin/cos through sincos_pi",
     "Interval.contains": "the enclosure oracle of criterion 11 and the tests",
     "Interval.contains_interval": "the nesting tests of the exactreal kernels",
-    "Versor.norm2": "the unit-norm tests of psi and the SU(2) product",
+    "Versor.norm2": "the unit-norm tests of the SU(2) product",
     "QUAT_I": "the quaternion product tests",
     "QUAT_J": "the quaternion product tests",
     "BoxRegion.union": "the region algebra's oracle tests; the tracer's "
@@ -138,6 +138,22 @@ def test_no_dead_definitions():
     names, unused = _unused_definitions()
     assert set(ENTRY_POINTS) <= names, set(ENTRY_POINTS) - names
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def test_routes_reach_sin_cos_only_through_sincos_pi():
+    # one certified sin/cos kernel: the interval forms stay in ``exactreal``
+    # for criterion 11 and the package's re-exports, and no route reads them
+    interval_forms = {"sin_enclosure", "cos_enclosure"}
+    stray = []
+    for path in sorted((SRC / "haar").glob("*.py")):
+        if path.stem in ("exactreal", "__init__"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ({a.name for a in node.names} if isinstance(node, ast.ImportFrom)
+                     else {node.attr} if isinstance(node, ast.Attribute) else set())
+            if names & interval_forms:
+                stray.append(f"{path.name}:{node.lineno}")
+    assert not stray, "interval sin/cos outside exactreal: " + ", ".join(stray)
 
 
 # Raises that catch a bug in the calling code instead of refusing a request,

@@ -1,5 +1,6 @@
 """Packing sizes, certified packings, and the circle and finite brackets."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -303,3 +304,24 @@ class TestBrackets:
         for num, den in ((1, 3), (1, 5), (2, 7), (1, 10)):
             lo, hi = packing_size_bracket(circle, Fraction(num, den))
             assert lo <= hi
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(min_value=Fraction(1, 1 << 12), max_value=2,
+                        max_denominator=1 << 14))
+    def test_circle_lower_matches_the_greedy_sweep(self, delta):
+        # the closed-form count against placing the grid points one at a
+        # time while the wrap gap back to 0 stays > delta
+        num, den = delta.numerator, delta.denominator
+        scale = 1 << (2 * max(4, den.bit_length()) + 4)
+        step = (num * scale) // den + 1
+        pos, count = 0, 1
+        while (scale - pos - step) * den > num * scale:
+            pos, count = pos + step, count + 1
+        lo, hi = packing_size_bracket(make_group("circle"), delta)
+        assert lo == count <= hi
+
+    def test_circle_bracket_at_a_tiny_radius(self, circle):
+        t0 = time.perf_counter()
+        lo, hi = packing_size_bracket(circle, Dyadic(1, -40))
+        assert time.perf_counter() - t0 < 1
+        assert lo == hi == (1 << 40) - 1

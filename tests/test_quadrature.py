@@ -8,7 +8,6 @@ character theory, and the lift law is the 2/3 factor from radius-phase
 independence on S^3.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -17,16 +16,15 @@ import numpy as np
 import pytest
 
 from haar import _grid, quadrature
-from haar.exactreal import Dyadic, Interval, NoConvergence, pi_enclosure
+from haar.exactreal import Dyadic, Interval, NoConvergence
 from haar.functions import (
     builtin_integrand, invert_circle_integrand, invert_su2_integrand,
     translate_circle_integrand, translate_su2_integrand,
 )
 from haar.groups import Versor, make_group
 from haar.quadrature import (
-    IntegrandSpec, InvalidBound, ParamPoint, haar_integral_circle,
-    haar_integral_derived, haar_integral_su2, jacobian, lift_circle_function,
-    psi,
+    IntegrandSpec, InvalidBound, haar_integral_circle, haar_integral_derived,
+    haar_integral_su2, lift_circle_function,
 )
 
 mpmath.mp.prec = 120
@@ -57,51 +55,6 @@ LIFT_TRUE = {name: Fraction(2, 3) * TRUE_VALUES[name]
 def check(cv, true: Fraction, n: int):
     assert abs(cv.value.as_fraction() - true) <= Fraction(1, 1 << n), \
         (float(cv.value), float(true))
-
-
-class TestPsi:
-    def zero(self):
-        return Interval.point(Dyadic(0))
-
-    def test_at_origin(self):
-        q = psi(ParamPoint(self.zero(), self.zero(), self.zero()), 35)
-        assert q.a.contains(Fraction(1)) and q.b.contains(Fraction(0))
-
-    def test_quarter_turns(self):
-        half_pi = pi_enclosure(45).scale(Dyadic(1, -1))
-        q = psi(ParamPoint(half_pi, half_pi, self.zero()), 35)
-        assert q.c.contains(Fraction(1))            # j
-        q = psi(ParamPoint(half_pi, self.zero(), self.zero()), 35)
-        assert q.b.contains(Fraction(1))            # i
-
-    def test_norm_encloses_one(self):
-        rng = random.Random(51)
-        pi_enc = pi_enclosure(45)
-        for _ in range(40):
-            pt = ParamPoint(
-                pi_enc.scale(Dyadic(rng.randint(0, 255), -8)),
-                pi_enc.scale(Dyadic(rng.randint(0, 255), -8)),
-                pi_enc.scale(Dyadic(rng.randint(0, 511), -8)))
-            q = psi(pt, 40)
-            n2 = q.norm2()
-            assert n2.lo.as_fraction() <= 1 <= n2.hi.as_fraction()
-
-
-class TestJacobian:
-    def test_peak(self):
-        half_pi = pi_enclosure(45).scale(Dyadic(1, -1))
-        assert jacobian(half_pi, half_pi, 40).contains(Fraction(1))
-
-    def test_zero_line(self):
-        z = Interval.point(Dyadic(0))
-        any_theta = pi_enclosure(45).scale(Dyadic(1, -2))
-        j = jacobian(z, any_theta, 40)
-        assert j.contains(Fraction(0)) and j.lo.sign() >= 0
-
-    def test_quarter(self):
-        pi_enc = pi_enclosure(45)
-        j = jacobian(pi_enc.scale(Dyadic(1, -2)), pi_enc.scale(Dyadic(1, -1)), 40)
-        assert j.contains(Fraction(1, 2))
 
 
 class TestCircleIntegrals:
