@@ -35,6 +35,17 @@ A block is whole eta rows x a theta chunk x all phi, about BLOCK_CELLS cells
 Integrands without a vectorized form are evaluated once per cell on its
 fixed-point versor and feed the same exact accumulator.
 
+A polar form states that f is separable along phi: f = base(eta, theta)
++ sest * g(phi) with sest = sin eta sin theta >= 0 constant along phi.  The
+phi mean of the midpoint values is then base + sest * gbar, gbar = [floor(sum
+g_lo / n3), ceil(sum g_hi / n3)] taken once per integral, so that branch is
+two-dimensional: same midpoints, weights and discretization bound, with the
+mean rounded once instead of once per cell.  Its blocks are eta rows x theta
+chunks of about BLOCK_CELLS // 16 cells: each 2-D cell has a dozen or so
+live int64 temporaries, so blocks of BLOCK_CELLS cells raised the peak memory
+of the abs-sum sweep by a tenth, while blocks of a few hundred cells leave
+the time to the Python loop.
+
 ``fixed_eval`` reads M x, x the grid versor, for the integrand's pre-map M
 (the identity when it has none; a translation or an inversion folded into a
 constant 4x4 matrix, entries outward fixed-point pairs).  On the grid
@@ -199,11 +210,6 @@ def fp_abs(lo, hi):
 
 def fp_add(a, b):
     return a[0] + b[0], a[1] + b[1]
-
-
-def fp_mul_nn(a, b, s=SCALE):
-    """Product when a >= 0 and b >= 0."""
-    return _shr_floor(a[0] * b[0], s), _shr_ceil(a[1] * b[1], s)
 
 
 def fp_mul_na(a, b, s=SCALE):
@@ -396,8 +402,10 @@ def _block_sweep(fixed, polar, premap, bound: Dyadic, eta: _Axis,
     pc, ps = (pc_lo, pc_hi), (ps_lo, ps_hi)
     # P_k = M_k2 cos(phi) + M_k3 sin(phi), one length-n3 table per integral
     ptabs = [_combine(row[2:], (pc, ps)) for row in premap]
-    rows = max(1, BLOCK_CELLS // (n2 * n3))
-    chunk = max(1, BLOCK_CELLS // n3)
+    gbar = None     # the polar form's phi mean, from its first block
+    depth = n3 if polar is None else 16     # see the module docstring
+    rows = max(1, BLOCK_CELLS // (n2 * depth))
+    chunk = max(1, BLOCK_CELLS // depth)
     acc_lo = acc_hi = 0
     for i0 in range(0, eta.n, rows):
         i1 = min(eta.n, i0 + rows)
@@ -407,11 +415,15 @@ def _block_sweep(fixed, polar, premap, bound: Dyadic, eta: _Axis,
         for j0 in range(0, n2, chunk):
             j1 = min(n2, j0 + chunk)
             b = fp_mul_na(se, (tc_lo[j0:j1], tc_hi[j0:j1]))        # (rows, jb)
-            sest = fp_mul_nn(se, (ts_lo[j0:j1], ts_hi[j0:j1]))
+            sest = fp_mul_na(se, (ts_lo[j0:j1], ts_hi[j0:j1]))
             if polar is not None:
-                base_lo, base_hi, flo, fhi = polar(ce, b, sest, pc, ps, SCALE)
+                *base, g = polar(ce, b, pc, ps, SCALE)
+                if gbar is None:    # g reads phi alone: once per integral
+                    gbar, outer, inner = _phi_mean(g, n3)
+                _check_bound(*fp_add(base, fp_mul_na(sest, outer)), m_fx,
+                             lambda: fp_add(base, fp_mul_na(sest, inner)))
+                mean_lo, mean_hi = fp_add(base, fp_mul_na(sest, gbar))
             else:
-                base_lo = base_hi = 0
                 col = (sest[0][..., None], sest[1][..., None])
                 comps = []
                 for m_k, p in zip(premap, ptabs):    # row k of M, P_k
@@ -426,12 +438,13 @@ def _block_sweep(fixed, polar, premap, bound: Dyadic, eta: _Axis,
                         hi += a[1][..., None]
                     comps.append((lo, hi))
                 flo, fhi = fixed(*comps, SCALE)
-            shape = (i1 - i0, j1 - j0, n3)
-            flo = np.broadcast_to(np.asarray(flo, dtype=np.int64), shape)
-            fhi = np.broadcast_to(np.asarray(fhi, dtype=np.int64), shape)
-            _check_bound(base_lo, flo, base_hi, fhi, m_fx)
-            mean_lo = base_lo + flo.sum(axis=2) // n3
-            mean_hi = base_hi - ((-fhi.sum(axis=2)) // n3)
+                shape = (i1 - i0, j1 - j0, n3)
+                flo = np.broadcast_to(np.asarray(flo, dtype=np.int64), shape)
+                fhi = np.broadcast_to(np.asarray(fhi, dtype=np.int64), shape)
+                _check_bound(flo.min(axis=2), fhi.max(axis=2), m_fx,
+                             lambda: (flo.max(axis=2), fhi.min(axis=2)))
+                mean_lo = flo.sum(axis=2) // n3
+                mean_hi = -((-fhi.sum(axis=2)) // n3)
             wl, wh = tw_lo[j0:j1], tw_hi[j0:j1]
             row_lo = row_lo + np.minimum(wl * mean_lo, wh * mean_lo).sum(axis=1)
             row_hi = row_hi + np.maximum(wl * mean_hi, wh * mean_hi).sum(axis=1)
@@ -452,14 +465,34 @@ def _check_headroom(bound: Dyadic, m_fx: int, n3: int, tw_hi, ew_hi):
             f"to 2^{need.bit_length()}, past the int64 cap 2^63")
 
 
-def _check_bound(base_lo, flo, base_hi, fhi, m_fx):
-    # a valid enclosure (lo <= hi) that escapes [-m_fx, m_fx] also leaves
-    # it on one side, so the common case costs one pass over each array;
-    # the phi-constant bases add to the per-cell extremes over phi
-    if (int((base_lo + flo.min(axis=2)).min()) < -m_fx
-            or int((base_hi + fhi.max(axis=2)).max()) > m_fx):
-        if (int((base_lo + flo.max(axis=2)).max()) > m_fx
-                or int((base_hi + fhi.min(axis=2)).min()) < -m_fx):
+def _phi_mean(g, n3: int):
+    """The phi mean gbar of a polar form's g and its extremes over phi.
+
+    Returns gbar = [floor(sum g_lo / n3), ceil(sum g_hi / n3)], the outer
+    extremes (min g_lo, max g_hi) and the inner ones (max g_lo, min g_hi), as
+    python ints.  Refuses |g| >= 2^(62 - SCALE) (16 in real terms): with
+    sin(eta) sin(theta) <= 1 + 2^-27 the products sest * g then stay below
+    2^62 + 2^36, inside int64 with room for ``_shr_ceil``.
+    """
+    g_lo, g_hi = (np.broadcast_to(x, (n3,)).tolist() for x in g)
+    if max(-min(g_lo), max(g_hi)) >> (62 - SCALE):
+        raise NoConvergence("polar phi factor of 16 or more leaves its products "
+                            "with sin(eta) sin(theta) no int64 headroom")
+    return ((sum(g_lo) // n3, -(-sum(g_hi) // n3)), (min(g_lo), max(g_hi)),
+            (max(g_lo), min(g_hi)))
+
+
+def _check_bound(lo, hi, m_fx, inner):
+    """Refuse cells whose enclosures leave [-m_fx, m_fx].
+
+    ``lo`` and ``hi`` are each cell's lowest and highest end over phi;
+    ``inner()`` gives its highest lo and lowest hi.  A valid enclosure (lo <=
+    hi) that escapes [-m_fx, m_fx] also leaves it on one side, so the common
+    case costs one pass over each array.
+    """
+    if int(lo.min()) < -m_fx or int(hi.max()) > m_fx:
+        ilo, ihi = inner()
+        if int(ilo.max()) > m_fx or int(ihi.min()) < -m_fx:
             raise InvalidBound("integrand enclosure escaped the declared bound")
         raise NoConvergence(
             "integrand enclosure wider than the declared bound allows; the "

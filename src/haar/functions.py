@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._grid import SCALE, fp_abs, fp_mul, fp_mul_nn, fp_square
+from ._grid import SCALE, fp_abs, fp_mul, fp_square
 from .exactreal import (
     Dyadic, Interval, ZERO, ONE, fraction_ceil_to, fraction_floor_to, sincos_pi,
 )
@@ -54,16 +54,14 @@ def _abs_sum_spec() -> IntegrandSpec:
         dl, dh = fp_abs(*d)
         return al + bl + cl + dl, ah + bh + ch + dh
 
-    def polar(ce, b, sest, cphi, sphi, scale):
+    def polar(ce, b, cphi, sphi, scale):
         # |w| + |x| is constant along phi; |y| + |z| = sin(eta)sin(theta)
-        # (|cos phi| + |sin phi|), all nonneg
+        # (|cos phi| + |sin phi|)
         al, ah = fp_abs(*ce)
         bl, bh = fp_abs(*b)
         ul, uh = fp_abs(*cphi)
         vl, vh = fp_abs(*sphi)
-        row = (ul + vl, uh + vh)
-        lo, hi = fp_mul_nn((sest[0][..., None], sest[1][..., None]), row, scale)
-        return al + bl, ah + bh, lo, hi
+        return al + bl, ah + bh, (ul + vl, uh + vh)
 
     return IntegrandSpec(ev, Dyadic(7, -2), Dyadic(2), name="abs-sum",
                          fixed_eval=fixed, fixed_eval_polar=polar, uses="abcd")
@@ -255,8 +253,8 @@ def invert_su2_integrand(spec: IntegrandSpec) -> IntegrandSpec:
     if spec.fixed_eval_polar is not None:
         base_polar = spec.fixed_eval_polar
 
-        def polar(ce, b, sest, cphi, sphi, scale):
-            return base_polar(ce, _neg(b), sest, _neg(cphi), _neg(sphi), scale)
+        def polar(ce, b, cphi, sphi, scale):
+            return base_polar(ce, _neg(b), _neg(cphi), _neg(sphi), scale)
 
     return IntegrandSpec(ev, spec.lipschitz, spec.bound,
                          name=f"{spec.name}^-1", fixed_eval=spec.fixed_eval,

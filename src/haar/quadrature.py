@@ -46,12 +46,14 @@ class IntegrandSpec:
     used by the SU(2) grid engine; ``uses`` declares which quaternion
     components the function reads ('a', 'ab' or 'abcd') so the engine can drop
     dead grid axes: the other components reach both ``fixed_eval`` and
-    ``eval_fn`` as exact 0.  ``fixed_eval_polar(ce, b, sest, cphi, sphi,
-    scale)`` is an optional faster form of ``fixed_eval`` taking cos(eta),
-    sin(eta)cos(theta), sin(eta)sin(theta) as arrays broadcastable to
-    (rows, theta) and cos/sin(phi) as (phi,) arrays; it returns (base_lo,
-    base_hi, lo, hi) enclosing f by base + [lo, hi], base (rows, theta) being
-    the part constant along phi and lo, hi of shape (rows, theta, phi).
+    ``eval_fn`` as exact 0.  ``fixed_eval_polar(ce, b, cphi, sphi, scale)``
+    is an optional faster form of ``fixed_eval`` for an f separable along
+    phi: f = base(eta, theta) + sest * g(phi), sest = sin(eta) sin(theta) >= 0.
+    It takes cos(eta) and sin(eta)cos(theta) as arrays broadcastable to
+    (rows, theta) and cos/sin(phi) as (phi,) arrays, and returns (base_lo,
+    base_hi, (g_lo, g_hi)): base broadcastable to (rows, theta), g to (phi,),
+    g read from cos/sin(phi) alone.  The sweep multiplies g's phi mean by
+    sest itself, so the phi axis costs one pass per integral.
 
     ``premap`` is a 4x4 matrix M, ``premap[k][j]`` = M_kj as an outward
     (lo, hi) pair of python ints at ``_grid.SCALE`` fraction bits, by default

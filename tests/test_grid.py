@@ -53,7 +53,7 @@ MP_INTEGRANDS = {
     "lift:re2": _lift(lambda re, im: re * re),
     "lift:im": _lift(lambda re, im: im),
     "lift:abs-re": _lift(lambda re, im: abs(re)),
-    "skew": lambda a, b, c, d: (a + c) ** 2 + c,
+    "skew": lambda a, b, c, d: (a + b) ** 2 + c,
 }
 
 
@@ -137,6 +137,7 @@ GRIDS = {
     **{f"lift:{name}": TWO_AXES for name in ("one", "re", "re2", "im", "abs-re")},
     "abs-sum": [(1, 1, 1), (2, 3, 4), (5, 5, 5), (4, 1, 3)],
 }
+GRIDS["skew"] = GRIDS["abs-sum"]
 
 
 def check_sweeps(spec, mp_f, grids, monkeypatch):
@@ -157,13 +158,46 @@ def check_sweeps(spec, mp_f, grids, monkeypatch):
 
 @pytest.mark.parametrize("name, uses", [
     ("one", "a"), ("w2", "a"), ("trace", "a"), ("lift:one", "ab"), ("lift:re", "ab"),
-    ("lift:re2", "ab"), ("lift:im", "ab"), ("lift:abs-re", "ab"), ("abs-sum", "abcd")])
+    ("lift:re2", "ab"), ("lift:im", "ab"), ("lift:abs-re", "ab"), ("abs-sum", "abcd"),
+    ("skew", "abcd")])
 def test_sweep_encloses_mpmath_riemann_sum(name, uses, monkeypatch):
     # the fixed and the scalar path of each builtin (``sign`` needs a tag;
-    # the O(3) tests cover it)
-    spec = builtin_integrand(name, "so3" if name == "trace" else "su2")
+    # the O(3) tests cover it), and the polar path of abs-sum and of skew,
+    # whose phi mean is negative on the one-cell phi axis
+    spec = _skew_spec() if name == "skew" else builtin_integrand(
+        name, "so3" if name == "trace" else "su2")
     assert spec.uses == uses
     check_sweeps(spec, MP_INTEGRANDS[name], GRIDS[name], monkeypatch)
+
+
+def mp_abs_sum_riemann_sum(ns):
+    """mp_riemann_sum of abs-sum, its phi sum taken first: |w| + |x| does
+    not read phi and |y| + |z| = sin eta sin theta (|cos phi| + |sin phi|),
+    so the same sum costs O(n1 n2 + n3) terms."""
+    with mpmath.workdps(60):
+        eta, theta, phi = (mp_axis(kind, n) for kind, n in zip(_grid._KINDS, ns))
+        gbar = mpmath.fsum(abs(sp) + abs(cp) for sp, cp, _ in phi) / len(phi)
+        return mp_fraction(mpmath.fsum(
+            w1 * mpmath.fsum(w2 * (abs(ce) + abs(se * ct) + se * st * gbar)
+                             for st, ct, w2 in theta)
+            for se, ce, w1 in eta))
+
+
+@pytest.mark.parametrize("ns", [*GRIDS["abs-sum"], *(
+    tuple(_grid._choose_resolution(3, 7 / 4, 7 / 8 / 2 ** n)) for n in range(2, 7))])
+def test_polar_phi_mean_is_no_looser_than_the_cell_sum(ns):
+    # the phi mean rounds once per integral where the fixed path rounds once
+    # per cell: the polar enclosure holds the Riemann sum and is at most two
+    # units of 2^-SCALE wider than the fixed path's
+    spec = builtin_integrand("abs-sum", "su2")
+    plain = IntegrandSpec(spec.eval, spec.lipschitz, spec.bound,
+                          fixed_eval=spec.fixed_eval)
+    axes = grid_axes(ns)
+    polar, fixed = _grid._fixed_sweep(spec, *axes), _grid._fixed_sweep(plain, *axes)
+    exact = mp_abs_sum_riemann_sum(ns)
+    assert polar.lo.as_fraction() <= exact <= polar.hi.as_fraction()
+    ulp = Fraction(1, 1 << _grid.SCALE)
+    assert polar.width().as_fraction() <= fixed.width().as_fraction() + 2 * ulp
 
 
 def mp_mul(p, q):
@@ -187,21 +221,20 @@ def mp_point(g):
 
 
 def _skew_spec():
-    """(w + y)^2 + y, with a polar form.  Unlike abs-sum it tells left from
+    """(w + x)^2 + y, with a polar form.  Unlike abs-sum it tells left from
     right translations on these grids (their abs-sum Riemann sums agree by
-    symmetry), and on a one-cell phi axis its sum changes with the sign of
-    y, which the polar form reads from cos(phi)."""
+    symmetry), and its phi factor g = cos(phi) changes sign: on a one-cell
+    phi axis its sum changes with the sign of y, which an inverted polar form
+    must read from -cos(phi)."""
     def ev(q, wp):
-        return ((q.a + q.c).square() + q.c).round_out(wp)
+        return ((q.a + q.b).square() + q.c).round_out(wp)
 
     def fixed(a, b, c, d, scale, **kw):
-        return _grid.fp_add(_grid.fp_square(_grid.fp_add(a, c), scale), c)
+        return _grid.fp_add(_grid.fp_square(_grid.fp_add(a, b), scale), c)
 
-    def polar(ce, b, sest, cphi, sphi, scale):
-        y = _grid.fp_mul_na((sest[0][..., None], sest[1][..., None]), cphi, scale)
-        w = (ce[0][..., None], ce[1][..., None])
-        lo, hi = _grid.fp_add(_grid.fp_square(_grid.fp_add(w, y), scale), y)
-        return 0, 0, lo, hi
+    def polar(ce, b, cphi, sphi, scale):
+        lo, hi = _grid.fp_square(_grid.fp_add(ce, b), scale)
+        return lo, hi, cphi
 
     return IntegrandSpec(ev, Dyadic(4), Dyadic(3), name="skew", fixed_eval=fixed,
                          fixed_eval_polar=polar)

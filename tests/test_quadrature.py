@@ -127,6 +127,34 @@ class TestSU2Integrals:
         with pytest.raises(InvalidBound):
             haar_integral_su2(cheat, 4)
 
+    def test_invalid_bound_detected_on_the_polar_path(self):
+        # |w| + |x| + 4 (|y| + |z|) reaches 4 sqrt(2) > 2 + 1 near the equator
+        base = builtin_integrand("abs-sum", "su2")
+
+        def bad_polar(ce, b, cphi, sphi, scale):
+            base_lo, base_hi, (g_lo, g_hi) = base.fixed_eval_polar(ce, b, cphi, sphi, scale)
+            return base_lo, base_hi, (g_lo * 4, g_hi * 4)
+
+        cheat = IntegrandSpec(None, base.lipschitz.scale2(2), Dyadic(2), name="cheat",
+                              fixed_eval=base.fixed_eval, fixed_eval_polar=bad_polar)
+        with pytest.raises(InvalidBound):
+            haar_integral_su2(cheat, 4)
+
+    @pytest.mark.parametrize("base, g", [
+        ((-(1 << 61), 1 << 61), (0, 0)),      # base too wide
+        ((0, 0), (-(1 << 32), 1 << 32)),      # sest * g too wide
+        ((0, 0), (-(1 << 40), 1 << 40)),      # sest * g past int64
+    ])
+    def test_polar_enclosure_wider_than_bound_refused(self, base, g):
+        def wide(ce, b, cphi, sphi, scale):
+            return (*base, g)
+
+        spec = IntegrandSpec(None, Dyadic(0), Dyadic(1), name="wide",
+                             fixed_eval=self.constant_spec(0, 1, True).fixed_eval,
+                             fixed_eval_polar=wide)
+        with pytest.raises(NoConvergence, match="headroom"):
+            haar_integral_su2(spec, 4)
+
     def test_effort_cap(self):
         spec = builtin_integrand("abs-sum", "su2")
         with pytest.raises(NoConvergence):
