@@ -35,28 +35,57 @@ A block is whole eta rows x a theta chunk x all phi, about BLOCK_CELLS cells
 Integrands without a vectorized form are evaluated once per cell on its
 fixed-point versor and feed the same exact accumulator.
 
-A polar form states that f is separable along phi: f = base(eta, theta)
-+ sest * g(phi) with sest = sin eta sin theta >= 0 constant along phi.  The
-phi mean of the midpoint values is then base + sest * gbar, gbar = [floor(sum
-g_lo / n3), ceil(sum g_hi / n3)] taken once per integral, so that branch is
-two-dimensional: same midpoints, weights and discretization bound, with the
-mean rounded once instead of once per cell.  Its blocks are eta rows x theta
-chunks of about BLOCK_CELLS // 16 cells: each 2-D cell has a dozen or so
-live int64 temporaries, so blocks of BLOCK_CELLS cells raised the peak memory
-of the abs-sum sweep by a tenth, while blocks of a few hundred cells leave
-the time to the Python loop.
-
 ``fixed_eval`` reads M x, x the grid versor, for the integrand's pre-map M
 (the identity when it has none; a translation or an inversion folded into a
 constant 4x4 matrix, entries outward fixed-point pairs).  On the grid
 
-    (M x)_k = [M_k0 cos eta + M_k1 sin eta cos theta]
-              + sin eta sin theta * [M_k2 cos phi + M_k3 sin phi]
+    (M x)_k = A_k + s P_k,   A_k = M_k0 cos eta + M_k1 sin eta cos theta,
+                             P_k = M_k2 cos phi + M_k3 sin phi
 
-so the second bracket is one length-n3 table per integral, the first a 2-D
-table per block, and each cell costs one nonnegative x interval product per
-component.  Exact-zero entries are skipped, so the identity costs what the
-plain grid versor does and gives it bit for bit.
+with s = sin eta sin theta >= 0, so P_k is one length-n3 table per integral
+and A_k a 2-D table per block.  The 3-D branch combines the rows of M with
+cos eta, sin eta cos theta, s cos phi and s sin phi; exact-zero entries are
+skipped and unit entries are exact, so the identity gives the plain grid
+versor bit for bit.  Entries of M must lie in [-2, 2], which keeps |A_k|
+and |P_k| below 3.
+
+A component form f(x) = const + sum_k coef_k h_k((M x)_k), h_k one of |.|,
+the square and the identity (``IntegrandSpec.form``), is swept on eta x
+theta cells: each cell gets the exact phi mean of its midpoint values from
+per-integral phi tables, rounded once.
+
+* identity: A + s mean(P); A joins the cell as a P-zero term does and
+  s P folds as an A-zero term does (below).
+* square: A^2 + 2 A s mean(P) + s^2 mean(P^2), an identity at every real
+  point of the intervals, so its interval evaluation encloses the mean.
+* abs, A and P both nonzero: with midpoint-radius ints a = ac +- ar,
+  s = sc +- sr, P = pc +- pr, each x_phi lies within r_phi of c_phi = ac
+  + sc pc_phi and ||x| - |c|| <= r, so mean |x| is mean |c| +- mean r.  The
+  centres pc are sorted once per integral; c_phi >= 0 exactly when pc_phi >=
+  t = ceil(-ac 2^SCALE / sc), so one ``searchsorted`` per cell splits
+  sum |c_phi| = ac 2^SCALE (n3 - 2i) + sc D_i into prefix sums, D_i = (sum
+  of all pc) - 2 (sum of the i least).  mean r <= ar + sr mean|pc| + s_hi
+  mean(pr).  The cost is O(log n3) per cell, not O(n3).
+* A exactly zero (a pre-map row with M_k0 = M_k1 = 0): h(s P) is s |P|,
+  s P or s^2 P^2 since s >= 0, so these components fold into one s-term and
+  one s^2-term whose phi tables are summed before the mean: abs-sum on the
+  identity costs |A_0| + |A_1| + s mean(|cos phi| + |sin phi|) per cell.
+* P exactly zero: h(A), which reads no phi.
+
+Int64 headroom of the form: |pc| < 3 2^SCALE < 2^31 and n3 < 2^31, so the
+prefix sums and D_i stay below 2^62 and ac 2^SCALE below 2^61.  D_i is
+divided by n3 (floor for lo, ceil for hi) before its product with sc <=
+2^SCALE, which bounds that product by 2^60; s times an undivided prefix sum
+would pass 2^70 at n3 ~ 3000.  The products in the square stay below 2^62.
+The constant and the coefficients must stay below 2^16, and each folded phi
+mean below 16 = 2^(62 - SCALE) in real terms, so that s times it stays
+below 2^62 + 2^34; else the sweep refuses.  ``_check_bound`` then holds each
+cell's mean to [-m, m]: a mean wholly outside proves that some phi value
+escapes the bound (``InvalidBound``).  Form blocks are eta rows x theta
+chunks of about BLOCK_CELLS // 16 cells: a 2-D cell has a few dozen live
+int64 temporaries, so blocks of BLOCK_CELLS cells raised the peak memory of
+the abs-sum sweep by a tenth, while blocks of a few hundred cells leave the
+time to the Python loop.
 
 Int64 headroom: cell enclosures must lie in [-m, m], m = (ceil(M)+1) 2^SCALE
 for the declared bound M, and at entry the largest sum formed from m and the
@@ -80,9 +109,10 @@ SCALE = 29                     # fixed-point fraction bits of the sweep
 BLOCK_CELLS = 1 << 16
 MAX_SCALAR_CELLS = 2 * 10 ** 6  # effort cap of the per-cell scalar evaluator
 _LIVE_AXES = {"a": 1, "ab": 2, "abcd": 3}   # grid axes each ``uses`` reads
+_ONE_FX = (1 << SCALE, 1 << SCALE)
 # the pre-map of an integrand that reads the grid versor itself
-IDENTITY_PREMAP = tuple(tuple((1 << SCALE, 1 << SCALE) if j == k else (0, 0)
-                              for j in range(4)) for k in range(4))
+IDENTITY_PREMAP = tuple(tuple(_ONE_FX if j == k else (0, 0) for j in range(4))
+                        for k in range(4))
 _KINDS = ("eta", "theta", "phi")
 
 
@@ -353,9 +383,9 @@ def su2_grid_integral(spec, n: int, *, max_cells: int = 10 ** 11) -> Interval:
 
 def _fixed_sweep(spec, eta: _Axis, theta: _Axis, phi: _Axis) -> Interval:
     """The block sweep of ``spec.fixed_eval`` after its pre-map, or of its
-    polar form."""
-    return _block_sweep(spec.fixed_eval, spec.fixed_eval_polar, spec.premap,
-                        spec.bound, eta, theta, phi)
+    component form."""
+    return _block_sweep(spec.fixed_eval, spec.form, spec.premap, spec.bound,
+                        eta, theta, phi)
 
 
 def _scalar_sweep(spec, eta: _Axis, theta: _Axis, phi: _Axis) -> Interval:
@@ -382,12 +412,12 @@ def _combine(coefs, xs):
     out = None
     for c, x in zip(coefs, xs):
         if c != (0, 0):
-            t = fp_mul(c, x)
+            t = x if c == _ONE_FX else fp_mul(c, x)
             out = t if out is None else fp_add(out, t)
     return out
 
 
-def _block_sweep(fixed, polar, premap, bound: Dyadic, eta: _Axis,
+def _block_sweep(fixed, form, premap, bound: Dyadic, eta: _Axis,
                  theta: _Axis, phi: _Axis) -> Interval:
     # glibc unmaps a freed heap top past twice its mmap threshold (128 KB at
     # start), so each block would fault its temporaries in afresh; freeing a
@@ -399,11 +429,12 @@ def _block_sweep(fixed, polar, premap, bound: Dyadic, eta: _Axis,
     (ps_lo, ps_hi), (pc_lo, pc_hi), _ = phi.fixed(SCALE)
     n2, n3 = theta.n, phi.n
     _check_headroom(bound, m_fx, n3, tw_hi, ew_hi)
+    if max(abs(v) for row in premap for pair in row for v in pair) > 2 << SCALE:
+        raise NoConvergence("pre-map entries past 2 leave the sweep no int64 "
+                            "headroom")
     pc, ps = (pc_lo, pc_hi), (ps_lo, ps_hi)
-    # P_k = M_k2 cos(phi) + M_k3 sin(phi), one length-n3 table per integral
-    ptabs = [_combine(row[2:], (pc, ps)) for row in premap]
-    gbar = None     # the polar form's phi mean, from its first block
-    depth = n3 if polar is None else 16     # see the module docstring
+    means = None if form is None else _form_means(form, premap, pc, ps, m_fx)
+    depth = n3 if form is None else 16    # see the module docstring
     rows = max(1, BLOCK_CELLS // (n2 * depth))
     chunk = max(1, BLOCK_CELLS // depth)
     acc_lo = acc_hi = 0
@@ -416,28 +447,14 @@ def _block_sweep(fixed, polar, premap, bound: Dyadic, eta: _Axis,
             j1 = min(n2, j0 + chunk)
             b = fp_mul_na(se, (tc_lo[j0:j1], tc_hi[j0:j1]))        # (rows, jb)
             sest = fp_mul_na(se, (ts_lo[j0:j1], ts_hi[j0:j1]))
-            if polar is not None:
-                *base, g = polar(ce, b, pc, ps, SCALE)
-                if gbar is None:    # g reads phi alone: once per integral
-                    gbar, outer, inner = _phi_mean(g, n3)
-                _check_bound(*fp_add(base, fp_mul_na(sest, outer)), m_fx,
-                             lambda: fp_add(base, fp_mul_na(sest, inner)))
-                mean_lo, mean_hi = fp_add(base, fp_mul_na(sest, gbar))
-            else:
+            if means is not None:
+                mean_lo, mean_hi = means(ce, b, sest)
+            else:   # (M x)_k at every phi: x = (ce, b, s cos phi, s sin phi)
                 col = (sest[0][..., None], sest[1][..., None])
-                comps = []
-                for m_k, p in zip(premap, ptabs):    # row k of M, P_k
-                    a = _combine(m_k[:2], (ce, b))    # (rows, jb) or (rows, 1)
-                    if p is None:
-                        comps.append((0, 0) if a is None else
-                                     (a[0][..., None], a[1][..., None]))
-                        continue
-                    lo, hi = fp_mul_na(col, p)        # fresh: add in place
-                    if a is not None:
-                        lo += a[0][..., None]
-                        hi += a[1][..., None]
-                    comps.append((lo, hi))
-                flo, fhi = fixed(*comps, SCALE)
+                x = [(v[0][..., None], v[1][..., None]) for v in (ce, b)]
+                x += [fp_mul_na(col, pc), fp_mul_na(col, ps)]
+                flo, fhi = fixed(*(_combine(m_k, x) or (0, 0) for m_k in premap),
+                                 SCALE)
                 shape = (i1 - i0, j1 - j0, n3)
                 flo = np.broadcast_to(np.asarray(flo, dtype=np.int64), shape)
                 fhi = np.broadcast_to(np.asarray(fhi, dtype=np.int64), shape)
@@ -465,30 +482,127 @@ def _check_headroom(bound: Dyadic, m_fx: int, n3: int, tw_hi, ew_hi):
             f"to 2^{need.bit_length()}, past the int64 cap 2^63")
 
 
-def _phi_mean(g, n3: int):
-    """The phi mean gbar of a polar form's g and its extremes over phi.
+# h of a component form on a fixed-point interval at ``scale`` bits
+_H = {"abs": lambda x, scale: fp_abs(*x), "square": fp_square,
+      "id": lambda x, scale: x}
 
-    Returns gbar = [floor(sum g_lo / n3), ceil(sum g_hi / n3)], the outer
-    extremes (min g_lo, max g_hi) and the inner ones (max g_lo, min g_hi), as
-    python ints.  Refuses |g| >= 2^(62 - SCALE) (16 in real terms): with
-    sin(eta) sin(theta) <= 1 + 2^-27 the products sest * g then stay below
-    2^62 + 2^36, inside int64 with room for ``_shr_ceil``.
-    """
-    g_lo, g_hi = (np.broadcast_to(x, (n3,)).tolist() for x in g)
-    if max(-min(g_lo), max(g_hi)) >> (62 - SCALE):
-        raise NoConvergence("polar phi factor of 16 or more leaves its products "
-                            "with sin(eta) sin(theta) no int64 headroom")
-    return ((sum(g_lo) // n3, -(-sum(g_hi) // n3)), (min(g_lo), max(g_hi)),
-            (max(g_lo), min(g_hi)))
+
+def _times(coef: int, x):
+    """coef * x for an int coefficient, exactly."""
+    if coef == 1:
+        return x
+    return (coef * x[0], coef * x[1]) if coef >= 0 else (coef * x[1], coef * x[0])
+
+
+def form_fixed(form):
+    """The ``fixed_eval`` of a component form: const + sum coef h(x_k)."""
+    const, terms = form
+
+    def fixed(a, b, c, d, scale, **_kw):
+        x, lo, hi = (a, b, c, d), const << scale, const << scale
+        for k, kind, coef in terms:
+            vlo, vhi = _times(coef, _H[kind](x[k], scale))
+            lo, hi = lo + vlo, hi + vhi
+        return lo, hi
+
+    return fixed
+
+
+def _mean(t, n3: int):
+    """[floor, ceil] of the phi mean of a table, summed as python ints."""
+    return sum(t[0].tolist()) // n3, -(-sum(t[1].tolist()) // n3)
+
+
+def _square_kernel(p, n3: int):
+    m1, m2 = _mean(p, n3), _mean(fp_square(p), n3)
+
+    def mean(a, s):     # A^2 + 2 A s mean(P) + s^2 mean(P^2)
+        cross = fp_mul(fp_mul_na(s, a), m1)
+        sq = fp_mul_na(fp_square(s), m2)
+        alo, ahi = fp_square(a)
+        return alo + 2 * cross[0] + sq[0], ahi + 2 * cross[1] + sq[1]
+
+    return mean
+
+
+def _abs_kernel(p, n3: int):
+    pc = (p[0] + p[1]) >> 1
+    order = np.sort(pc)
+    prefix = np.concatenate(([0], np.cumsum(order)))
+    d = (prefix[-1] - prefix) - prefix      # D_i, i = how many pc lie below t
+    d_lo, d_hi = d // n3, -(-d // n3)
+    abs_c, rad_p = (-(-int(x.sum()) // n3) for x in (np.abs(pc), p[1] - pc))
+
+    def mean(a, s):
+        ac, sc = (a[0] + a[1]) >> 1, (s[0] + s[1]) >> 1
+        pos = sc > 0
+        i = np.searchsorted(order, -((ac << SCALE) // np.where(pos, sc, 1)))
+        i = np.where(pos, i, np.where(ac < 0, n3, 0))   # sc = 0: c = ac
+        k = ac * (n3 - 2 * i)
+        rad = (a[1] - ac) + _shr_ceil((s[1] - sc) * abs_c + s[1] * rad_p, SCALE)
+        return (k // n3 + _shr_floor(sc * d_lo[i], SCALE) - rad,
+                -(-k // n3) + _shr_ceil(sc * d_hi[i], SCALE) + rad)
+
+    return mean
+
+
+def _form_means(form, premap, pc, ps, m_fx: int):
+    """Each cell's phi mean of a component form (the module docstring), as
+    a function of the block's cos(eta), sin(eta) cos(theta) and s, from the
+    phi axis' cos and sin tables ``pc`` and ``ps``."""
+    const, terms = form
+    n3 = len(pc[0])
+    # P_k = M_k2 cos(phi) + M_k3 sin(phi), one length-n3 table per integral
+    ptabs = [_combine(row[2:], (pc, ps)) for row in premap]
+    if n3 >> 31 or max(abs(const), *(abs(t[2]) for t in terms)) >> 16:
+        raise NoConvergence("component form coefficients of 2^16 or more, or "
+                            "2^31 phi cells, leave the sweep no int64 headroom")
+    zero = np.zeros(n3, dtype=np.int64)
+    folds = [(zero, zero), (zero, zero)]    # phi tables of the s- and s^2-terms
+    parts = []                  # (row k, coef, phi mean of h_k(A + s P))
+    for k, kind, coef in terms:
+        p, a_zero = ptabs[k], premap[k][0] == premap[k][1] == (0, 0)
+        if p is not None and (a_zero or kind == "id"):   # h(s P), or its s P
+            t = _times(coef, _H[kind](p, SCALE))
+            folds[kind == "square"] = fp_add(folds[kind == "square"], t)
+        if a_zero:
+            continue
+        if p is None or kind == "id":                    # h(A), or its A
+            parts.append((k, coef, lambda a, s, h=_H[kind]: h(a, SCALE)))
+        else:
+            kernel = _abs_kernel if kind == "abs" else _square_kernel
+            parts.append((k, coef, kernel(p, n3)))
+    g1, g2 = (_mean(t, n3) for t in folds)
+    if max(-g1[0], g1[1], -g2[0], g2[1]) >> (62 - SCALE):
+        raise NoConvergence("phi mean of 16 or more leaves its products with "
+                            "sin(eta) sin(theta) no int64 headroom")
+
+    def means(ce, b, sest):
+        lo, hi = fp_mul_na(sest, g1)
+        lo += const << SCALE
+        hi += const << SCALE
+        if g2 != (0, 0):
+            qlo, qhi = fp_mul_na(fp_square(sest), g2)
+            lo += qlo
+            hi += qhi
+        for k, coef, kernel in parts:
+            vlo, vhi = _times(coef, kernel(_combine(premap[k][:2], (ce, b)), sest))
+            lo += vlo
+            hi += vhi
+        _check_bound(lo, hi, m_fx, lambda: (lo, hi))
+        return lo, hi
+
+    return means
 
 
 def _check_bound(lo, hi, m_fx, inner):
     """Refuse cells whose enclosures leave [-m_fx, m_fx].
 
-    ``lo`` and ``hi`` are each cell's lowest and highest end over phi;
-    ``inner()`` gives its highest lo and lowest hi.  A valid enclosure (lo <=
-    hi) that escapes [-m_fx, m_fx] also leaves it on one side, so the common
-    case costs one pass over each array.
+    ``lo`` and ``hi`` are each cell's lowest and highest end over phi (or of
+    its phi mean); ``inner()`` gives its highest lo and lowest hi.  A valid
+    enclosure (lo <= hi) that escapes [-m_fx, m_fx] also leaves it on one
+    side, so the common case costs one pass over each array.  A cell wholly
+    past m_fx has a true value, or a phi mean and so some value, beyond it.
     """
     if int(lo.min()) < -m_fx or int(hi.max()) > m_fx:
         ilo, ihi = inner()

@@ -47,34 +47,17 @@ def _abs_sum_spec() -> IntegrandSpec:
     def ev(q: Versor, wp):
         return (q.a.abs() + q.b.abs() + q.c.abs() + q.d.abs()).round_out(wp)
 
-    def fixed(a, b, c, d, scale, **kw):
-        al, ah = fp_abs(*a)
-        bl, bh = fp_abs(*b)
-        cl, ch = fp_abs(*c)
-        dl, dh = fp_abs(*d)
-        return al + bl + cl + dl, ah + bh + ch + dh
-
-    def polar(ce, b, cphi, sphi, scale):
-        # |w| + |x| is constant along phi; |y| + |z| = sin(eta)sin(theta)
-        # (|cos phi| + |sin phi|)
-        al, ah = fp_abs(*ce)
-        bl, bh = fp_abs(*b)
-        ul, uh = fp_abs(*cphi)
-        vl, vh = fp_abs(*sphi)
-        return al + bl, ah + bh, (ul + vl, uh + vh)
-
     return IntegrandSpec(ev, Dyadic(7, -2), Dyadic(2), name="abs-sum",
-                         fixed_eval=fixed, fixed_eval_polar=polar, uses="abcd")
+                         form=(0, tuple((k, "abs", 1) for k in range(4))),
+                         uses="abcd")
 
 
 def _w2_spec() -> IntegrandSpec:
     def ev(q: Versor, wp):
         return q.a.square().round_out(wp)
 
-    def fixed(a, b, c, d, scale, **kw):
-        return fp_square(a, scale)
-
-    return IntegrandSpec(ev, ONE, ONE, name="w2", fixed_eval=fixed, uses="a")
+    return IntegrandSpec(ev, ONE, ONE, name="w2", form=(0, ((0, "square", 1),)),
+                         uses="a")
 
 
 def _trace_spec() -> IntegrandSpec:
@@ -85,13 +68,8 @@ def _trace_spec() -> IntegrandSpec:
     def ev(q: Versor, wp):
         return (four * q.a.square() - one).round_out(wp)
 
-    def fixed(a, b, c, d, scale, **kw):
-        sl, sh = fp_square(a, scale)
-        u = 1 << scale
-        return 4 * sl - u, 4 * sh - u
-
     return IntegrandSpec(ev, Dyadic(4), Dyadic(3), name="trace",
-                         fixed_eval=fixed, uses="a")
+                         form=(-1, ((0, "square", 4),)), uses="a")
 
 
 def _sign_spec() -> IntegrandSpec:
@@ -230,35 +208,26 @@ def translate_su2_integrand(spec: IntegrandSpec, g: Versor, G: Group,
         for row in spec.premap)
 
     # a translate mixes every quaternion component into every other, so the
-    # grid must stay fully three-dimensional whatever the base f reads; the
-    # polar form reads the grid versor itself and cannot follow the map
+    # grid must stay fully three-dimensional whatever the base f reads; a
+    # component form follows the map, which changes only M
     return IntegrandSpec(ev, spec.lipschitz, spec.bound,
                          name=f"{spec.name}o{side}", fixed_eval=spec.fixed_eval,
-                         premap=premap, uses="abcd")
+                         form=spec.form, premap=premap, uses="abcd")
 
 
 def invert_su2_integrand(spec: IntegrandSpec) -> IntegrandSpec:
     """f(x^-1); on versors inversion is conjugation (negate the vector part).
 
-    The vectorized form is ``spec.fixed_eval`` behind M D, D = diag(1, -1,
-    -1, -1): columns 1-3 of the pre-map are negated, exactly.  A polar form
-    is kept: conj(x) = (cos eta, -b, sest (-cos phi), sest (-sin phi)) with
-    sest = sin eta sin theta >= 0 as before.
+    The vectorized form and the component form are ``spec``'s behind M D,
+    D = diag(1, -1, -1, -1): columns 1-3 of the pre-map are negated, exactly.
     """
     def ev(q, wp):
         return spec.eval(q.conjugate(), wp)
 
     premap = tuple((row[0], *map(_neg, row[1:])) for row in spec.premap)
-    polar = None
-    if spec.fixed_eval_polar is not None:
-        base_polar = spec.fixed_eval_polar
-
-        def polar(ce, b, cphi, sphi, scale):
-            return base_polar(ce, _neg(b), _neg(cphi), _neg(sphi), scale)
-
     return IntegrandSpec(ev, spec.lipschitz, spec.bound,
                          name=f"{spec.name}^-1", fixed_eval=spec.fixed_eval,
-                         fixed_eval_polar=polar, premap=premap, uses=spec.uses)
+                         form=spec.form, premap=premap, uses=spec.uses)
 
 
 def translate_circle_integrand(spec: IntegrandSpec, g: Dyadic) -> IntegrandSpec:

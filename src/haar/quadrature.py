@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._grid import (
-    IDENTITY_PREMAP, fp_add, fp_div_pos, fp_sqrt, fp_square, su2_grid_integral,
+    IDENTITY_PREMAP, form_fixed, fp_add, fp_div_pos, fp_sqrt, fp_square,
+    su2_grid_integral,
 )
 from .exactreal import (
     CertifiedValue, ConfigError, Dyadic, Interval, InvalidBound, NoConvergence,
@@ -46,24 +47,25 @@ class IntegrandSpec:
     used by the SU(2) grid engine; ``uses`` declares which quaternion
     components the function reads ('a', 'ab' or 'abcd') so the engine can drop
     dead grid axes: the other components reach both ``fixed_eval`` and
-    ``eval_fn`` as exact 0.  ``fixed_eval_polar(ce, b, cphi, sphi, scale)``
-    is an optional faster form of ``fixed_eval`` for an f separable along
-    phi: f = base(eta, theta) + sest * g(phi), sest = sin(eta) sin(theta) >= 0.
-    It takes cos(eta) and sin(eta)cos(theta) as arrays broadcastable to
-    (rows, theta) and cos/sin(phi) as (phi,) arrays, and returns (base_lo,
-    base_hi, (g_lo, g_hi)): base broadcastable to (rows, theta), g to (phi,),
-    g read from cos/sin(phi) alone.  The sweep multiplies g's phi mean by
-    sest itself, so the phi axis costs one pass per integral.
+    ``eval_fn`` as exact 0.
 
     ``premap`` is a 4x4 matrix M, ``premap[k][j]`` = M_kj as an outward
-    (lo, hi) pair of python ints at ``_grid.SCALE`` fraction bits, by default
-    the identity: the grid engine calls ``fixed_eval`` on M x instead of on
-    the grid versor x (``_grid`` folds M into its axis tables).  It belongs to ``fixed_eval``
-    alone: ``eval_fn`` and ``fixed_eval_polar`` evaluate the whole integrand
-    on x itself.  A translation is such a map (``functions``), so a wrapper
-    that forwards ``fixed_eval`` must forward ``premap`` too, or compose it
-    with its own map; dropping it makes the sweep certify a different
-    function.
+    (lo, hi) pair of python ints at ``_grid.SCALE`` fraction bits, entries in
+    [-2, 2], by default the identity: the grid engine calls ``fixed_eval`` on
+    M x instead of on the grid versor x (``_grid`` folds M into its axis
+    tables).  It belongs to ``fixed_eval`` and ``form`` alone: ``eval_fn``
+    evaluates the whole integrand on x itself.  A translation is such a map
+    (``functions``), so a wrapper that forwards ``fixed_eval`` must forward
+    ``premap`` too, or compose it with its own map; dropping it makes the
+    sweep certify a different function.
+
+    ``form`` = (const, terms) optionally declares f(x) = const + sum coef *
+    h((M x)_k) over terms (k, h, coef), h one of "abs", "square" and "id",
+    const and coef ints below 2^16.  The grid then sweeps eta x theta cells
+    with each cell's exact phi mean (``_grid``), and ``fixed_eval``, when not
+    given, is derived from the form.  Translations and the inversion change
+    M only, so they forward ``form`` with their pre-map; ``_average``, whose
+    tags a form cannot read, drops it.
 
     Circle integrands may carry ``eval_complex`` / ``complex_fixed``
     evaluating f at a unit complex number given as (re, im) enclosures; the
@@ -71,15 +73,17 @@ class IntegrandSpec:
     """
 
     def __init__(self, eval_fn, lipschitz: Dyadic, bound: Dyadic, *,
-                 name: str = "", fixed_eval=None, fixed_eval_polar=None,
+                 name: str = "", fixed_eval=None, form=None,
                  premap=IDENTITY_PREMAP, uses: str = "abcd", eval_complex=None,
                  complex_fixed=None):
         self.eval = eval_fn
         self.lipschitz = lipschitz
         self.bound = bound
         self.name = name
+        if fixed_eval is None and form is not None:
+            fixed_eval = form_fixed(form)
         self.fixed_eval = fixed_eval
-        self.fixed_eval_polar = fixed_eval_polar
+        self.form = form
         self.premap = premap
         self.uses = uses
         self.eval_complex = eval_complex

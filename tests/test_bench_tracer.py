@@ -3,8 +3,8 @@
 ``benchmarks/spans.py`` patches ``_grid._build_axis``, ``_grid._disc_bound``,
 ``_grid._fixed_sweep`` and ``_grid._scalar_sweep`` (the sweeps take
 ``(spec, eta, theta, phi)`` with axes carrying ``.n``),
-``functions._quat_mul_fixed``, and the ``eval`` and ``fixed_eval_polar``
-instance attributes of the workload's integrands.  On the generic route it
+``functions._quat_mul_fixed``, and the ``eval`` instance attribute of the
+workload's integrands.  On the generic route it
 reads ``expand``, ``shrink``, ``subtract`` and ``union`` from each region
 class's own ``__dict__``, ``count_within`` and ``iter_points`` from each
 packing class's, ``generic.pseudo_count``, ``generic.compute_measure`` and
@@ -33,15 +33,15 @@ def test_tracer_records_a_grid_sweep():
         tracer.uninstall()
     assert _grid._fixed_sweep is sweep
     names = {s[0] for s in tracer.spans}
-    assert {"quadrature.su2", "grid.build_axis", "grid.disc_bound", "grid.sweep",
-            "functions.polar"} <= names
+    assert {"quadrature.su2", "grid.build_axis", "grid.disc_bound",
+            "grid.sweep"} <= names
     metrics = spans.layer_metrics(tracer.spans, tracer.counts)
     assert metrics["grid.cells"] > 0 and metrics["grid.attempts"] >= 1
 
 
 def test_tracer_records_the_translated_calls():
     # translations fold into a pre-map when built, so the sweep no longer
-    # calls _quat_mul_fixed; the inverted call keeps its polar form
+    # calls _quat_mul_fixed
     calls = workloads.build(workloads.make_inputs("su2-translated", 1))
     assert len(calls) == 3
     quat_mul = functions._quat_mul_fixed
@@ -55,7 +55,6 @@ def test_tracer_records_the_translated_calls():
     assert functions._quat_mul_fixed is quat_mul
     names = [s[0] for s in tracer.spans]
     assert names.count("grid.sweep") == 3
-    assert "functions.polar" in names
 
 
 def test_tracer_records_the_generic_layers():

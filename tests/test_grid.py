@@ -19,6 +19,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from haar import _grid
 from haar.exactreal import Dyadic
@@ -125,8 +126,8 @@ def sweep_paths(spec):
     scalar = IntegrandSpec(spec.eval, spec.lipschitz, spec.bound, uses=spec.uses)
     paths = [("fixed", _grid._fixed_sweep, plain),
              ("scalar", _grid._scalar_sweep, scalar)]
-    if spec.fixed_eval_polar is not None:
-        paths.append(("polar", _grid._fixed_sweep, spec))
+    if spec.form is not None:
+        paths.append(("form", _grid._fixed_sweep, spec))
     return paths
 
 
@@ -140,20 +141,33 @@ GRIDS = {
 GRIDS["skew"] = GRIDS["abs-sum"]
 
 
+# the component form rounds each cell's phi mean in a few more places than
+# the per-phi sum of the fixed path: it may be this many units of 2^-SCALE
+# wider per unit of its summed |coefficients| (at most 6.4 were seen on the
+# moved specs, on these grids and the first grids of n = 2..4)
+FORM_SLACK = 8
+
+
 def check_sweeps(spec, mp_f, grids, monkeypatch):
+    ulp = Fraction(1, 1 << _grid.SCALE)
     for ns in grids:
         exact = mp_riemann_sum(mp_f, ns)
         axes = grid_axes(ns)
+        widths = {}
         for label, sweep, s in sweep_paths(spec):
             enc = sweep(s, *axes)
             assert enc.lo.as_fraction() <= exact <= enc.hi.as_fraction(), (label, ns)
             assert enc.width().as_fraction() < Fraction(1, 1 << 10), (label, ns)
+            widths[label] = enc.width().as_fraction()
             # one row and one theta cell per block: the exact integer sums
             # do not depend on how the grid is split
             with monkeypatch.context() as m:
                 m.setattr(_grid, "BLOCK_CELLS", 1)
                 split = sweep(s, *axes)
             assert (split.lo, split.hi) == (enc.lo, enc.hi), (label, ns)
+        if "form" in widths:
+            slack = FORM_SLACK * sum(abs(t[2]) for t in spec.form[1]) * ulp
+            assert widths["form"] <= widths["fixed"] + slack, ns
 
 
 @pytest.mark.parametrize("name, uses", [
@@ -162,8 +176,8 @@ def check_sweeps(spec, mp_f, grids, monkeypatch):
     ("skew", "abcd")])
 def test_sweep_encloses_mpmath_riemann_sum(name, uses, monkeypatch):
     # the fixed and the scalar path of each builtin (``sign`` needs a tag;
-    # the O(3) tests cover it), and the polar path of abs-sum and of skew,
-    # whose phi mean is negative on the one-cell phi axis
+    # the O(3) tests cover it), and the component form of abs-sum, w2,
+    # trace and skew, whose phi mean is negative on the one-cell phi axis
     spec = _skew_spec() if name == "skew" else builtin_integrand(
         name, "so3" if name == "trace" else "su2")
     assert spec.uses == uses
@@ -186,18 +200,19 @@ def mp_abs_sum_riemann_sum(ns):
 @pytest.mark.parametrize("ns", [*GRIDS["abs-sum"], *(
     tuple(_grid._choose_resolution(3, 7 / 4, 7 / 8 / 2 ** n)) for n in range(2, 7))])
 def test_polar_phi_mean_is_no_looser_than_the_cell_sum(ns):
-    # the phi mean rounds once per integral where the fixed path rounds once
-    # per cell: the polar enclosure holds the Riemann sum and is at most two
-    # units of 2^-SCALE wider than the fixed path's
+    # abs-sum's component form takes the phi mean of the polar (eta, theta,
+    # phi) grid once per integral, where the fixed path rounds once per cell:
+    # its enclosure holds the Riemann sum and is at most two units of
+    # 2^-SCALE wider than the fixed path's
     spec = builtin_integrand("abs-sum", "su2")
     plain = IntegrandSpec(spec.eval, spec.lipschitz, spec.bound,
                           fixed_eval=spec.fixed_eval)
     axes = grid_axes(ns)
-    polar, fixed = _grid._fixed_sweep(spec, *axes), _grid._fixed_sweep(plain, *axes)
+    form, fixed = _grid._fixed_sweep(spec, *axes), _grid._fixed_sweep(plain, *axes)
     exact = mp_abs_sum_riemann_sum(ns)
-    assert polar.lo.as_fraction() <= exact <= polar.hi.as_fraction()
+    assert form.lo.as_fraction() <= exact <= form.hi.as_fraction()
     ulp = Fraction(1, 1 << _grid.SCALE)
-    assert polar.width().as_fraction() <= fixed.width().as_fraction() + 2 * ulp
+    assert form.width().as_fraction() <= fixed.width().as_fraction() + 2 * ulp
 
 
 def mp_mul(p, q):
@@ -221,23 +236,20 @@ def mp_point(g):
 
 
 def _skew_spec():
-    """(w + x)^2 + y, with a polar form.  Unlike abs-sum it tells left from
-    right translations on these grids (their abs-sum Riemann sums agree by
-    symmetry), and its phi factor g = cos(phi) changes sign: on a one-cell
-    phi axis its sum changes with the sign of y, which an inverted polar form
-    must read from -cos(phi)."""
+    """(w + x)^2 + y as a component form through a pre-map: the square of
+    row 0, w + x, plus the identity of row 2, y.  Unlike abs-sum it tells
+    left from right translations on these grids (their abs-sum Riemann sums
+    agree by symmetry), and its phi table P_2 = cos(phi) changes sign: on a
+    one-cell phi axis its sum changes with the sign of y, which an inverted
+    form must read from -cos(phi)."""
     def ev(q, wp):
         return ((q.a + q.b).square() + q.c).round_out(wp)
 
-    def fixed(a, b, c, d, scale, **kw):
-        return _grid.fp_add(_grid.fp_square(_grid.fp_add(a, b), scale), c)
-
-    def polar(ce, b, cphi, sphi, scale):
-        lo, hi = _grid.fp_square(_grid.fp_add(ce, b), scale)
-        return lo, hi, cphi
-
-    return IntegrandSpec(ev, Dyadic(4), Dyadic(3), name="skew", fixed_eval=fixed,
-                         fixed_eval_polar=polar)
+    one, zero = (1 << _grid.SCALE, 1 << _grid.SCALE), (0, 0)
+    premap = ((one, one, zero, zero), (zero,) * 4, (zero, zero, one, zero),
+              (zero,) * 4)
+    return IntegrandSpec(ev, Dyadic(4), Dyadic(3), name="skew",
+                         form=(0, ((0, "square", 1), (2, "id", 1))), premap=premap)
 
 
 MOVED = ("left h", "right k", "left r", "right r", "inverted", "left r o inverted",
@@ -249,7 +261,8 @@ def moved_specs(name):
     translated by exact and interval versors, inverted, and composed."""
     from test_groups import rand_versor
     G = make_group("su2")
-    base = _skew_spec() if name == "skew" else builtin_integrand(name, "su2")
+    base = _skew_spec() if name == "skew" else builtin_integrand(
+        name, "so3" if name == "trace" else "su2")
     f = MP_INTEGRANDS[name]
     h, k = half_versor(1, 1, 1, 1), half_versor(1, -1, 1, -1)
     r, s = rand_versor(random.Random(17)), rand_versor(random.Random(18))
@@ -283,26 +296,114 @@ def moved_specs(name):
 
 
 @pytest.mark.parametrize("name, label", [
-    *((name, label) for name in ("abs-sum", "skew") for label in MOVED),
+    *((name, label) for name in ("abs-sum", "skew", "w2", "trace") for label in MOVED),
     # both lifts sum to 0 on the plain grids by symmetry; only a translate
     # shows which component each form reads
     ("lift:re", "left r"), ("lift:im", "left r")])
 def test_moved_sweep_encloses_mpmath_riemann_sum(name, label, monkeypatch):
     # the pre-map folded into the tables against f(M x) summed in mpmath,
-    # on the fixed, scalar and (inverted only) polar paths
+    # on the fixed, scalar and component-form paths
     spec, mp_f = moved_specs(name)[label]
     assert spec.premap != _grid.IDENTITY_PREMAP
+    assert (spec.form is not None) == (name != "lift:re" and name != "lift:im")
     check_sweeps(spec, mp_f, GRIDS["abs-sum"], monkeypatch)
+
+
+def test_moved_forms_sweep_no_phi_block():
+    # every translated, inverted or composed component form sweeps eta x
+    # theta cells: the per-phi branch, the only caller of ``fixed_eval`` in
+    # the sweep, never runs for them, so a lost form cannot fall back to the
+    # 3-D grid unseen
+    calls = []
+
+    def counted(spec):
+        fixed = spec.fixed_eval
+        spec.fixed_eval = lambda *a, **kw: calls.append(a) or fixed(*a, **kw)
+        return spec
+
+    for name in ("abs-sum", "w2", "trace"):
+        for label, (spec, _) in moved_specs(name).items():
+            assert spec.form is not None, (name, label)
+            _grid.su2_grid_integral(counted(spec), 2)
+    assert calls == []
+    spec, _ = moved_specs("abs-sum")["left r"]
+    _grid._fixed_sweep(counted(sweep_paths(spec)[0][2]), *grid_axes((2, 3, 4)))
+    assert calls
+
+
+UNIT = 1 << _grid.SCALE
+# ends of A and P as the pre-map guard keeps them (|A|, |P| < 3), or small
+# enough to straddle 0 often
+ENDS = st.one_of(st.integers(-64, 64), st.integers(-3 * UNIT + 1, 3 * UNIT - 1))
+
+
+def _ivs(ends, widths=st.integers(0, 300)):
+    return st.tuples(ends, widths).map(lambda t: (t[0], t[0] + t[1]))
+
+
+def _threshold_case(ac, sc, offset):
+    """A single-entry table pinned next to the exact sign threshold of
+    c = ac 2^SCALE + sc p, with no width anywhere."""
+    t = -((ac << _grid.SCALE) // sc)
+    return (ac, ac), (sc, sc), [(t + offset, t + offset)]
+
+
+def _fr(x):
+    return Fraction(x, UNIT)
+
+
+@settings(max_examples=400)
+@example(*_threshold_case(-5, 3, 0))
+@example(*_threshold_case(-5, 3, -1))
+@example(*_threshold_case(7, 1 << 20, 0))
+@example((-3, 2), (0, 0), [(5, 9)])
+@example((0, 0), (3, 9), [(-5, 9), (2, 2)])
+@example((-40, 40), (UNIT - 4, UNIT), [(0, 0)] * 3)
+@given(a=_ivs(ENDS), s=st.one_of(st.just((0, 0)), _ivs(st.integers(0, UNIT))),
+       table=st.one_of(st.lists(st.just((0, 0)), min_size=1, max_size=6),
+                       st.lists(_ivs(ENDS), min_size=1, max_size=12)))
+def test_phi_mean_kernels_enclose_the_exact_mean(a, s, table):
+    # the abs, square and identity phi means of one component, (M x)_0 = A
+    # + s P with M_00 = 1 (M_00 = 0 when A is 0, the folded path) and P read
+    # through M_02 = 1 from the phi cos table, against the exact Fraction
+    # mean over phi of h(A + s p_phi) at corner, centre and zero-crossing
+    # points of the intervals; the threshold examples put p on either side
+    # of the sign change of the abs kernel's centre, with no width to hide a
+    # miscount
+    n3 = len(table)
+    p = (np.array([t[0] for t in table]), np.array([t[1] for t in table]))
+    one, zero = (UNIT, UNIT), (0, 0)
+    premap = ((zero if a == zero else one, zero, one, zero),) + ((zero,) * 4,) * 3
+    cell = [(np.array([[lo]]), np.array([[hi]])) for lo, hi in (a, zero, s)]
+    h = {"abs": abs, "square": lambda x: x * x, "id": lambda x: x}
+    tables = [[_fr(t[0]) for t in table], [_fr(t[1]) for t in table],
+              [_fr(t[i % 2]) for i, t in enumerate(table)]]
+    points = []
+    for sv in {_fr(s[0]), _fr(s[1])}:
+        for ps in tables:
+            a_pts = {_fr(a[0]), _fr(a[1]), _fr(a[0] + a[1]) / 2}
+            a_pts.add(min(max(-sv * ps[0], _fr(a[0])), _fr(a[1])))  # x_0 = 0
+            points += [(av, sv, ps) for av in a_pts]
+    for kind in h:
+        means = _grid._form_means((0, ((0, kind, 1),)), premap, p,
+                                  (np.zeros(n3, np.int64),) * 2, 1 << 62)
+        lo, hi = (_fr(int(x[0, 0])) for x in means(*cell))
+        for av, sv, ps in points:
+            mean = sum(h[kind](av + sv * pv) for pv in ps) / n3
+            assert lo <= mean <= hi, (kind, av, sv)
 
 
 def test_restriction_forwards_the_premap():
     # the O(3) and U(2) mean keeps the map, so it sweeps f(M x) too; the
-    # mean over one tag is the spec itself, bit for bit
+    # mean over one tag is the spec's fixed path itself, bit for bit (the
+    # mean has no component form)
     spec, _ = moved_specs("skew")["right r o left s"]
+    _label, _sweep, plain = sweep_paths(spec)[0]
     averaged = _average(spec, (0,), "sign_index")
+    assert averaged.form is None
     for ns in GRIDS["abs-sum"]:
         axes = grid_axes(ns)
-        a = _grid._fixed_sweep(spec, *axes)
+        a = _grid._fixed_sweep(plain, *axes)
         b = _grid._fixed_sweep(averaged, *axes)
         assert (a.lo, a.hi) == (b.lo, b.hi), ns
 
@@ -366,16 +467,25 @@ def test_two_tag_mean_encloses_the_mean_of_the_tag_sweeps():
             assert ehi - elo <= hi - lo + 2 * ulp, (label, ns)
 
 
-def test_inversion_keeps_the_polar_form():
+def test_inversion_keeps_the_component_form():
     # negation is exact and abs-sum is invariant under conjugation, so the
-    # inverted polar sweep repeats abs-sum's own bit for bit
+    # inverted form sweeps abs-sum's own enclosure bit for bit: it holds the
+    # Riemann sum and is at most two units of 2^-SCALE wider than the fixed
+    # path of the inverted spec
     base = builtin_integrand("abs-sum", "su2")
     inv = invert_su2_integrand(base)
-    assert inv.fixed_eval_polar is not None
+    assert inv.form == base.form and inv.premap != base.premap
+    plain = IntegrandSpec(inv.eval, inv.lipschitz, inv.bound,
+                          fixed_eval=inv.fixed_eval, premap=inv.premap)
+    ulp = Fraction(1, 1 << _grid.SCALE)
     for ns in GRIDS["abs-sum"]:
         axes = grid_axes(ns)
         a, b = _grid._fixed_sweep(base, *axes), _grid._fixed_sweep(inv, *axes)
         assert (a.lo, a.hi) == (b.lo, b.hi), ns
+        exact = mp_abs_sum_riemann_sum(ns)
+        assert b.lo.as_fraction() <= exact <= b.hi.as_fraction(), ns
+        fixed = _grid._fixed_sweep(plain, *axes)
+        assert b.width().as_fraction() <= fixed.width().as_fraction() + 2 * ulp, ns
     a, b = _grid.su2_grid_integral(base, 4), _grid.su2_grid_integral(inv, 4)
     assert (a.lo, a.hi) == (b.lo, b.hi)
 

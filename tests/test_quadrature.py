@@ -9,6 +9,7 @@ independence on S^3.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -127,33 +128,75 @@ class TestSU2Integrals:
         with pytest.raises(InvalidBound):
             haar_integral_su2(cheat, 4)
 
-    def test_invalid_bound_detected_on_the_polar_path(self):
-        # |w| + |x| + 4 (|y| + |z|) reaches 4 sqrt(2) > 2 + 1 near the equator
-        base = builtin_integrand("abs-sum", "su2")
+    # |w| + |x| + 4 (|y| + |z|): its phi mean near the equator is about
+    # 1 + 4 (8 / pi) sin(eta) sin(theta) > 2 + 1
+    CHEAT_FORM = (0, ((0, "abs", 1), (1, "abs", 1), (2, "abs", 4), (3, "abs", 4)))
 
-        def bad_polar(ce, b, cphi, sphi, scale):
-            base_lo, base_hi, (g_lo, g_hi) = base.fixed_eval_polar(ce, b, cphi, sphi, scale)
-            return base_lo, base_hi, (g_lo * 4, g_hi * 4)
-
-        cheat = IntegrandSpec(None, base.lipschitz.scale2(2), Dyadic(2), name="cheat",
-                              fixed_eval=base.fixed_eval, fixed_eval_polar=bad_polar)
+    def test_invalid_bound_detected_on_the_component_form(self):
+        cheat = IntegrandSpec(None, Dyadic(7), Dyadic(2), name="cheat",
+                              form=self.CHEAT_FORM)
         with pytest.raises(InvalidBound):
             haar_integral_su2(cheat, 4)
 
+    def test_invalid_bound_detected_after_a_translation(self):
+        from test_groups import rand_versor
+        cheat = IntegrandSpec(None, Dyadic(7), Dyadic(2), name="cheat",
+                              form=self.CHEAT_FORM)
+        g = rand_versor(random.Random(3))
+        moved = translate_su2_integrand(cheat, g, make_group("su2"), "left")
+        with pytest.raises(InvalidBound):
+            haar_integral_su2(moved, 4)
+
     @pytest.mark.parametrize("base, g", [
-        ((-(1 << 61), 1 << 61), (0, 0)),      # base too wide
-        ((0, 0), (-(1 << 32), 1 << 32)),      # sest * g too wide
-        ((0, 0), (-(1 << 40), 1 << 40)),      # sest * g past int64
+        ((-(1 << 30), 1 << 30), (0, 0)),      # 4 A = 4 [-2, 2] cos(eta): too wide
+        ((0, 0), (-(1 << 30), 1 << 30)),      # 4 s P = 4 s [-2, 2] cos(phi): too wide
+        ((0, 0), (-(1 << 40), 1 << 40)),      # a pre-map entry past int64 headroom
     ])
     def test_polar_enclosure_wider_than_bound_refused(self, base, g):
-        def wide(ce, b, cphi, sphi, scale):
-            return (*base, g)
-
-        spec = IntegrandSpec(None, Dyadic(0), Dyadic(1), name="wide",
-                             fixed_eval=self.constant_spec(0, 1, True).fixed_eval,
-                             fixed_eval_polar=wide)
+        # 4 (M x)_0 + 4 (M x)_2 with M_00 = base, M_22 = g and bound 1: the
+        # phi mean of each (eta, theta) cell straddles the bound, or the
+        # pre-map is refused outright
+        zero = (0, 0)
+        premap = ((base, zero, zero, zero), (zero,) * 4, (zero, zero, g, zero),
+                  (zero,) * 4)
+        spec = IntegrandSpec(None, Dyadic(1), Dyadic(1), name="wide",
+                             form=(0, ((0, "id", 4), (2, "id", 4))), premap=premap)
         with pytest.raises(NoConvergence, match="headroom"):
             haar_integral_su2(spec, 4)
+
+    @pytest.mark.parametrize("row, coef, match", [
+        # 2^12 s P, P = [-2, 2] cos(phi): the folded phi table's mean is past
+        # 16, so its products with s could leave int64
+        (((0, 0), (0, 0), (-(1 << 30), 1 << 30), (0, 0)), 1 << 12,
+         "phi mean of 16 .* headroom"),
+        (_grid.IDENTITY_PREMAP[0], 1 << 16, "2\\^16 or more.* headroom"),
+    ])
+    def test_form_past_int64_headroom_refused(self, row, coef, match):
+        premap = (row,) + ((((0, 0),) * 4),) * 3
+        spec = IntegrandSpec(None, Dyadic(1), Dyadic(1), name="wide",
+                             form=(0, ((0, "id", coef),)), premap=premap)
+        with pytest.raises(NoConvergence, match=match):
+            haar_integral_su2(spec, 4)
+
+    def test_translated_abs_sum_at_nine_bits(self):
+        # n3 = 3217 phi cells: s times an undivided prefix sum would pass
+        # 2^70, so this certifies through the pre-divided sums
+        from test_groups import rand_versor
+        g = rand_versor(random.Random(9))
+        spec = translate_su2_integrand(builtin_integrand("abs-sum", "su2"), g,
+                                       make_group("su2"), "left")
+        check(haar_integral_su2(spec, 9), TRUE_VALUES["abs-sum"], 9)
+
+    def test_translated_abs_sum_at_seven_bits_is_fast(self):
+        # eta x theta cells: about 0.2 s on a 2-core VM (15.75 s when the
+        # translate swept eta x theta x phi)
+        from test_groups import rand_versor
+        g = rand_versor(random.Random(7))
+        spec = translate_su2_integrand(builtin_integrand("abs-sum", "su2"), g,
+                                       make_group("su2"), "right")
+        t0 = time.perf_counter()
+        check(haar_integral_su2(spec, 7), TRUE_VALUES["abs-sum"], 7)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_effort_cap(self):
         spec = builtin_integrand("abs-sum", "su2")
@@ -369,6 +412,20 @@ class TestInvariance:
                 moved = translate_su2_integrand(spec, g, G, side)
                 v = haar_integral_su2(moved, 6)
                 assert abs(v.value.as_fraction() - base.value.as_fraction()) <= tol
+
+    @pytest.mark.parametrize("name, kind", [("w2", "su2"), ("trace", "so3")])
+    def test_moved_square_forms_certify(self, name, kind):
+        # translated and inverted w2 on SU(2) and trace on SO(3) through the
+        # square kernel, each within 2^-n of its closed form
+        from test_groups import rand_versor
+        spec = builtin_integrand(name, kind)
+        G = make_group("su2")
+        g = rand_versor(random.Random(71))
+        moved = [translate_su2_integrand(spec, g, G, side) for side in ("left", "right")]
+        moved.append(invert_su2_integrand(spec))
+        for n in range(2, 8):
+            for m in moved:
+                check(haar_integral_derived(kind, m, n), TRUE_VALUES[name], n)
 
     def test_su2_inversion(self):
         spec = builtin_integrand("abs-sum", "su2")
