@@ -8,9 +8,10 @@ has density sin(theta)/2 on [0, pi], phi is uniform on [0, 2 pi); their
 product pushed forward by Psi is the Haar measure (this realizes the
 1/(2 pi^2) normalization as the three per-axis normalizers pi/2, 2, 2 pi).
 Cell weights are differences of the exact cumulative weights, so the
-Jacobian never enters the cell loop.  Psi exists only as these tables: the
-midpoint sin/cos come from ``exactreal.sincos_pi`` at rational multiples of
-pi.
+Jacobian never enters the cell loop.  Psi exists only as these tables, built
+on python ints from one ``exactreal.sincos_pi_fixed`` pass over each axis'
+points pi k/(2n) (``_build_axis``); no ``Fraction`` or ``Interval`` enters
+them, and the discretization bound sums them as ints.
 
 The cell loop runs in fixed point: interval endpoints are int64 multiples of
 2^-SCALE, products round outward by integer shifts, and numpy carries the
@@ -95,17 +96,19 @@ weight tables must stay below 2^63 - 2^SCALE, else the sweep refuses (M <= 30).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
 
 from .exactreal import (
-    Dyadic, Interval, InvalidBound, ZERO, ONE, NoConvergence, pi_enclosure,
-    sincos_pi,
+    Dyadic, Interval, InvalidBound, NoConvergence, _pi_fixed, kernel_bits,
+    sincos_pi_fixed,
 )
 from .groups import Versor
 
 SCALE = 29                     # fixed-point fraction bits of the sweep
+GUARD = SCALE + 6              # axis tables at kernel_bits(GUARD) bits
 BLOCK_CELLS = 1 << 16
 MAX_SCALAR_CELLS = 2 * 10 ** 6  # effort cap of the per-cell scalar evaluator
 _LIVE_AXES = {"a": 1, "ab": 2, "abcd": 3}   # grid axes each ``uses`` reads
@@ -120,71 +123,87 @@ _KINDS = ("eta", "theta", "phi")
 # axis tables
 # ---------------------------------------------------------------------------
 
-def _nonneg(iv: Interval) -> Interval:
-    lo = iv.lo if iv.lo.sign() > 0 else ZERO
-    hi = iv.hi if iv.hi >= lo else lo
-    return Interval(lo, hi)
-
-
 class _Axis:
-    __slots__ = ("n", "sin_mid", "cos_mid", "weights", "spacing_hi")
+    """One axis' tables as outward int pairs at 2^-g: each ``(lo, hi)`` is
+    two lists of python ints; ``w`` is None for phi (uniform weights), and
+    ``h`` bounds the cell width from above."""
+    __slots__ = ("n", "g", "sin", "cos", "w", "h", "spacing_hi")
 
-    def __init__(self, n, sin_mid, cos_mid, weights, spacing_hi):
-        self.n = n
-        self.sin_mid = sin_mid       # list[Interval]
-        self.cos_mid = cos_mid       # list[Interval]
-        self.weights = weights       # list[Interval], None for phi (uniform)
-        self.spacing_hi = spacing_hi  # Fraction upper bound of the cell width
+    def __init__(self, n, g, sin, cos, w, h):
+        self.n, self.g, self.sin, self.cos, self.w, self.h = n, g, sin, cos, w, h
+        self.spacing_hi = Fraction(h, 1 << g)
 
     def fixed(self, scale):
-        def pack(ivs):
-            lo = np.array([v.lo.scaled_floor(scale) for v in ivs], dtype=np.int64)
-            hi = np.array([v.hi.scaled_ceil(scale) for v in ivs], dtype=np.int64)
+        def pack(t):
+            lo = np.array(t[0], dtype=np.int64) >> (self.g - scale)
+            hi = -(-np.array(t[1], dtype=np.int64) >> (self.g - scale))
             return lo, hi
-        out = [pack(self.sin_mid), pack(self.cos_mid)]
-        out.append(pack(self.weights) if self.weights is not None else None)
-        return out
+        return [pack(self.sin), pack(self.cos),
+                pack(self.w) if self.w is not None else None]
+
+    def _intervals(self, t):
+        return [Interval(Dyadic(lo, -self.g), Dyadic(hi, -self.g))
+                for lo, hi in zip(*t)]
+
+    @property
+    def sin_mid(self):
+        return self._intervals(self.sin)
+
+    @property
+    def cos_mid(self):
+        return self._intervals(self.cos)
+
+    @property
+    def weights(self):
+        return None if self.w is None else self._intervals(self.w)
 
 
-_ZERO_IV = Interval(ZERO, ZERO)
 # an axis the integrand does not read: sin = cos = 0, weight 1, width 0
-_DEAD_AXIS = _Axis(1, [_ZERO_IV], [_ZERO_IV], [Interval(ONE, ONE)], Fraction(0))
+_G = kernel_bits(GUARD)
+_DEAD_AXIS = _Axis(1, _G, ([0], [0]), ([0], [0]), ([1 << _G], [1 << _G]), 0)
 
 
 def _build_axis(kind: str, n: int, guard: int) -> _Axis:
-    """Midpoint sin/cos tables and exact cumulative weights for one axis.
+    """Midpoint sin/cos tables and cumulative weights for one axis.
 
-    ``sincos_pi(q, guard)`` runs its kernel at g = guard + 10 fraction bits.
+    Every table comes from one pass of ``sincos_pi_fixed`` over the points
+    pi k/(2n) (pi k/n for phi) at g = ``kernel_bits(guard)`` bits, sharing
+    its Taylor runs among equal reduced angles: odd k give the midpoints,
+    even k = 2i the cumulative weights at x = pi i/n, W1 = i/n - sin x cos x
+    / pi for eta and W2 = (1 - cos x)/2 for theta.  Products and the
+    division by pi round outward on ints; each weight is the difference of
+    two cumulative values, clamped at zero.
     """
-    g = guard + 10
-    pi_enc = pi_enclosure(guard)
-    sin_mid, cos_mid = [], []
+    g = kernel_bits(guard)
+    plo, phi_ = _pi_fixed(g)
+    memo = {}
     if kind == "phi":
         # midpoints 2 pi (2k+1)/(2n) = pi (2k+1)/n, uniform weights 1/n
-        for k in range(n):
-            s, c = sincos_pi(Fraction(2 * k + 1, n), guard)
-            sin_mid.append(s)
-            cos_mid.append(c)
-        return _Axis(n, sin_mid, cos_mid, None, 2 * pi_enc.hi.as_fraction() / n)
-    for i in range(n):
-        s, c = sincos_pi(Fraction(2 * i + 1, 2 * n), guard)
-        sin_mid.append(s)
-        cos_mid.append(c)
-    cum = []
-    pi_lo, pi_hi = pi_enc.lo.as_fraction(), pi_enc.hi.as_fraction()
-    for i in range(n + 1):
-        q = Fraction(i, n)
-        b = Interval.from_fractions(pi_lo * q, pi_hi * q, g)
-        s, c = sincos_pi(q, guard)
+        pts = [sincos_pi_fixed(2 * k + 1, n, g, memo) for k in range(n)]
+        return _Axis(n, g, *_sin_cos(pts), None, -(-2 * phi_ // n))
+    pts = [sincos_pi_fixed(k, 2 * n, g, memo) for k in range(2 * n + 1)]
+    cum_lo, cum_hi = [], []
+    for i, (slo, shi, clo, chi) in enumerate(pts[::2]):
         if kind == "eta":
-            # W1(x) = (x - sin x cos x) / pi
-            v = (b - s * c).divide(pi_enc, guard)
+            prods = (slo * clo, slo * chi, shi * clo, shi * chi)
+            sc_lo, sc_hi = min(prods), max(prods)       # at 2^-2g
+            # sin x cos x / pi at 2^-g, outward
+            q_lo = sc_lo // (phi_ if sc_lo >= 0 else plo)
+            q_hi = -(-sc_hi // (plo if sc_hi >= 0 else phi_))
+            cum_lo.append((i << g) // n - q_hi)
+            cum_hi.append(-(-(i << g) // n) - q_lo)
         else:
-            # W2(x) = (1 - cos x) / 2
-            v = (Interval.from_int(1) - c).scale(Dyadic(1, -1))
-        cum.append(v)
-    weights = [_nonneg(cum[i + 1] - cum[i]) for i in range(n)]
-    return _Axis(n, sin_mid, cos_mid, weights, pi_hi / n)
+            cum_lo.append(((1 << g) - chi) >> 1)
+            cum_hi.append(((1 << g) - clo + 1) >> 1)
+    w_lo = [max(0, b - a) for a, b in zip(cum_hi, cum_lo[1:])]
+    w_hi = [max(lo, b - a) for lo, a, b in zip(w_lo, cum_lo, cum_hi[1:])]
+    return _Axis(n, g, *_sin_cos(pts[1::2]), (w_lo, w_hi), -(-phi_ // n))
+
+
+def _sin_cos(pts):
+    """The (lo list, hi list) tables of sin and of cos from point brackets."""
+    slo, shi, clo, chi = map(list, zip(*pts))
+    return (slo, shi), (clo, chi)
 
 
 # ---------------------------------------------------------------------------
@@ -192,30 +211,32 @@ def _build_axis(kind: str, n: int, guard: int) -> _Axis:
 # ---------------------------------------------------------------------------
 
 def _axis_sums(ax: _Axis):
-    """(sum_i w_hi sin_hi, sum_i sinmax_i, sum_i sinmax_i^2) as Fractions."""
-    half_h = ax.spacing_hi / 2
-    s_weighted = Fraction(0)
-    s_max = Fraction(0)
-    s_max2 = Fraction(0)
-    for i in range(ax.n):
-        shi = ax.sin_mid[i].hi.as_fraction()
-        s_weighted += ax.weights[i].hi.as_fraction() * shi
-        smax = min(Fraction(1), shi + half_h)   # sin is 1-Lipschitz
-        s_max += smax
-        s_max2 += smax * smax
-    return s_weighted, s_max, s_max2
+    """(sum_i w_hi sin_hi at 2^-2g, sum_i sinmax_i at 2^-(g+1), sum_i
+    sinmax_i^2 at 2^-(2g+2)), sinmax_i = min(1, sin_hi + h/2) since sin is
+    1-Lipschitz; ints."""
+    s_hi = ax.sin[1]
+    two = 2 << ax.g
+    s_max = [min(two, 2 * s + ax.h) for s in s_hi]
+    return sum(map(operator.mul, ax.w[1], s_hi)), sum(s_max), sum(x * x for x in s_max)
 
 
 def _disc_bound(L: Fraction, eta: _Axis, theta: _Axis, phi: _Axis) -> Fraction:
+    """L (h1^2/4)(2/pi) sum sinmax_i^2 + L S1 (h2^2/8) sum sinmax_j + L S1 S2
+    h3/4 (the module docstring) on the int tables, as one Fraction.
+
+    The axes share eta's g (``GUARD``'s); a dead axis' sums and width are 0.
+    """
     if L == 0:
         return Fraction(0)
-    pi_lo = pi_enclosure(40).lo.as_fraction()
+    G = 1 << eta.g
+    plo = _pi_fixed(eta.g)[0]
     s1, _, e_max2 = _axis_sums(eta)
     t_weighted, t_max, _ = _axis_sums(theta)
-    h1, h2, h3 = eta.spacing_hi, theta.spacing_hi, phi.spacing_hi
-    return (L * (h1 * h1 / 4) * Fraction(2) / pi_lo * e_max2
-            + L * s1 * (h2 * h2 / 8) * t_max
-            + L * s1 * t_weighted * (h3 / 4))
+    h1, h2, h3 = eta.h, theta.h, phi.h
+    # over the common denominator 16 G^5 plo
+    num = (2 * G * G * h1 * h1 * e_max2
+           + plo * s1 * (h2 * h2 * t_max + 4 * t_weighted * h3))
+    return L * Fraction(num, 16 * G ** 5 * plo)
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +373,14 @@ def su2_grid_integral(spec, n: int, *, max_cells: int = 10 ** 11) -> Interval:
     cap = max_cells if vectorized else min(max_cells, MAX_SCALAR_CELLS)
     disc_budget = Fraction(7, 8) / (1 << n)
     ns = _choose_resolution(live, float(L), float(disc_budget))
-    guard = SCALE + 6
     for _attempt in range(10):
-        cells = math.prod(ns)
+        # a component form sweeps eta x theta cells only
+        cells = math.prod(ns[:2] if spec.form is not None else ns)
         if cells > cap:
             raise NoConvergence(
                 f"su2 grid needs {cells} cells for 2^-{n}; over the effort "
                 f"cap of {cap}")
-        eta, theta, phi = [_build_axis(kind, m, guard)
+        eta, theta, phi = [_build_axis(kind, m, GUARD)
                            for kind, m in zip(_KINDS, ns)] + [_DEAD_AXIS] * (3 - live)
         disc = _disc_bound(L, eta, theta, phi)
         if disc <= disc_budget:

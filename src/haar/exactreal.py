@@ -12,9 +12,10 @@ Width growth per operation (the enclosure contract, documented per op):
               adds |x| width(y) + |y| width(x) up to second order
 * ``/``       outward-rounded, width of the exact quotient + 2^-p
 * ``sin cos`` 1-Lipschitz: width <= width(x) + 2^-p; one integer Taylor kernel,
-              ``sincos_pi``, evaluates sin/cos(pi q) on exact rationals q with
-              the quadrant reduced exactly, so any magnitude works and no
-              float enters; x goes through a rational enclosure of x/pi
+              ``sincos_pi_fixed``, evaluates sin/cos(pi a/den) on integers
+              with the quadrant reduced exactly, so any magnitude works and
+              no float enters; ``sincos_pi`` wraps it for rationals q, and x
+              goes through a rational enclosure of x/pi
 * ``sqrt``    monotone; slope unbounded near 0, so width <= sqrt-of-width there
 * ``arccos``  monotone; slope 1/sqrt(1-t^2) unbounded near |t| = 1, enclosures
               remain valid but can be wide there
@@ -383,33 +384,47 @@ def _taylor_sincos(y: int, g: int) -> tuple[int, int, int, int]:
     return tuple(out)
 
 
-def sincos_pi(q: Fraction, p: int) -> tuple[Interval, Interval]:
-    """Enclosures of sin(pi q) and cos(pi q), each of width <= 2^-p.
+def kernel_bits(p: int) -> int:
+    """Fraction bits g at which the sin/cos kernel meets width 2^-p."""
+    return p + max(10, p.bit_length())
 
-    The quadrant reduction q = k/2 + r is exact on the rational q, so only
-    pi r (|r| <= 1/4) carries the rounding of pi, whatever the size of q.
-    The kernel runs on integers at g = p + max(10, bits of p) fraction bits.
+
+def sincos_pi_fixed(a: int, den: int, g: int, memo: dict | None = None):
+    """Outward (slo, shi, clo, chi) of sin and cos of pi a/den at 2^-g, den > 0.
+
+    The reduction a/den = j/2 + r, |r| <= 1/4, is exact on the integers, so
+    only pi |r| carries the rounding of pi, whatever the size of a/den.  The
+    Taylor brackets of sin and cos at |r| are shared through ``memo`` (keyed
+    by |r|), sin(-y) = -sin(y) gives r < 0, and the quadrant j % 4 rotates
+    the pair; both steps are exact.  Widths stay below 2^(g-p) ulps at
+    g = ``kernel_bits(p)``.
     """
-    g = p + max(10, p.bit_length())
-    k = round(2 * q)
-    r = q - Fraction(k, 2)
-    plo, phi_ = _pi_fixed(g)
-    num, den = r.numerator, r.denominator
-    if num >= 0:
-        ylo = (num * plo) // den
-        yhi = -((-num * phi_) // den)
-    else:
-        ylo = (num * phi_) // den
-        yhi = -((-num * plo) // den)
-    # the Taylor brackets at the midpoint widen by the half-width (sin and
-    # cos are 1-Lipschitz), then the quadrant k % 4 rotates them
-    h = (yhi - ylo + 1) // 2 + 1
-    cap = 1 << g
-    slo, shi, clo, chi = _taylor_sincos((ylo + yhi) // 2, g)
-    slo, shi = max(slo - h, -cap), min(shi + h, cap)
-    clo, chi = max(clo - h, -cap), min(chi + h, cap)
-    slo, shi, clo, chi = [(slo, shi, clo, chi), (clo, chi, -shi, -slo),
-                          (-shi, -slo, -chi, -clo), (-chi, -clo, slo, shi)][k % 4]
+    j = (4 * a + den) // (2 * den)          # the nearest j to 2a/den
+    num, rden = 2 * a - j * den, 2 * den    # r = num / rden
+    key = (abs(num), rden)
+    memo = {} if memo is None else memo
+    brackets = memo.get(key)
+    if brackets is None:
+        plo, phi_ = _pi_fixed(g)
+        ylo, yhi = (key[0] * plo) // rden, -((-key[0] * phi_) // rden)
+        # the Taylor brackets at the midpoint widen by the half-width (sin
+        # and cos are 1-Lipschitz)
+        h = (yhi - ylo + 1) // 2 + 1
+        cap = 1 << g
+        slo, shi, clo, chi = _taylor_sincos((ylo + yhi) // 2, g)
+        brackets = memo[key] = (max(slo - h, -cap), min(shi + h, cap),
+                                max(clo - h, -cap), min(chi + h, cap))
+    slo, shi, clo, chi = brackets
+    if num < 0:
+        slo, shi = -shi, -slo
+    return [(slo, shi, clo, chi), (clo, chi, -shi, -slo),
+            (-shi, -slo, -chi, -clo), (-chi, -clo, slo, shi)][j % 4]
+
+
+def sincos_pi(q: Fraction, p: int) -> tuple[Interval, Interval]:
+    """Enclosures of sin(pi q) and cos(pi q), each of width <= 2^-p."""
+    g = kernel_bits(p)
+    slo, shi, clo, chi = sincos_pi_fixed(q.numerator, q.denominator, g)
     return (Interval(Dyadic(slo, -g), Dyadic(shi, -g)),
             Interval(Dyadic(clo, -g), Dyadic(chi, -g)))
 

@@ -13,10 +13,11 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from haar import exactreal
 from haar.exactreal import (
     CertifiedValue, DivisionByIntervalContainingZero, DomainError, Dyadic,
-    Interval, arccos_enclosure, cos_enclosure, pi_enclosure, sin_enclosure,
-    sincos_pi, sqrt_enclosure,
+    Interval, arccos_enclosure, cos_enclosure, kernel_bits, pi_enclosure,
+    sin_enclosure, sincos_pi, sincos_pi_fixed, sqrt_enclosure,
 )
 
 mpmath.mp.prec = 160
@@ -217,6 +218,71 @@ class TestSincosPi:
             sin_x, cos_x = mp_to_fraction(mpmath.sin(x)), mp_to_fraction(mpmath.cos(x))
         assert s.lo.as_fraction() <= sin_x <= s.hi.as_fraction()
         assert c.lo.as_fraction() <= cos_x <= c.hi.as_fraction()
+
+
+@st.composite
+def kernel_angles(draw):
+    """(a, den) near the quadrant ends 0, den/4, den/2, 3den/4, den and
+    2den, or anywhere."""
+    den = 4 * draw(st.integers(1, 1 << 14))
+    if draw(st.booleans()):
+        a = draw(st.sampled_from([0, 1, 2, 3, 4, 8])) * den // 4 + draw(st.integers(-1, 1))
+        return a * draw(st.sampled_from([1, -1])), den
+    return draw(st.integers(-(1 << 24), 1 << 24)), den - draw(st.integers(0, 3))
+
+
+def sincos_oracle(a: int, den: int, p: int):
+    with mpmath.workprec(p + 100 + abs(a).bit_length()):
+        x = mpmath.pi * a / den
+        return mp_to_fraction(mpmath.sin(x)), mp_to_fraction(mpmath.cos(x))
+
+
+def assert_encloses(ints, g: int, sin_x: Fraction, cos_x: Fraction):
+    slo, shi, clo, chi = (Fraction(v, 1 << g) for v in ints)
+    assert slo <= sin_x <= shi and clo <= cos_x <= chi, (slo, shi, clo, chi)
+
+
+class TestSincosPiFixed:
+    """The integer point kernel under ``sincos_pi``: exact reduction to
+    |r| <= 1/4, one Taylor run per distinct |r| through the memo, then the
+    exact reflection and quadrant rotation."""
+
+    @settings(max_examples=300)
+    @given(angle=kernel_angles(), p=st.integers(8, 600))
+    @example(angle=(0, 4), p=35)
+    @example(angle=(1, 4), p=35)
+    @example(angle=(-3, 4), p=35)
+    @example(angle=(8, 4), p=8)
+    @example(angle=(4 * 257 - 1, 4 * 257), p=45)
+    def test_contains_mpmath(self, angle, p):
+        # the angle and its reflections share one |r|, so one Taylor run
+        # serves all six through the memo, under every sign and quadrant
+        a, den = angle
+        g, memo = kernel_bits(p), {}
+        for b in (a, -a, den - a, a + den, a + 2 * den, 2 * den - a):
+            ints = sincos_pi_fixed(b, den, g, memo)
+            assert_encloses(ints, g, *sincos_oracle(b, den, p))
+            assert ints[1] - ints[0] <= 1 << (g - p)
+            assert ints[3] - ints[2] <= 1 << (g - p)
+        assert len(memo) == 1
+
+    def test_reduction_is_sound_under_a_tight_series(self, monkeypatch):
+        # with 1-ulp brackets of the exact sin/cos at the kernel's rounded
+        # argument in place of the Taylor series, only the widening by the
+        # reduced argument's rounding of pi keeps the enclosures sound
+        def tight(y, g):
+            with mpmath.workprec(g + 80):
+                x = mpmath.mpf(y) / (1 << g)
+                s, c = mpmath.sin(x) * (1 << g), mpmath.cos(x) * (1 << g)
+                return (int(mpmath.floor(s)), int(mpmath.ceil(s)),
+                        int(mpmath.floor(c)), int(mpmath.ceil(c)))
+
+        monkeypatch.setattr(exactreal, "_taylor_sincos", tight)
+        rng = random.Random(17)
+        for _ in range(400):
+            den = rng.randint(1, 1 << 12)
+            a = rng.randint(-4 * den, 4 * den)
+            assert_encloses(sincos_pi_fixed(a, den, 20), 20, *sincos_oracle(a, den, 20))
 
 
 class TestPi:

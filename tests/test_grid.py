@@ -8,8 +8,11 @@ read is the single point sin = cos = 0 with weight 1.  Translated, inverted
 and composed integrands, which the sweep reaches through a pre-map, are
 summed as f of the mpmath quaternion product.  The axis tables, the only
 form of Psi and its Jacobian in the package, are checked entry by entry
-against the same mpmath values; the sin/cos kernel they are built from,
-``exactreal.sincos_pi``, is checked against mpmath in ``test_exactreal.py``.
+against the same mpmath values, their weights against the exact range over
+the kernel's own brackets, and the discretization bound against its formula
+in mpmath; the sin/cos kernel they are built from,
+``exactreal.sincos_pi_fixed``, is checked against mpmath in
+``test_exactreal.py``.
 """
 
 import math
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from haar import _grid
+from haar import _grid, exactreal
 from haar.exactreal import Dyadic
 from haar.functions import builtin_integrand, invert_su2_integrand, translate_su2_integrand
 from haar.groups import Versor, make_group
@@ -96,6 +99,78 @@ def test_axis_tables_enclose_mpmath_entry_by_entry(kind, n):
         assert sum(v.lo.as_fraction() for v in ax.weights) <= 1
         assert sum(v.hi.as_fraction() for v in ax.weights) >= 1
     assert ax.spacing_hi >= width
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 257])
+@pytest.mark.parametrize("kind", _grid._KINDS)
+def test_one_taylor_run_per_distinct_reduced_angle(kind, n, monkeypatch):
+    # the points pi k/(2n) (pi (2k+1)/n for phi) reduce to at most n//2 + 1
+    # distinct |r|, and the axis runs the series once for each
+    runs = []
+    taylor = exactreal._taylor_sincos
+    monkeypatch.setattr(exactreal, "_taylor_sincos",
+                        lambda y, g: runs.append(y) or taylor(y, g))
+    _grid._build_axis(kind, n, _grid.GUARD)
+    assert len(runs) == len(set(runs)) <= n // 2 + 2
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 64, 257])
+@pytest.mark.parametrize("kind", ["eta", "theta"])
+def test_weights_round_outward_from_the_kernel_brackets(kind, n):
+    # each weight contains the exact range of W(x_{i+1}) - W(x_i) over the
+    # kernel's own brackets of sin x, cos x and pi: i/n, the products and
+    # the division by pi round outward to the last bit, not only within
+    # the Taylor slack that the mpmath test above cannot see through
+    g = exactreal.kernel_bits(_grid.GUARD)
+    pis = [Fraction(v, 1 << g) for v in exactreal._pi_fixed(g)]
+
+    def cum(i):     # exact [lo, hi] of W at x = pi i/n over the brackets
+        slo, shi, clo, chi = (Fraction(v, 1 << g)
+                              for v in exactreal.sincos_pi_fixed(2 * i, 2 * n, g))
+        if kind == "theta":
+            return (1 - chi) / 2, (1 - clo) / 2
+        prods = [s * c for s in (slo, shi) for c in (clo, chi)]
+        quots = [x / y for x in (min(prods), max(prods)) for y in pis]
+        return Fraction(i, n) - max(quots), Fraction(i, n) - min(quots)
+
+    cums = [cum(i) for i in range(n + 1)]
+    for i, w in enumerate(_grid._build_axis(kind, n, _grid.GUARD).weights):
+        lo = max(0, cums[i + 1][0] - cums[i][1])
+        hi = max(lo, cums[i + 1][1] - cums[i][0])
+        assert w.lo.as_fraction() <= lo and w.hi.as_fraction() >= hi, i
+
+
+def mp_disc_bound(L, ns):
+    """``_disc_bound``'s formula on mpmath's exact sines, weights and cell
+    widths pi/n (2 pi/n for phi); a dead axis has width 0."""
+    pi = mpmath.pi
+    (eta, h1), (theta, h2), (_, h3) = [
+        (mp_axis(kind, n), 0 if n is None else (2 if kind == "phi" else 1) * pi / n)
+        for kind, n in zip(_grid._KINDS, ns)]
+
+    def sinmax(rows, h):
+        return [min(1, s + h / 2) for s, _, _ in rows]
+
+    s1 = sum(w * s for s, _, w in eta)
+    s2 = sum(w * s for s, _, w in theta)
+    L = mpmath.mpf(L.numerator) / L.denominator
+    return mp_fraction(L * h1 ** 2 / 4 * (2 / pi) * sum(x * x for x in sinmax(eta, h1))
+                       + L * s1 * h2 ** 2 / 8 * sum(sinmax(theta, h2))
+                       + L * s1 * s2 * h3 / 4)
+
+
+@pytest.mark.parametrize("live", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 6])
+def test_disc_bound_is_tight_on_the_int_tables(live, n):
+    # the bound from the int tables is sound against the exact formula and
+    # loose by at most a factor 1 + 2^-20, so rounding cannot slacken it
+    L = Fraction(7, 4)
+    ns = (_grid._choose_resolution(live, float(L), float(Fraction(7, 8) / (1 << n)))
+          + [None] * (3 - live))
+    got = _grid._disc_bound(L, *grid_axes(ns))
+    with mpmath.workdps(60):
+        exact = mp_disc_bound(L, ns)
+    assert exact <= got <= exact * (1 + Fraction(1, 1 << 20))
 
 
 def mp_riemann_sum(f, ns):

@@ -73,6 +73,9 @@ ENTRY_POINTS = {
     "BoxRegion.contains": "the region and partition oracle tests",
     "FiniteRegion.contains": "the region and partition oracle tests",
     "_Parser.error": "argparse calls it on every usage error",
+    "_Axis.sin_mid": "the axis table oracle tests read the int tables as intervals",
+    "_Axis.cos_mid": "the axis table oracle tests read the int tables as intervals",
+    "_Axis.weights": "the axis table oracle tests read the int tables as intervals",
 }
 
 

@@ -203,6 +203,16 @@ class TestSU2Integrals:
         with pytest.raises(NoConvergence):
             haar_integral_su2(spec, 8, max_cells=1000)
 
+    def test_effort_cap_counts_the_swept_cells(self):
+        # a component form sweeps eta x theta only: 306 x 259 cells at n = 6
+        # fit a cap of 10^5 that the 3-D grid (x 403 phi cells) does not
+        spec = builtin_integrand("abs-sum", "su2")
+        check(haar_integral_su2(spec, 6, max_cells=10 ** 5), TRUE_VALUES["abs-sum"], 6)
+        no_form = IntegrandSpec(spec.eval, spec.lipschitz, spec.bound,
+                                fixed_eval=spec.fixed_eval, uses=spec.uses)
+        with pytest.raises(NoConvergence, match="cap of 100000$"):
+            haar_integral_su2(no_form, 6, max_cells=10 ** 5)
+
     @staticmethod
     def constant_spec(c, bound, vectorized, uses="abcd"):
         fixed = None
