@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._grid import SCALE, fp_abs, fp_mul, fp_square
+from ._grid import _G, SCALE, fp_abs, fp_add, fp_mul, fp_square
 from .exactreal import (
     Dyadic, Interval, ZERO, ONE, fraction_ceil_to, fraction_floor_to, sincos_pi,
+    sincos_pi_fixed,
 )
 from .groups import Group, Versor, circle_normalize
 from .quadrature import IntegrandSpec, lift_circle_function
@@ -231,18 +232,43 @@ def invert_su2_integrand(spec: IntegrandSpec) -> IntegrandSpec:
 
 
 def translate_circle_integrand(spec: IntegrandSpec, g: Dyadic) -> IntegrandSpec:
-    """f(g + t mod 1) on the circle; exact translation of the argument."""
+    """f(g + t mod 1) on the circle; exact translation of the argument.
+
+    ``complex_fixed`` is ``spec``'s behind the rotation of (re, im) by
+    (cos 2 pi g, sin 2 pi g), a bracket at 2^-``_G`` from one
+    ``sincos_pi_fixed`` run here, rounded outward to the call's scale.
+    """
 
     def ev(t, wp):
         return spec.eval(circle_normalize(t + g), wp)
 
+    cfixed = None
+    if spec.complex_fixed is not None:
+        q = 2 * g.as_fraction()
+        slo, shi, clo, chi = sincos_pi_fixed(q.numerator, q.denominator, _G)
+
+        def cfixed(re, im, scale):     # (c re - s im, s re + c im), outward
+            sh = _G - scale
+            c, s = (clo >> sh, -(-chi >> sh)), (slo >> sh, -(-shi >> sh))
+            cr, si = fp_mul(c, re, scale), fp_mul(s, im, scale)
+            return spec.complex_fixed(
+                (cr[0] - si[1], cr[1] - si[0]),
+                fp_add(fp_mul(s, re, scale), fp_mul(c, im, scale)), scale)
+
     return IntegrandSpec(ev, spec.lipschitz, spec.bound,
-                         name=f"{spec.name}+{g}")
+                         name=f"{spec.name}+{g}", complex_fixed=cfixed)
 
 
 def invert_circle_integrand(spec: IntegrandSpec) -> IntegrandSpec:
+    """f(-t mod 1); ``complex_fixed`` is ``spec``'s on the exact conjugate
+    (re, -im)."""
     def ev(t, wp):
         return spec.eval(circle_normalize(-t), wp)
 
+    cfixed = None
+    if spec.complex_fixed is not None:
+        def cfixed(re, im, scale):
+            return spec.complex_fixed(re, _neg(im), scale)
+
     return IntegrandSpec(ev, spec.lipschitz, spec.bound,
-                         name=f"{spec.name}^-1")
+                         name=f"{spec.name}^-1", complex_fixed=cfixed)

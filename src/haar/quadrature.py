@@ -1,12 +1,16 @@
 """Specialized Haar integration on the classical groups.
 
-U(1) integrates as an ordinary interval-certified midpoint rule on [0, 1);
-SU(2) goes through the quaternion spherical parameterization (see ``_grid``);
-SO(3) integrates through the double cover; O(3) and U(2), products with
-{+-1} and U(1), as one SU(2) integral of the mean over the second factor.
-All routines return a ``CertifiedValue`` carrying the requested absolute
-error bound 2^-n, or raise ``NoConvergence`` when the certified budget cannot
-be met within the effort caps.
+U(1) integrates as a certified midpoint rule on [0, 1), summed on ints over
+the SU(2) grid's phi table of (cos, sin) at the N midpoints: the integrand's
+``complex_fixed`` is required there (translations and the inversion forward
+it), and the 2^-n budget splits into the Lipschitz term L/(4N), the table's
+rounding at 2^-SCALE and the final rounding at 2^-(n+8).  SU(2) goes through
+the quaternion spherical parameterization (see ``_grid``); SO(3) integrates
+through the double cover; O(3) and U(2), products with {+-1} and U(1), as
+one SU(2) integral of the mean over the second factor.  All routines
+return a ``CertifiedValue`` carrying the requested absolute error bound
+2^-n, or raise ``NoConvergence`` when the certified budget cannot be met
+within the effort caps.
 
 Quadrature is composite midpoint with Lipschitz error control throughout: the
 integrands are only assumed Lipschitz (the canonical test function
@@ -21,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._grid import (
-    IDENTITY_PREMAP, form_fixed, fp_add, fp_div_pos, fp_sqrt, fp_square,
-    su2_grid_integral,
+    GUARD, IDENTITY_PREMAP, SCALE, _build_axis, form_fixed, fp_add, fp_div_pos,
+    fp_sqrt, fp_square, su2_grid_integral,
 )
 from .exactreal import (
     CertifiedValue, ConfigError, Dyadic, Interval, InvalidBound, NoConvergence,
@@ -67,9 +71,13 @@ class IntegrandSpec:
     M only, so they forward ``form`` with their pre-map; ``_average``, whose
     tags a form cannot read, drops it.
 
-    Circle integrands may carry ``eval_complex`` / ``complex_fixed``
-    evaluating f at a unit complex number given as (re, im) enclosures; the
-    lift to SU(2) requires it.
+    Circle integrands carry ``complex_fixed(re, im, scale)``, f at unit
+    complex numbers given as (lo, hi) int pairs at 2^-scale (numpy arrays),
+    returning outward (lo, hi): the circle rule evaluates nothing else and
+    refuses a spec without it, and ``translate_circle_integrand`` and
+    ``invert_circle_integrand`` forward it behind a rotation or the
+    conjugation.  ``eval_complex`` is f at (re, im) ``Interval``s; the lift
+    to SU(2) requires it.
     """
 
     def __init__(self, eval_fn, lipschitz: Dyadic, bound: Dyadic, *,
@@ -94,33 +102,67 @@ class IntegrandSpec:
 # U(1)
 # ---------------------------------------------------------------------------
 
-def _midpoints(L: Fraction, n: int, cap: int):
-    """The N = 2^k dyadic midpoints (2j+1)/(2N) of [0, 1), N the least power
-    of two with L/(4N) <= 2^-(n+1), the midpoint rule's Lipschitz term for
-    an L-Lipschitz function on U(1).  Refuses when N > cap."""
+def _rule_size(L: Fraction, n: int, cap: int) -> int:
+    """N = 2^k, the least power of two with L/(4N) <= 2^-(n+1), the midpoint
+    rule's Lipschitz term for an L-Lipschitz function on U(1).  Refuses when
+    N > cap."""
     N = 1 << max(0, -(-L * (1 << n + 1) // 4) - 1).bit_length()
     if N > cap:
         raise NoConvergence(f"circle midpoint rule needs N = {N} points for "
                             f"2^-{n}; over the effort cap of {cap}")
+    return N
+
+
+def _midpoints(L: Fraction, n: int, cap: int):
+    """The N = ``_rule_size(L, n, cap)`` dyadic midpoints (2j+1)/(2N) of
+    [0, 1)."""
+    N = _rule_size(L, n, cap)
     return (Dyadic(2 * j + 1, -N.bit_length()) for j in range(N))
+
+
+def _circle_sums(f: IntegrandSpec, N: int) -> tuple[int, int]:
+    """Exact (sum lo, sum hi) at 2^-SCALE of f's enclosures at the N = 2^k
+    midpoints t_j = (2j+1)/(2N).
+
+    The angles 2 pi t_j = pi (2j+1)/N are the SU(2) grid's phi midpoints,
+    so ``_build_axis`` gives the (cos, sin) table as outward int64 pairs
+    with one Taylor run per distinct reduced angle (about N/8), and
+    ``f.complex_fixed`` runs once on it.  A point whose enclosure lies
+    wholly outside [-bound, bound] proves the declared bound false.  The
+    sums are taken in python ints, so no enclosure width can wrap them.
+    """
+    sin, cos, _ = _build_axis("phi", N, GUARD).fixed(SCALE)
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=np.int64), (N,))
+              for v in f.complex_fixed(cos, sin, SCALE))
+    m = f.bound.scaled_floor(SCALE)
+    if int(lo.max()) > m or int(hi.min()) < -m:
+        raise InvalidBound(f"circle integrand {f.name!r} escaped its declared "
+                           f"bound {f.bound}")
+    return sum(lo.tolist()), sum(hi.tolist())
 
 
 def haar_integral_circle(f: IntegrandSpec, n: int,
                          max_points: int = 1 << 22) -> CertifiedValue:
     """Certified composite midpoint rule for the Haar integral on U(1).
 
-    Elements are circle coordinates t in [0,1); the Lipschitz term of the
-    rule takes half the error budget, the evaluation enclosures the rest.
+    Elements are circle coordinates t in [0,1).  The rule reads
+    ``f.complex_fixed`` on the table of the N = 2^k midpoints
+    (``_circle_sums``); a spec that has only ``eval`` is refused.  The
+    half-width 2^-n splits into the Lipschitz term L/(4N) <= 2^-(n+1)
+    (``_rule_size``), the mean width of the point enclosures, whose table
+    rounds at 2^-SCALE, and the final rounding at 2^-(n+8); when the last
+    two pass their 2^-(n+1), the rule refuses.  The mean and L/(4N) are
+    exact dyadics.
     """
-    wp = n + 6
-    total = Interval.from_int(0)
-    for N, t in enumerate(_midpoints(f.lipschitz.as_fraction(), n, max_points), 1):
-        total = total + f.eval(t, wp)
-    # N = 2^k: the mean and the Lipschitz term L/(4N) are exact dyadics
+    if f.complex_fixed is None:
+        raise ConfigError(f"the circle rule reads complex_fixed, which "
+                          f"{f.name or 'this integrand'!r} does not have")
+    N = _rule_size(f.lipschitz.as_fraction(), n, max_points)
+    lo, hi = _circle_sums(f, N)
     k = N.bit_length() - 1
     lip = f.lipschitz.scale2(-(k + 2))
-    enc = Interval(total.lo.scale2(-k) - lip,
-                   total.hi.scale2(-k) + lip).round_out(n + 8)
+    enc = Interval(Dyadic(lo, -(SCALE + k)) - lip,
+                   Dyadic(hi, -(SCALE + k)) + lip).round_out(n + 8)
     if enc.width() > Dyadic(1, -(n - 1)):
         raise NoConvergence("circle enclosure wider than the certificate")
     return CertifiedValue(enc.midpoint(), -n)

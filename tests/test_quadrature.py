@@ -15,14 +15,15 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from haar import _grid, quadrature
-from haar.exactreal import Dyadic, Interval, NoConvergence
+from haar import _grid, exactreal, quadrature
+from haar.exactreal import ConfigError, Dyadic, Interval, NoConvergence
 from haar.functions import (
     builtin_integrand, invert_circle_integrand, invert_su2_integrand,
     translate_circle_integrand, translate_su2_integrand,
 )
-from haar.groups import Versor, make_group
+from haar.groups import Versor, circle_metric, circle_normalize, make_group
 from haar.quadrature import (
     IntegrandSpec, InvalidBound, haar_integral_circle, haar_integral_derived,
     haar_integral_su2, lift_circle_function,
@@ -86,6 +87,123 @@ class TestCircleIntegrals:
     def test_midpoints_past_the_cap_are_refused(self):
         with pytest.raises(NoConvergence, match="N = 2048 .* cap of 1024"):
             quadrature._midpoints(Fraction(13, 2), 9, 1 << 10)
+
+
+# the circle builtins at (cos 2 pi t, sin 2 pi t), in mpmath
+MP_CIRCLE = {
+    "one": lambda c, s: mpmath.mpf(1),
+    "re": lambda c, s: c,
+    "re2": lambda c, s: c * c,
+    "im": lambda c, s: s,
+    "abs-re": lambda c, s: abs(c),
+}
+
+
+def circle_variants(name, seed):
+    """(spec, t -> its argument of the base function): the builtin, two
+    seeded dyadic translates and the inverse."""
+    base = builtin_integrand(name, "circle")
+    rng = random.Random(seed)
+    out = [(base, lambda t: t), (invert_circle_integrand(base), lambda t: -t)]
+    for _ in range(2):
+        g = Fraction(rng.randint(1, 1023), 1024)
+        out.append((translate_circle_integrand(base, Dyadic(g.numerator, -10)),
+                    lambda t, g=g: t + g))
+    return out
+
+
+class TestCircleRule:
+    """The midpoint rule on the phi table: containment of the exact midpoint
+    sum, the rotation of translates, the Taylor runs and the refusals."""
+
+    @pytest.mark.parametrize("name", list(MP_CIRCLE))
+    def test_sums_contain_the_midpoint_sum(self, name):
+        slack = Fraction(1, 1 << 150)       # far below one ulp at 2^-SCALE
+        for spec, arg in circle_variants(name, 83):
+            for N in (1, 2, 8, 1024):
+                lo, hi = quadrature._circle_sums(spec, N)
+                with mpmath.workdps(60):
+                    xs = (2 * mpmath.pi * mpmath.mpf(q.numerator) / q.denominator
+                          for q in (arg(Fraction(2 * j + 1, 2 * N)) for j in range(N)))
+                    total = mpmath.fsum(MP_CIRCLE[name](mpmath.cos(x), mpmath.sin(x))
+                                        for x in xs)
+                    exact = mp_fraction(total)
+                assert Fraction(lo, 1 << _grid.SCALE) <= exact + slack, (spec.name, N)
+                assert exact - slack <= Fraction(hi, 1 << _grid.SCALE), (spec.name, N)
+
+    def test_rotated_table_contains_the_moved_point(self):
+        N = 1024
+        sin, cos, _ = _grid._build_axis("phi", N, _grid.GUARD).fixed(_grid.SCALE)
+        rng = random.Random(84)
+        for num in [0, 256, 512, 384] + [rng.randint(1, 1023) for _ in range(4)]:
+            g = Dyadic(num, -10)
+            moved = [translate_circle_integrand(builtin_integrand(name, "circle"), g)
+                     .complex_fixed(cos, sin, _grid.SCALE) for name in ("re", "im")]
+            with mpmath.workdps(60):
+                for j in range(N):
+                    x = 2 * mpmath.pi * (mpmath.mpf(2 * j + 1) / (2 * N)
+                                         + mpmath.mpf(num) / 1024)
+                    for (lo, hi), v in zip(moved, (mpmath.cos(x), mpmath.sin(x))):
+                        v = mp_fraction(v) * (1 << _grid.SCALE)
+                        assert int(lo[j]) <= v <= int(hi[j]), (num, j)
+
+    def test_one_taylor_run_per_distinct_angle(self, monkeypatch):
+        runs = []
+        taylor = exactreal._taylor_sincos
+
+        def counted(y, g):
+            runs.append(y)
+            return taylor(y, g)
+
+        monkeypatch.setattr(exactreal, "_taylor_sincos", counted)
+        for name in ("re2", "abs-re"):
+            for spec, _ in circle_variants(name, 85):
+                for n in (0, 2, 5, 8):
+                    N = quadrature._rule_size(spec.lipschitz.as_fraction(), n, 1 << 22)
+                    runs.clear()
+                    cv = haar_integral_circle(spec, n)
+                    assert len(runs) <= N // 8 + 2, (spec.name, n, len(runs))
+                    check(cv, TRUE_VALUES[name], n)
+
+    def test_eval_only_spec_is_refused(self):
+        base = builtin_integrand("re", "circle")
+        plain = IntegrandSpec(base.eval, base.lipschitz, base.bound, name="plain")
+        with pytest.raises(ConfigError, match="complex_fixed"):
+            haar_integral_circle(plain, 4)
+
+    def test_false_bound_is_refused(self):
+        base = builtin_integrand("re", "circle")
+
+        def times4(re, im, scale):
+            return 4 * re[0], 4 * re[1]
+
+        cheat = IntegrandSpec(base.eval, base.lipschitz, Dyadic(1), name="cheat",
+                              complex_fixed=times4)
+        for n in (2, 8):
+            with pytest.raises(InvalidBound):
+                haar_integral_circle(cheat, n)
+
+
+class TestCircleConstants:
+    """Try to falsify the declared circle constants: for nearby dyadic t, t',
+    the lower end of |f(t) - f(t')| must not pass L d(t, t'), d the circle
+    distance, nor the lower end of |f(t)| the bound."""
+
+    @given(name=st.sampled_from(list(MP_CIRCLE)),
+           wrap=st.sampled_from(["plain", "translate", "invert"]),
+           g=st.integers(0, (1 << 12) - 1), t=st.integers(0, (1 << 24) - 1),
+           dt=st.integers(-(1 << 14), 1 << 14))
+    def test_lipschitz_and_bound_hold(self, name, wrap, g, t, dt):
+        spec = builtin_integrand(name, "circle")
+        if wrap == "translate":
+            spec = translate_circle_integrand(spec, Dyadic(g, -12))
+        elif wrap == "invert":
+            spec = invert_circle_integrand(spec)
+        x, y = Dyadic(t, -24), circle_normalize(Dyadic(t + dt, -24))
+        fx, fy = spec.eval(x, 80), spec.eval(y, 80)
+        assert spec.lipschitz == (Dyadic(0) if name == "one" else Dyadic(13, -1))
+        assert (fx - fy).abs().lo <= spec.lipschitz * circle_metric(x, y).hi
+        assert fx.abs().lo <= spec.bound and fy.abs().lo <= spec.bound
 
 
 class TestSU2Integrals:
