@@ -8,10 +8,12 @@ has density sin(theta)/2 on [0, pi], phi is uniform on [0, 2 pi); their
 product pushed forward by Psi is the Haar measure (this realizes the
 1/(2 pi^2) normalization as the three per-axis normalizers pi/2, 2, 2 pi).
 Cell weights are differences of the exact cumulative weights, so the
-Jacobian never enters the cell loop.  Psi exists only as these tables, built
-on python ints from one ``exactreal.sincos_pi_fixed`` pass over each axis'
-points pi k/(2n) (``_build_axis``); no ``Fraction`` or ``Interval`` enters
-them, and the discretization bound sums them as ints.
+Jacobian never enters the cell loop.  Psi exists only as these tables, int64
+arrays built in one pass over each axis' points pi k/(2n) (``_build_axis``):
+numpy folds every point exactly to its quadrant and reduced angle, and
+``exactreal._reduced_sincos`` runs once per distinct reduced angle
+(``_sincos_table``); no ``Fraction`` or ``Interval`` enters them, and the
+discretization bound sums them as python ints.
 
 The cell loop runs in fixed point: interval endpoints are int64 multiples of
 2^-SCALE, products round outward by integer shifts, and numpy carries the
@@ -102,8 +104,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exactreal import (
-    Dyadic, Interval, InvalidBound, NoConvergence, _pi_fixed, kernel_bits,
-    sincos_pi_fixed,
+    Dyadic, Interval, InvalidBound, NoConvergence, _pi_fixed, _reduced_sincos,
+    kernel_bits,
 )
 from .groups import Versor
 
@@ -111,6 +113,7 @@ SCALE = 29                     # fixed-point fraction bits of the sweep
 GUARD = SCALE + 6              # axis tables at kernel_bits(GUARD) bits
 BLOCK_CELLS = 1 << 16
 MAX_SCALAR_CELLS = 2 * 10 ** 6  # effort cap of the per-cell scalar evaluator
+FORM_PHI_SHARE = 1 / 6          # phi's share of a component form's budget
 _LIVE_AXES = {"a": 1, "ab": 2, "abcd": 3}   # grid axes each ``uses`` reads
 _ONE_FX = (1 << SCALE, 1 << SCALE)
 # the pre-map of an integrand that reads the grid versor itself
@@ -124,9 +127,9 @@ _KINDS = ("eta", "theta", "phi")
 # ---------------------------------------------------------------------------
 
 class _Axis:
-    """One axis' tables as outward int pairs at 2^-g: each ``(lo, hi)`` is
-    two lists of python ints; ``w`` is None for phi (uniform weights), and
-    ``h`` bounds the cell width from above."""
+    """One axis' tables as outward int64 pairs ``(lo, hi)`` at 2^-g; ``w`` is
+    None for phi (uniform weights), and ``h`` bounds the cell width from
+    above."""
     __slots__ = ("n", "g", "sin", "cos", "w", "h", "spacing_hi")
 
     def __init__(self, n, g, sin, cos, w, h):
@@ -134,16 +137,12 @@ class _Axis:
         self.spacing_hi = Fraction(h, 1 << g)
 
     def fixed(self, scale):
-        def pack(t):
-            lo = np.array(t[0], dtype=np.int64) >> (self.g - scale)
-            hi = -(-np.array(t[1], dtype=np.int64) >> (self.g - scale))
-            return lo, hi
-        return [pack(self.sin), pack(self.cos),
-                pack(self.w) if self.w is not None else None]
+        return [_shift_out(t, self.g - scale) if t is not None else None
+                for t in (self.sin, self.cos, self.w)]
 
     def _intervals(self, t):
         return [Interval(Dyadic(lo, -self.g), Dyadic(hi, -self.g))
-                for lo, hi in zip(*t)]
+                for lo, hi in zip(t[0].tolist(), t[1].tolist())]
 
     @property
     def sin_mid(self):
@@ -158,33 +157,65 @@ class _Axis:
         return None if self.w is None else self._intervals(self.w)
 
 
+def _shift_out(t, s: int):
+    """An outward (lo, hi) pair of int64 arrays rounded outward by s bits."""
+    return t[0] >> s, -(-t[1] >> s)
+
+
 # an axis the integrand does not read: sin = cos = 0, weight 1, width 0
 _G = kernel_bits(GUARD)
-_DEAD_AXIS = _Axis(1, _G, ([0], [0]), ([0], [0]), ([1 << _G], [1 << _G]), 0)
+_ZERO = np.zeros(1, dtype=np.int64)
+_DEAD_AXIS = _Axis(1, _G, (_ZERO, _ZERO), (_ZERO, _ZERO),
+                   (_ZERO + (1 << _G), _ZERO + (1 << _G)), 0)
+
+# ``sincos_pi_fixed``'s reflection and rotation as rows of the brackets
+# [slo, shi, clo, chi, -shi, -slo, -chi, -clo] of a reduced angle: the rows
+# of sin lo and cos lo (each hi is the next row) by quadrant j % 4 and r < 0
+_FOLD_ROWS = np.array([[0, 2], [2, 4], [4, 6], [6, 0],       # r >= 0
+                       [4, 2], [2, 0], [0, 6], [6, 4]])      # r < 0
+
+
+def _sincos_table(a, den: int, g: int):
+    """(sin, cos) of pi a/den at 2^-g for an int64 array ``a``, as outward
+    (lo, hi) int64 pairs equal entry by entry to ``sincos_pi_fixed(a_k,
+    den, g)``: the same exact fold to a quadrant j and r = num/(2 den),
+    one ``_reduced_sincos`` run per distinct |num|, and the reflection and
+    rotation as a gather from the distinct brackets and their negations.
+    The brackets must fit int64 (g <= 62)."""
+    j = (4 * a + den) // (2 * den)
+    num = 2 * a - j * den
+    u, idx = np.unique(np.abs(num), return_inverse=True)
+    b = np.array([_reduced_sincos(v, 2 * den, g) for v in u.tolist()],
+                 dtype=np.int64).reshape(-1, 4).T
+    table = np.concatenate((b, -b[[1, 0, 3, 2]]))
+    rows = _FOLD_ROWS[(j & 3) + 4 * (num < 0)]
+    sin_row, cos_row = rows[:, 0], rows[:, 1]
+    return ((table[sin_row, idx], table[sin_row + 1, idx]),
+            (table[cos_row, idx], table[cos_row + 1, idx]))
 
 
 def _build_axis(kind: str, n: int, guard: int) -> _Axis:
     """Midpoint sin/cos tables and cumulative weights for one axis.
 
-    Every table comes from one pass of ``sincos_pi_fixed`` over the points
-    pi k/(2n) (pi k/n for phi) at g = ``kernel_bits(guard)`` bits, sharing
-    its Taylor runs among equal reduced angles: odd k give the midpoints,
-    even k = 2i the cumulative weights at x = pi i/n, W1 = i/n - sin x cos x
-    / pi for eta and W2 = (1 - cos x)/2 for theta.  Products and the
-    division by pi round outward on ints; each weight is the difference of
-    two cumulative values, clamped at zero.
+    Every table comes from one ``_sincos_table`` pass over the points
+    pi k/(2n) (pi k/n for phi) at g = ``kernel_bits(guard)`` bits: odd k
+    give the midpoints, even k = 2i the cumulative weights at x = pi i/n,
+    W1 = i/n - sin x cos x / pi for eta and W2 = (1 - cos x)/2 for theta.
+    Products and the division by pi round outward on ints (python ints for
+    eta, whose products pass 2^63); each weight is the difference of two
+    cumulative values, clamped at zero.
     """
     g = kernel_bits(guard)
     plo, phi_ = _pi_fixed(g)
-    memo = {}
     if kind == "phi":
         # midpoints 2 pi (2k+1)/(2n) = pi (2k+1)/n, uniform weights 1/n
-        pts = [sincos_pi_fixed(2 * k + 1, n, g, memo) for k in range(n)]
-        return _Axis(n, g, *_sin_cos(pts), None, -(-2 * phi_ // n))
-    pts = [sincos_pi_fixed(k, 2 * n, g, memo) for k in range(2 * n + 1)]
-    cum_lo, cum_hi = [], []
-    for i, (slo, shi, clo, chi) in enumerate(pts[::2]):
-        if kind == "eta":
+        sin, cos = _sincos_table(np.arange(1, 2 * n, 2), n, g)
+        return _Axis(n, g, sin, cos, None, -(-2 * phi_ // n))
+    sin, cos = _sincos_table(np.arange(2 * n + 1), 2 * n, g)
+    if kind == "eta":
+        cum_lo, cum_hi = [], []
+        ends = (t[::2].tolist() for t in (*sin, *cos))
+        for i, (slo, shi, clo, chi) in enumerate(zip(*ends)):
             prods = (slo * clo, slo * chi, shi * clo, shi * chi)
             sc_lo, sc_hi = min(prods), max(prods)       # at 2^-2g
             # sin x cos x / pi at 2^-g, outward
@@ -192,18 +223,14 @@ def _build_axis(kind: str, n: int, guard: int) -> _Axis:
             q_hi = -(-sc_hi // (plo if sc_hi >= 0 else phi_))
             cum_lo.append((i << g) // n - q_hi)
             cum_hi.append(-(-(i << g) // n) - q_lo)
-        else:
-            cum_lo.append(((1 << g) - chi) >> 1)
-            cum_hi.append(((1 << g) - clo + 1) >> 1)
-    w_lo = [max(0, b - a) for a, b in zip(cum_hi, cum_lo[1:])]
-    w_hi = [max(lo, b - a) for lo, a, b in zip(w_lo, cum_lo, cum_hi[1:])]
-    return _Axis(n, g, *_sin_cos(pts[1::2]), (w_lo, w_hi), -(-phi_ // n))
-
-
-def _sin_cos(pts):
-    """The (lo list, hi list) tables of sin and of cos from point brackets."""
-    slo, shi, clo, chi = map(list, zip(*pts))
-    return (slo, shi), (clo, chi)
+        cum_lo, cum_hi = np.array(cum_lo), np.array(cum_hi)
+    else:
+        cum_lo = ((1 << g) - cos[1][::2]) >> 1
+        cum_hi = ((1 << g) - cos[0][::2] + 1) >> 1
+    w_lo = np.maximum(cum_lo[1:] - cum_hi[:-1], 0)
+    w_hi = np.maximum(cum_hi[1:] - cum_lo[:-1], w_lo)
+    return _Axis(n, g, *((lo[1::2], hi[1::2]) for lo, hi in (sin, cos)),
+                 (w_lo, w_hi), -(-phi_ // n))
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +242,9 @@ def _axis_sums(ax: _Axis):
     sinmax_i^2 at 2^-(2g+2)), sinmax_i = min(1, sin_hi + h/2) since sin is
     1-Lipschitz; ints."""
     s_hi = ax.sin[1]
-    two = 2 << ax.g
-    s_max = [min(two, 2 * s + ax.h) for s in s_hi]
-    return sum(map(operator.mul, ax.w[1], s_hi)), sum(s_max), sum(x * x for x in s_max)
+    s_max = np.minimum(2 * s_hi + ax.h, 2 << ax.g).tolist()
+    return (sum(map(operator.mul, ax.w[1].tolist(), s_hi.tolist())), sum(s_max),
+            sum(x * x for x in s_max))
 
 
 def _disc_bound(L: Fraction, eta: _Axis, theta: _Axis, phi: _Axis) -> Fraction:
@@ -325,13 +352,21 @@ def fp_div_pos(a, b, s=SCALE):
 # the integration loop
 # ---------------------------------------------------------------------------
 
-def _choose_resolution(live: int, L: float, budget: float) -> list[int]:
+def _choose_resolution(live: int, L: float, budget: float,
+                       phi_share: float = 1 / 3) -> list[int]:
     """Cells on each of the first ``live`` axes, sized so that the first grid
     meets ``budget`` under ``_disc_bound``.
 
-    The budget splits evenly (for terms a_i/n_i this minimizes n1 n2 n3).
-    With x = L pi / (4 budget/live), the closed forms of the three terms of
-    ``_disc_bound`` in units of budget/live are, up to O(1/n^2):
+    With three live axes phi takes ``phi_share`` of the budget first: n3 is
+    the least multiple of 4 that brings its term within that share, so the
+    midpoints pi (2k+1)/n3 fold onto about n3/8 reduced angles (one Taylor
+    run each), and eta and theta split the rest evenly.  The default 1/3
+    is the even split, which minimizes n1 n2 n3 for terms a_i/n_i (the
+    3-D sweep's cost); a component form sweeps eta x theta cells only and
+    reads phi as a table, so it passes ``FORM_PHI_SHARE``.  With fewer live
+    axes the budget splits evenly.  With x = L pi / (4 b) for an axis'
+    share b of the budget, the closed forms of the three terms of
+    ``_disc_bound`` in units of b are, up to O(1/n^2):
 
       eta    (x/n1)(1 + c1/n1): sum sinmax^2 = n1/2 + h1 sum sin - clipping
              with h1 sum sin ~ 2, so c1 = 4 less the clipping at sin >
@@ -341,20 +376,26 @@ def _choose_resolution(live: int, L: float, budget: float) -> list[int]:
              pi^2/4 is the h2/2 in sinmax, clipping dropped
       phi    (4/3) x/n3 = 2 k E[sin theta] x/n3, E[sin theta] = pi/4
 
-    and each axis takes the least n_i that brings its term to 1.  Measured
-    disc/budget of the first grid: 0.92-0.9999 for the builtin integrands
-    at n = 3..9.
+    and eta and theta each take the least n_i that brings its term to 1.
+    Measured disc/budget of the first grid: 0.92-0.9999 for the builtin
+    integrands at n = 3..9.
     """
     if L <= 0.0:
         return [1] * live
-    x = L * math.pi * live / (4 * budget)
+    x = L * math.pi / (4 * budget)      # for the whole budget
+    n3 = []
+    if live == 3:
+        n3 = [4 * math.ceil(x / (3 * phi_share))]
+        x *= 2 / (1 - 4 * x / (3 * n3[0]))     # eta, theta: half the rest
+    else:
+        x *= live
 
     def cells(ax, c):   # least m with (ax/m)(1 + c/m) <= 1
         return math.ceil(ax / 2 + math.sqrt(ax * ax / 4 + c * ax))
 
     k = 8 / (3 * math.pi)
     return [cells(x, 4 - math.sqrt(math.pi / (x + 4))),
-            cells(k * x, math.pi ** 2 / 4), math.ceil(4 * x / 3)][:live]
+            cells(k * x, math.pi ** 2 / 4)][:live] + n3
 
 
 def su2_grid_integral(spec, n: int, *, max_cells: int = 10 ** 11) -> Interval:
@@ -372,7 +413,8 @@ def su2_grid_integral(spec, n: int, *, max_cells: int = 10 ** 11) -> Interval:
     vectorized = spec.fixed_eval is not None
     cap = max_cells if vectorized else min(max_cells, MAX_SCALAR_CELLS)
     disc_budget = Fraction(7, 8) / (1 << n)
-    ns = _choose_resolution(live, float(L), float(disc_budget))
+    ns = _choose_resolution(live, float(L), float(disc_budget),
+                            1 / 3 if spec.form is None else FORM_PHI_SHARE)
     for _attempt in range(10):
         # a component form sweeps eta x theta cells only
         cells = math.prod(ns[:2] if spec.form is not None else ns)
@@ -386,6 +428,7 @@ def su2_grid_integral(spec, n: int, *, max_cells: int = 10 ** 11) -> Interval:
         if disc <= disc_budget:
             break
         ns = [math.ceil(m * disc / disc_budget) for m in ns]
+        ns[2:] = [-(-m // 4) * 4 for m in ns[2:]]      # phi on multiples of 4
     else:
         raise NoConvergence("discretization bound failed to meet the budget")
 

@@ -389,15 +389,29 @@ def kernel_bits(p: int) -> int:
     return p + max(10, p.bit_length())
 
 
+def _reduced_sincos(u: int, rden: int, g: int) -> tuple[int, int, int, int]:
+    """Outward (slo, shi, clo, chi) of sin and cos of pi u/rden at 2^-g for
+    0 <= u/rden <= 1/4: one Taylor run at the midpoint of the outward
+    bracket of the argument, widened by its half-width (sin and cos are
+    1-Lipschitz)."""
+    plo, phi_ = _pi_fixed(g)
+    ylo, yhi = (u * plo) // rden, -((-u * phi_) // rden)
+    h = (yhi - ylo + 1) // 2 + 1
+    cap = 1 << g
+    slo, shi, clo, chi = _taylor_sincos((ylo + yhi) // 2, g)
+    return (max(slo - h, -cap), min(shi + h, cap),
+            max(clo - h, -cap), min(chi + h, cap))
+
+
 def sincos_pi_fixed(a: int, den: int, g: int, memo: dict | None = None):
     """Outward (slo, shi, clo, chi) of sin and cos of pi a/den at 2^-g, den > 0.
 
     The reduction a/den = j/2 + r, |r| <= 1/4, is exact on the integers, so
     only pi |r| carries the rounding of pi, whatever the size of a/den.  The
-    Taylor brackets of sin and cos at |r| are shared through ``memo`` (keyed
-    by |r|), sin(-y) = -sin(y) gives r < 0, and the quadrant j % 4 rotates
-    the pair; both steps are exact.  Widths stay below 2^(g-p) ulps at
-    g = ``kernel_bits(p)``.
+    brackets of sin and cos at |r| (``_reduced_sincos``) are shared through
+    ``memo`` (keyed by |r|), sin(-y) = -sin(y) gives r < 0, and the quadrant
+    j % 4 rotates the pair; both steps are exact.  Widths stay below
+    2^(g-p) ulps at g = ``kernel_bits(p)``.
     """
     j = (4 * a + den) // (2 * den)          # the nearest j to 2a/den
     num, rden = 2 * a - j * den, 2 * den    # r = num / rden
@@ -405,15 +419,7 @@ def sincos_pi_fixed(a: int, den: int, g: int, memo: dict | None = None):
     memo = {} if memo is None else memo
     brackets = memo.get(key)
     if brackets is None:
-        plo, phi_ = _pi_fixed(g)
-        ylo, yhi = (key[0] * plo) // rden, -((-key[0] * phi_) // rden)
-        # the Taylor brackets at the midpoint widen by the half-width (sin
-        # and cos are 1-Lipschitz)
-        h = (yhi - ylo + 1) // 2 + 1
-        cap = 1 << g
-        slo, shi, clo, chi = _taylor_sincos((ylo + yhi) // 2, g)
-        brackets = memo[key] = (max(slo - h, -cap), min(shi + h, cap),
-                                max(clo - h, -cap), min(chi + h, cap))
+        brackets = memo[key] = _reduced_sincos(*key, g)
     slo, shi, clo, chi = brackets
     if num < 0:
         slo, shi = -shi, -slo

@@ -25,12 +25,12 @@ from fractions import Fraction
 import numpy as np
 
 from ._grid import (
-    GUARD, IDENTITY_PREMAP, SCALE, _build_axis, form_fixed, fp_add, fp_div_pos,
-    fp_sqrt, fp_square, su2_grid_integral,
+    GUARD, IDENTITY_PREMAP, SCALE, _shift_out, _sincos_table, form_fixed,
+    fp_add, fp_div_pos, fp_sqrt, fp_square, su2_grid_integral,
 )
 from .exactreal import (
     CertifiedValue, ConfigError, Dyadic, Interval, InvalidBound, NoConvergence,
-    sqrt_enclosure,
+    kernel_bits, sqrt_enclosure,
 )
 from .groups import Versor
 
@@ -120,25 +120,54 @@ def _midpoints(L: Fraction, n: int, cap: int):
     return (Dyadic(2 * j + 1, -N.bit_length()) for j in range(N))
 
 
+CIRCLE_BLOCK = 1 << 16     # table points per block of the circle rule
+
+
+def _circle_blocks(N: int, block: int):
+    """The numerators a = 2j+1 of the N = 2^k midpoint angles pi a/N, as
+    int64 arrays of at most ``block`` (a power of two, >= 8) entries.
+
+    One block holds them all when N <= block.  Else each block is a run of
+    block/8 first-octant numerators 0 < a < N/4 with their images under the
+    circle's symmetries x -> pi/2 -+ x, pi -+ x, 3pi/2 -+ x, 2pi - x: the
+    blocks cover every midpoint once, and the images of a run reduce to the
+    run's own |r|, so each block runs the Taylor series once per angle.
+    """
+    if N <= block:
+        yield np.arange(1, 2 * N, 2)
+        return
+    h = N // 2
+    for a0 in range(1, N // 4, block // 4):
+        a = np.arange(a0, a0 + block // 4, 2)
+        yield np.concatenate((a, h - a, h + a, N - a, N + a, 3 * h - a,
+                              3 * h + a, 2 * N - a))
+
+
 def _circle_sums(f: IntegrandSpec, N: int) -> tuple[int, int]:
     """Exact (sum lo, sum hi) at 2^-SCALE of f's enclosures at the N = 2^k
     midpoints t_j = (2j+1)/(2N).
 
     The angles 2 pi t_j = pi (2j+1)/N are the SU(2) grid's phi midpoints,
-    so ``_build_axis`` gives the (cos, sin) table as outward int64 pairs
-    with one Taylor run per distinct reduced angle (about N/8), and
-    ``f.complex_fixed`` runs once on it.  A point whose enclosure lies
-    wholly outside [-bound, bound] proves the declared bound false.  The
-    sums are taken in python ints, so no enclosure width can wrap them.
+    so ``_sincos_table`` gives the (sin, cos) table as outward int64 pairs
+    with one Taylor run per distinct reduced angle (about N/8 in all), and
+    ``f.complex_fixed`` runs once per block of ``_circle_blocks``, so the
+    memory stays bounded at any N.  A point whose enclosure lies wholly
+    outside [-bound, bound] proves the declared bound false.  The sums are
+    taken in python ints, so no enclosure width can wrap them.
     """
-    sin, cos, _ = _build_axis("phi", N, GUARD).fixed(SCALE)
-    lo, hi = (np.broadcast_to(np.asarray(v, dtype=np.int64), (N,))
-              for v in f.complex_fixed(cos, sin, SCALE))
+    g = kernel_bits(GUARD)
     m = f.bound.scaled_floor(SCALE)
-    if int(lo.max()) > m or int(hi.min()) < -m:
-        raise InvalidBound(f"circle integrand {f.name!r} escaped its declared "
-                           f"bound {f.bound}")
-    return sum(lo.tolist()), sum(hi.tolist())
+    sum_lo = sum_hi = 0
+    for a in _circle_blocks(N, CIRCLE_BLOCK):
+        sin, cos = (_shift_out(t, g - SCALE) for t in _sincos_table(a, N, g))
+        lo, hi = (np.broadcast_to(np.asarray(v, dtype=np.int64), a.shape)
+                  for v in f.complex_fixed(cos, sin, SCALE))
+        if int(lo.max()) > m or int(hi.min()) < -m:
+            raise InvalidBound(f"circle integrand {f.name!r} escaped its "
+                               f"declared bound {f.bound}")
+        sum_lo += sum(lo.tolist())
+        sum_hi += sum(hi.tolist())
+    return sum_lo, sum_hi
 
 
 def haar_integral_circle(f: IntegrandSpec, n: int,

@@ -114,6 +114,32 @@ def test_one_taylor_run_per_distinct_reduced_angle(kind, n, monkeypatch):
     assert len(runs) == len(set(runs)) <= n // 2 + 2
 
 
+@st.composite
+def table_angles(draw):
+    """(numerators, den): den up to 2^12, numerators of either sign over
+    several turns, with the ties |r| = 1/4 at a = (2j +- 1) den/4."""
+    den = draw(st.integers(1, 1 << 12))
+    a = draw(st.lists(st.integers(-8 * den, 8 * den), max_size=40))
+    if den % 4 == 0:
+        a += [m * den // 4 for m in draw(st.lists(st.integers(-31, 31), max_size=20))]
+    return a, den
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles=table_angles(), p=st.integers(8, 40))
+@example(angles=([-5, -3, -1, 1, 3, 5, 7, 9, 11, 13], 4), p=35)
+@example(angles=([-4097, -3072, -1024, 0, 1, 1024, 2048, 3072, 5120, 4096 * 16], 4096),
+         p=35)
+def test_vectorized_table_equals_the_scalar_kernel(angles, p):
+    # the array fold, gather, reflection and rotation give the scalar
+    # kernel's brackets bit for bit, at every sign, turn and quadrant tie
+    a, den = angles
+    g = exactreal.kernel_bits(p)
+    (slo, shi), (clo, chi) = _grid._sincos_table(np.array(a, dtype=np.int64), den, g)
+    got = list(zip(*(t.tolist() for t in (slo, shi, clo, chi))))
+    assert got == [tuple(exactreal.sincos_pi_fixed(v, den, g)) for v in a]
+
+
 @pytest.mark.parametrize("n", [1, 3, 7, 64, 257])
 @pytest.mark.parametrize("kind", ["eta", "theta"])
 def test_weights_round_outward_from_the_kernel_brackets(kind, n):
@@ -668,6 +694,53 @@ def test_first_grid_meets_the_budget_without_slack(live, L):
     # oversized: at least 90% of the budget is used
     for n in range(3, 8):
         assert Fraction(9, 10) <= _disc_ratio(live, L, n) <= 1, (live, L, n)
+
+
+class _FirstGrid(Exception):
+    pass
+
+
+def _form_specs():
+    from test_groups import rand_versor
+    abs_sum = builtin_integrand("abs-sum", "su2")
+    r = rand_versor(random.Random(17))
+    return {"abs-sum": abs_sum, "w2": builtin_integrand("w2", "su2"),
+            "abs-sum left r": translate_su2_integrand(abs_sum, r, make_group("su2"), "left"),
+            "abs-sum inverted": invert_su2_integrand(abs_sum)}
+
+
+@pytest.mark.parametrize("name", list(_form_specs()))
+def test_form_path_sizes_phi_as_a_table(name, monkeypatch):
+    # a component form gives phi its own small share on a multiple of 4
+    # cells: the first grid passes and uses at least 90% of the budget, the
+    # phi term keeps within FORM_PHI_SHARE of it, and the phi table folds
+    # onto about n3/8 reduced angles
+    spec = _form_specs()[name]
+    disc_bound = _grid._disc_bound
+
+    def first(L, *axes):
+        raise _FirstGrid(axes, disc_bound(L, *axes))
+
+    monkeypatch.setattr(_grid, "_disc_bound", first)
+    runs = []
+    taylor = exactreal._taylor_sincos
+    for n in range(3, 10):
+        with pytest.raises(_FirstGrid) as got:
+            _grid.su2_grid_integral(spec, n)
+        (eta, theta, phi), disc = got.value.args
+        budget = Fraction(7, 8) / (1 << n)
+        assert Fraction(9, 10) <= disc / budget <= 1, n
+        if phi is _grid._DEAD_AXIS:
+            continue
+        assert phi.n % 4 == 0, (n, phi.n)
+        L = Fraction(spec.lipschitz.as_fraction())
+        phi_term = disc - disc_bound(L, eta, theta, _grid._DEAD_AXIS)
+        assert phi_term <= budget * Fraction(_grid.FORM_PHI_SHARE), n
+        with monkeypatch.context() as m:
+            m.setattr(exactreal, "_taylor_sincos", lambda y, g: runs.append(y) or taylor(y, g))
+            runs.clear()
+            _grid._build_axis("phi", phi.n, _grid.GUARD)
+        assert len(runs) <= phi.n // 8 + 2, (n, phi.n, len(runs))
 
 
 @pytest.mark.parametrize("shrink", [Fraction(1, 2), Fraction(4, 5), Fraction(19, 20)], ids=str)

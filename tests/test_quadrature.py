@@ -165,6 +165,27 @@ class TestCircleRule:
                     assert len(runs) <= N // 8 + 2, (spec.name, n, len(runs))
                     check(cv, TRUE_VALUES[name], n)
 
+    def test_blocks_give_the_whole_table_sums(self, monkeypatch):
+        # the symmetric blocks cover each midpoint once, sum bit for bit to
+        # the one-block sums, and still take one Taylor run per angle
+        for N in (8, 64, 1024):
+            for block in (8, 16, 64):
+                a = np.concatenate(list(quadrature._circle_blocks(N, block)))
+                assert sorted(a.tolist()) == list(range(1, 2 * N, 2)), (N, block)
+                assert all(len(b) <= block for b in quadrature._circle_blocks(N, block))
+        runs = []
+        taylor = exactreal._taylor_sincos
+        monkeypatch.setattr(exactreal, "_taylor_sincos",
+                            lambda y, g: runs.append(y) or taylor(y, g))
+        for name in ("re2", "abs-re"):
+            for spec, _ in circle_variants(name, 86):
+                whole = quadrature._circle_sums(spec, 1024)
+                runs.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(quadrature, "CIRCLE_BLOCK", 16)
+                    assert quadrature._circle_sums(spec, 1024) == whole
+                assert len(runs) <= 1024 // 8 + 2, (spec.name, len(runs))
+
     def test_eval_only_spec_is_refused(self):
         base = builtin_integrand("re", "circle")
         plain = IntegrandSpec(base.eval, base.lipschitz, base.bound, name="plain")
