@@ -7,13 +7,15 @@ is sin^2(eta) sin(theta): eta has density sin^2(eta)*(2/pi) on [0, pi], theta
 has density sin(theta)/2 on [0, pi], phi is uniform on [0, 2 pi); their
 product pushed forward by Psi is the Haar measure (this realizes the
 1/(2 pi^2) normalization as the three per-axis normalizers pi/2, 2, 2 pi).
-Cell weights are differences of the exact cumulative weights, so the
-Jacobian never enters the cell loop.  Psi exists only as these tables, int64
-arrays built in one pass over each axis' points pi k/(2n) (``_build_axis``):
+Each cell's weight is the exact mass of its cell in closed form of the
+midpoint's sine (``_build_axis``), so the Jacobian never enters the cell
+loop.  Psi exists only as these tables, int64 arrays of each axis' midpoints:
 numpy folds every point exactly to its quadrant and reduced angle, and
 ``exactreal._reduced_sincos`` runs once per distinct reduced angle
-(``_sincos_table``); no ``Fraction`` or ``Interval`` enters them, and the
-discretization bound sums them as python ints.
+(``_sincos_table``).  A component form's grid puts the eta and theta
+midpoints among phi's (``_choose_resolution``), so one table serves all
+three axes (``_grid_axes``).  No ``Fraction`` or ``Interval`` enters the
+tables, and the discretization bound sums them as python ints.
 
 The cell loop runs in fixed point: interval endpoints are int64 multiples of
 2^-SCALE, products round outward by integer shifts, and numpy carries the
@@ -113,7 +115,7 @@ SCALE = 29                     # fixed-point fraction bits of the sweep
 GUARD = SCALE + 6              # axis tables at kernel_bits(GUARD) bits
 BLOCK_CELLS = 1 << 16
 MAX_SCALAR_CELLS = 2 * 10 ** 6  # effort cap of the per-cell scalar evaluator
-FORM_PHI_SHARE = 1 / 6          # phi's share of a component form's budget
+FORM_Q = 3                      # a component form's n3 / (2 n1), odd
 _LIVE_AXES = {"a": 1, "ab": 2, "abcd": 3}   # grid axes each ``uses`` reads
 _ONE_FX = (1 << SCALE, 1 << SCALE)
 # the pre-map of an integrand that reads the grid versor itself
@@ -194,16 +196,44 @@ def _sincos_table(a, den: int, g: int):
             (table[cos_row, idx], table[cos_row + 1, idx]))
 
 
-def _build_axis(kind: str, n: int, guard: int) -> _Axis:
-    """Midpoint sin/cos tables and cumulative weights for one axis.
+def _mul_floor(a, b, g: int):
+    """floor(a b / 2^g), exact on int64 arrays or python ints for 1 <= g <= 58
+    and |a|, |b| <= 2^(g+2).
 
-    Every table comes from one ``_sincos_table`` pass over the points
-    pi k/(2n) (pi k/n for phi) at g = ``kernel_bits(guard)`` bits: odd k
-    give the midpoints, even k = 2i the cumulative weights at x = pi i/n,
-    W1 = i/n - sin x cos x / pi for eta and W2 = (1 - cos x)/2 for theta.
-    Products and the division by pi round outward on ints (python ints for
-    eta, whose products pass 2^63); each weight is the difference of two
-    cumulative values, clamped at zero.
+    With k = ceil(g/2) and a = ah 2^k + al, b = bh 2^k + bl, 0 <= al, bl <
+    2^k, the product is ah bh 2^2k + (ah bl + al bh) 2^k + al bl; the low
+    limbs' carry al bl >> k joins the middle sum before its shift by g - k,
+    which drops only bits below 2^g.  No partial product passes 2^(g+4)."""
+    k = (g + 1) >> 1
+    mask = (1 << k) - 1
+    ah, al, bh, bl = a >> k, a & mask, b >> k, b & mask
+    return ((ah * bh) << (2 * k - g)) + ((ah * bl + al * bh + ((al * bl) >> k))
+                                         >> (g - k))
+
+
+def _mul_ceil(a, b, g: int):
+    """ceil(a b / 2^g) on ``_mul_floor``'s range."""
+    return -_mul_floor(-a, b, g)
+
+
+def _build_axis(kind: str, n: int, guard: int, table=None) -> _Axis:
+    """Midpoint sin/cos tables and closed-form weights for one axis.
+
+    The midpoints are pi (2i+1)/(2n) (2 pi (2k+1)/(2n) for phi) at g =
+    ``kernel_bits(guard)`` bits, from one ``_sincos_table`` pass, or from
+    ``table``, the (sin, cos) pairs of those midpoints that the caller
+    sliced from the phi table.  With h = pi/n the weights follow from the
+    midpoints m_i alone:
+
+      theta  w = (cos(m - h/2) - cos(m + h/2))/2 = sin m sin(h/2)
+      eta    w = 1/n - (sin 2(m + h/2) - sin 2(m - h/2))/(2 pi)
+               = 1/n - sin h cos 2m / pi
+
+    with sin(h/2) = sin m_0, sin h = 2 sin m_0 cos m_0 and cos 2m = 1 - 2
+    sin^2 m.  The scalars sin(h/2) and sin h / pi round outward on python
+    ints, the per-point products on int64 through ``_mul_floor``; sin m
+    and cos m_0 are positive, so their lower ends clamp at 0, as does
+    each weight's.
     """
     g = kernel_bits(guard)
     plo, phi_ = _pi_fixed(g)
@@ -211,26 +241,43 @@ def _build_axis(kind: str, n: int, guard: int) -> _Axis:
         # midpoints 2 pi (2k+1)/(2n) = pi (2k+1)/n, uniform weights 1/n
         sin, cos = _sincos_table(np.arange(1, 2 * n, 2), n, g)
         return _Axis(n, g, sin, cos, None, -(-2 * phi_ // n))
-    sin, cos = _sincos_table(np.arange(2 * n + 1), 2 * n, g)
-    if kind == "eta":
-        cum_lo, cum_hi = [], []
-        ends = (t[::2].tolist() for t in (*sin, *cos))
-        for i, (slo, shi, clo, chi) in enumerate(zip(*ends)):
-            prods = (slo * clo, slo * chi, shi * clo, shi * chi)
-            sc_lo, sc_hi = min(prods), max(prods)       # at 2^-2g
-            # sin x cos x / pi at 2^-g, outward
-            q_lo = sc_lo // (phi_ if sc_lo >= 0 else plo)
-            q_hi = -(-sc_hi // (plo if sc_hi >= 0 else phi_))
-            cum_lo.append((i << g) // n - q_hi)
-            cum_hi.append(-(-(i << g) // n) - q_lo)
-        cum_lo, cum_hi = np.array(cum_lo), np.array(cum_hi)
+    sin, cos = table or _sincos_table(np.arange(1, 2 * n, 2), 2 * n, g)
+    s_lo, s_hi = np.maximum(sin[0], 0), sin[1]
+    if kind == "theta":
+        w_lo = _mul_floor(s_lo, int(s_lo[0]), g)
+        w_hi = _mul_ceil(s_hi, int(s_hi[0]), g)
     else:
-        cum_lo = ((1 << g) - cos[1][::2]) >> 1
-        cum_hi = ((1 << g) - cos[0][::2] + 1) >> 1
-    w_lo = np.maximum(cum_lo[1:] - cum_hi[:-1], 0)
-    w_hi = np.maximum(cum_hi[1:] - cum_lo[:-1], w_lo)
-    return _Axis(n, g, *((lo[1::2], hi[1::2]) for lo, hi in (sin, cos)),
-                 (w_lo, w_hi), -(-phi_ // n))
+        one = 1 << g
+        c0_lo, c0_hi = max(int(cos[0][0]), 0), int(cos[1][0])
+        k_lo = 2 * int(s_lo[0]) * c0_lo // phi_             # sin h / pi
+        k_hi = -(-2 * int(s_hi[0]) * c0_hi // plo)
+        c2_lo = one - 2 * _mul_ceil(s_hi, s_hi, g)          # cos 2m
+        c2_hi = one - 2 * _mul_floor(s_lo, s_lo, g)
+        t_lo = np.minimum(_mul_floor(c2_lo, k_lo, g), _mul_floor(c2_lo, k_hi, g))
+        t_hi = np.maximum(_mul_ceil(c2_hi, k_lo, g), _mul_ceil(c2_hi, k_hi, g))
+        w_lo = np.maximum(one // n - t_hi, 0)
+        w_hi = -(-one // n) - t_lo
+    return _Axis(n, g, sin, cos, (w_lo, w_hi), -(-phi_ // n))
+
+
+def _grid_axes(ns: list[int]) -> list[_Axis]:
+    """eta, theta and phi on ``ns`` cells of the live axes, the rest dead.
+
+    When n3 = 2 q n for odd q, the midpoint pi (2i+1)/(2n) is the phi
+    midpoint pi (2k+1)/n3 at k = q i + (q-1)/2, and the reduction of the
+    angle at either denominator gives the same brackets, so the axis takes
+    phi's entries (every q-th, n of them) and runs no series of its own.
+    """
+    phi = _build_axis("phi", ns[2], GUARD) if len(ns) == 3 else _DEAD_AXIS
+    axes = []
+    for kind, n in zip(_KINDS[:2], ns):
+        q, r = divmod(phi.n, 2 * n)
+        table = None
+        if r == 0 and q % 2:
+            cut = slice((q - 1) // 2, (q - 1) // 2 + q * n, q)
+            table = tuple((lo[cut], hi[cut]) for lo, hi in (phi.sin, phi.cos))
+        axes.append(_build_axis(kind, n, GUARD, table))
+    return axes + [_DEAD_AXIS] * (2 - len(axes)) + [phi]
 
 
 # ---------------------------------------------------------------------------
@@ -353,20 +400,13 @@ def fp_div_pos(a, b, s=SCALE):
 # ---------------------------------------------------------------------------
 
 def _choose_resolution(live: int, L: float, budget: float,
-                       phi_share: float = 1 / 3) -> list[int]:
+                       q: int | None = None) -> list[int]:
     """Cells on each of the first ``live`` axes, sized so that the first grid
     meets ``budget`` under ``_disc_bound``.
 
-    With three live axes phi takes ``phi_share`` of the budget first: n3 is
-    the least multiple of 4 that brings its term within that share, so the
-    midpoints pi (2k+1)/n3 fold onto about n3/8 reduced angles (one Taylor
-    run each), and eta and theta split the rest evenly.  The default 1/3
-    is the even split, which minimizes n1 n2 n3 for terms a_i/n_i (the
-    3-D sweep's cost); a component form sweeps eta x theta cells only and
-    reads phi as a table, so it passes ``FORM_PHI_SHARE``.  With fewer live
-    axes the budget splits evenly.  With x = L pi / (4 b) for an axis'
-    share b of the budget, the closed forms of the three terms of
-    ``_disc_bound`` in units of b are, up to O(1/n^2):
+    With x = L pi / (4 b) for an axis' share b of the budget, the closed
+    forms of the three terms of ``_disc_bound`` in units of b are, up to
+    O(1/n^2):
 
       eta    (x/n1)(1 + c1/n1): sum sinmax^2 = n1/2 + h1 sum sin - clipping
              with h1 sum sin ~ 2, so c1 = 4 less the clipping at sin >
@@ -376,24 +416,39 @@ def _choose_resolution(live: int, L: float, budget: float,
              pi^2/4 is the h2/2 in sinmax, clipping dropped
       phi    (4/3) x/n3 = 2 k E[sin theta] x/n3, E[sin theta] = pi/4
 
-    and eta and theta each take the least n_i that brings its term to 1.
-    Measured disc/budget of the first grid: 0.92-0.9999 for the builtin
-    integrands at n = 3..9.
+    A component form (three live axes, odd ``q``) sweeps eta x theta cells
+    and reads phi as a table, so its grid is n1 = n2 = m, n3 = 2 q m with m
+    even: eta and theta read their midpoints from phi's table
+    (``_grid_axes``), whose midpoints fold onto n3/8 reduced angles (one
+    Taylor run each).  m is the least even m with x [(1 + c1/m) + k (1 +
+    pi^2/(4m)) + 2/(3q)]/m <= 1 over the whole budget.  Otherwise, with
+    three live axes, phi takes a third of the budget on the least multiple
+    of 4 cells within it, and eta and theta split the rest evenly (the
+    even split minimizes n1 n2 n3, the 3-D sweep's cost); with fewer live
+    axes the budget splits evenly, and each axis takes the least n_i that
+    brings its term to 1.  Measured disc/budget of the first grid: 0.92-
+    0.9999 for the builtin integrands at n = 3..9, 0.938-0.9996 on the
+    form grid.
     """
     if L <= 0.0:
         return [1] * live
     x = L * math.pi / (4 * budget)      # for the whole budget
-    n3 = []
-    if live == 3:
-        n3 = [4 * math.ceil(x / (3 * phi_share))]
-        x *= 2 / (1 - 4 * x / (3 * n3[0]))     # eta, theta: half the rest
-    else:
-        x *= live
+    k = 8 / (3 * math.pi)
 
     def cells(ax, c):   # least m with (ax/m)(1 + c/m) <= 1
         return math.ceil(ax / 2 + math.sqrt(ax * ax / 4 + c * ax))
 
-    k = 8 / (3 * math.pi)
+    if live == 3 and q is not None:
+        a = x * (1 + k + 2 / (3 * q))
+        m = cells(a, x * (4 - math.sqrt(math.pi / (a + 4)) + k * math.pi ** 2 / 4) / a)
+        m += m % 2
+        return [m, m, 2 * q * m]
+    n3 = []
+    if live == 3:
+        n3 = [4 * math.ceil(x)]
+        x *= 2 / (1 - 4 * x / (3 * n3[0]))     # eta, theta: half the rest
+    else:
+        x *= live
     return [cells(x, 4 - math.sqrt(math.pi / (x + 4))),
             cells(k * x, math.pi ** 2 / 4)][:live] + n3
 
@@ -405,16 +460,17 @@ def su2_grid_integral(spec, n: int, *, max_cells: int = 10 ** 11) -> Interval:
     discretization bound (``_choose_resolution``), so the first grid normally
     passes; the exact table-based bound then certifies it before any sweep.
     A grid that misses grows every live axis by the measured disc/budget,
-    since each term falls like 1/n_i.  The returned interval has width
-    <= 2^-(n-1), i.e. half-width <= 2^-n around the midpoint.
+    since each term falls like 1/n_i, and keeps a component form's n3 =
+    2 q n1.  The returned interval has width <= 2^-(n-1), i.e. half-width
+    <= 2^-n around the midpoint.
     """
     L = Fraction(spec.lipschitz.as_fraction())
     live = _LIVE_AXES[spec.uses]
     vectorized = spec.fixed_eval is not None
     cap = max_cells if vectorized else min(max_cells, MAX_SCALAR_CELLS)
     disc_budget = Fraction(7, 8) / (1 << n)
-    ns = _choose_resolution(live, float(L), float(disc_budget),
-                            1 / 3 if spec.form is None else FORM_PHI_SHARE)
+    q = FORM_Q if spec.form is not None and live == 3 else None
+    ns = _choose_resolution(live, float(L), float(disc_budget), q)
     for _attempt in range(10):
         # a component form sweeps eta x theta cells only
         cells = math.prod(ns[:2] if spec.form is not None else ns)
@@ -422,13 +478,16 @@ def su2_grid_integral(spec, n: int, *, max_cells: int = 10 ** 11) -> Interval:
             raise NoConvergence(
                 f"su2 grid needs {cells} cells for 2^-{n}; over the effort "
                 f"cap of {cap}")
-        eta, theta, phi = [_build_axis(kind, m, GUARD)
-                           for kind, m in zip(_KINDS, ns)] + [_DEAD_AXIS] * (3 - live)
+        eta, theta, phi = _grid_axes(ns)
         disc = _disc_bound(L, eta, theta, phi)
         if disc <= disc_budget:
             break
         ns = [math.ceil(m * disc / disc_budget) for m in ns]
-        ns[2:] = [-(-m // 4) * 4 for m in ns[2:]]      # phi on multiples of 4
+        if q is None:
+            ns[2:] = [-(-m // 4) * 4 for m in ns[2:]]      # phi on multiples of 4
+        else:
+            m = ns[0] + ns[0] % 2
+            ns = [m, m, 2 * q * m]
     else:
         raise NoConvergence("discretization bound failed to meet the budget")
 

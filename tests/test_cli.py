@@ -5,6 +5,7 @@ import io
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from haar.cli import (
     parse_group,
 )
 from haar.exactreal import CertifiedValue, ConfigError, Dyadic
+from haar.functions import builtin_names
 from conftest import haar_errors
 
 
@@ -441,6 +443,78 @@ class TestRefusalFuzz:
         assert out.getvalue() == "" and err.count("\n") == 1, (argv, err)
         assert name in ERRORS_BY_NAME and message.strip(), (argv, err)
         assert got == ERRORS_BY_NAME[name].exit_code, (argv, err)
+
+
+def _lift(values):
+    return {f"lift:{name}": Fraction(2, 3) * v for name, v in values.items()}
+
+
+def _mp_fraction(x) -> Fraction:
+    """The exact value of an mpmath number at the working precision."""
+    man, exp = mpmath.mpf(x).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+with mpmath.workdps(40):
+    _PI = _mp_fraction(mpmath.pi)
+_CIRCLE_TRUE = {"one": Fraction(1), "re": Fraction(0), "re2": Fraction(1, 2),
+                "im": Fraction(0), "abs-re": 2 / _PI}
+# group kind -> builtin -> its Haar integral
+CLOSED_FORMS = {
+    "circle": _CIRCLE_TRUE,
+    "su2": {"one": Fraction(1), "abs-sum": 16 / (3 * _PI), "w2": Fraction(1, 4),
+            **_lift(_CIRCLE_TRUE)},
+    "so3": {"one": Fraction(1), "trace": Fraction(0)},
+    "o3": {"one": Fraction(1), "sign": Fraction(0)},
+    "u2": {"one": Fraction(1)},
+    "torus": {"one": Fraction(1)},
+    "finite": {"one": Fraction(1)},
+}
+VALID_GROUPS = ["circle", "su2", "so3", "o3", "u2", "torus:1", "torus:2",
+                "cyclic:1", "cyclic:6"]
+
+
+@st.composite
+def valid_argv(draw):
+    group = draw(st.sampled_from(VALID_GROUPS))
+    kind = parse_group(group, None).kind
+    name = draw(st.sampled_from(builtin_names(kind)))
+    n = draw(st.integers(-3, 7))
+    cap = draw(st.sampled_from([0, 1, 2, 3, 100, 10 ** 4]))
+    return ["integrate", "--group", group, "--function", f"builtin:{name}",
+            "-n", str(n), "--effort-cap", str(cap)], kind, name, n
+
+
+class TestValidInputFuzz:
+    def test_every_builtin_has_a_closed_form(self):
+        for kind, values in CLOSED_FORMS.items():
+            assert sorted(values) == sorted(builtin_names(kind)), kind
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=valid_argv())
+    def test_value_within_the_bound_or_a_named_refusal(self, case):
+        # a valid request prints one value within 2^-n of the closed form
+        # (the printed +- covers the decimal rounding), or refuses with one
+        # named error: exit 1 only for a negative precision, exit 2 when an
+        # effort cap stops it; never a traceback
+        argv, kind, name, n = case
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert got in (0, 1, 2) and "Traceback" not in out + err, (argv, err)
+        assert got == 1 if n < 0 else got != 1, (argv, err)
+        if got:
+            error, _, message = err.partition(": ")
+            assert out == "" and err.count("\n") == 1, (argv, err)
+            assert ERRORS_BY_NAME[error].exit_code == got and message.strip(), (argv, err)
+            return
+        assert err == "" and out.count("\n") == 1, (argv, out, err)
+        value, bound = parse_printed(out)
+        digits = len(out.split(" +- ")[0].partition(".")[2])
+        assert bound <= Fraction(1, 1 << n) + Fraction(1, 10 ** digits), (argv, out)
+        true = CLOSED_FORMS[kind][name]
+        assert abs(value - true) <= bound, (argv, out)
 
 
 class TestGroupParsing:

@@ -8,9 +8,11 @@ read is the single point sin = cos = 0 with weight 1.  Translated, inverted
 and composed integrands, which the sweep reaches through a pre-map, are
 summed as f of the mpmath quaternion product.  The axis tables, the only
 form of Psi and its Jacobian in the package, are checked entry by entry
-against the same mpmath values, their weights against the exact range over
-the kernel's own brackets, and the discretization bound against its formula
-in mpmath; the sin/cos kernel they are built from,
+against the same mpmath values, their closed-form weights against the
+exact range of those forms over the kernel's own brackets, the eta and theta
+tables that a component form's grid slices from phi's table against the
+axes' own tables bit for bit, and the discretization bound against its
+formula in mpmath; the sin/cos kernel they are built from,
 ``exactreal.sincos_pi_fixed``, is checked against mpmath in
 ``test_exactreal.py``.
 """
@@ -143,27 +145,29 @@ def test_vectorized_table_equals_the_scalar_kernel(angles, p):
 @pytest.mark.parametrize("n", [1, 3, 7, 64, 257])
 @pytest.mark.parametrize("kind", ["eta", "theta"])
 def test_weights_round_outward_from_the_kernel_brackets(kind, n):
-    # each weight contains the exact range of W(x_{i+1}) - W(x_i) over the
-    # kernel's own brackets of sin x, cos x and pi: i/n, the products and
-    # the division by pi round outward to the last bit, not only within
-    # the Taylor slack that the mpmath test above cannot see through
+    # each weight contains the exact range of its closed form over the
+    # kernel's own brackets of sin m_i, sin m_0, cos m_0 and pi, theta's
+    # sin m sin(h/2) and eta's 1/n - 2 sin m_0 cos m_0 (1 - 2 sin^2 m)/pi:
+    # the products, the division by pi and 1/n round outward to the last
+    # bit, not only within the Taylor slack that mpmath cannot see through;
+    # and it holds the exact weight W(x_{i+1}) - W(x_i) from mpmath
     g = exactreal.kernel_bits(_grid.GUARD)
     pis = [Fraction(v, 1 << g) for v in exactreal._pi_fixed(g)]
-
-    def cum(i):     # exact [lo, hi] of W at x = pi i/n over the brackets
-        slo, shi, clo, chi = (Fraction(v, 1 << g)
-                              for v in exactreal.sincos_pi_fixed(2 * i, 2 * n, g))
-        if kind == "theta":
-            return (1 - chi) / 2, (1 - clo) / 2
-        prods = [s * c for s in (slo, shi) for c in (clo, chi)]
-        quots = [x / y for x in (min(prods), max(prods)) for y in pis]
-        return Fraction(i, n) - max(quots), Fraction(i, n) - min(quots)
-
-    cums = [cum(i) for i in range(n + 1)]
+    brackets = [[Fraction(v, 1 << g) for v in exactreal.sincos_pi_fixed(2 * i + 1, 2 * n, g)]
+                for i in range(n)]
+    s0, c0 = (max(0, brackets[0][0]), brackets[0][1]), (max(0, brackets[0][2]), brackets[0][3])
+    sin_h_over_pi = [2 * s * c / p for s in s0 for c in c0 for p in pis]
+    with mpmath.workdps(60):
+        exact = [mp_fraction(w) for _, _, w in mp_axis(kind, n)]
     for i, w in enumerate(_grid._build_axis(kind, n, _grid.GUARD).weights):
-        lo = max(0, cums[i + 1][0] - cums[i][1])
-        hi = max(lo, cums[i + 1][1] - cums[i][0])
+        slo, shi = max(0, brackets[i][0]), brackets[i][1]
+        if kind == "theta":
+            lo, hi = slo * s0[0], shi * s0[1]
+        else:
+            t = [k * c for k in sin_h_over_pi for c in (1 - 2 * shi * shi, 1 - 2 * slo * slo)]
+            lo, hi = max(0, Fraction(1, n) - max(t)), Fraction(1, n) - min(t)
         assert w.lo.as_fraction() <= lo and w.hi.as_fraction() >= hi, i
+        assert w.contains(exact[i]) and w.lo.sign() >= 0, i
 
 
 def mp_disc_bound(L, ns):
@@ -610,6 +614,37 @@ def test_fp_mul_matches_exact_outward_products(const):
                                               max(abs(lo), abs(hi)))
 
 
+@st.composite
+def limb_products(draw):
+    """(g, a, b): g in 1..58, |a|, |b| <= 2^(g+2), with 0, the ends of
+    the range and the values next to multiples of the low limb 2^ceil(g/2)."""
+    g = draw(st.integers(1, 58))
+    top, limb = 1 << (g + 2), 1 << ((g + 1) >> 1)
+    edges = st.sampled_from([0, 1, -1, top, -top, top - 1, -top + 1])
+    near_limb = st.tuples(st.integers(-(top // limb), top // limb),
+                          st.integers(-1, 1)).map(
+        lambda t: max(-top, min(top, t[0] * limb + t[1])))
+    value = st.one_of(edges, near_limb, st.integers(-top, top))
+    pairs = draw(st.lists(st.tuples(value, value), min_size=1, max_size=20))
+    return g, [x for x, _ in pairs], [y for _, y in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=limb_products())
+@example(case=(45, [1 << 47, -(1 << 47), (1 << 23) - 1], [1 << 47, 1 << 47, (1 << 23) - 1]))
+@example(case=(58, [1 << 60, -(1 << 60), -1], [-(1 << 60), -(1 << 60), 1 << 60]))
+def test_two_limb_product_matches_python_ints(case):
+    # floor and ceil of a b / 2^g on int64 arrays, and on a python int
+    # second factor, against python ints over the documented range
+    g, a, b = case
+    want_lo = [x * y >> g for x, y in zip(a, b)]
+    want_hi = [-(-x * y >> g) for x, y in zip(a, b)]
+    xs, ys = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    assert _grid._mul_floor(xs, ys, g).tolist() == want_lo
+    assert _grid._mul_ceil(xs, ys, g).tolist() == want_hi
+    assert _grid._mul_floor(xs, b[0], g).tolist() == [x * b[0] >> g for x in a]
+
+
 def _near_and_random(rng, top, size=400):
     """Random int64 values in [0, top) plus the run just below top."""
     return np.concatenate([rng.integers(0, top, size=size, dtype=np.int64),
@@ -709,12 +744,19 @@ def _form_specs():
             "abs-sum inverted": invert_su2_integrand(abs_sum)}
 
 
+def _is_one_table(eta, theta, phi):
+    """eta and theta read their midpoints from phi's table: n1 = n2 = m
+    even and n3 = 2 FORM_Q m."""
+    m = eta.n
+    return theta.n == m and m % 2 == 0 and phi.n == 2 * _grid.FORM_Q * m
+
+
 @pytest.mark.parametrize("name", list(_form_specs()))
 def test_form_path_sizes_phi_as_a_table(name, monkeypatch):
-    # a component form gives phi its own small share on a multiple of 4
-    # cells: the first grid passes and uses at least 90% of the budget, the
-    # phi term keeps within FORM_PHI_SHARE of it, and the phi table folds
-    # onto about n3/8 reduced angles
+    # a component form sizes one table: n1 = n2 = m even and n3 = 2 q m on
+    # a multiple of 4 cells, so eta and theta read phi's midpoints; the
+    # first grid passes and uses at least 90% of the budget, and the phi
+    # table folds onto about n3/8 reduced angles
     spec = _form_specs()[name]
     disc_bound = _grid._disc_bound
 
@@ -733,14 +775,67 @@ def test_form_path_sizes_phi_as_a_table(name, monkeypatch):
         if phi is _grid._DEAD_AXIS:
             continue
         assert phi.n % 4 == 0, (n, phi.n)
-        L = Fraction(spec.lipschitz.as_fraction())
-        phi_term = disc - disc_bound(L, eta, theta, _grid._DEAD_AXIS)
-        assert phi_term <= budget * Fraction(_grid.FORM_PHI_SHARE), n
+        assert _is_one_table(eta, theta, phi), (n, eta.n, theta.n, phi.n)
         with monkeypatch.context() as m:
             m.setattr(exactreal, "_taylor_sincos", lambda y, g: runs.append(y) or taylor(y, g))
             runs.clear()
             _grid._build_axis("phi", phi.n, _grid.GUARD)
         assert len(runs) <= phi.n // 8 + 2, (n, phi.n, len(runs))
+
+
+@pytest.mark.parametrize("name", list(_form_specs()))
+def test_form_integral_runs_the_series_for_one_table(name, monkeypatch):
+    # the whole integral, every attempt and the sweep included, runs the
+    # Taylor series at most n3/8 + 2 times: eta and theta add none; w2
+    # reads no phi, and its eta axis folds its own n1 midpoints onto at
+    # most n1/2 + 2 reduced angles
+    spec = _form_specs()[name]
+    true = Fraction(1, 4) if name == "w2" else mp_fraction(16 / (3 * mpmath.pi))
+    grids, runs = [], []
+    disc_bound, taylor = _grid._disc_bound, exactreal._taylor_sincos
+    monkeypatch.setattr(_grid, "_disc_bound", lambda *a: grids.append(a[1:]) or disc_bound(*a))
+    monkeypatch.setattr(exactreal, "_taylor_sincos", lambda y, g: runs.append(y) or taylor(y, g))
+    for n in range(3, 10):
+        grids.clear()
+        runs.clear()
+        enc = _grid.su2_grid_integral(spec, n)
+        assert abs(enc.midpoint().as_fraction() - true) <= Fraction(1, 1 << n), n
+        eta, _, phi = grids[-1]
+        cap = eta.n // 2 + 2 if phi is _grid._DEAD_AXIS else phi.n // 8 + 2
+        assert len(runs) <= cap, (n, [a.n for a in grids[-1]], len(runs))
+
+
+@pytest.mark.parametrize("q", [1, 3, 5])
+def test_sliced_tables_equal_the_axis_own_tables(q):
+    # eta and theta sliced from phi's table at n3 = 2 q m equal their own
+    # midpoint tables at den 2m bit for bit: sin, cos and the weights
+    for m in [*range(1, 25), 101, 256]:
+        sliced = _grid._grid_axes([m, m, 2 * q * m])
+        for kind, ax in zip(_grid._KINDS, sliced):
+            own = _grid._build_axis(kind, ax.n, _grid.GUARD)
+            for got, want in zip((*ax.sin, *ax.cos, *(ax.w or ())),
+                                 (*own.sin, *own.cos, *(own.w or ()))):
+                assert got.tolist() == want.tolist(), (q, m, kind)
+
+
+@pytest.mark.parametrize("shrink", [Fraction(4, 5), Fraction(19, 20)], ids=str)
+def test_grid_without_one_table_still_certifies(shrink, monkeypatch):
+    # a shrunken first grid (as in the growth test below) breaks n3 = 2 q m,
+    # so eta and theta build their own tables; the translated abs-sum still
+    # certifies within 2^-n of 16/(3 pi)
+    spec = _form_specs()["abs-sum left r"]
+    choose = _grid._choose_resolution
+    monkeypatch.setattr(_grid, "_choose_resolution", lambda *a: [
+        max(1, math.floor(m * shrink)) for m in choose(*a)])
+    grids = []
+    disc_bound = _grid._disc_bound
+    monkeypatch.setattr(_grid, "_disc_bound", lambda *a: grids.append(a[1:]) or disc_bound(*a))
+    n = 5
+    enc = _grid.su2_grid_integral(spec, n)
+    assert not _is_one_table(*grids[0])
+    assert enc.width().as_fraction() <= Fraction(1, 1 << (n - 1))
+    assert abs(enc.midpoint().as_fraction() - mp_fraction(16 / (3 * mpmath.pi))) \
+        <= Fraction(1, 1 << n)
 
 
 @pytest.mark.parametrize("shrink", [Fraction(1, 2), Fraction(4, 5), Fraction(19, 20)], ids=str)
