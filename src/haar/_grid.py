@@ -57,40 +57,46 @@ and |P_k| below 3.
 A component form f(x) = const + sum_k coef_k h_k((M x)_k), h_k one of |.|,
 the square and the identity (``IntegrandSpec.form``), is swept on eta x
 theta cells: each cell gets the exact phi mean of its midpoint values from
-per-integral phi tables, rounded once.
+per-integral phi tables, rounded once.  sin eta, sin theta >= 0 at the
+midpoints (their lower ends clamp at 0, a no-op), so products with s,
+|cos theta| and constant phi means take one end of each factor, bit for bit
+what ``fp_mul_na`` gives.
 
 * identity: A + s mean(P); A joins the cell as a P-zero term does and
   s P folds as an A-zero term does (below).
 * square: A^2 + 2 A s mean(P) + s^2 mean(P^2), an identity at every real
   point of the intervals, so its interval evaluation encloses the mean.
-* abs, A and P both nonzero: with midpoint-radius ints a = ac +- ar,
-  s = sc +- sr, P = pc +- pr, each x_phi lies within r_phi of c_phi = ac
-  + sc pc_phi and ||x| - |c|| <= r, so mean |x| is mean |c| +- mean r.  The
-  centres pc are sorted once per integral; c_phi >= 0 exactly when pc_phi >=
-  t = ceil(-ac 2^SCALE / sc), so one ``searchsorted`` per cell splits
-  sum |c_phi| = ac 2^SCALE (n3 - 2i) + sc D_i into prefix sums, D_i = (sum
-  of all pc) - 2 (sum of the i least).  mean r <= ar + sr mean|pc| + s_hi
-  mean(pr).  The cost is O(log n3) per cell, not O(n3).
+* abs, A and P both nonzero (dense): x_phi = A + s P lies within r_phi of
+  c_phi = ac + sc pc_phi 2^-SCALE (centres ac, sc, pc), so mean|x| is
+  mean|c| +- mean r.  c_phi >= 0 for the j = #{v <= u} entries of v = -pc
+  sorted, u = ac 2^SCALE / sc, and n3 mean|c| = ac (2j - n3) + sc D_j
+  2^-SCALE, D_j = sum(v) - 2 (sum of the j least v).  A cell takes u from a
+  float division (an entry it miscounts has |c_phi| < 2^-22), j from
+  ``searchsorted``, and c = (ac F_j + sc G_j) >> SCALE from F_j = (2j -
+  n3)/n3 and G_j = D_j/n3 floored at 2^-(SCALE+2): mean|c| - c/4 lies in
+  (-3/4, 5/4 + 2^-21).  Its radius sums, times |coef|, sr mean|pc| + s_hi
+  mean(p_hi - pc) and |A - ac| <= r0 |cos eta| + r1 |cos theta| + |M_k0|
+  cr + |M_k1| (ser + tcr + 1/4) + 1/2 (entries M_k0 +- r0, M_k1 +- r1; ac
+  rounds to nearest, sin eta cos theta is taken at 2^-(SCALE+2)).
 * A exactly zero (a pre-map row with M_k0 = M_k1 = 0): h(s P) is s |P|,
   s P or s^2 P^2 since s >= 0, so these components fold into one s-term and
   one s^2-term whose phi tables are summed before the mean: abs-sum on the
   identity costs |A_0| + |A_1| + s mean(|cos phi| + |sin phi|) per cell.
 * P exactly zero: h(A), which reads no phi.
 
-Int64 headroom of the form: |pc| < 3 2^SCALE < 2^31 and n3 < 2^31, so the
-prefix sums and D_i stay below 2^62 and ac 2^SCALE below 2^61.  D_i is
-divided by n3 (floor for lo, ceil for hi) before its product with sc <=
-2^SCALE, which bounds that product by 2^60; s times an undivided prefix sum
-would pass 2^70 at n3 ~ 3000.  The products in the square stay below 2^62.
-The constant and the coefficients must stay below 2^16, and each folded phi
-mean below 16 = 2^(62 - SCALE) in real terms, so that s times it stays
-below 2^62 + 2^34; else the sweep refuses.  ``_check_bound`` then holds each
-cell's mean to [-m, m]: a mean wholly outside proves that some phi value
-escapes the bound (``InvalidBound``).  Form blocks are eta rows x theta
-chunks of about BLOCK_CELLS // 16 cells: a 2-D cell has a few dozen live
-int64 temporaries, so blocks of BLOCK_CELLS cells raised the peak memory of
-the abs-sum sweep by a tenth, while blocks of a few hundred cells leave the
-time to the Python loop.
+Int64 headroom of the form: |pc| < 3 2^SCALE < 2^31 and n3 < 2^31 keep the
+prefix sums and D_j below 2^62; |ac| < 3 2^SCALE and sc <= 2^SCALE keep ac
+F_j + sc G_j below 3 2^61; the radius weights are cut by 2^t to keep their
+sum below 2^62, and the square's products stay below 2^62.  The constant
+and the coefficients must stay below 2^16, and each folded phi mean below
+16 = 2^(62 - SCALE) in real terms, so that s times it stays below 2^62 +
+2^34; else the sweep refuses.  ``_check_bound`` holds each cell's mean to
+[-m, m] (a mean wholly outside proves that some phi value escapes:
+``InvalidBound``).  Form blocks are eta rows x theta chunks of about
+BLOCK_CELLS // 16 cells: a 2-D cell has a few dozen live int64 temporaries,
+so blocks of BLOCK_CELLS cells raised the peak memory of the abs-sum sweep by
+a tenth, while blocks of a few hundred cells leave the time to the Python
+loop.
 
 Int64 headroom: cell enclosures must lie in [-m, m], m = (ceil(M)+1) 2^SCALE
 for the declared bound M, and at entry the largest sum formed from m and the
@@ -344,6 +350,13 @@ def fp_mul_na(a, b, s=SCALE):
     return _shr_floor(lo, s), _shr_ceil(hi, s)
 
 
+def fp_mul_pos(a, b, s=SCALE):
+    """``fp_mul_na(a, b)`` bit for bit when a >= 0, and b >= 0 or b is a
+    constant pair: each end of b meets the one end of a its sign picks."""
+    i, k = (int(b[0] < 0), int(b[1] >= 0)) if type(b[0]) is int else (0, 1)
+    return _shr_floor(a[i] * b[0], s), _shr_ceil(a[k] * b[1], s)
+
+
 def fp_mul(a, b, s=SCALE):
     """General product, four candidates; two when one factor is a constant."""
     if type(b[0]) is int and type(b[1]) is int:
@@ -550,6 +563,7 @@ def _block_sweep(fixed, form, premap, bound: Dyadic, eta: _Axis,
     (es_lo, es_hi), (ec_lo, ec_hi), (ew_lo, ew_hi) = eta.fixed(SCALE)
     (ts_lo, ts_hi), (tc_lo, tc_hi), (tw_lo, tw_hi) = theta.fixed(SCALE)
     (ps_lo, ps_hi), (pc_lo, pc_hi), _ = phi.fixed(SCALE)
+    es_lo, ts_lo = np.maximum(es_lo, 0), np.maximum(ts_lo, 0)     # sines >= 0
     n2, n3 = theta.n, phi.n
     _check_headroom(bound, m_fx, n3, tw_hi, ew_hi)
     if max(abs(v) for row in premap for pair in row for v in pair) > 2 << SCALE:
@@ -568,13 +582,12 @@ def _block_sweep(fixed, form, premap, bound: Dyadic, eta: _Axis,
         row_lo = row_hi = 0
         for j0 in range(0, n2, chunk):
             j1 = min(n2, j0 + chunk)
-            b = fp_mul_na(se, (tc_lo[j0:j1], tc_hi[j0:j1]))        # (rows, jb)
-            sest = fp_mul_na(se, (ts_lo[j0:j1], ts_hi[j0:j1]))
+            tc, ts = (tc_lo[j0:j1], tc_hi[j0:j1]), (ts_lo[j0:j1], ts_hi[j0:j1])
             if means is not None:
-                mean_lo, mean_hi = means(ce, b, sest)
+                mean_lo, mean_hi = means(ce, se, tc, ts)
             else:   # (M x)_k at every phi: x = (ce, b, s cos phi, s sin phi)
-                col = (sest[0][..., None], sest[1][..., None])
-                x = [(v[0][..., None], v[1][..., None]) for v in (ce, b)]
+                col = tuple(v[..., None] for v in fp_mul_pos(se, ts))    # s
+                x = [tuple(u[..., None] for u in v) for v in (ce, fp_mul_na(se, tc))]
                 x += [fp_mul_na(col, pc), fp_mul_na(col, ps)]
                 flo, fhi = fixed(*(_combine(m_k, x) or (0, 0) for m_k in premap),
                                  SCALE)
@@ -585,14 +598,15 @@ def _block_sweep(fixed, form, premap, bound: Dyadic, eta: _Axis,
                              lambda: (flo.max(axis=2), fhi.min(axis=2)))
                 mean_lo = flo.sum(axis=2) // n3
                 mean_hi = -((-fhi.sum(axis=2)) // n3)
-            wl, wh = tw_lo[j0:j1], tw_hi[j0:j1]
-            row_lo = row_lo + np.minimum(wl * mean_lo, wh * mean_lo).sum(axis=1)
-            row_hi = row_hi + np.maximum(wl * mean_hi, wh * mean_hi).sum(axis=1)
+            # min(wl m, wh m) = wl m + (wh - wl) min(m, 0) for 0 <= wl <= wh
+            wl, dw = tw_lo[j0:j1], tw_hi[j0:j1] - tw_lo[j0:j1]
+            row_lo = row_lo + mean_lo @ wl + np.minimum(mean_lo, 0) @ dw
+            row_hi = row_hi + mean_hi @ wl + np.maximum(mean_hi, 0) @ dw
         rl, rh = _shr_floor(row_lo, SCALE), _shr_ceil(row_hi, SCALE)
         el, eh = ew_lo[i0:i1], ew_hi[i0:i1]
         acc_lo += int(np.minimum(el * rl, eh * rl).sum())
         acc_hi += int(np.maximum(el * rh, eh * rh).sum())
-    return _acc_to_interval(acc_lo, acc_hi)
+    return Interval(Dyadic(acc_lo, -2 * SCALE), Dyadic(acc_hi, -2 * SCALE))
 
 
 def _check_headroom(bound: Dyadic, m_fx: int, n3: int, tw_hi, ew_hi):
@@ -639,9 +653,9 @@ def _mean(t, n3: int):
 def _square_kernel(p, n3: int):
     m1, m2 = _mean(p, n3), _mean(fp_square(p), n3)
 
-    def mean(a, s):     # A^2 + 2 A s mean(P) + s^2 mean(P^2)
+    def mean(a, s):     # A^2 + 2 A s mean(P) + s^2 mean(P^2); s, m2 >= 0
         cross = fp_mul(fp_mul_na(s, a), m1)
-        sq = fp_mul_na(fp_square(s), m2)
+        sq = fp_mul_pos(fp_mul_pos(s, s), m2)
         alo, ahi = fp_square(a)
         return alo + 2 * cross[0] + sq[0], ahi + 2 * cross[1] + sq[1]
 
@@ -649,30 +663,26 @@ def _square_kernel(p, n3: int):
 
 
 def _abs_kernel(p, n3: int):
+    """(v, G, mean|pc|, mean(p_hi - pc)) of a dense abs term (the module
+    docstring); v as floats, the two means rounded up."""
     pc = (p[0] + p[1]) >> 1
-    order = np.sort(pc)
-    prefix = np.concatenate(([0], np.cumsum(order)))
-    d = (prefix[-1] - prefix) - prefix      # D_i, i = how many pc lie below t
-    d_lo, d_hi = d // n3, -(-d // n3)
+    v = np.sort(-pc)
+    prefix = np.concatenate(([0], np.cumsum(v)))
+    q, r = np.divmod(prefix[-1] - 2 * prefix, n3)   # 4 D_j itself may pass 2^63
     abs_c, rad_p = (-(-int(x.sum()) // n3) for x in (np.abs(pc), p[1] - pc))
+    return v.astype(np.float64), 4 * q + (4 * r) // n3, abs_c, rad_p
 
-    def mean(a, s):
-        ac, sc = (a[0] + a[1]) >> 1, (s[0] + s[1]) >> 1
-        pos = sc > 0
-        i = np.searchsorted(order, -((ac << SCALE) // np.where(pos, sc, 1)))
-        i = np.where(pos, i, np.where(ac < 0, n3, 0))   # sc = 0: c = ac
-        k = ac * (n3 - 2 * i)
-        rad = (a[1] - ac) + _shr_ceil((s[1] - sc) * abs_c + s[1] * rad_p, SCALE)
-        return (k // n3 + _shr_floor(sc * d_lo[i], SCALE) - rad,
-                -(-k // n3) + _shr_ceil(sc * d_hi[i], SCALE) + rad)
 
-    return mean
+def _centre(x):
+    """(c, r) with the outward pair x inside c +- r."""
+    c = (x[0] + x[1]) >> 1
+    return c, x[1] - c
 
 
 def _form_means(form, premap, pc, ps, m_fx: int):
     """Each cell's phi mean of a component form (the module docstring), as
-    a function of the block's cos(eta), sin(eta) cos(theta) and s, from the
-    phi axis' cos and sin tables ``pc`` and ``ps``."""
+    a function of the block's cos(eta) and sin(eta) rows and cos(theta) and
+    sin(theta) columns, from the phi axis' cos and sin tables ``pc``, ``ps``."""
     const, terms = form
     n3 = len(pc[0])
     # P_k = M_k2 cos(phi) + M_k3 sin(phi), one length-n3 table per integral
@@ -680,38 +690,61 @@ def _form_means(form, premap, pc, ps, m_fx: int):
     if n3 >> 31 or max(abs(const), *(abs(t[2]) for t in terms)) >> 16:
         raise NoConvergence("component form coefficients of 2^16 or more, or "
                             "2^31 phi cells, leave the sweep no int64 headroom")
-    zero = np.zeros(n3, dtype=np.int64)
-    folds = [(zero, zero), (zero, zero)]    # phi tables of the s- and s^2-terms
-    parts = []                  # (row k, coef, phi mean of h_k(A + s P))
+    folds = [(np.zeros(n3, dtype=np.int64),) * 2] * 2   # of the s- and s^2-terms
+    parts, dense = [], []   # ((M_k0, M_k1), coef, phi mean of h); dense |.|
+    f = ((2 * np.arange(n3 + 1) - n3) << (SCALE + 2)) // n3     # F_j
+    # radius weights of s_hi, sr, cr, ser + tcr, |cos eta|, |cos theta|, 1
+    kr, off = [0] * 7, [0, 0]               # and the lo and hi offsets
     for k, kind, coef in terms:
-        p, a_zero = ptabs[k], premap[k][0] == premap[k][1] == (0, 0)
-        if p is not None and (a_zero or kind == "id"):   # h(s P), or its s P
+        p, (m0, m1) = ptabs[k], premap[k][:2]
+        if p is not None and (m0 == m1 == (0, 0) or kind == "id"):  # h(s P)
             t = _times(coef, _H[kind](p, SCALE))
             folds[kind == "square"] = fp_add(folds[kind == "square"], t)
-        if a_zero:
+        if m0 == m1 == (0, 0):
             continue
         if p is None or kind == "id":                    # h(A), or its A
-            parts.append((k, coef, lambda a, s, h=_H[kind]: h(a, SCALE)))
+            parts.append(((m0, m1), coef, lambda a, s, h=_H[kind]: h(a, SCALE)))
+        elif kind == "square":
+            parts.append(((m0, m1), coef, _square_kernel(p, n3)))
         else:
-            kernel = _abs_kernel if kind == "abs" else _square_kernel
-            parts.append((k, coef, kernel(p, n3)))
+            v, g, abs_c, rad_p = _abs_kernel(p, n3)
+            (c0, r0), (c1, r1), w = _centre(m0), _centre(m1), abs(coef)
+            ks = (rad_p, abs_c, abs(c0), abs(c1), r0, r1, abs(c1) + 3 >> 2)
+            kr = [x + w * y for x, y in zip(kr, ks)]
+            # floors of the centre (3/4, 5/4 + 2^-21), and ac's 1/2, in quarters
+            off = [x + w * (5 + 3 * ((coef < 0) ^ i)) for i, x in enumerate(off)]
+            dense.append((4 * c0, c1, coef, v, g))
     g1, g2 = (_mean(t, n3) for t in folds)
-    if max(-g1[0], g1[1], -g2[0], g2[1]) >> (62 - SCALE):
-        raise NoConvergence("phi mean of 16 or more leaves its products with "
-                            "sin(eta) sin(theta) no int64 headroom")
+    t = max(0, ((sum(kr) + kr[3]) * ((1 << SCALE) + 2)).bit_length() - 62)
+    if max(-g1[0], g1[1], -g2[0], g2[1]) >> (62 - SCALE) or t > SCALE - 2:
+        raise NoConvergence("phi mean of 16 or more, or dense |.| terms this "
+                            "heavy, leave the cell sums no int64 headroom")
+    shift = SCALE - 2 - t                       # the radius stays below 2^62
+    kr = [-(-x >> t) for x in kr[:6]] + [(kr[6] >> t) + (1 << shift)]  # ceiling
 
-    def means(ce, b, sest):
-        lo, hi = fp_mul_na(sest, g1)
-        lo += const << SCALE
-        hi += const << SCALE
-        if g2 != (0, 0):
-            qlo, qhi = fp_mul_na(fp_square(sest), g2)
-            lo += qlo
-            hi += qhi
-        for k, coef, kernel in parts:
-            vlo, vhi = _times(coef, kernel(_combine(premap[k][:2], (ce, b)), sest))
-            lo += vlo
-            hi += vhi
+    def means(ce, se, tc, ts):
+        s = fp_mul_pos(se, ts)                      # sin(eta) sin(theta) >= 0
+        adds = [fp_mul_pos(s, g1) if g1 != (0, 0) else (s[0] * 0, s[1] * 0)]
+        adds += [fp_mul_pos(fp_mul_pos(s, s), g2)] if g2 != (0, 0) else []
+        b = fp_mul_na(se, tc) if parts else None    # sin(eta) cos(theta)
+        for row, coef, kernel in parts:
+            adds.append(_times(coef, kernel(_combine(row, (ce, b)), s)))
+        if dense:
+            sc = (s[0] + s[1]) >> 1             # u = ac 2^(SCALE+2) where s = 0
+            div = np.where(sc > 0, sc * 2.0 ** -SCALE, 2.0 ** -(SCALE + 2))
+            (cc, cr), (sec, ser), (tcc, tcr) = _centre(ce), _centre(se), _centre(tc)
+            bc4 = (sec * tcc) >> (SCALE - 2)    # |b - bc4/4| <= ser + tcr + 1/4
+            r = (kr[2] * cr + kr[3] * ser + kr[4] * np.maximum(-ce[0], ce[1]) + (
+                kr[3] * tcr + kr[5] * np.maximum(-tc[0], tc[1]) + kr[6])
+                 + (kr[0] + kr[1]) * s[1] - kr[1] * sc) >> shift
+            cen = 0
+            for c0, c1, coef, v, g in dense:    # A's centre rounds to nearest
+                ac = (c1 * bc4 + (c0 * cc + (1 << (SCALE + 1)))) >> (SCALE + 2)
+                j = v.searchsorted(ac / div, "right")
+                c = (ac * f.take(j) + sc * g.take(j)) >> SCALE
+                cen = cen + (c if coef == 1 else coef * c)
+            adds.append(((cen - r - off[0]) >> 2, -((-cen - r - off[1]) >> 2)))
+        lo, hi = (sum(x, const << SCALE) for x in zip(*adds))
         _check_bound(lo, hi, m_fx, lambda: (lo, hi))
         return lo, hi
 
@@ -734,7 +767,3 @@ def _check_bound(lo, hi, m_fx, inner):
         raise NoConvergence(
             "integrand enclosure wider than the declared bound allows; the "
             "sweep sums would lose their int64 headroom")
-
-
-def _acc_to_interval(acc_lo: int, acc_hi: int) -> Interval:
-    return Interval(Dyadic(acc_lo, -2 * SCALE), Dyadic(acc_hi, -2 * SCALE))

@@ -304,55 +304,53 @@ class CertifiedValue:
 # pi
 # ---------------------------------------------------------------------------
 
-_PI_CACHE: dict[int, Interval] = {}
+_PI_FIXED: dict[int, tuple[int, int]] = {}
 
 
-def _arctan_inv_brackets(k: int, nterms: int) -> tuple[Fraction, Fraction]:
-    """Exact brackets of arctan(1/k) from consecutive alternating partial sums."""
-    x = Fraction(1, k)
-    x2 = x * x
-    s = Fraction(0)
-    term = x
-    sign = 1
-    for i in range(nterms):
-        s += sign * term
-        term = term * x2 * Fraction(2 * i + 1, 2 * i + 3)
-        sign = -sign
-    # alternating with strictly decreasing terms: truth is between s and s + sign*term
-    nxt = s + sign * term
-    return (s, nxt) if s <= nxt else (nxt, s)
+def _arctan_inv_fixed(k: int, g: int) -> tuple[int, int]:
+    """(s, e) with |2^g arctan(1/k) - s| < e, on ints.
+
+    x_i = floor(2^g / k^(2i+1)) by nested floors, so each term x_i // (2i+1)
+    is the floor of the series term 2^g / (k^(2i+1) (2i+1)), short by under
+    1; the alternating tail after the first x_i = 0 is under that term, 1.
+    """
+    x, s, i = (1 << g) // k, 0, 0
+    while x:
+        t = x // (2 * i + 1)
+        s += -t if i % 2 else t
+        x //= k * k
+        i += 1
+    return s, i + 1
+
+
+def _pi_fixed(g: int) -> tuple[int, int]:
+    """(floor(pi 2^g), floor(pi 2^g) + 1), g >= 0: Machin's pi = 16
+    arctan(1/5) - 4 arctan(1/239) on ints at g plus guard bits, the guard
+    growing until both ends of the enclosure floor to one value at 2^-g."""
+    if g not in _PI_FIXED:
+        guard = g.bit_length() + 12
+        while True:
+            (a, ea), (b, eb) = (_arctan_inv_fixed(k, g + guard) for k in (5, 239))
+            lo, hi = (16 * a - 4 * b + d * (16 * ea + 4 * eb) >> guard for d in (-1, 1))
+            if lo == hi:
+                break
+            guard += 16
+        _PI_FIXED[g] = (lo, lo + 1)
+    return _PI_FIXED[g]
 
 
 def pi_enclosure(p: int) -> Interval:
-    """Enclosure of pi of width <= 2^-p; nested: pi_enclosure(p+1) inside pi_enclosure(p).
-
-    Machin: pi = 16 arctan(1/5) - 4 arctan(1/239).  The truncation depths and
-    the rounding grid grow monotonically with p and the true brackets are
-    nested, so outward rounding to a finer grid preserves nesting.
-    """
-    if p in _PI_CACHE:
-        return _PI_CACHE[p]
-    lo5, hi5 = _arctan_inv_brackets(5, max(4, (p + 10) // 4))
-    lo239, hi239 = _arctan_inv_brackets(239, max(2, (p + 10) // 15))
-    enc = Interval.from_fractions(16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239, p + 4)
-    if enc.width() > Dyadic(1, -p):
-        raise AssertionError("pi enclosure width regression")
-    _PI_CACHE[p] = enc
-    return enc
+    """Enclosure of pi of width 2^-(p+4) <= 2^-p (2^-4 for p < 0), from
+    ``_pi_fixed``; nested, pi_enclosure(p+1) inside pi_enclosure(p), since
+    2 floor(x) <= floor(2x) <= 2 floor(x) + 1."""
+    g = max(p, 0) + 4
+    lo, hi = _pi_fixed(g)
+    return Interval(Dyadic(lo, -g), Dyadic(hi, -g))
 
 
 # ---------------------------------------------------------------------------
 # sin / cos
 # ---------------------------------------------------------------------------
-
-_PI_FIXED: dict[int, tuple[int, int]] = {}
-
-
-def _pi_fixed(g: int) -> tuple[int, int]:
-    if g not in _PI_FIXED:
-        enc = pi_enclosure(g + 4)
-        _PI_FIXED[g] = (enc.lo.scaled_floor(g), enc.hi.scaled_ceil(g))
-    return _PI_FIXED[g]
 
 
 def _taylor_sincos(y: int, g: int) -> tuple[int, int, int, int]:

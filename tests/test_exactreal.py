@@ -305,6 +305,28 @@ class TestPi:
             assert prev.contains_interval(cur)
             prev = cur
 
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.integers(-8, 2000))
+    @example(p=0)
+    @example(p=396)
+    def test_integer_machin_contains_pi_and_nests(self, p):
+        # the integer Machin series against mpmath at p + 80 bits: pi lies
+        # inside, the width is at most 2^-p, and the p + 1 enclosure nests
+        enc, finer = pi_enclosure(p), pi_enclosure(p + 1)
+        with mpmath.workprec(max(p, 0) + 80):
+            mid, pad = mp_to_fraction(mpmath.pi), Fraction(2) ** -(max(p, 0) + 70)
+        lo, hi = mid - pad, mid + pad
+        assert enc.lo.as_fraction() <= lo and hi <= enc.hi.as_fraction()
+        assert enc.width().as_fraction() <= Fraction(2) ** -p
+        assert enc.contains_interval(finer)
+
+    def test_pi_fixed_is_the_floor_and_its_successor(self):
+        # every table reads (floor(pi 2^g), floor(pi 2^g) + 1); pi 2^g is
+        # never an integer, so the pair is also the ceiling's
+        with mpmath.workprec(480):
+            floors = [int(mpmath.floor(mpmath.pi * mpmath.mpf(2) ** g)) for g in range(1, 401)]
+        assert [exactreal._pi_fixed(g) for g in range(1, 401)] == [(f, f + 1) for f in floors]
+
 
 class TestCertifiedValue:
     def test_certified_interval(self):

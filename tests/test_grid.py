@@ -12,7 +12,9 @@ against the same mpmath values, their closed-form weights against the
 exact range of those forms over the kernel's own brackets, the eta and theta
 tables that a component form's grid slices from phi's table against the
 axes' own tables bit for bit, and the discretization bound against its
-formula in mpmath; the sin/cos kernel they are built from,
+formula in mpmath.  The one-sided products of the form sweep are checked
+against the four-product rule bit for bit, and its phi means against exact
+Fraction means; the sin/cos kernel the tables are built from,
 ``exactreal.sincos_pi_fixed``, is checked against mpmath in
 ``test_exactreal.py``.
 """
@@ -103,17 +105,22 @@ def test_axis_tables_enclose_mpmath_entry_by_entry(kind, n):
     assert ax.spacing_hi >= width
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 257])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 62, 64, 257])
 @pytest.mark.parametrize("kind", _grid._KINDS)
 def test_one_taylor_run_per_distinct_reduced_angle(kind, n, monkeypatch):
-    # the points pi k/(2n) (pi (2k+1)/n for phi) reduce to at most n//2 + 1
-    # distinct |r|, and the axis runs the series once for each
+    # the midpoints pi (2i+1)/(2n) (pi (2k+1)/n for phi) fold to pi r, r =
+    # q - j/2 for the nearest half-integer j/2 to q, and the axis runs the
+    # series exactly once per distinct |r|, counted here in Fractions (eta
+    # at n = 62 folds to 16, at n = 257 to 129; phi at n = 64 to 8)
     runs = []
     taylor = exactreal._taylor_sincos
     monkeypatch.setattr(exactreal, "_taylor_sincos",
                         lambda y, g: runs.append(y) or taylor(y, g))
     _grid._build_axis(kind, n, _grid.GUARD)
-    assert len(runs) == len(set(runs)) <= n // 2 + 2
+    den = n if kind == "phi" else 2 * n
+    folded = {abs(q - Fraction(round(2 * q), 2))
+              for q in (Fraction(2 * i + 1, den) for i in range(n))}
+    assert len(runs) == len(set(runs)) == len(folded)
 
 
 @st.composite
@@ -479,7 +486,10 @@ def test_phi_mean_kernels_enclose_the_exact_mean(a, s, table):
     p = (np.array([t[0] for t in table]), np.array([t[1] for t in table]))
     one, zero = (UNIT, UNIT), (0, 0)
     premap = ((zero if a == zero else one, zero, one, zero),) + ((zero,) * 4,) * 3
-    cell = [(np.array([[lo]]), np.array([[hi]])) for lo, hi in (a, zero, s)]
+    # the block's cos(eta) row is A, sin(eta) = 1, and the theta columns
+    # have cos = 0 and sin = s
+    cell = [(np.array([[lo]]), np.array([[hi]])) for lo, hi in (a, one)]
+    cell += [(np.array([lo]), np.array([hi])) for lo, hi in (zero, s)]
     h = {"abs": abs, "square": lambda x: x * x, "id": lambda x: x}
     tables = [[_fr(t[0]) for t in table], [_fr(t[1]) for t in table],
               [_fr(t[i % 2]) for i, t in enumerate(table)]]
@@ -496,6 +506,133 @@ def test_phi_mean_kernels_enclose_the_exact_mean(a, s, table):
         for av, sv, ps in points:
             mean = sum(h[kind](av + sv * pv) for pv in ps) / n3
             assert lo <= mean <= hi, (kind, av, sv)
+
+
+def test_one_sided_products_equal_the_interval_rule():
+    # products whose factor signs the grid fixes take one end of each
+    # factor: s = sin eta sin theta, s^2 and s times a constant phi mean
+    # equal fp_mul_na and fp_square bit for bit on the eta and theta tables
+    # for n = 1..80, odd n (a theta column at pi/2 whose cos straddles 0) too
+    def same(x, y):
+        return all(np.array_equal(u, v) for u, v in zip(x, y))
+
+    for n in range(1, 81):
+        (es, _, _), (ts, tc, _) = (_grid._build_axis(kind, n, _grid.GUARD).fixed(_grid.SCALE)
+                                   for kind in ("eta", "theta"))
+        assert es[0].min() >= 0 and ts[0].min() >= 0   # the sweep's clamp is a no-op
+        se = (es[0][:, None], es[1][:, None])
+        s = _grid.fp_mul_pos(se, ts)
+        assert same(s, _grid.fp_mul_na(se, ts)), n
+        assert same(_grid.fp_mul_pos(s, s), _grid.fp_square(s)), n
+        for c in ((3, 5), (-5, -3), (-2, 7), (0, 0), (UNIT, UNIT + 9)):
+            assert same(_grid.fp_mul_pos(s, c), _grid.fp_mul_na(s, c)), (n, c)
+        assert n % 2 == 0 or tc[0][n // 2] < 0 < tc[1][n // 2]
+
+
+@st.composite
+def dense_abs_cells(draw):
+    """(form, premap, pc, ps, cell, seed): 2-4 dense abs rows (A and P both
+    nonzero), exact or wide pre-map entries in [-1, 1], phi tables and one
+    cell of cos(eta), sin(eta) >= 0, cos(theta) and sin(theta) >= 0, some
+    of them narrow, so that no radius term hides behind another."""
+    def iv(lo_end, widths=st.integers(0, 300)):
+        return st.tuples(st.integers(lo_end, UNIT), widths).map(
+            lambda t: (t[0], min(UNIT, t[0] + t[1])))
+
+    n3 = draw(st.integers(1, 10))
+    pc, ps = ([draw(iv(-UNIT)) for _ in range(n3)] for _ in range(2))
+    entry = st.one_of(st.just((0, 0)), iv(-UNIT, st.just(0)), iv(-UNIT, st.integers(0, 1 << 12)))
+    rows = []
+    for _ in range(draw(st.integers(2, 4))):
+        m = [draw(entry) for _ in range(4)]
+        m[0] = m[0] if m[0] != (0, 0) or m[1] != (0, 0) else (UNIT, UNIT)
+        m[2] = m[2] if m[2] != (0, 0) or m[3] != (0, 0) else (-UNIT, -UNIT)
+        rows.append(tuple(m))
+    coefs = [draw(st.sampled_from([1, 1, 2, -1, 3])) for _ in rows]
+    premap = tuple(rows) + ((((0, 0),) * 4),) * (4 - len(rows))
+    narrow = st.sampled_from([0, 1, 2])
+    cell = [draw(iv(lo, st.one_of(narrow, st.integers(0, 300))))
+            for lo in (-UNIT, 0, -UNIT, 0)]                 # ce, se, tc, ts
+    form = (0, tuple((k, "abs", c) for k, c in enumerate(coefs)))
+    return form, premap, pc, ps, cell, draw(st.integers(0, 1 << 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=dense_abs_cells())
+# a wide M_01 times b = 1: only the radius term r1 |cos theta| covers it
+@example(case=((0, ((0, "abs", 1), (1, "abs", 1))),
+               (((0, 0), (UNIT // 2 - 2000, UNIT // 2 + 2000), (UNIT, UNIT), (0, 0)),
+                ((UNIT, UNIT), (0, 0), (0, 0), (UNIT, UNIT)), ((0, 0),) * 4, ((0, 0),) * 4),
+               [(100, 100)], [(0, 0)], [(0, 0), (UNIT, UNIT), (UNIT, UNIT), (0, 0)], 5))
+def test_dense_abs_terms_share_one_summed_radius(case):
+    # a cell of several dense |A_k + s P_k| terms: their centres, one summed
+    # radius and the centre floors enclose the exact Fraction mean over phi
+    # of sum coef_k |A_k + s P_k| at corner, centre and zero-crossing points
+    # of every interval (pre-map entries, cell factors and phi tables)
+    form, premap, pc, ps, cell, seed = case
+    tabs = [(np.array([t[0] for t in x]), np.array([t[1] for t in x])) for x in (pc, ps)]
+    ce, se = ((np.array([[lo]]), np.array([[hi]])) for lo, hi in cell[:2])
+    tc, ts = ((np.array([lo]), np.array([hi])) for lo, hi in cell[2:])
+    lo, hi = _grid._form_means(form, premap, *tabs, 1 << 62)(ce, se, tc, ts)
+    lo, hi = _fr(int(lo[0, 0])), _fr(int(hi[0, 0]))
+    rng = random.Random(seed)
+
+    def pick(t):
+        return _fr(rng.choice([t[0], t[1], (t[0] + t[1]) // 2]))
+
+    n3, terms = len(pc), form[1]
+    for trial in range(40):
+        x_ce, x_se, x_tc, x_ts = (pick(t) for t in cell)
+        m = [[_fr(rng.choice(e)) for e in premap[k]] for k, _, _ in terms]
+        col = [[pick(t) for t in x] for x in (pc, ps)]
+        b, s = x_se * x_tc, x_se * x_ts
+        if trial % 4 == 0 and m[0][0]:      # put term 0 on a zero at phi_0
+            x = -(m[0][1] * b + s * (m[0][2] * col[0][0] + m[0][3] * col[1][0])) / m[0][0]
+            x_ce = min(max(x, _fr(cell[0][0])), _fr(cell[0][1]))
+        mean = sum(coef * abs(mk[0] * x_ce + mk[1] * b + s * (mk[2] * c + mk[3] * d))
+                   for mk, (_, _, coef) in zip(m, terms)
+                   for c, d in zip(*col)) / n3
+        assert lo <= mean <= hi, trial
+
+
+# sweep sums at 2^-58 of the grids that su2_grid_integral picks at n = 1..8,
+# pinned from the four-product interval rule
+PINNED_SWEEPS = {
+    "abs-sum": [
+        (490949767037378950, 490949790099712038), (489950361195121918, 489950394725005390),
+        (489495336121543018, 489495394150136928), (489366739843250302, 489366843207372864),
+        (489328891881157550, 489329085725144828), (489318517278770162, 489318892266182048),
+        (489315635842224864, 489316373122588616), (489314605316271546, 489316070874505134),
+    ],
+    "w2": [
+        (79240559431477272, 79240561676505058), (75305253126084098, 75305255514446212),
+        (73237056599221928, 73237060201717796), (72422868215104468, 72422873961847236),
+        (72166383402488124, 72166393209522481), (72088416327268538, 72088433993229394),
+        (72065947433488122, 72065980359687325), (72059726715390448, 72059791539194004),
+    ],
+    "trace": [
+        (4717852309247544, 4717863664829664), (1461098869889056, 1461116460752416),
+        (435161097492976, 435190362771336), (123299083735920, 123350968574008),
+        (33431868660752, 33527537488224), (8567745977088, 8755116420440),
+        (2017410635920, 2380166897688), (215106423152, 931333101776),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SWEEPS)
+def test_identity_and_inverse_sweeps_keep_their_bits(name, monkeypatch):
+    # abs-sum, w2 and trace on the identity and the inversion read A and P
+    # only through one-sided products, folds and |b|: every bit is kept
+    base = builtin_integrand(name, "so3" if name == "trace" else "su2")
+    got, sweep = [], _grid._fixed_sweep
+    monkeypatch.setattr(_grid, "_fixed_sweep",
+                        lambda spec, *axes: got.append(sweep(spec, *axes)) or got[-1])
+    for spec in (base, invert_su2_integrand(base)):
+        got.clear()
+        for n in range(1, 9):
+            _grid.su2_grid_integral(spec, n)
+        assert [(e.lo.as_fraction() * 2 ** 58, e.hi.as_fraction() * 2 ** 58)
+                for e in got] == PINNED_SWEEPS[name], spec.name
 
 
 def test_restriction_forwards_the_premap():

@@ -165,8 +165,6 @@ def test_routes_reach_sin_cos_only_through_sincos_pi():
 BUG_RAISES = {
     ("exactreal", "Interval.__init__", "ValueError"):
         "an interval whose ends are out of order is built only by a bug",
-    ("exactreal", "pi_enclosure", "AssertionError"):
-        "the width of the pi enclosure is proved; the check guards edits",
     ("generic", "_ceil_log2", "ValueError"):
         "its one caller passes a positive Lipschitz constant",
     ("generic", "CoinnerRadiusSearch.__init__", "ValueError"):
