@@ -17,8 +17,11 @@ Width growth per operation (the enclosure contract, documented per op):
               no float enters; ``sincos_pi`` wraps it for rationals q, and x
               goes through a rational enclosure of x/pi
 * ``sqrt``    monotone; slope unbounded near 0, so width <= sqrt-of-width there
-* ``arccos``  monotone; slope 1/sqrt(1-t^2) unbounded near |t| = 1, enclosures
-              remain valid but can be wide there
+* ``arccos``  monotone, on ints like pi: ``_arcsin_fixed`` (nested floors,
+              tail bound 2k + 1 ulps after k terms) behind pi/2 - arcsin t,
+              2 arcsin sqrt((1-t)/2) and pi - arccos(-t), ends on a 2^-g
+              grid, width <= the exact range's + 2^-p; the slope is
+              unbounded near |t| = 1, so an input's width grows a lot there
 """
 
 from __future__ import annotations
@@ -174,6 +177,7 @@ class Dyadic:
 
 ZERO = Dyadic(0)
 ONE = Dyadic(1)
+HALF = Dyadic(1, -1)
 
 
 def fraction_floor_to(q: Fraction, p: int) -> Dyadic:
@@ -401,24 +405,18 @@ def _reduced_sincos(u: int, rden: int, g: int) -> tuple[int, int, int, int]:
             max(clo - h, -cap), min(chi + h, cap))
 
 
-def sincos_pi_fixed(a: int, den: int, g: int, memo: dict | None = None):
+def sincos_pi_fixed(a: int, den: int, g: int):
     """Outward (slo, shi, clo, chi) of sin and cos of pi a/den at 2^-g, den > 0.
 
     The reduction a/den = j/2 + r, |r| <= 1/4, is exact on the integers, so
-    only pi |r| carries the rounding of pi, whatever the size of a/den.  The
-    brackets of sin and cos at |r| (``_reduced_sincos``) are shared through
-    ``memo`` (keyed by |r|), sin(-y) = -sin(y) gives r < 0, and the quadrant
-    j % 4 rotates the pair; both steps are exact.  Widths stay below
-    2^(g-p) ulps at g = ``kernel_bits(p)``.
+    only pi |r| carries the rounding of pi, whatever the size of a/den.  One
+    ``_reduced_sincos`` run at |r| gives the brackets, sin(-y) = -sin(y)
+    gives r < 0, and the quadrant j % 4 rotates the pair; both steps are
+    exact.  Widths stay below 2^(g-p) ulps at g = ``kernel_bits(p)``.
     """
     j = (4 * a + den) // (2 * den)          # the nearest j to 2a/den
-    num, rden = 2 * a - j * den, 2 * den    # r = num / rden
-    key = (abs(num), rden)
-    memo = {} if memo is None else memo
-    brackets = memo.get(key)
-    if brackets is None:
-        brackets = memo[key] = _reduced_sincos(*key, g)
-    slo, shi, clo, chi = brackets
+    num = 2 * a - j * den                   # r = num / (2 den)
+    slo, shi, clo, chi = _reduced_sincos(abs(num), 2 * den, g)
     if num < 0:
         slo, shi = -shi, -slo
     return [(slo, shi, clo, chi), (clo, chi, -shi, -slo),
@@ -518,64 +516,59 @@ def sqrt_enclosure(x: Interval, p: int) -> Interval:
 # arccos
 # ---------------------------------------------------------------------------
 
-def _arcsin_brackets_small(t: Fraction, p: int) -> tuple[Fraction, Fraction]:
-    """Exact brackets of arcsin(t) for |t| <= 5/8 via the binomial series.
+def _arcsin_fixed(x: int, g: int) -> tuple[int, int]:
+    """(s, e) with s <= 2^g arcsin(x/2^g) < s + e, for 0 <= x <= 2^(g-1).
 
-    arcsin(t) = sum_k C(2k,k)/4^k * t^(2k+1)/(2k+1); all terms share the sign
-    of t, and the tail after term k is below |next term| / (1 - t^2).
+    With y = x/2^g, arcsin y = sum_k a_k/(2k+1) with a_0 = y and a_(k+1) =
+    a_k y^2 (2k+1)/(2k+2), a ratio under 1/4.  c_k, the nested floor of
+    2^g a_k, is short by d_k < 1 + d_(k-1)/4 < 4/3, so the term c_k //
+    (2k+1) is short by under (2k + 4/3)/(2k+1) < 2, and by 0 at k = 0.  At
+    the first c_k = 0, 2^g a_k < 4/3 and the tail is under 1.  So s is
+    short by under 2k + 1 after k <= g/2 + 1 terms.
     """
-    if abs(t) > Fraction(5, 8):
-        raise DomainError("series argument too large")
-    t2 = t * t
-    bound = Fraction(1, 1 << (p + 2))
-    coeff = Fraction(1)          # C(2k,k) / 4^k
-    s = Fraction(0)
-    k = 0
-    while True:
-        s += coeff * t ** (2 * k + 1) / (2 * k + 1)
-        coeff *= Fraction(2 * k + 1, 2 * k + 2)
+    xx, c, s, k = x * x, x, 0, 0
+    while c:
+        s += c // (2 * k + 1)
+        c = (c * xx * (2 * k + 1) >> 2 * g) // (2 * k + 2)
         k += 1
-        tail = coeff * abs(t) ** (2 * k + 1) / ((2 * k + 1) * (1 - t2))
-        if tail <= bound:
-            break
-        if k > 500:
-            raise NoConvergence("arcsin series did not settle")
-    if t >= 0:
-        return s, s + tail
-    return s - tail, s
+    return s, 2 * k + 1
 
 
-def _arccos_point_brackets(t: Fraction, p: int) -> tuple[Fraction, Fraction]:
-    """Exact brackets of arccos(t), t in [-1, 1], width <= 2^-p-ish."""
-    pi_lo, pi_hi = (lambda e: (e.lo.as_fraction(), e.hi.as_fraction()))(pi_enclosure(p + 4))
-    if t < 0:
-        lo, hi = _arccos_point_brackets(-t, p + 1)
+def _arccos_fixed(t: Dyadic, g: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^g arccos(t) <= hi, for -1 <= t <= 1.
+
+    t < 0: pi - arccos(-t).  t <= 1/2: pi/2 - arcsin(t), the series at x =
+    floor(t 2^g).  t > 1/2: 2 arcsin(v), v = sqrt((1 - t)/2) < 1/2, the
+    series at x = isqrt(floor((1 - t) 2^(2g-1))) = floor(v 2^g).  Both add
+    2 ulps for the part under one ulp below the grid (arcsin' < 2 up to
+    1/2).  Widths are e + 3, 2e + 4 and one more for t < 0.
+    """
+    if t.sign() < 0:
+        lo, hi = _arccos_fixed(-t, g)
+        pi_lo, pi_hi = _pi_fixed(g)
         return pi_lo - hi, pi_hi - lo
-    if t <= Fraction(1, 2):
-        alo, ahi = _arcsin_brackets_small(t, p + 1)
-        return pi_lo / 2 - ahi, pi_hi / 2 - alo
-    # arccos(t) = 2 arcsin(sqrt((1-t)/2)), argument in [0, 1/2]
-    u = (1 - t) / 2
-    q = 1 << (p + 6)
-    r = math.isqrt(u.numerator * q * q // u.denominator)
-    rlo, rhi = Fraction(r, q), Fraction(r + 1, q)
-    alo, _ = _arcsin_brackets_small(rlo, p + 2)
-    _, ahi = _arcsin_brackets_small(rhi, p + 2)
-    return 2 * alo, 2 * ahi
+    if t <= HALF:
+        s, e = _arcsin_fixed(t.scaled_floor(g), g)
+        pi_lo, pi_hi = _pi_fixed(g - 1)
+        return pi_lo - (s + e + 2), pi_hi - s
+    s, e = _arcsin_fixed(math.isqrt((1 << 2 * g - 1) - t.scaled_ceil(2 * g - 1)), g)
+    return 2 * s, 2 * (s + e + 2)
 
 
 def arccos_enclosure(x: Interval, p: int) -> Interval:
     """Enclosure of arccos over x, after clamping x outward to [-1,1] by <= 2^-p.
 
+    Each end runs ``_arccos_fixed`` on ints at g = ``kernel_bits(p)`` + 2;
+    the result's ends lie on the 2^-g grid, its lower end from x's upper
+    end (arccos decreases), and its width exceeds arccos(lo) - arccos(hi)
+    by at most 2e + 5 <= 2g + 9 ulps, at most 2^-p since 2g + 9 <=
+    2^(g-p) for every p >= 0.
     Raises DomainError when x lies entirely outside [-1 - 2^-p, 1 + 2^-p].
     """
-    one = Fraction(1)
-    tol = Fraction(1, 1 << p)
-    a, b = x.lo.as_fraction(), x.hi.as_fraction()
-    if a > one + tol or b < -(one + tol):
+    tol = ONE + Dyadic(1, -p)
+    if x.lo > tol or x.hi < -tol:
         raise DomainError(f"arccos of interval {x} outside [-1,1]")
-    a = min(max(a, -one), one)
-    b = min(max(b, -one), one)
-    lo, _ = _arccos_point_brackets(b, p + 2)   # arccos decreasing
-    _, hi = _arccos_point_brackets(a, p + 2)
-    return Interval.from_fractions(max(lo, Fraction(0)), hi, p + 2)
+    g = kernel_bits(p) + 2
+    lo, _ = _arccos_fixed(min(max(x.hi, -ONE), ONE), g)
+    _, hi = _arccos_fixed(min(max(x.lo, -ONE), ONE), g)
+    return Interval(Dyadic(max(lo, 0), -g), Dyadic(hi, -g))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .exactreal import (
-    ConfigError, Dyadic, Interval, ZERO, ONE, arccos_enclosure,
+    ConfigError, Dyadic, Interval, ZERO, ONE, HALF, arccos_enclosure,
 )
 from .packing import CircleGridPacking, FinitePacking, TorusGridPacking
 from .regions import BoxRegion, FiniteRegion
@@ -26,9 +26,6 @@ from .regions import BoxRegion, FiniteRegion
 
 class InvalidCayleyTable(ConfigError):
     """The proposed multiplication table violates the group axioms."""
-
-
-HALF = Dyadic(1, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -244,8 +244,8 @@ def assert_encloses(ints, g: int, sin_x: Fraction, cos_x: Fraction):
 
 class TestSincosPiFixed:
     """The integer point kernel under ``sincos_pi``: exact reduction to
-    |r| <= 1/4, one Taylor run per distinct |r| through the memo, then the
-    exact reflection and quadrant rotation."""
+    |r| <= 1/4, one ``_reduced_sincos`` run at |r|, then the exact
+    reflection and quadrant rotation."""
 
     @settings(max_examples=300)
     @given(angle=kernel_angles(), p=st.integers(8, 600))
@@ -255,16 +255,24 @@ class TestSincosPiFixed:
     @example(angle=(8, 4), p=8)
     @example(angle=(4 * 257 - 1, 4 * 257), p=45)
     def test_contains_mpmath(self, angle, p):
-        # the angle and its reflections share one |r|, so one Taylor run
-        # serves all six through the memo, under every sign and quadrant
+        # the angle and its reflections share one |r|, so all six reduce to
+        # one ``_reduced_sincos`` key, under every sign and quadrant
         a, den = angle
-        g, memo = kernel_bits(p), {}
-        for b in (a, -a, den - a, a + den, a + 2 * den, 2 * den - a):
-            ints = sincos_pi_fixed(b, den, g, memo)
-            assert_encloses(ints, g, *sincos_oracle(b, den, p))
-            assert ints[1] - ints[0] <= 1 << (g - p)
-            assert ints[3] - ints[2] <= 1 << (g - p)
-        assert len(memo) == 1
+        g, keys = kernel_bits(p), set()
+        reduced = exactreal._reduced_sincos
+
+        def recorded(u, rden, g):
+            keys.add((u, rden))
+            return reduced(u, rden, g)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactreal, "_reduced_sincos", recorded)
+            for b in (a, -a, den - a, a + den, a + 2 * den, 2 * den - a):
+                ints = sincos_pi_fixed(b, den, g)
+                assert_encloses(ints, g, *sincos_oracle(b, den, p))
+                assert ints[1] - ints[0] <= 1 << (g - p)
+                assert ints[3] - ints[2] <= 1 << (g - p)
+        assert len(keys) == 1
 
     def test_reduction_is_sound_under_a_tight_series(self, monkeypatch):
         # with 1-ulp brackets of the exact sin/cos at the kernel's rounded
@@ -326,6 +334,93 @@ class TestPi:
         with mpmath.workprec(480):
             floors = [int(mpmath.floor(mpmath.pi * mpmath.mpf(2) ** g)) for g in range(1, 401)]
         assert [exactreal._pi_fixed(g) for g in range(1, 401)] == [(f, f + 1) for f in floors]
+
+
+def mp_dyadic(d: Dyadic):
+    return mpmath.mpf(d.m) * mpmath.mpf(2) ** d.e
+
+
+@st.composite
+def unit_dyadics(draw):
+    """Dyadics in [-1, 1]: +-1, 0, +-1/2 or a neighbour 2^-k away, or any
+    dyadic with up to 70 fraction bits."""
+    if draw(st.booleans()):
+        t = Dyadic(draw(st.sampled_from([-2, -1, 0, 1, 2])), -1)
+        t += Dyadic(draw(st.sampled_from([-1, 0, 1])), -draw(st.integers(1, 200)))
+    else:
+        k = draw(st.integers(0, 70))
+        t = Dyadic(draw(st.integers(-(1 << k), 1 << k)), -k)
+    return min(max(t, -exactreal.ONE), exactreal.ONE)
+
+
+def exact_arcsin_fixed(x: int, g: int):
+    """(floor, 1) of 2^g arcsin(x/2^g): the tightest bracket the kernel's
+    contract allows."""
+    with mpmath.workprec(g + 80):
+        return int(mpmath.floor(mpmath.asin(mpmath.mpf(x) / (1 << g)) * (1 << g))), 1
+
+
+class TestArccos:
+    """``arccos_enclosure`` on ints: the arcsin series of ``_arcsin_fixed``
+    behind three exact reductions, against mpmath."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=unit_dyadics(), b=unit_dyadics(), point=st.booleans(),
+           p=st.integers(1, 200))
+    @example(a=Dyadic(1), b=Dyadic(1), point=True, p=1)
+    @example(a=Dyadic(-1), b=Dyadic(-1), point=True, p=200)
+    @example(a=Dyadic(0), b=Dyadic(0), point=True, p=48)
+    @example(a=Dyadic(1, -1), b=Dyadic(1, -1), point=True, p=48)
+    @example(a=Dyadic(-1, -1), b=Dyadic(-1, -1), point=True, p=48)
+    @example(a=Dyadic(1) - Dyadic(1, -60), b=Dyadic(1), point=False, p=48)
+    @example(a=Dyadic(-1, -1) - Dyadic(1, -1600), b=Dyadic(0), point=True, p=1500)
+    def test_contains_mpmath_within_2_to_minus_p(self, a, b, point, p):
+        lo, hi = (a, a) if point else (min(a, b), max(a, b))
+        enc = arccos_enclosure(Interval(lo, hi), p)
+        with mpmath.workprec(p + 200):
+            top, bottom = (mp_to_fraction(mpmath.acos(mp_dyadic(d))) for d in (lo, hi))
+        pad = Fraction(2) ** -(p + 150)
+        assert enc.lo.as_fraction() <= bottom + pad and top - pad <= enc.hi.as_fraction()
+        assert enc.width().as_fraction() <= top - bottom + Fraction(2) ** -p + pad
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=st.integers(1, 400), frac=st.fractions(0, Fraction(1, 2)))
+    @example(g=1, frac=Fraction(0))
+    @example(g=12, frac=Fraction(0))
+    @example(g=12, frac=Fraction(1, 2))
+    @example(g=58, frac=Fraction(1, 2))
+    @example(g=400, frac=Fraction(1, 2))
+    def test_arcsin_fixed_brackets_mpmath(self, g, frac):
+        # s <= 2^g arcsin(x/2^g) < s + e for every x up to 2^(g-1)
+        x = int(frac * (1 << g))
+        s, e = exactreal._arcsin_fixed(x, g)
+        with mpmath.workprec(g + 100):
+            true = mp_to_fraction(mpmath.asin(mpmath.mpf(x) / (1 << g)) * (1 << g))
+        assert s <= true < s + e
+        assert e <= g + 3
+
+    def test_reductions_are_sound_under_a_tight_series(self, monkeypatch):
+        # with the tightest bracket the arcsin contract allows in place of
+        # the series, only the reductions' own allowances (the slope ulp,
+        # the isqrt floor, pi's ends) keep the enclosures sound
+        monkeypatch.setattr(exactreal, "_arcsin_fixed", exact_arcsin_fixed)
+        rng = random.Random(23)
+        for _ in range(3000):
+            g = rng.randint(2, 24)
+            k = rng.randint(0, g + 12)
+            t = Dyadic(rng.randint(-(1 << k), 1 << k), -k)
+            lo, hi = exactreal._arccos_fixed(t, g)
+            with mpmath.workprec(g + 80):
+                true = mp_to_fraction(mpmath.acos(mp_dyadic(t)) * (1 << g))
+            assert lo <= true <= hi, (t, g)
+
+    def test_no_fraction_in_arccos(self, monkeypatch):
+        # arccos runs on ints: building a Fraction anywhere in it fails
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fraction built in arccos")
+
+        monkeypatch.setattr(exactreal, "Fraction", refuse)
+        arccos_enclosure(Interval(Dyadic(-3, -2), Dyadic(7, -3)), 100)
 
 
 class TestCertifiedValue:

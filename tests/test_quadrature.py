@@ -408,26 +408,40 @@ class TestDerivedIntegrals:
               Fraction(1), 10)
 
     @staticmethod
-    def re_factor_spec():
+    def cos2pi():
+        # cos 2 pi t once per (t, wp): the sweep evaluates each cell once per
+        # tag t, and there are only N distinct t
+        re, memo = builtin_integrand("re", "circle"), {}
+
+        def ev(t, wp):
+            key = (t.m, t.e, wp)
+            if key not in memo:
+                memo[key] = re.eval(t, wp)
+            return memo[key]
+
+        return re, ev
+
+    @classmethod
+    def re_factor_spec(cls):
         # f((q, t)) = cos(2 pi t): integrates to 0 over the U(1) factor
-        base = builtin_integrand("re", "circle")
+        base, cos2pi = cls.cos2pi()
 
         def ev(element, wp):
             _q, t = element
-            return base.eval(t, wp)
+            return cos2pi(t, wp)
 
         return IntegrandSpec(ev, base.lipschitz, base.bound, name="re-factor",
                              uses="a")
 
-    @staticmethod
-    def mixed_spec():
+    @classmethod
+    def mixed_spec(cls):
         # f((q, t)) = w^2 * cos(2 pi t): product of independent factors -> 0
         w2 = builtin_integrand("w2", "su2")
-        re = builtin_integrand("re", "circle")
+        _re, cos2pi = cls.cos2pi()
 
         def ev(element, wp):
             q, t = element
-            return (w2.eval(q, wp) * re.eval(t, wp)).round_out(wp)
+            return (w2.eval(q, wp) * cos2pi(t, wp)).round_out(wp)
 
         # slope bound: |d(fg)| <= |f||dg| + |g||df| <= 1*13/2 + 1*1
         return IntegrandSpec(ev, Dyadic(15, -1), Dyadic(1), name="w2*re",
