@@ -11,11 +11,12 @@ Each cell's weight is the exact mass of its cell in closed form of the
 midpoint's sine (``_build_axis``), so the Jacobian never enters the cell
 loop.  Psi exists only as these tables, int64 arrays of each axis' midpoints:
 numpy folds every point exactly to its quadrant and reduced angle, and
-``exactreal._reduced_sincos`` runs once per distinct reduced angle
-(``_sincos_table``).  A component form's grid puts the eta and theta
-midpoints among phi's (``_choose_resolution``), so one table serves all
-three axes (``_grid_axes``).  No ``Fraction`` or ``Interval`` enters the
-tables, and the discretization bound sums them as python ints.
+``exactreal._reduced_sincos`` runs the Taylor series once per table, on the
+int64 array of the distinct reduced angles (``_sincos_table``).  A component
+form's grid puts the eta and theta midpoints among phi's
+(``_choose_resolution``), so one table serves all three axes
+(``_grid_axes``).  No ``Fraction`` or ``Interval`` enters the tables, and
+the discretization bound sums them as python ints.
 
 The cell loop runs in fixed point: interval endpoints are int64 multiples of
 2^-SCALE, products round outward by integer shifts, and numpy carries the
@@ -112,8 +113,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exactreal import (
-    Dyadic, Interval, InvalidBound, NoConvergence, _pi_fixed, _reduced_sincos,
-    kernel_bits,
+    Dyadic, Interval, InvalidBound, NoConvergence, _mul_ceil, _mul_floor,
+    _pi_fixed, _reduced_sincos, kernel_bits,
 )
 from .groups import Versor
 
@@ -186,40 +187,23 @@ _FOLD_ROWS = np.array([[0, 2], [2, 4], [4, 6], [6, 0],       # r >= 0
 def _sincos_table(a, den: int, g: int):
     """(sin, cos) of pi a/den at 2^-g for an int64 array ``a``, as outward
     (lo, hi) int64 pairs equal entry by entry to ``sincos_pi_fixed(a_k,
-    den, g)``: the same exact fold to a quadrant j and r = num/(2 den),
-    one ``_reduced_sincos`` run per distinct |num|, and the reflection and
-    rotation as a gather from the distinct brackets and their negations.
-    The brackets must fit int64 (g <= 62)."""
+    den, g)``: the same exact fold to a quadrant j and r = num/(2 den), one
+    ``_reduced_sincos`` run on the int64 array of the distinct |num|, and
+    the reflection and rotation as a gather from the distinct brackets and
+    their negations.  The two-limb products of the array series need g <=
+    58, and its reduced argument 2 den < 2^31; past either it refuses."""
+    if g > 58 or den >= 1 << 30:
+        raise NoConvergence(f"the array sin/cos series takes g <= 58 and den < "
+                            f"2^30 (its int64 headroom), not g = {g}, den = {den}")
     j = (4 * a + den) // (2 * den)
     num = 2 * a - j * den
     u, idx = np.unique(np.abs(num), return_inverse=True)
-    b = np.array([_reduced_sincos(v, 2 * den, g) for v in u.tolist()],
-                 dtype=np.int64).reshape(-1, 4).T
+    b = np.array(_reduced_sincos(u, 2 * den, g))
     table = np.concatenate((b, -b[[1, 0, 3, 2]]))
     rows = _FOLD_ROWS[(j & 3) + 4 * (num < 0)]
     sin_row, cos_row = rows[:, 0], rows[:, 1]
     return ((table[sin_row, idx], table[sin_row + 1, idx]),
             (table[cos_row, idx], table[cos_row + 1, idx]))
-
-
-def _mul_floor(a, b, g: int):
-    """floor(a b / 2^g), exact on int64 arrays or python ints for 1 <= g <= 58
-    and |a|, |b| <= 2^(g+2).
-
-    With k = ceil(g/2) and a = ah 2^k + al, b = bh 2^k + bl, 0 <= al, bl <
-    2^k, the product is ah bh 2^2k + (ah bl + al bh) 2^k + al bl; the low
-    limbs' carry al bl >> k joins the middle sum before its shift by g - k,
-    which drops only bits below 2^g.  No partial product passes 2^(g+4)."""
-    k = (g + 1) >> 1
-    mask = (1 << k) - 1
-    ah, al, bh, bl = a >> k, a & mask, b >> k, b & mask
-    return ((ah * bh) << (2 * k - g)) + ((ah * bl + al * bh + ((al * bl) >> k))
-                                         >> (g - k))
-
-
-def _mul_ceil(a, b, g: int):
-    """ceil(a b / 2^g) on ``_mul_floor``'s range."""
-    return -_mul_floor(-a, b, g)
 
 
 def _build_axis(kind: str, n: int, guard: int, table=None) -> _Axis:
@@ -433,7 +417,7 @@ def _choose_resolution(live: int, L: float, budget: float,
     and reads phi as a table, so its grid is n1 = n2 = m, n3 = 2 q m with m
     even: eta and theta read their midpoints from phi's table
     (``_grid_axes``), whose midpoints fold onto n3/8 reduced angles (one
-    Taylor run each).  m is the least even m with x [(1 + c1/m) + k (1 +
+    lane of the Taylor series each).  m is the least even m with x [(1 + c1/m) + k (1 +
     pi^2/(4m)) + 2/(3q)]/m <= 1 over the whole budget.  Otherwise, with
     three live axes, phi takes a third of the budget on the least multiple
     of 4 cells within it, and eta and theta split the rest evenly (the

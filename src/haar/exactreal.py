@@ -11,11 +11,13 @@ Width growth per operation (the enclosure contract, documented per op):
 * ``+ - *``   exact endpoints; width(x+y) = width(x) + width(y), multiplication
               adds |x| width(y) + |y| width(x) up to second order
 * ``/``       outward-rounded, width of the exact quotient + 2^-p
-* ``sin cos`` 1-Lipschitz: width <= width(x) + 2^-p; one integer Taylor kernel,
-              ``sincos_pi_fixed``, evaluates sin/cos(pi a/den) on integers
-              with the quadrant reduced exactly, so any magnitude works and
-              no float enters; ``sincos_pi`` wraps it for rationals q, and x
-              goes through a rational enclosure of x/pi
+* ``sin cos`` 1-Lipschitz: width <= width(x) + 2^-p; one integer Taylor series,
+              ``_taylor_sincos``, runs on a python int at any precision or
+              on an int64 array of angles, one lane each, at g <= 58;
+              ``sincos_pi_fixed`` evaluates sin/cos(pi a/den) with it on
+              integers with the quadrant reduced exactly, so any magnitude
+              works and no float enters; ``sincos_pi`` wraps it for
+              rationals q, and x goes through a rational enclosure of x/pi
 * ``sqrt``    monotone; slope unbounded near 0, so width <= sqrt-of-width there
 * ``arccos``  monotone, on ints like pi: ``_arcsin_fixed`` (nested floors,
               tail bound 2k + 1 ulps after k terms) behind pi/2 - arcsin t,
@@ -357,31 +359,65 @@ def pi_enclosure(p: int) -> Interval:
 # ---------------------------------------------------------------------------
 
 
-def _taylor_sincos(y: int, g: int) -> tuple[int, int, int, int]:
-    """Brackets of sin(y/2^g), cos(y/2^g) for |y| <= 0.9 * 2^g.
+def _mul_floor(a, b, g: int):
+    """floor(a b / 2^g): one product and shift on python ints, exact at any
+    g >= 0; in two limbs on int64 arrays (or an array and a python int),
+    exact for 1 <= g <= 58 and |a|, |b| <= 2^(g+2).
 
-    Integer Taylor with floor divisions.  A computed term is off from the
-    exact one by under 2 ulps: its floor and the floor in y^2/2^g add under
-    1.5 ulps, the first term derives from the exact y or 1, and later ones
-    inherit the previous error damped by y^2/(2^g (k+1)(k+2)) < 0.07.  So
-    the sum is off by under 2 ulps per term, and the tail after the last
-    nonzero term (an alternating series of falling terms) by under 2 ulps
-    more; each bracket widens by max(64, 2 terms + 2) ulps.  A term is below
-    half the previous one plus 1, so a series ends within g + 3 terms.
+    With k = ceil(g/2) and a = ah 2^k + al, b = bh 2^k + bl, 0 <= al, bl <
+    2^k, the product is ah bh 2^2k + (ah bl + al bh) 2^k + al bl; the low
+    limbs' carry al bl >> k joins the middle sum before its shift by g - k,
+    which drops only bits below 2^g.  No partial product passes 2^(g+4)."""
+    if isinstance(a, int) and isinstance(b, int):
+        return (a * b) >> g
+    k = (g + 1) >> 1
+    mask = (1 << k) - 1
+    ah, al, bh, bl = a >> k, a & mask, b >> k, b & mask
+    return ((ah * bh) << (2 * k - g)) + ((ah * bl + al * bh + ((al * bl) >> k))
+                                         >> (g - k))
+
+
+def _mul_ceil(a, b, g: int):
+    """ceil(a b / 2^g) on ``_mul_floor``'s range."""
+    return -_mul_floor(-a, b, g)
+
+
+def _clip(x, cap: int):
+    """x clamped to [-cap, cap], on python ints or int64 arrays."""
+    return (abs(x + cap) - abs(x - cap)) // 2
+
+
+def _taylor_sincos(y, g: int):
+    """Brackets of sin(y/2^g), cos(y/2^g) for |y| <= 0.9 * 2^g, y a python
+    int or an int64 array of them (each entry a lane; g <= 58 on arrays).
+
+    Integer Taylor with floor divisions: each term is -(``_mul_floor``(t,
+    y^2/2^g) // ((k+1)(k+2))), the floor of t y^2 / (2^g (k+1)(k+2)), since
+    nested floors by positive integers compose.  A computed term is off
+    from the exact one by under 2 ulps: its floor and the floor in y^2/2^g
+    add under 1.5 ulps, the first term derives from the exact y or 1, and
+    later ones inherit the previous error damped by y^2/(2^g (k+1)(k+2)) <
+    0.07.  So the sum is off by under 2 ulps per term, and the tail after
+    the last nonzero term (an alternating series of falling terms) by under
+    2 ulps more; each lane's bracket widens by max(64, 2 terms + 2) ulps for
+    its own count of nonzero terms.  A term is below half the previous one
+    plus 1, so a series ends within g + 3 terms.
     """
-    one = 1 << g
-    yy = (y * y) >> g
+    one, scalar = 1 << g, isinstance(y, int)
+    yy = _mul_floor(y, y, g)
     out = []
-    for t, k in ((y, 1), (one, 0)):
+    for t, k in ((y, 1), (0 * y + one, 0)):
         s, terms = t, 0
-        while t:
-            t = -((t * yy) // (one * (k + 1) * (k + 2)))
-            s += t
+        for _ in range(g + 9):
+            if not (t if scalar else t.any()):
+                break
+            terms += t != 0
+            t = -(_mul_floor(t, yy, g) // ((k + 1) * (k + 2)))
+            s = s + t
             k += 2
-            terms += 1
-            if terms > g + 8:
-                raise NoConvergence("fixed-point sin/cos series did not settle")
-        E = max(64, 2 * terms + 2)
+        else:
+            raise NoConvergence("fixed-point sin/cos series did not settle")
+        E = 33 + terms + abs(terms - 31)        # max(64, 2 terms + 2)
         out += [s - E, s + E]
     return tuple(out)
 
@@ -391,18 +427,19 @@ def kernel_bits(p: int) -> int:
     return p + max(10, p.bit_length())
 
 
-def _reduced_sincos(u: int, rden: int, g: int) -> tuple[int, int, int, int]:
+def _reduced_sincos(u, rden: int, g: int):
     """Outward (slo, shi, clo, chi) of sin and cos of pi u/rden at 2^-g for
-    0 <= u/rden <= 1/4: one Taylor run at the midpoint of the outward
-    bracket of the argument, widened by its half-width (sin and cos are
-    1-Lipschitz)."""
-    plo, phi_ = _pi_fixed(g)
-    ylo, yhi = (u * plo) // rden, -((-u * phi_) // rden)
+    0 <= u/rden <= 1/4, u a python int or an int64 array (rden < 2^31, g <=
+    58 there): one Taylor run at the midpoint of the outward bracket of the
+    argument, widened by its half-width (sin and cos are 1-Lipschitz).  The
+    bracket floor(u pi_lo / rden), ceil(u pi_hi / rden) is taken as u (pi //
+    rden) plus u (pi % rden) / rden, exact on ints and free of int64
+    overflow on arrays."""
+    (qlo, rlo), (qhi, rhi) = (divmod(v, rden) for v in _pi_fixed(g))
+    ylo, yhi = u * qlo + u * rlo // rden, u * qhi - (-u * rhi) // rden
     h = (yhi - ylo + 1) // 2 + 1
-    cap = 1 << g
     slo, shi, clo, chi = _taylor_sincos((ylo + yhi) // 2, g)
-    return (max(slo - h, -cap), min(shi + h, cap),
-            max(clo - h, -cap), min(chi + h, cap))
+    return tuple(_clip(v, 1 << g) for v in (slo - h, shi + h, clo - h, chi + h))
 
 
 def sincos_pi_fixed(a: int, den: int, g: int):
@@ -410,9 +447,11 @@ def sincos_pi_fixed(a: int, den: int, g: int):
 
     The reduction a/den = j/2 + r, |r| <= 1/4, is exact on the integers, so
     only pi |r| carries the rounding of pi, whatever the size of a/den.  One
-    ``_reduced_sincos`` run at |r| gives the brackets, sin(-y) = -sin(y)
-    gives r < 0, and the quadrant j % 4 rotates the pair; both steps are
-    exact.  Widths stay below 2^(g-p) ulps at g = ``kernel_bits(p)``.
+    ``_reduced_sincos`` run at |r| on python ints, at any g, gives the
+    brackets, sin(-y) = -sin(y) gives r < 0, and the quadrant j % 4 rotates
+    the pair; both steps are exact.  ``_grid._sincos_table`` does the same
+    for a whole int64 array of a, bit for bit.  Widths stay below 2^(g-p)
+    ulps at g = ``kernel_bits(p)``.
     """
     j = (4 * a + den) // (2 * den)          # the nearest j to 2a/den
     num = 2 * a - j * den                   # r = num / (2 den)

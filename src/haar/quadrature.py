@@ -148,10 +148,10 @@ def _circle_sums(f: IntegrandSpec, N: int) -> tuple[int, int]:
     midpoints t_j = (2j+1)/(2N).
 
     The angles 2 pi t_j = pi (2j+1)/N are the SU(2) grid's phi midpoints,
-    so ``_sincos_table`` gives the (sin, cos) table as outward int64 pairs
-    with one Taylor run per distinct reduced angle (about N/8 in all), and
-    ``f.complex_fixed`` runs once per block of ``_circle_blocks``, so the
-    memory stays bounded at any N.  A point whose enclosure lies wholly
+    so ``_sincos_table`` gives the (sin, cos) table as outward int64 pairs,
+    one array run of the Taylor series per block over its distinct reduced
+    angles (about N/8 lanes in all), and ``f.complex_fixed`` runs once per
+    block of ``_circle_blocks``, so the memory stays bounded at any N.  A point whose enclosure lies wholly
     outside [-bound, bound] proves the declared bound false.  The sums are
     taken in python ints, so no enclosure width can wrap them.
     """

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -242,6 +243,32 @@ def assert_encloses(ints, g: int, sin_x: Fraction, cos_x: Fraction):
     assert slo <= sin_x <= shi and clo <= cos_x <= chi, (slo, shi, clo, chi)
 
 
+@st.composite
+def series_lanes(draw, g_max):
+    """(ys, g): g in 12..g_max and |y| <= 0.9 2^g, with 0, +-1, the range
+    ends and the largest reduced argument, pi/4 at 2^-g, and its
+    neighbours."""
+    g = draw(st.integers(12, g_max))
+    top, quarter = (9 << g) // 10, exactreal._pi_fixed(g)[1] >> 2
+    edges = [0, 1, -1, top, -top, quarter - 1, quarter, quarter + 1, -quarter]
+    value = st.one_of(st.sampled_from(edges), st.integers(-top, top))
+    return draw(st.lists(value, min_size=1, max_size=30)), g
+
+
+def series_by_definition(y: int, g: int):
+    """``_taylor_sincos``'s brackets written out on python ints, each term
+    one floor division of t y^2 by 2^g (k+1)(k+2)."""
+    one, yy, out = 1 << g, y * y >> g, []
+    for t, k in ((y, 1), (one, 0)):
+        s, terms = t, 0
+        while t:
+            t = -((t * yy) // (one * (k + 1) * (k + 2)))
+            s, k, terms = s + t, k + 2, terms + 1
+        E = max(64, 2 * terms + 2)
+        out += [s - E, s + E]
+    return tuple(out)
+
+
 class TestSincosPiFixed:
     """The integer point kernel under ``sincos_pi``: exact reduction to
     |r| <= 1/4, one ``_reduced_sincos`` run at |r|, then the exact
@@ -279,18 +306,47 @@ class TestSincosPiFixed:
         # argument in place of the Taylor series, only the widening by the
         # reduced argument's rounding of pi keeps the enclosures sound
         def tight(y, g):
+            runs.append(y)
             with mpmath.workprec(g + 80):
                 x = mpmath.mpf(y) / (1 << g)
                 s, c = mpmath.sin(x) * (1 << g), mpmath.cos(x) * (1 << g)
                 return (int(mpmath.floor(s)), int(mpmath.ceil(s)),
                         int(mpmath.floor(c)), int(mpmath.ceil(c)))
 
+        runs = []
         monkeypatch.setattr(exactreal, "_taylor_sincos", tight)
         rng = random.Random(17)
         for _ in range(400):
             den = rng.randint(1, 1 << 12)
             a = rng.randint(-4 * den, 4 * den)
             assert_encloses(sincos_pi_fixed(a, den, 20), 20, *sincos_oracle(a, den, 20))
+        # the point kernel reaches the stub once per call, on a python int
+        assert len(runs) == 400 and all(type(y) is int for y in runs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=series_lanes(58))
+    @example(case=([0, 1, -1], 12))
+    @example(case=([0, 1, -1, (exactreal._pi_fixed(58)[1] >> 2) + 1,
+                    -((9 << 58) // 10), (9 << 58) // 10], 58))
+    def test_array_series_equals_the_scalar_series(self, case):
+        # every lane of the int64 series gives the python-int series'
+        # brackets bit for bit, each with its own term count
+        ys, g = case
+        got = [v.tolist() for v in exactreal._taylor_sincos(np.array(ys, dtype=np.int64), g)]
+        assert got == [list(b) for b in zip(*(exactreal._taylor_sincos(y, g) for y in ys))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=series_lanes(700))
+    @example(case=([(9 << 600) // 10, -((9 << 600) // 10), 1 << 590], 600))
+    def test_series_is_its_definition(self, case):
+        # the python-int series against the definition, each term one floor
+        # division of t y^2 by 2^g (k+1)(k+2) and each bracket widened by
+        # max(64, 2 terms + 2): at g = 600 the count sets the width
+        ys, g = case
+        for y in ys:
+            assert exactreal._taylor_sincos(y, g) == series_by_definition(y, g), y
+        slo, shi, _, _ = series_by_definition((9 << 600) // 10, 600)
+        assert shi - slo > 2 * 64
 
 
 class TestPi:

@@ -15,8 +15,8 @@ axes' own tables bit for bit, and the discretization bound against its
 formula in mpmath.  The one-sided products of the form sweep are checked
 against the four-product rule bit for bit, and its phi means against exact
 Fraction means; the sin/cos kernel the tables are built from,
-``exactreal.sincos_pi_fixed``, is checked against mpmath in
-``test_exactreal.py``.
+``exactreal.sincos_pi_fixed``, is checked against mpmath, and its int64
+array series against its python-int series, in ``test_exactreal.py``.
 """
 
 import math
@@ -110,12 +110,12 @@ def test_axis_tables_enclose_mpmath_entry_by_entry(kind, n):
 def test_one_taylor_run_per_distinct_reduced_angle(kind, n, monkeypatch):
     # the midpoints pi (2i+1)/(2n) (pi (2k+1)/n for phi) fold to pi r, r =
     # q - j/2 for the nearest half-integer j/2 to q, and the axis runs the
-    # series exactly once per distinct |r|, counted here in Fractions (eta
-    # at n = 62 folds to 16, at n = 257 to 129; phi at n = 64 to 8)
+    # series on exactly one lane per distinct |r|, counted here in Fractions
+    # (eta at n = 62 folds to 16, at n = 257 to 129; phi at n = 64 to 8)
     runs = []
     taylor = exactreal._taylor_sincos
     monkeypatch.setattr(exactreal, "_taylor_sincos",
-                        lambda y, g: runs.append(y) or taylor(y, g))
+                        lambda y, g: runs.extend(np.ravel(y).tolist()) or taylor(y, g))
     _grid._build_axis(kind, n, _grid.GUARD)
     den = n if kind == "phi" else 2 * n
     folded = {abs(q - Fraction(round(2 * q), 2))
@@ -139,6 +139,11 @@ def table_angles(draw):
 @example(angles=([-5, -3, -1, 1, 3, 5, 7, 9, 11, 13], 4), p=35)
 @example(angles=([-4097, -3072, -1024, 0, 1, 1024, 2048, 3072, 5120, 4096 * 16], 4096),
          p=35)
+# u pi_lo passes 2^63 at the largest reduced angles of these denominators
+@example(angles=([1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 3 << 20, -((1 << 20) - 3)],
+                 1 << 22), p=35)
+@example(angles=([1, 3 << 18, (3 << 18) - 1, (3 << 18) + 1, 9 << 18, -((3 << 18) + 5)],
+                 3 << 20), p=48)
 def test_vectorized_table_equals_the_scalar_kernel(angles, p):
     # the array fold, gather, reflection and rotation give the scalar
     # kernel's brackets bit for bit, at every sign, turn and quadrant tie
@@ -147,6 +152,20 @@ def test_vectorized_table_equals_the_scalar_kernel(angles, p):
     (slo, shi), (clo, chi) = _grid._sincos_table(np.array(a, dtype=np.int64), den, g)
     got = list(zip(*(t.tolist() for t in (slo, shi, clo, chi))))
     assert got == [tuple(exactreal.sincos_pi_fixed(v, den, g)) for v in a]
+
+
+def test_array_series_refuses_past_its_int64_headroom():
+    # g = 58 and den = 2^30 - 1 still give the scalar brackets; one more bit
+    # of either would pass int64 in the series or the reduced argument
+    for den, g in ((8, 58), ((1 << 30) - 1, 45)):
+        a = [1, den // 4, den // 4 + 1, den // 2 - 1, 3 * den, -den // 4]
+        (slo, shi), (clo, chi) = _grid._sincos_table(np.array(a, dtype=np.int64), den, g)
+        got = list(zip(*(t.tolist() for t in (slo, shi, clo, chi))))
+        assert got == [tuple(exactreal.sincos_pi_fixed(v, den, g)) for v in a], den
+    with pytest.raises(exactreal.NoConvergence, match="g <= 58"):
+        _grid._sincos_table(np.arange(1, 16, 2), 8, 59)
+    with pytest.raises(exactreal.NoConvergence, match="den < 2\\^30"):
+        _grid._sincos_table(np.arange(1, 16, 2), 1 << 30, 45)
 
 
 @pytest.mark.parametrize("n", [1, 3, 7, 64, 257])
@@ -914,7 +933,8 @@ def test_form_path_sizes_phi_as_a_table(name, monkeypatch):
         assert phi.n % 4 == 0, (n, phi.n)
         assert _is_one_table(eta, theta, phi), (n, eta.n, theta.n, phi.n)
         with monkeypatch.context() as m:
-            m.setattr(exactreal, "_taylor_sincos", lambda y, g: runs.append(y) or taylor(y, g))
+            m.setattr(exactreal, "_taylor_sincos",
+                      lambda y, g: runs.extend(np.ravel(y).tolist()) or taylor(y, g))
             runs.clear()
             _grid._build_axis("phi", phi.n, _grid.GUARD)
         assert len(runs) <= phi.n // 8 + 2, (n, phi.n, len(runs))
@@ -931,7 +951,8 @@ def test_form_integral_runs_the_series_for_one_table(name, monkeypatch):
     grids, runs = [], []
     disc_bound, taylor = _grid._disc_bound, exactreal._taylor_sincos
     monkeypatch.setattr(_grid, "_disc_bound", lambda *a: grids.append(a[1:]) or disc_bound(*a))
-    monkeypatch.setattr(exactreal, "_taylor_sincos", lambda y, g: runs.append(y) or taylor(y, g))
+    monkeypatch.setattr(exactreal, "_taylor_sincos",
+                        lambda y, g: runs.extend(np.ravel(y).tolist()) or taylor(y, g))
     for n in range(3, 10):
         grids.clear()
         runs.clear()
