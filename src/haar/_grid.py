@@ -38,8 +38,9 @@ One block sweep serves every integrand.  An axis the integrand does not read
 (per ``uses``) is a length-1 axis with sin = cos = 0, weight 1 and width 0.
 A block is whole eta rows x a theta chunk x all phi, about BLOCK_CELLS cells
 (cache-sized; theta chunks of BLOCK_CELLS // n3 when a row is larger).
-Integrands without a vectorized form are evaluated once per cell on its
-fixed-point versor and feed the same exact accumulator.
+The grid reads ``fixed_eval`` or ``form`` only, and refuses a spec without
+them; ``_scalar_sweep``, ``spec.eval`` per cell into the same accumulator,
+is no route but the tests' per-cell interval oracle of the fixed paths.
 
 ``fixed_eval`` reads M x, x the grid versor, for the integrand's pre-map M
 (the identity when it has none; a translation or an inversion folded into a
@@ -113,16 +114,15 @@ from fractions import Fraction
 import numpy as np
 
 from .exactreal import (
-    Dyadic, Interval, InvalidBound, NoConvergence, _mul_ceil, _mul_floor,
-    _pi_fixed, _reduced_sincos, kernel_bits,
+    ConfigError, Dyadic, Interval, InvalidBound, NoConvergence, _mul_ceil,
+    _mul_floor, _pi_fixed, _reduced_sincos, kernel_bits,
 )
 from .groups import Versor
 
 SCALE = 29                     # fixed-point fraction bits of the sweep
 GUARD = SCALE + 6              # axis tables at kernel_bits(GUARD) bits
 BLOCK_CELLS = 1 << 16
-MAX_SCALAR_CELLS = 2 * 10 ** 6  # effort cap of the per-cell scalar evaluator
-FORM_Q = 3                      # a component form's n3 / (2 n1), odd
+FORM_Q = 3                     # a component form's n3 / (2 n1), odd
 _LIVE_AXES = {"a": 1, "ab": 2, "abcd": 3}   # grid axes each ``uses`` reads
 _ONE_FX = (1 << SCALE, 1 << SCALE)
 # the pre-map of an integrand that reads the grid versor itself
@@ -139,11 +139,10 @@ class _Axis:
     """One axis' tables as outward int64 pairs ``(lo, hi)`` at 2^-g; ``w`` is
     None for phi (uniform weights), and ``h`` bounds the cell width from
     above."""
-    __slots__ = ("n", "g", "sin", "cos", "w", "h", "spacing_hi")
+    __slots__ = ("n", "g", "sin", "cos", "w", "h")
 
     def __init__(self, n, g, sin, cos, w, h):
         self.n, self.g, self.sin, self.cos, self.w, self.h = n, g, sin, cos, w, h
-        self.spacing_hi = Fraction(h, 1 << g)
 
     def fixed(self, scale):
         return [_shift_out(t, self.g - scale) if t is not None else None
@@ -459,22 +458,23 @@ def su2_grid_integral(spec, n: int, *, max_cells: int = 10 ** 11) -> Interval:
     A grid that misses grows every live axis by the measured disc/budget,
     since each term falls like 1/n_i, and keeps a component form's n3 =
     2 q n1.  The returned interval has width <= 2^-(n-1), i.e. half-width
-    <= 2^-n around the midpoint.
+    <= 2^-n around the midpoint.  A spec without ``fixed_eval`` is refused.
     """
+    if spec.fixed_eval is None:
+        raise ConfigError(f"the SU(2) grid reads fixed_eval, which "
+                          f"{spec.name or 'this integrand'!r} does not have")
     L = Fraction(spec.lipschitz.as_fraction())
     live = _LIVE_AXES[spec.uses]
-    vectorized = spec.fixed_eval is not None
-    cap = max_cells if vectorized else min(max_cells, MAX_SCALAR_CELLS)
     disc_budget = Fraction(7, 8) / (1 << n)
     q = FORM_Q if spec.form is not None and live == 3 else None
     ns = _choose_resolution(live, float(L), float(disc_budget), q)
     for _attempt in range(10):
         # a component form sweeps eta x theta cells only
         cells = math.prod(ns[:2] if spec.form is not None else ns)
-        if cells > cap:
+        if cells > max_cells:
             raise NoConvergence(
                 f"su2 grid needs {cells} cells for 2^-{n}; over the effort "
-                f"cap of {cap}")
+                f"cap of {max_cells}")
         eta, theta, phi = _grid_axes(ns)
         disc = _disc_bound(L, eta, theta, phi)
         if disc <= disc_budget:
@@ -488,9 +488,7 @@ def su2_grid_integral(spec, n: int, *, max_cells: int = 10 ** 11) -> Interval:
     else:
         raise NoConvergence("discretization bound failed to meet the budget")
 
-    sweep = _fixed_sweep if vectorized else _scalar_sweep
-    total = sweep(spec, eta, theta, phi)
-
+    total = _fixed_sweep(spec, eta, theta, phi)
     lo = total.lo.as_fraction() - disc
     hi = total.hi.as_fraction() + disc
     enc = Interval.from_fractions(lo, hi, n + 8)
@@ -509,10 +507,8 @@ def _fixed_sweep(spec, eta: _Axis, theta: _Axis, phi: _Axis) -> Interval:
 
 
 def _scalar_sweep(spec, eta: _Axis, theta: _Axis, phi: _Axis) -> Interval:
-    """The block sweep for integrands without a vectorized form.
-
-    ``spec.eval`` runs once per cell on that cell's fixed-point versor.
-    """
+    """The block sweep of ``spec.eval`` on each cell's fixed-point versor,
+    no pre-map: no route calls it; the tests' oracle of the fixed paths."""
     def fixed(a, b, c, d, scale):
         ends = np.broadcast_arrays(*a, *b, *c, *d)
         lo, hi = [], []
@@ -671,7 +667,7 @@ def _form_means(form, premap, pc, ps, m_fx: int):
     n3 = len(pc[0])
     # P_k = M_k2 cos(phi) + M_k3 sin(phi), one length-n3 table per integral
     ptabs = [_combine(row[2:], (pc, ps)) for row in premap]
-    if n3 >> 31 or max(abs(const), *(abs(t[2]) for t in terms)) >> 16:
+    if n3 >> 31 or max(abs(c) for c in (const, *(t[2] for t in terms))) >> 16:
         raise NoConvergence("component form coefficients of 2^16 or more, or "
                             "2^31 phi cells, leave the sweep no int64 headroom")
     folds = [(np.zeros(n3, dtype=np.int64),) * 2] * 2   # of the s- and s^2-terms

@@ -43,15 +43,15 @@ QUADRATURE_KINDS = ("circle", "su2", "so3", "o3", "u2")
 
 
 class IntegrandSpec:
-    """A certified integrand: evaluator plus declared Lipschitz/bound data.
+    """A certified integrand: evaluators plus declared Lipschitz/bound data.
 
-    eval_fn(element, working_precision) -> Interval encloses f; ``lipschitz``
-    bounds |f(x)-f(y)| / d(x,y) in the group's path metric and ``bound``
-    dominates |f|.  ``fixed_eval`` is an optional vectorized fixed-point form
-    used by the SU(2) grid engine; ``uses`` declares which quaternion
-    components the function reads ('a', 'ab' or 'abcd') so the engine can drop
-    dead grid axes: the other components reach both ``fixed_eval`` and
-    ``eval_fn`` as exact 0.
+    ``lipschitz`` bounds |f(x)-f(y)| / d(x,y) in the group's path metric and
+    ``bound`` dominates |f|.  Each route reads one form of f and refuses a
+    spec without it (``ConfigError``): the SU(2)-family grid ``fixed_eval``
+    (or ``form``), the circle rule ``complex_fixed``, and the generic route
+    eval_fn(element, working_precision) -> Interval.  ``uses`` declares
+    which quaternion components f reads ('a', 'ab' or 'abcd') so the grid
+    can drop dead axes: the others reach ``fixed_eval`` as exact 0.
 
     ``premap`` is a 4x4 matrix M, ``premap[k][j]`` = M_kj as an outward
     (lo, hi) pair of python ints at ``_grid.SCALE`` fraction bits, entries in
@@ -73,11 +73,10 @@ class IntegrandSpec:
 
     Circle integrands carry ``complex_fixed(re, im, scale)``, f at unit
     complex numbers given as (lo, hi) int pairs at 2^-scale (numpy arrays),
-    returning outward (lo, hi): the circle rule evaluates nothing else and
-    refuses a spec without it, and ``translate_circle_integrand`` and
+    returning outward (lo, hi); ``translate_circle_integrand`` and
     ``invert_circle_integrand`` forward it behind a rotation or the
     conjugation.  ``eval_complex`` is f at (re, im) ``Interval``s; the lift
-    to SU(2) requires it.
+    to SU(2) requires it and ``complex_fixed``.
     """
 
     def __init__(self, eval_fn, lipschitz: Dyadic, bound: Dyadic, *,
@@ -254,7 +253,7 @@ def haar_integral_derived(kind: str, f: IntegrandSpec, n: int, *,
     distance in the max metric, so g is L-Lipschitz and the midpoint rule on
     N <= 2^12 points ts errs by L/(4N) <= 2^-(n+1); its value, the SU(2)
     integral of the mean of f(., t) over ts, is certified to 2^-(n+1).  The
-    grid keeps its cell caps, each cell evaluating f once per tag.
+    grid keeps its cell cap, each cell evaluating f once per tag.
     """
     if kind == "circle":
         return haar_integral_circle(f, n, max_points=min(max_cells, 1 << 22))
@@ -285,8 +284,9 @@ def lift_circle_function(f: IntegrandSpec) -> IntegrandSpec:
     radius move (slope bound M) and a phase move (arc length (re,im)-distance
     over 2 pi rho, and chord >= (2/pi) arc shrinks it to L/4).
     """
-    if f.eval_complex is None:
-        raise ValueError("lifting needs a circle integrand with eval_complex")
+    if f.eval_complex is None or f.complex_fixed is None:
+        raise ValueError("lifting needs a circle integrand with eval_complex "
+                         "and complex_fixed")
     M = f.bound
     Mf = M.as_fraction()
     lift_L = M + Dyadic(f.lipschitz.m, f.lipschitz.e - 2)
@@ -304,30 +304,26 @@ def lift_circle_function(f: IntegrandSpec) -> IntegrandSpec:
         val = eval_complex(u_re, u_im, wp + 4)
         return (val * rho).round_out(wp)
 
-    fixed = None
-    if f.complex_fixed is not None:
-        cfixed = f.complex_fixed
-
-        def fixed(a, b, c, d, scale, **_kw):
-            rho2 = fp_add(fp_square(a, scale), fp_square(b, scale))
-            rho = fp_sqrt(rho2, scale)
-            m_fx = (Mf.numerator << scale) // Mf.denominator + 1
-            tiny = 1 << max(1, scale // 2)
-            safe = rho[0] > tiny
-            rlo = np.where(safe, rho[0], 1)
-            div = (rlo, np.maximum(rho[1], rlo))
-            # clamp so the unsafe lanes (replaced below) cannot overflow in
-            # whatever arithmetic the circle function performs on them
-            cap = 2 << scale
-            u_re = tuple(np.clip(v, -cap, cap) for v in fp_div_pos(a, div, scale))
-            u_im = tuple(np.clip(v, -cap, cap) for v in fp_div_pos(b, div, scale))
-            vlo, vhi = cfixed(u_re, u_im, scale)
-            lo = np.minimum(vlo * rho[0], vlo * rho[1]) >> scale
-            hi = -((-np.maximum(vhi * rho[0], vhi * rho[1])) >> scale)
-            fall_lo = -((rho[1] * m_fx) >> scale) - 1
-            fall_hi = ((rho[1] * m_fx) >> scale) + 1
-            return (np.where(safe, lo, fall_lo).astype(np.int64),
-                    np.where(safe, hi, fall_hi).astype(np.int64))
+    def fixed(a, b, c, d, scale, **_kw):
+        rho2 = fp_add(fp_square(a, scale), fp_square(b, scale))
+        rho = fp_sqrt(rho2, scale)
+        m_fx = (Mf.numerator << scale) // Mf.denominator + 1
+        tiny = 1 << max(1, scale // 2)
+        safe = rho[0] > tiny
+        rlo = np.where(safe, rho[0], 1)
+        div = (rlo, np.maximum(rho[1], rlo))
+        # clamp so the unsafe lanes (replaced below) cannot overflow in
+        # whatever arithmetic the circle function performs on them
+        cap = 2 << scale
+        u_re = tuple(np.clip(v, -cap, cap) for v in fp_div_pos(a, div, scale))
+        u_im = tuple(np.clip(v, -cap, cap) for v in fp_div_pos(b, div, scale))
+        vlo, vhi = f.complex_fixed(u_re, u_im, scale)
+        lo = np.minimum(vlo * rho[0], vlo * rho[1]) >> scale
+        hi = -((-np.maximum(vhi * rho[0], vhi * rho[1])) >> scale)
+        fall_lo = -((rho[1] * m_fx) >> scale) - 1
+        fall_hi = ((rho[1] * m_fx) >> scale) + 1
+        return (np.where(safe, lo, fall_lo).astype(np.int64),
+                np.where(safe, hi, fall_hi).astype(np.int64))
 
     return IntegrandSpec(ev, lift_L, M, name=f"lift:{f.name}",
                          fixed_eval=fixed, uses="ab")

@@ -87,7 +87,8 @@ def mp_axis(kind, n):
 @pytest.mark.parametrize("kind", _grid._KINDS)
 def test_axis_tables_enclose_mpmath_entry_by_entry(kind, n):
     # every midpoint sin/cos and every exact cumulative weight difference
-    # against mpmath at 60 digits; the weights are a probability vector
+    # against mpmath at 60 digits; the weights are a probability vector, and
+    # h 2^-g, the cell width that ``_disc_bound`` reads, bounds the true one
     ax = _grid._build_axis(kind, n, _grid.SCALE + 6)
     with mpmath.workdps(60):
         oracle = [tuple(map(mp_fraction, row)) for row in mp_axis(kind, n)]
@@ -102,7 +103,7 @@ def test_axis_tables_enclose_mpmath_entry_by_entry(kind, n):
     else:
         assert sum(v.lo.as_fraction() for v in ax.weights) <= 1
         assert sum(v.hi.as_fraction() for v in ax.weights) >= 1
-    assert ax.spacing_hi >= width
+    assert Fraction(ax.h, 1 << ax.g) >= width
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 62, 64, 257])

@@ -76,6 +76,8 @@ ENTRY_POINTS = {
     "_Axis.sin_mid": "the axis table oracle tests read the int tables as intervals",
     "_Axis.cos_mid": "the axis table oracle tests read the int tables as intervals",
     "_Axis.weights": "the axis table oracle tests read the int tables as intervals",
+    "_scalar_sweep": "the per-cell interval oracle the grid tests call directly; "
+                     "the tracer's grid.sweep span patches it",
 }
 
 
@@ -172,7 +174,8 @@ BUG_RAISES = {
     ("packing", "packing_size_bracket", "ValueError"):
         "a packing radius is positive by definition",
     ("quadrature", "lift_circle_function", "ValueError"):
-        "only circle integrands, which carry eval_complex, are lifted",
+        "only circle integrands, which carry eval_complex and complex_fixed, "
+        "are lifted",
     ("cli", "_format_fraction_decimal", "ValueError"):
         "callers round the value onto the decimal grid first",
     ("functions", "builtin_integrand", "KeyError"):

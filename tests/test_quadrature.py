@@ -234,14 +234,18 @@ class TestSU2Integrals:
         cv = haar_integral_su2(spec, 6)
         check(cv, TRUE_VALUES[name], 6)
 
-    def test_abs_sum_scalar_path_agrees(self):
-        spec = builtin_integrand("abs-sum", "su2")
-        novec = IntegrandSpec(spec.eval, spec.lipschitz, spec.bound,
-                              name="abs-sum-scalar")
-        v1 = haar_integral_su2(spec, 3)
-        v2 = haar_integral_su2(novec, 3)
-        check(v1, TRUE_VALUES["abs-sum"], 3)
-        check(v2, TRUE_VALUES["abs-sum"], 3)
+    @pytest.mark.parametrize("kind", ["su2", "so3", "o3", "u2"])
+    def test_eval_only_spec_is_refused(self, kind, monkeypatch):
+        # the grid reads fixed_eval (or a form) only: a spec with an interval
+        # eval alone is refused by name, before any axis table is built
+        def no_grid(*args):
+            raise AssertionError("grid built for a refused integral")
+
+        monkeypatch.setattr(_grid, "_build_axis", no_grid)
+        base = builtin_integrand("abs-sum", "su2")
+        plain = IntegrandSpec(base.eval, base.lipschitz, base.bound, name="plain")
+        with pytest.raises(ConfigError, match="fixed_eval, which '(mean:)?plain'"):
+            haar_integral_derived(kind, plain, 4)
 
     def test_normalization_sweep(self):
         spec = builtin_integrand("one", "su2")
@@ -353,31 +357,34 @@ class TestSU2Integrals:
             haar_integral_su2(no_form, 6, max_cells=10 ** 5)
 
     @staticmethod
-    def constant_spec(c, bound, vectorized, uses="abcd"):
-        fixed = None
-        if vectorized:
-            def fixed(a, b, cc, d, scale, **kw):
-                return c << scale, c << scale
+    def constant_spec(c, bound, form, uses="abcd"):
+        """The constant c through a ``fixed_eval``, or as a component form
+        with no terms (whose ``fixed_eval`` is derived from it)."""
+        def fixed(a, b, cc, d, scale, **kw):
+            return c << scale, c << scale
+
         return IntegrandSpec(lambda q, wp: Interval.from_int(c), Dyadic(0),
-                             Dyadic(bound), name=f"const{c}", fixed_eval=fixed,
-                             uses=uses)
+                             Dyadic(bound), name=f"const{c}",
+                             fixed_eval=None if form else fixed,
+                             form=(c, ()) if form else None, uses=uses)
 
     @pytest.mark.parametrize("uses", ["a", "abcd"])
-    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("form", [False, True])
     @pytest.mark.parametrize("c", [64, 1000])
-    def test_bound_past_int64_headroom_refused(self, c, vectorized, uses):
+    def test_bound_past_int64_headroom_refused(self, c, form, uses):
         # the sweep's int64 sums would wrap for bounds past about 30 (64
-        # used to give -0.000122 and 1000 gave -24.0): refuse, never answer
-        spec = self.constant_spec(c, c, vectorized, uses)
+        # used to give -0.000122 and 1000 gave -24.0): refuse, never answer,
+        # on the per-phi sweep and on the component form's phi means alike
+        spec = self.constant_spec(c, c, form, uses)
         with pytest.raises(NoConvergence, match="int64 cap"):
             haar_integral_su2(spec, 4)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_largest_bound_in_headroom(self, vectorized):
-        check(haar_integral_su2(self.constant_spec(30, 30, vectorized), 4),
+    @pytest.mark.parametrize("form", [False, True])
+    def test_largest_bound_in_headroom(self, form):
+        check(haar_integral_su2(self.constant_spec(30, 30, form), 4),
               Fraction(30), 4)
         with pytest.raises(NoConvergence, match="int64 cap"):
-            haar_integral_su2(self.constant_spec(1, 31, vectorized), 4)
+            haar_integral_su2(self.constant_spec(1, 31, form), 4)
 
     def test_enclosure_wider_than_bound_refused(self):
         def wide(a, b, c, d, scale, **kw):
@@ -409,43 +416,71 @@ class TestDerivedIntegrals:
 
     @staticmethod
     def cos2pi():
-        # cos 2 pi t once per (t, wp): the sweep evaluates each cell once per
-        # tag t, and there are only N distinct t
-        re, memo = builtin_integrand("re", "circle"), {}
+        """cos 2 pi t: the circle builtin ``re``, whose ``eval`` encloses it
+        at t, and its outward int pair at 2^-scale from ``sincos_pi_fixed``."""
+        def fixed(t, scale):
+            q, g = 2 * t.as_fraction(), exactreal.kernel_bits(scale)
+            _, _, clo, chi = exactreal.sincos_pi_fixed(q.numerator, q.denominator, g)
+            return clo >> (g - scale), -(-chi >> (g - scale))
 
-        def ev(t, wp):
-            key = (t.m, t.e, wp)
-            if key not in memo:
-                memo[key] = re.eval(t, wp)
-            return memo[key]
-
-        return re, ev
+        return builtin_integrand("re", "circle"), fixed
 
     @classmethod
     def re_factor_spec(cls):
         # f((q, t)) = cos(2 pi t): integrates to 0 over the U(1) factor
-        base, cos2pi = cls.cos2pi()
+        base, cos2pi_fixed = cls.cos2pi()
 
         def ev(element, wp):
             _q, t = element
-            return cos2pi(t, wp)
+            return base.eval(t, wp)
+
+        def fixed(a, b, c, d, scale, circle_point):
+            return cos2pi_fixed(circle_point, scale)
 
         return IntegrandSpec(ev, base.lipschitz, base.bound, name="re-factor",
-                             uses="a")
+                             fixed_eval=fixed, uses="a")
 
     @classmethod
     def mixed_spec(cls):
         # f((q, t)) = w^2 * cos(2 pi t): product of independent factors -> 0
         w2 = builtin_integrand("w2", "su2")
-        _re, cos2pi = cls.cos2pi()
+        re, cos2pi_fixed = cls.cos2pi()
 
         def ev(element, wp):
             q, t = element
-            return (w2.eval(q, wp) * cos2pi(t, wp)).round_out(wp)
+            return (w2.eval(q, wp) * re.eval(t, wp)).round_out(wp)
+
+        def fixed(a, b, c, d, scale, circle_point):
+            return _grid.fp_mul(w2.fixed_eval(a, b, c, d, scale),
+                                cos2pi_fixed(circle_point, scale), scale)
 
         # slope bound: |d(fg)| <= |f||dg| + |g||df| <= 1*13/2 + 1*1
         return IntegrandSpec(ev, Dyadic(15, -1), Dyadic(1), name="w2*re",
-                             uses="a")
+                             fixed_eval=fixed, uses="a")
+
+    @pytest.mark.parametrize("name", ["re-factor", "w2*re"])
+    def test_u2_fixed_form_agrees_with_the_interval_oracle(self, name):
+        # each averaged test integrand's fixed path and its interval eval,
+        # swept cell by cell, enclose the mpmath Riemann sum of their own
+        # grid; the tags are not symmetric, so the mean of cos 2 pi t is not 0
+        from test_grid import grid_axes, mp_riemann_sum
+        spec = {"re-factor": self.re_factor_spec, "w2*re": self.mixed_spec}[name]()
+        ts = (Dyadic(1, -4), Dyadic(3, -3))
+        avg = quadrature._average(spec, ts, "circle_point")
+        with mpmath.workdps(60):
+            mean = mpmath.fsum(mpmath.cos(2 * mpmath.pi * mpmath.ldexp(t.m, t.e))
+                               for t in ts) / len(ts)
+
+        def mp_f(a, b, c, d):
+            return (a * a if name == "w2*re" else 1) * mean
+
+        for ns in [(1, None, None), (3, None, None), (5, None, None)]:
+            exact = mp_riemann_sum(mp_f, ns)
+            axes = grid_axes(ns)
+            for sweep in (_grid._fixed_sweep, _grid._scalar_sweep):
+                enc = sweep(avg, *axes)
+                assert enc.lo.as_fraction() <= exact <= enc.hi.as_fraction(), (sweep, ns)
+                assert enc.width().as_fraction() < Fraction(1, 1 << 10), (sweep, ns)
 
     def test_u2_nontrivial_factor_function(self):
         for n in range(3, 7):
@@ -544,10 +579,13 @@ class TestLift:
         check(haar_integral_su2(lifted, 7), Fraction(0), 7)
 
     def test_lift_requires_complex_form(self):
-        plain = IntegrandSpec(lambda t, wp: Interval.from_int(1),
-                              Dyadic(0), Dyadic(1))
-        with pytest.raises(ValueError):
-            lift_circle_function(plain)
+        # the lift reads both complex forms: either one alone is refused
+        re = builtin_integrand("re", "circle")
+        for forms in ({}, {"eval_complex": re.eval_complex},
+                      {"complex_fixed": re.complex_fixed}):
+            plain = IntegrandSpec(re.eval, re.lipschitz, re.bound, **forms)
+            with pytest.raises(ValueError, match="eval_complex and complex_fixed"):
+                lift_circle_function(plain)
 
     def test_scalar_eval_near_zero_radius(self):
         lifted = builtin_integrand("lift:one", "su2")
