@@ -4,13 +4,14 @@ Haar integral itself.
 
 These work on any builtin group with a closed-form packing size and exact
 closed balls (finite, circle, torus), where a located set is one exact region
-of its group.  Regions are integers over one denominator, radii pass through
-as the ints, fractions or dyadics they are, and packing counts are exact
-integers (index ranges on the circle and tori); the radius search holds its
-levels as integers too, and a partition cell subtracts only the neighbours a
-packing's index query names.  Certified values come out as dyadics with 2^-n
-error bounds.  Determinism: identical inputs produce bit-identical outputs
-(no floats anywhere on these paths).
+of its group.  A circle or torus region is a flag per cell of a cut grid over
+one denominator, and the generalized balls B(+-r, U) act on it one axis at a
+time; radii pass through as the ints, fractions or dyadics they are, and
+packing counts are exact integers (per-cell point counts on the circle and
+tori); the radius search holds its levels as integers too, and a partition
+cell subtracts only the neighbours a packing's index query names.  Certified
+values come out as dyadics with 2^-n error bounds.  Determinism: identical
+inputs produce bit-identical outputs (no floats anywhere on these paths).
 
 Measure loop.  The termination test pairs an observable upper witness with an
 observable lower witness built from the generalized-ball identities
@@ -47,7 +48,7 @@ from .regions import ratio
 class LocatedSet:
     """A closed set given by one exact region of its group.
 
-    Regions (finite subsets; arc and box unions on the circle and tori) come
+    Regions (finite subsets; cut-grid cell arrays on the circle and tori) come
     through the group's ``region`` field, which builds the exact closed ball
     of a center and a radius; groups without it have no located sets.
     Distances from points to a region are exact rationals.

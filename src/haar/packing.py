@@ -5,11 +5,12 @@ A packing at radius 2^-n is a set of points whose pairwise distances are
 *strictly* greater than 2^-n, certified through interval lower bounds.  The
 builtin instances carry closed forms (circle: 2^n - 1, torus: the product,
 finite: the order).  Counting never enumerates a packing: the circle and
-torus grid packings count the points near a box region as a union of index
-ranges, and the finite packing counts the region's members, so the measure
-procedures can consume packing levels whose cardinality is astronomically
-large.  The same index boxes (or members) answer ``indices_within``, which
-points lie near a region, for the partition's neighbour scan.  Points are
+torus grid packings thicken a box region on its cut grid and add, over its
+in-cells, the products of the index ranges each axis' cell holds; the finite
+packing counts the region's members.  So the measure procedures can consume
+packing levels whose cardinality is astronomically large.  The same cells
+(or members) answer ``indices_within``, which points lie near a region, for
+the partition's neighbour scan.  Points are
 materialized only for partition centres and printing, and never more than
 ``MAX_ITER`` of them.  The packing classes are the one place the closed
 forms are written: each group's ``packing`` field builds them and
@@ -80,6 +81,39 @@ class FinitePacking:
         return len(self.indices_within(region, threshold))
 
 
+def _near(pk, region: BoxRegion, threshold):
+    """(flags, bounds) of the region thickened by the threshold (``expand``'s
+    cell array) for the d-fold product ``pk`` of ``pk.circle``: the points
+    in a product cell are the products of its axes' index ranges."""
+    den, cuts, flags = region._morph(threshold, 1)
+    return flags, [pk.circle.cell_bounds(cut, den) for cut in cuts]
+
+
+def _count_within(pk, region: BoxRegion, threshold) -> int:
+    """#points with exact max-metric distance <= threshold to the region:
+    the flags weighted by the cells' point counts, one axis at a time."""
+    total, bounds = _near(pk, region, threshold)
+    for b in reversed(bounds):
+        n = len(b) - 1
+        total = [sum((z - a) * f for a, z, f in zip(b, b[1:], total[i:i + n]))
+                 for i in range(0, len(total), n)]
+    return total[0]
+
+
+def _indices_within(pk, region: BoxRegion, threshold) -> list[int]:
+    """Sorted positions in ``iter_points`` order (row-major, base K) of the
+    points within exact max-metric distance threshold of the region."""
+    flags, bounds = _near(pk, region, threshold)
+    K, out = pk.circle.size, []
+    for cell, f in zip(product(*[list(zip(b, b[1:])) for b in bounds]), flags):
+        if f:
+            flat = [0]
+            for a, z in cell:                 # lifted indices, at most K
+                flat = [x * K + m % K for x in flat for m in range(a, z)]
+            out += flat
+    return sorted(out)
+
+
 class CircleGridPacking:
     """The canonical near-equally-spaced dyadic maximum n-packing of R/Z.
 
@@ -98,6 +132,10 @@ class CircleGridPacking:
         self.A = 1 << (2 * max(n, 0) + 2)
         assert self.size == 1 or self.A // self.size > (1 << (n + 2)), \
             "separation certificate"
+        self.circle = self
+
+    # one body for both grid packings, each class holding its own entry
+    count_within, indices_within = _count_within, _indices_within
 
     def point(self, k: int) -> Dyadic:
         return Dyadic((k * self.A) // self.size, -(2 * self.n + 2))
@@ -110,78 +148,19 @@ class CircleGridPacking:
     def points_list(self):
         return list(self.iter_points())
 
-    def _ranges(self, lo: int, hi: int, den: int):
-        """Half-open index ranges in [0, K) of the points in the closed arc
-        [lo/den, hi/den] (cover coordinates): none, one, or two when it wraps.
-
-        The lifted points x_m = floor(mA/K)/A, m in Z, repeat the packing
-        with period K, and x_m lies in the arc exactly when
-        ceil(lo A/den) <= floor(mA/K) <= floor(hi A/den), a run of
-        consecutive m.
-        """
+    def cell_bounds(self, cuts, den: int) -> list:
+        """Boundaries b_0 <= ... <= b_2m of one region axis cut at ``cuts``
+        over den: cell j (point {c_i} for j = 2i, open arc (c_i, c_(i+1)) for
+        j = 2i + 1) holds the lifted points x_m = floor(mA/K)/A, m in
+        [b_j, b_(j+1)).  They repeat the packing with period K, and
+        floor(mA/K) >= a exactly for m >= ceil(aK/A): a = ceil(cA/den) for
+        x_m >= c/den, a = floor(cA/den) + 1 for x_m > c/den."""
         A, K = self.A, self.size
-        c_lo = -(-lo * A // den)                            # ceil(lo A/den)
-        c_hi = hi * A // den                                # floor(hi A/den)
-        start = -(-c_lo * K // A)                           # ceil(c_lo K/A)
-        stop = -(-(c_hi + 1) * K // A)                      # ceil((c_hi+1)K/A)
-        if stop - start >= K:
-            return [(0, K)]
-        if stop <= start:
-            return []
-        s = start % K
-        e = s + stop - start
-        return [(s, e)] if e <= K else [(s, K), (0, e - K)]
-
-    def count_within(self, region: BoxRegion, threshold) -> int:
-        """#points with exact circle distance <= threshold to the region."""
-        return _union_size(_near_boxes(self, region, threshold))
-
-    def indices_within(self, region: BoxRegion, threshold) -> list[int]:
-        """Sorted indices k of the points x_k within exact circle distance
-        threshold of the region."""
-        return _box_indices(_near_boxes(self, region, threshold), self.size)
-
-
-def _near_boxes(circle: CircleGridPacking, region: BoxRegion, threshold) -> list:
-    """The points of the d-fold product of ``circle`` within max-metric
-    distance threshold >= 0 of the region, as a union of index boxes (tuples
-    of half-open index ranges, one per axis): every box thickened by the
-    threshold is a product of the circle's index ranges."""
-    den, boxes, t = region.lifted(threshold)
-    return [ib for box in boxes for ib in product(
-        *(circle._ranges(lo - t, hi + t, den) for lo, hi in box))]
-
-
-def _box_indices(boxes, K: int) -> list[int]:
-    """Sorted row-major indices, base K, of the lattice points in a union of
-    index boxes: the positions of those points in the product packing."""
-    out = set()
-    for box in boxes:
-        flat = [0]
-        for a, z in box:
-            flat = [f * K + k for f in flat for k in range(a, z)]
-        out.update(flat)
-    return sorted(out)
-
-
-def _union_size(boxes) -> int:
-    """#lattice points in a union of index boxes (tuples of half-open ranges):
-    cut the first axis at every box end, and count each slab's cross-section
-    (the boxes that cover it, on the remaining axes) once."""
-    if not boxes:
-        return 0
-    if not boxes[0]:
-        return 1
-    boxes = sorted(boxes)
-    cuts = sorted({c for box in boxes for c in box[0]})
-    total, i, cover = 0, 0, []
-    for a, z in zip(cuts, cuts[1:]):
-        while i < len(boxes) and boxes[i][0][0] <= a:
-            cover.append(boxes[i])
-            i += 1
-        cover = [box for box in cover if a < box[0][1]]
-        total += (z - a) * _union_size([box[1:] for box in cover])
-    return total
+        out = []
+        for c in cuts:                  # -(-x // y) is the ceiling of x / y
+            at, past = -(-c * A // den), c * A // den + 1
+            out += (-(-at * K // A), -(-past * K // A))
+        return out + [out[0] + K] if out else [0, K]
 
 
 class TorusGridPacking:
@@ -194,22 +173,14 @@ class TorusGridPacking:
         self.circle = CircleGridPacking(n)
         self.size = self.circle.size ** dim
 
+    count_within, indices_within = _count_within, _indices_within
+
     def iter_points(self):
         _check_iter(self.n, self.size)
         return product(self.circle.points_list(), repeat=self.dim)
 
     def points_list(self):
         return list(self.iter_points())
-
-    def count_within(self, region: BoxRegion, threshold) -> int:
-        """#points with exact max-metric distance <= threshold to the region."""
-        return _union_size(_near_boxes(self.circle, region, threshold))
-
-    def indices_within(self, region: BoxRegion, threshold) -> list[int]:
-        """Sorted positions in ``iter_points`` order of the points within
-        exact max-metric distance threshold of the region."""
-        return _box_indices(_near_boxes(self.circle, region, threshold),
-                            self.circle.size)
 
 
 class PackingTable:

@@ -1,29 +1,31 @@
 """Exact region algebra for located sets on finite groups, the circle and tori.
 
-Regions are the closed sets the Section-style procedures actually construct:
-balls, complements, unions, and differences of balls.  On the circle/torus a
-region is a list of boxes (products of closed arcs with rational endpoints);
-subtraction removes the *interior* of the cut, so results stay closed and the
-algebra is exact: distances evaluate to exact rationals.  On finite groups a
-region is a subset of element indices.
-
-A box region stores integers over one denominator ``den``: the arc (lo, hi)
-stands for lo/den to hi/den.  Arc convention: 0 <= lo < den and lo <= hi <=
-lo + den describe the closed arc from lo upward to hi; length hi - lo; the
-full circle is (0, den).  Every number enters through ``ratio`` and every
-operation works at the lcm of its operands' denominators (a power of two on
-dyadic inputs), so only ``distance`` and ``measure`` build fractions.
+On finite groups a region is a subset of element indices.  On the d-torus
+(d = 1 is the circle) it is a closed set on a coordinate-compressed grid:
+each axis has sorted cuts c_0 < ... < c_(m-1) in [0, den), read as c_i/den,
+whose 2m cells alternate between a point {c_i} and an open arc (c_i, c_(i+1))
+(the last one wraps round; an axis without cuts is one cell), and the region
+is an in/out flag per product cell, row-major.  Set operations merge the cuts
+and act cell by cell, taking closures.  A max-metric ball is a product of
+arcs, so ``expand`` and ``shrink`` act on one axis at a time, where each
+closed run [a, b] of in-cells on a line becomes [a - r, b + r] or
+[a + r, b - r] (separable dilation and erosion by a box, Serra 1982; cut
+grids as in Chan, FOCS 2013).  Results are canonical, so equal sets have
+equal (den, cuts, flags): a cut between equal cells on every line goes, and
+den is divided by its gcd with the cuts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import compress, product
+from math import gcd, lcm, prod
 
-from .exactreal import Dyadic, NoConvergence
+from .exactreal import Dyadic
 
 FAR = Fraction(1 << 40)          # stand-in for the distance to an empty set
-MAX_BOXES = 1 << 16              # effort cap on the boxes of one subtraction
 
 
 def ratio(x) -> tuple[int, int]:
@@ -33,201 +35,223 @@ def ratio(x) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def _arc(lo: int, hi: int, den: int):
-    """The normalized arc from lo to hi (the full circle once hi - lo >= den)."""
-    if hi - lo >= den:
-        return (0, den)
-    s = lo % den
-    return (s, s + hi - lo)
+def _cells(cut, den: int) -> list:
+    """The closures (lo, hi) of one axis' cells: (c_i, c_i) for a point,
+    (c_i, c_(i+1)) for an arc, (0, den) for an axis without cuts."""
+    ends = [e + den * (e <= c) for c, e in zip(cut, cut[1:] + cut[:1])]
+    return [cell for c, e in zip(cut, ends) for cell in ((c, c), (c, e))] or [(0, den)]
 
 
-def _arc_distance(lo: int, hi: int, x: int, den: int) -> int:
-    """Circle distance from point x to the closed arc (lo, hi), times den."""
-    if hi - lo >= den:
-        return 0
-    rel = (x - lo) % den
-    if rel <= hi - lo:
-        return 0
-    # distance to the hi end going down, or to lo going up (around)
-    return min(rel - (hi - lo), den - rel)
+def _cell_map(own, fine) -> list:
+    """For each cell of an axis cut at ``fine``, the index of the cell of the
+    axis cut at ``own`` (a subset) that holds it."""
+    n, out = 2 * len(own) or 1, []
+    for c in fine:
+        i = bisect_right(own, c) - 1
+        out += ((2 * i + (not own or own[i] != c)) % n, (2 * i + 1) % n)
+    return out or [0]
 
 
-def _split_arc(arc, cut, den: int):
-    """Closed pieces of arc outside the *interior* of cut, and closed pieces
-    of arc inside cut (0, 1 or 2 arcs each).
-
-    Normalized arcs lie in [0, 2 den), so only the cut's shifts by -den, 0
-    and +den can meet the arc; those shifts are disjoint and ascending, so
-    one walk along the arc cuts them out in order.
-    """
-    lo, hi = arc
-    clo, chi = cut
-    if chi - clo >= den:
-        return [], [arc]
-    if hi - lo >= den:
-        return [_arc(chi, clo + den, den)], [cut]
-    outside, inside = [], []
-    rest = lo               # the part of the arc not yet cut is [rest, hi]
-    for k in (-den, 0, den):
-        a, b = clo + k, chi + k
-        if max(lo, a) <= min(hi, b):
-            inside.append(_arc(max(lo, a), min(hi, b), den))
-        if rest is not None and a < hi and b > rest:   # open cut meets the rest
-            if a > rest:
-                outside.append(_arc(rest, a, den))
-            rest = b if b < hi else None
-    if rest is not None:
-        outside.append(_arc(rest, hi, den))
-    return outside, inside
+def _sweep(cuts, flags, fn):
+    """(cuts, flags) once fn(axis, cut, lines) -> (cut, lines) has rewritten
+    the lines of cells along each axis in turn.  The lines along the last
+    axis are consecutive, and each step moves that axis to the front."""
+    if len(cuts) == 1:
+        cut, lines = fn(0, cuts[0], [flags])
+        return [cut], lines[0]
+    cuts = list(cuts)
+    for axis in reversed(range(len(cuts))):
+        n = 2 * len(cuts[axis]) or 1
+        cuts[axis], lines = fn(axis, cuts[axis],
+                               [flags[i:i + n] for i in range(0, len(flags), n)])
+        flags = [ln[j] for j in range(len(lines[0])) for ln in lines]
+    return cuts, flags
 
 
-def _grow(box, g: int, den: int):
-    return tuple(_arc(lo - g, hi + g, den) for lo, hi in box)
+def _drop(axis, cut, lines):
+    """The cuts whose point and two arcs agree on every line go."""
+    keep = [i for i in range(len(cut)) if any(
+        [ln[2 * i - 1] != ln[2 * i] or ln[2 * i] != ln[2 * i + 1] for ln in lines])]
+    if len(keep) == len(cut):
+        return cut, lines
+    cells = [k for i in keep for k in (2 * i, 2 * i + 1)] or [0]
+    return tuple(cut[i] for i in keep), [[ln[k] for k in cells] for ln in lines]
 
 
-def _subtract_box(boxes, cut, den: int) -> list:
-    """The boxes minus the interior of one cut box."""
-    out = []
-    for box in boxes:
-        # cores: parts matching the cut on all coordinates processed so far
-        cores = [box]
-        for c, cut_arc in enumerate(cut):
-            nxt_cores = []
-            for b in cores:
-                outside, inside = _split_arc(b[c], cut_arc, den)
-                out += [b[:c] + (arc,) + b[c + 1:] for arc in outside]
-                nxt_cores += [b[:c] + (arc,) + b[c + 1:] for arc in inside]
-            cores = nxt_cores
-        # cores are inside the cut on every coordinate: removed
-    if len(out) > MAX_BOXES:
-        raise NoConvergence(f"box algebra reached {len(out)} boxes; over the "
-                            f"effort cap of {MAX_BOXES}")
-    return out
+def _close(axis, cut, lines):
+    """Point cells next to an in-arc join."""
+    return cut, [[f or (k % 2 == 0 and (ln[k - 1] or ln[k + 1]))
+                  for k, f in enumerate(ln)] if cut else ln for ln in lines]
 
 
-def _union(boxes, more, den: int) -> list:
-    """The boxes together with the parts of ``more`` they do not cover."""
-    for box in more:
-        extra = [box]
-        for mine in boxes:
-            extra = _subtract_box(extra, mine, den)
-        boxes = boxes + extra
-    return boxes
+def _one_arc(a: int, b: int, den: int):
+    """(cut, flags) of one axis holding the closed arc [a, b] alone."""
+    if b - a >= den:
+        return (), [True]
+    lo, hi = a % den, b % den
+    if lo == hi:
+        return (lo,), [True, False]
+    return ((lo, hi), [True, True, True, False]) if lo < hi \
+        else ((hi, lo), [True, False, True, True])
 
 
+def _line(line, cut, den: int, h: int):
+    """(cut, flags) of one closed line, canonical, once each closed run
+    [a, b] of its in-cells became [a - h, b + h]: a run shorter than a point
+    goes, runs that meet merge, and a run a turn long fills the line."""
+    if all(line):
+        return (), [True]
+    runs, wrap = [], None
+    for i, c in enumerate(cut):               # runs start and end on points
+        if line[2 * i]:
+            if not line[2 * i - 1]:
+                runs.append([c - h, None])
+            if not line[2 * i + 1]:
+                if runs and runs[-1][1] is None:
+                    runs[-1][1] = c + h
+                else:
+                    wrap = c + h + den            # the last run wraps round
+    if wrap is not None:
+        runs[-1][1] = wrap
+    runs = [run for run in runs if run[0] <= run[1]]
+    for k in range(len(runs) - 1, 0, -1):
+        if runs[k][0] <= runs[k - 1][1]:
+            runs[k - 1][1] = max(runs[k - 1][1], runs.pop(k)[1])
+    while len(runs) > 1 and runs[0][0] + den <= runs[-1][1]:
+        runs[-1][1] = max(runs[-1][1], runs.pop(0)[1] + den)
+    if len(runs) < 2:                         # a run a turn long is alone
+        return _one_arc(*runs[0], den) if runs else ((), [False])
+    ends = sorted([(a % den, a < b) for a, b in runs]
+                  + [(b % den, False) for a, b in runs if a < b])
+    return tuple(c for c, _ in ends), [f for _, arc in ends for f in (True, arc)]
+
+
+def _region(dim: int, den: int, cuts, flags, drop: bool = True) -> "BoxRegion":
+    """The canonical region: redundant cuts dropped (when ``drop``), then den
+    and the cuts divided by their gcd."""
+    if drop:
+        cuts, flags = _sweep(cuts, flags, _drop)
+    g = gcd(den, *[c for cut in cuts for c in cut])
+    if g > 1:
+        den, cuts = den // g, [tuple([c // g for c in cut]) for cut in cuts]
+    return BoxRegion(dim, den, tuple(cuts), flags)
+
+
+@dataclass(eq=False, slots=True)
 class BoxRegion:
-    """Finite union of closed boxes on the d-torus (d = 1 is the circle)."""
+    """Closed region of the d-torus (d = 1 is the circle) on a cut grid."""
 
-    __slots__ = ("dim", "den", "boxes")
-
-    def __init__(self, dim: int, den: int, boxes):
-        self.dim = dim
-        self.den = den
-        self.boxes = list(boxes)
-
-    # -- constructors --------------------------------------------------------
+    dim: int
+    den: int
+    cuts: tuple
+    flags: list
 
     @staticmethod
     def empty(dim: int) -> "BoxRegion":
-        return BoxRegion(dim, 1, [])
-
-    @staticmethod
-    def whole(dim: int) -> "BoxRegion":
-        return BoxRegion(dim, 1, [((0, 1),) * dim])
+        return BoxRegion(dim, 1, ((),) * dim, [False])
 
     @staticmethod
     def ball(dim: int, center, radius) -> "BoxRegion":
         """Closed max-metric ball: a product of arcs."""
-        rn, rd = ratio(radius)
+        (rn, rd), coords = ratio(radius), [ratio(c) for c in center]
         if rn < 0:
             return BoxRegion.empty(dim)
-        coords = [ratio(c) for c in center]
         den = lcm(rd, *(d for _, d in coords))
         r = rn * (den // rd)
-        return BoxRegion(dim, den, [tuple(
-            _arc(n * (den // d) - r, n * (den // d) + r, den) for n, d in coords)])
+        axes = [_one_arc(n * den // d - r, n * den // d + r, den) for n, d in coords]
+        flags = [all(c) for c in product(*(cells for _, cells in axes))]
+        return _region(dim, den, [cut for cut, _ in axes], flags, drop=False)
 
     def is_empty(self) -> bool:
-        return not self.boxes
+        return not any(self.flags)
 
-    def boxes_at(self, den: int) -> list:
-        """The boxes over a multiple ``den`` of this region's denominator."""
+    def _at(self, den: int):
+        """The cuts over a multiple den of this region's denominator."""
         k = den // self.den
-        if k == 1:
-            return self.boxes
-        return [tuple((lo * k, hi * k) for lo, hi in box) for box in self.boxes]
+        return self.cuts if k == 1 else [tuple([c * k for c in ct]) for ct in self.cuts]
 
-    def lifted(self, r):
-        """(den, boxes, g): the boxes over den, the lcm of this region's
-        denominator and r's, and r as g / den."""
-        rn, rd = ratio(r)
-        den = lcm(self.den, rd)
-        return den, self.boxes_at(den), rn * (den // rd)
+    def _on(self, den: int, fine) -> list:
+        """The flags on a finer grid: den a multiple of this region's, and per
+        axis cuts that hold its own (cell 0, all ``contains`` reads, is right
+        for any cuts)."""
+        idx = [0]
+        for own, cut in zip(self._at(den), fine):
+            idx = [x * (2 * len(own) or 1) + y for x in idx
+                   for y in _cell_map(own, cut)]
+        return [self.flags[x] for x in idx]
 
-    # -- set operations (exact; subtraction removes interiors) ----------------
+    def _merged(self, other: "BoxRegion"):
+        """(den, cuts, own flags, other's flags) on the merged grid."""
+        den = lcm(self.den, other.den)
+        fine = [tuple(sorted({*a, *b})) for a, b in zip(self._at(den), other._at(den))]
+        return den, fine, self._on(den, fine), other._on(den, fine)
 
     def union(self, other: "BoxRegion") -> "BoxRegion":
-        den = lcm(self.den, other.den)
-        return BoxRegion(self.dim, den,
-                         _union(self.boxes_at(den), other.boxes_at(den), den))
+        den, cuts, a, b = self._merged(other)
+        return _region(self.dim, den, cuts, [x or y for x, y in zip(a, b)])
 
     def subtract(self, other: "BoxRegion") -> "BoxRegion":
-        den = lcm(self.den, other.den)
-        acc = self.boxes_at(den)
-        for box in other.boxes_at(den):
-            acc = _subtract_box(acc, box, den)
-        return BoxRegion(self.dim, den, acc)
+        """The closure of this region minus the other."""
+        den, cuts, a, b = self._merged(other)
+        return _region(self.dim, den,
+                       *_sweep(cuts, [x and not y for x, y in zip(a, b)], _close))
 
     def complement(self) -> "BoxRegion":
-        return BoxRegion.whole(self.dim).subtract(self)
+        return _region(self.dim, self.den,
+                       *_sweep(self.cuts, [not x for x in self.flags], _close))
+
+    def _morph(self, r, sign: int):
+        """(den, cuts, flags) once each closed run [a, b] of in-cells on a
+        line became [a - h, b + h], h = sign * r, along each axis in turn;
+        the lines of an axis share the union of their cuts.  Only the first
+        axis is canonical."""
+        rn, rd = ratio(r)
+        if rn <= 0:
+            return self.den, self.cuts, self.flags
+        den = lcm(self.den, rd)
+        h = sign * rn * (den // rd)
+        if self.dim == 1:
+            cut, flags = _line(self.flags, self._at(den)[0], den, h)
+            return den, [cut], flags
+
+        def grow(axis, cut, lines):
+            grown = [_line(ln, cut, den, h) for ln in lines]
+            cut = tuple(sorted({c for own, _ in grown for c in own}))
+            return cut, [[f[j] for j in _cell_map(own, cut)] for own, f in grown]
+
+        return den, *_sweep(self._at(den), self.flags, grow)
 
     def expand(self, r) -> "BoxRegion":
-        """Outer generalized ball: every box grown by r in the max metric."""
-        den, boxes, g = self.lifted(r)
-        if not boxes or g <= 0:
-            return self
-        return BoxRegion(self.dim, den,
-                         _union([], [_grow(box, g, den) for box in boxes], den))
+        """Outer generalized ball {x : d(x, self) <= r}."""
+        return _region(self.dim, *self._morph(r, 1), drop=self.dim > 1)
 
     def shrink(self, r) -> "BoxRegion":
-        """Inner generalized ball {x : d(x, complement) >= r}: the whole space
-        minus the interiors of the complement's boxes grown by r."""
-        if self.is_empty():
-            return self
-        den, comp, g = self.complement().lifted(r)
-        acc = BoxRegion.whole(self.dim).boxes_at(den)
-        for box in comp:
-            acc = _subtract_box(acc, _grow(box, g, den) if g > 0 else box, den)
-        return BoxRegion(self.dim, den, acc)
-
-    # -- queries --------------------------------------------------------------
+        """Inner generalized ball {x : d(x, complement) >= r}."""
+        return _region(self.dim, *self._morph(r, -1), drop=self.dim > 1)
 
     def contains(self, point) -> bool:
-        return self.distance(point) == 0
+        """Whether the cell that holds the point is in."""
+        coords = [ratio(c) for c in point]
+        den = lcm(self.den, *(d for _, d in coords))
+        return self._on(den, [(n * (den // d) % den,) for n, d in coords])[0]
 
     def distance(self, point) -> Fraction:
-        """Exact max-metric distance from point to the region (FAR if empty)."""
+        """Exact max-metric distance from point to the region (FAR if empty):
+        the least over in-cells of the largest per-axis arc distance."""
         if self.is_empty():
             return FAR
         coords = [ratio(c) for c in point]
         den = lcm(self.den, *(d for _, d in coords))
         xs = [n * (den // d) for n, d in coords]
-        return Fraction(min(max(_arc_distance(lo, hi, x, den)
-                                for (lo, hi), x in zip(box, xs))
-                            for box in self.boxes_at(den)), den)
+        dists = [[min((x - hi) % den, (lo - x) % den) if (x - lo) % den > hi - lo
+                  else 0 for lo, hi in _cells(cut, den)]
+                 for x, cut in zip(xs, self._at(den))]
+        return Fraction(min(map(max, compress(product(*dists), self.flags))), den)
 
     def measure(self) -> Fraction:
-        """Total content, valid when the boxes overlap at most in boundaries."""
-        total = 0
-        for box in self.boxes:
-            v = 1
-            for lo, hi in box:
-                v *= hi - lo
-            total += v
-        return Fraction(total, self.den ** self.dim)
-
-    def __repr__(self):
-        return f"BoxRegion(dim={self.dim}, boxes={len(self.boxes)})"
+        lengths = [[hi - lo for lo, hi in _cells(cut, self.den)] for cut in self.cuts]
+        return Fraction(sum(map(prod, compress(product(*lengths), self.flags))),
+                        self.den ** self.dim)
 
 
 class FiniteRegion:

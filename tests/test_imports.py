@@ -72,6 +72,10 @@ ENTRY_POINTS = {
                           "regions.op span",
     "BoxRegion.contains": "the region and partition oracle tests",
     "FiniteRegion.contains": "the region and partition oracle tests",
+    "BoxRegion.complement": "the region algebra's oracle tests",
+    "FiniteRegion.complement": "the region algebra's oracle tests",
+    "BoxRegion.distance": "the packing counts' enumeration oracle tests",
+    "FiniteRegion.distance": "the packing counts' enumeration oracle tests",
     "_Parser.error": "argparse calls it on every usage error",
     "_Axis.sin_mid": "the axis table oracle tests read the int tables as intervals",
     "_Axis.cos_mid": "the axis table oracle tests read the int tables as intervals",

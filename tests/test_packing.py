@@ -166,10 +166,11 @@ class TestGridPackings:
             return BoxRegion.ball(dim, center, data.draw(lattice) / 4)
 
         region = ball()
-        for op in data.draw(st.lists(
-                st.sampled_from(["union", "subtract", "expand"]), max_size=2)):
-            region = (region.expand(data.draw(lattice) / 8) if op == "expand"
-                      else getattr(region, op)(ball()))
+        for op in data.draw(st.lists(st.sampled_from(
+                ["union", "subtract", "expand", "shrink", "complement"]), max_size=2)):
+            region = (getattr(region, op)(data.draw(lattice) / 8)
+                      if op in ("expand", "shrink") else region.complement()
+                      if op == "complement" else getattr(region, op)(ball()))
         # thresholds that carry a box end exactly onto a packing point (both
         # sit on the 1/A lattice), zero, or anything rational
         threshold = data.draw(st.one_of(

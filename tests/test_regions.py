@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haar.exactreal import NoConvergence
-from haar.regions import MAX_BOXES, BoxRegion, FiniteRegion
+from haar.regions import BoxRegion, FiniteRegion
 
 
 def F(a, b):
@@ -96,10 +97,8 @@ class TestBooleanOps:
 
 
 def _on_boundary(ball_region, x):
-    (arc,) = ball_region.boxes[0]
-    lo, hi = (F(e, ball_region.den) for e in arc)
-    rel = (x - lo) - ((x - lo).numerator // (x - lo).denominator)
-    return rel == 0 or rel == hi - lo
+    (cuts,) = ball_region.cuts                 # an arc's two ends
+    return any((x - F(c, ball_region.den)) % 1 == 0 for c in cuts)
 
 
 class TestTorusBoxes:
@@ -128,19 +127,24 @@ class TestTorusBoxes:
         assert s.measure() == F(1, 16)
         assert s.contains((F(1, 2), F(1, 2)))
 
-    def test_shrink_past_the_box_cap_is_refused(self):
-        # five torus:2 balls: the union has 19 boxes and its complement 589,
-        # and the shrink splits these past MAX_BOXES, so it must refuse,
-        # naming the cap and the count it reached, rather than run on
-        u = BoxRegion.ball(2, (F(0, 1), F(0, 1)), F(1, 8))
-        for k in range(1, 5):
-            u = u.union(BoxRegion.ball(
-                2, (F(k % 8 + 1, 8), F(2 * k % 8 + 1, 8)), F(1, 8)))
-        assert len(u.boxes) == 19
-        with pytest.raises(NoConvergence,
-                           match=rf"reached \d+ boxes; over the effort cap "
-                                 rf"of {MAX_BOXES}"):
-            u.shrink(F(1, 64))
+    def test_five_ball_shrink_matches_lattice_membership(self):
+        # five torus:2 balls of radius 1/8 centred on the 1/8 lattice: their
+        # union is a union of 1/8-cells, and a point is in shrink(1/64) when
+        # every cell its open 1/64-box meets is in.  The samples, odd
+        # multiples of 1/128, lie on no edge of the result.
+        centres = [(0, 0)] + [(k % 8 + 1, 2 * k % 8 + 1) for k in range(1, 5)]
+        u = reduce(BoxRegion.union, (BoxRegion.ball(2, (F(x, 8), F(y, 8)), F(1, 8))
+                                     for x, y in centres))
+        start = time.perf_counter()
+        s = u.shrink(F(1, 64))
+        assert time.perf_counter() - start < 1.0
+        units, step = 128, 16
+        cells = {c: any(all(_turn_distance(step * ci + step // 2 - step * xi, units)
+                            <= step for ci, xi in zip(c, centre)) for centre in centres)
+                 for c in itertools.product(range(units // step), repeat=2)}
+        for y in itertools.product(range(1, units, 2), repeat=2):
+            expect = _ball_op(cells, y, 2, False, step, units)
+            assert s.contains(tuple(F(yc, units) for yc in y)) == expect, y
 
 
 # Property tests on two lattices: A is a union of balls with centres on
@@ -148,16 +152,16 @@ class TestTorusBoxes:
 # and radii 1/12..1/2, so every box edge is a multiple of 1/24 and union and
 # subtract work over a denominator that is not a power of two.  The samples
 # are the odd multiples of 1/48, one inside each open 1/24-cell.  No sample
-# lies on an edge of an input or of a result, where a closed result and the
-# set it stands for may differ, so membership there is decided exactly by
-# integer arithmetic in units of 1/48.
+# lies on an edge of an input, so membership is decided exactly by integer
+# arithmetic in units of 1/48; the r/16-thickening of a 1/8-cell union has
+# edges on samples, where ``_ball_op`` decides the closed set exactly.
 UNITS = 48          # sample units per turn
 STEP_A, STEP_B = 6, 4       # lattice steps of A and B in sample units
 
 
-def _turn_distance(d: int) -> int:
-    d %= UNITS
-    return min(d, UNITS - d)
+def _turn_distance(d: int, units: int = UNITS) -> int:
+    d %= units
+    return min(d, units - d)
 
 
 def lattice_balls(dim, step):
@@ -168,13 +172,30 @@ def lattice_balls(dim, step):
 
 def lattice_region(dim, balls, step):
     den = UNITS // step
-    return BoxRegion(dim, den, [box for centre, r in balls for box in BoxRegion.ball(
-        dim, [F(c, den) for c in centre], F(r, den)).boxes_at(den)])
+    return reduce(BoxRegion.union, (BoxRegion.ball(
+        dim, [F(c, den) for c in centre], F(r, den)) for centre, r in balls))
 
 
 def in_balls(balls, step, y) -> bool:
     return any(all(_turn_distance(yc - step * c) <= step * r for yc, c in zip(y, centre))
                for centre, r in balls)
+
+
+def _ball_op(cells, y, rho, grow, step=STEP_A, units=UNITS) -> bool:
+    """Membership of the point y (in sample units) in the set ``cells`` (a
+    union of closed lattice cells of ``step`` units, as a dict over cell
+    indices) thickened by rho units (grow: the closed box around y meets an
+    in-cell) or thinned by rho (every cell the open box meets is in; it meets
+    each in a piece of positive size).  On each axis the box meets the cells
+    c with step c <= y + rho and step (c + 1) >= y - rho, strictly for the
+    open box."""
+    n, ranges = units // step, []
+    for yc in y:
+        lo, hi = (-(-(yc - rho) // step) - 1, (yc + rho) // step) if grow \
+            else ((yc - rho) // step, -(-(yc + rho) // step) - 1)
+        ranges.append(range(n) if hi - lo + 1 >= n else [c % n for c in range(lo, hi + 1)])
+    near = (cells[c] for c in itertools.product(*ranges))
+    return any(near) if grow else all(near)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -185,22 +206,46 @@ def test_region_algebra_matches_brute_force(dim, data):
     r = data.draw(st.integers(1, 4))
     a, b = lattice_region(dim, A, STEP_A), lattice_region(dim, B, STEP_B)
     results = {"union": a.union(b), "subtract": a.subtract(b),
-               "expand": a.expand(F(r, 8)), "shrink": a.shrink(F(r, 8))}
+               "complement": a.complement(),
+               "expand": a.expand(F(r, 8)), "shrink": a.shrink(F(r, 8)),
+               "expand-shrink": a.expand(F(4 * r, 8)).shrink(F(r, 8)),
+               "shrink-expand": a.shrink(F(4 * r, 8)).expand(F(r, 16))}
     samples = list(itertools.product(range(1, UNITS, 2), repeat=dim))
     in_a = {y: in_balls(A, STEP_A, y) for y in samples}
-    # the max-metric ball of radius r/8 around a sample meets the 1/8-lattice
-    # cells holding these samples, one each, in their interiors
-    offsets = list(itertools.product(
-        range(-STEP_A * r, STEP_A * r + 1, STEP_A), repeat=dim))
+    # a and its 4r/8-thickening and thinning are unions of closed 1/8-cells,
+    # each decided at its centre sample
+    cells = {c: in_a[tuple(STEP_A * ci + STEP_A // 2 for ci in c)]
+             for c in itertools.product(range(UNITS // STEP_A), repeat=dim)}
+    grown, thinned = ({c: _ball_op(cells, tuple(STEP_A * ci + STEP_A // 2 for ci in c),
+                                   4 * STEP_A * r, grow) for c in cells}
+                      for grow in (True, False))
     for y in samples:
-        near = [in_a[tuple((yc + o) % UNITS for yc, o in zip(y, off))]
-                for off in offsets]
         expect = {"union": in_a[y] or in_balls(B, STEP_B, y),
                   "subtract": in_a[y] and not in_balls(B, STEP_B, y),
-                  "expand": any(near), "shrink": all(near)}
+                  "complement": not in_a[y],
+                  "expand": _ball_op(cells, y, STEP_A * r, True),
+                  "shrink": _ball_op(cells, y, STEP_A * r, False),
+                  "expand-shrink": _ball_op(grown, y, STEP_A * r, False),
+                  "shrink-expand": _ball_op(thinned, y, STEP_A * r // 2, True)}
         point = tuple(F(yc, UNITS) for yc in y)
         for name, region in results.items():
             assert region.contains(point) == expect[name], (name, A, B, r, y)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_equal_sets_have_equal_grids(dim, data):
+    a = lattice_region(dim, data.draw(lattice_balls(dim, STEP_A)), STEP_A)
+    b = lattice_region(dim, data.draw(lattice_balls(dim, STEP_B)), STEP_B)
+    r, s = (data.draw(st.fractions(0, 1, max_denominator=64)) for _ in range(2))
+
+    def grid(x):
+        return x.den, x.cuts, x.flags
+
+    assert grid(a.union(b)) == grid(b.union(a))
+    assert grid(a.expand(r).expand(s)) == grid(a.expand(r + s))
+    assert grid(a.subtract(a)) == grid(BoxRegion.empty(dim))
 
 
 class TestFiniteRegions:
