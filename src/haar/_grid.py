@@ -148,22 +148,6 @@ class _Axis:
         return [_shift_out(t, self.g - scale) if t is not None else None
                 for t in (self.sin, self.cos, self.w)]
 
-    def _intervals(self, t):
-        return [Interval(Dyadic(lo, -self.g), Dyadic(hi, -self.g))
-                for lo, hi in zip(t[0].tolist(), t[1].tolist())]
-
-    @property
-    def sin_mid(self):
-        return self._intervals(self.sin)
-
-    @property
-    def cos_mid(self):
-        return self._intervals(self.cos)
-
-    @property
-    def weights(self):
-        return None if self.w is None else self._intervals(self.w)
-
 
 def _shift_out(t, s: int):
     """An outward (lo, hi) pair of int64 arrays rounded outward by s bits."""

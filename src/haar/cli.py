@@ -173,12 +173,9 @@ def _integrate_value(G, method, spec, n, effort_cap) -> CertifiedValue:
     if method == "quadrature":
         return haar_integral_derived(G.kind, spec, n,
                                      max_cells=effort_cap or 10 ** 11)
-    packings = PackingTable(G)
-    if G.kind == "finite":
-        modulus = ModulusOfContinuity.discrete()
-    else:
-        modulus = ModulusOfContinuity.from_lipschitz(spec.lipschitz)
-    return compute_integral(G, spec.eval, modulus, spec.bound, packings, n,
+    return compute_integral(G, spec.eval,
+                            ModulusOfContinuity.from_lipschitz(spec.lipschitz),
+                            spec.bound, PackingTable(G), n,
                             max_level=effort_cap or None)
 
 

@@ -276,9 +276,6 @@ class Interval:
         q = Fraction(x)
         return self.lo.as_fraction() <= q <= self.hi.as_fraction()
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def round_out(self, p: int) -> "Interval":
         return Interval(self.lo.floor_to(p), self.hi.ceil_to(p))
 

@@ -63,10 +63,6 @@ class LocatedSet:
             raise ConfigError(f"no located-set backend for group {G.kind!r}")
         return LocatedSet(G, G.region(center, radius))
 
-    @staticmethod
-    def whole(G: Group) -> "LocatedSet":
-        return LocatedSet.ball(G, G.identity, G.diameter_bound)
-
     def outer_ball(self, r) -> "LocatedSet":
         """B(+r, S) = {x : d(x, S) <= r}."""
         return LocatedSet(self.group, self.region.expand(r))

@@ -48,10 +48,6 @@ class Versor:
     def components(self) -> tuple[Interval, Interval, Interval, Interval]:
         return self.a, self.b, self.c, self.d
 
-    def norm2(self) -> Interval:
-        return (self.a.square() + self.b.square()
-                + self.c.square() + self.d.square())
-
     def conjugate(self) -> "Versor":
         return Versor(self.a, -self.b, -self.c, -self.d)
 
@@ -84,8 +80,6 @@ class Versor:
 
 
 QUAT_ONE = Versor.exact(ONE, ZERO, ZERO, ZERO)
-QUAT_I = Versor.exact(ZERO, ONE, ZERO, ZERO)
-QUAT_J = Versor.exact(ZERO, ZERO, ONE, ZERO)
 
 
 # ---------------------------------------------------------------------------

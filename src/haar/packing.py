@@ -10,11 +10,10 @@ in-cells, the products of the index ranges each axis' cell holds; the finite
 packing counts the region's members.  So the measure procedures can consume
 packing levels whose cardinality is astronomically large.  The same cells
 (or members) answer ``indices_within``, which points lie near a region, for
-the partition's neighbour scan.  Points are
-materialized only for partition centres and printing, and never more than
-``MAX_ITER`` of them.  The packing classes are the one place the closed
-forms are written: each group's ``packing`` field builds them and
-``Group.kappa`` reads their sizes.
+the partition's neighbour scan.  Points are materialized only for partition
+centres and printing, and never more than ``MAX_ITER`` of them.  The packing
+classes are the one place the closed forms are written: each group's
+``packing`` field builds them and ``Group.kappa`` reads their sizes.
 """
 
 from __future__ import annotations

@@ -150,9 +150,10 @@ def _circle_sums(f: IntegrandSpec, N: int) -> tuple[int, int]:
     so ``_sincos_table`` gives the (sin, cos) table as outward int64 pairs,
     one array run of the Taylor series per block over its distinct reduced
     angles (about N/8 lanes in all), and ``f.complex_fixed`` runs once per
-    block of ``_circle_blocks``, so the memory stays bounded at any N.  A point whose enclosure lies wholly
-    outside [-bound, bound] proves the declared bound false.  The sums are
-    taken in python ints, so no enclosure width can wrap them.
+    block of ``_circle_blocks``, so the memory stays bounded at any N.  A
+    point whose enclosure lies wholly outside [-bound, bound] proves the
+    declared bound false.  The sums are taken in python ints, so no
+    enclosure width can wrap them.
     """
     g = kernel_bits(GUARD)
     m = f.bound.scaled_floor(SCALE)

@@ -5,14 +5,14 @@ On finite groups a region is a subset of element indices.  On the d-torus
 each axis has sorted cuts c_0 < ... < c_(m-1) in [0, den), read as c_i/den,
 whose 2m cells alternate between a point {c_i} and an open arc (c_i, c_(i+1))
 (the last one wraps round; an axis without cuts is one cell), and the region
-is an in/out flag per product cell, row-major.  Set operations merge the cuts
-and act cell by cell, taking closures.  A max-metric ball is a product of
-arcs, so ``expand`` and ``shrink`` act on one axis at a time, where each
-closed run [a, b] of in-cells on a line becomes [a - r, b + r] or
-[a + r, b - r] (separable dilation and erosion by a box, Serra 1982; cut
-grids as in Chan, FOCS 2013).  Results are canonical, so equal sets have
-equal (den, cuts, flags): a cut between equal cells on every line goes, and
-den is divided by its gcd with the cuts.
+is an in/out flag per product cell, row-major.  ``union`` and ``subtract``
+merge the cuts and act cell by cell, ``subtract`` taking the closure.  A
+max-metric ball is a product of arcs, so ``expand`` and ``shrink`` act on one
+axis at a time, where each closed run [a, b] of in-cells on a line becomes
+[a - r, b + r] or [a + r, b - r] (separable dilation and erosion by a box,
+Serra 1982; cut grids as in Chan, FOCS 2013).  Results are canonical, so
+equal sets have equal (den, cuts, flags): a cut between equal cells on every
+line goes, and den is divided by its gcd with the cuts.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from itertools import compress, product
 from math import gcd, lcm, prod
 
 from .exactreal import Dyadic
-
-FAR = Fraction(1 << 40)          # stand-in for the distance to an empty set
 
 
 def ratio(x) -> tuple[int, int]:
@@ -162,9 +160,6 @@ class BoxRegion:
         flags = [all(c) for c in product(*(cells for _, cells in axes))]
         return _region(dim, den, [cut for cut, _ in axes], flags, drop=False)
 
-    def is_empty(self) -> bool:
-        return not any(self.flags)
-
     def _at(self, den: int):
         """The cuts over a multiple den of this region's denominator."""
         k = den // self.den
@@ -172,8 +167,7 @@ class BoxRegion:
 
     def _on(self, den: int, fine) -> list:
         """The flags on a finer grid: den a multiple of this region's, and per
-        axis cuts that hold its own (cell 0, all ``contains`` reads, is right
-        for any cuts)."""
+        axis cuts that hold its own."""
         idx = [0]
         for own, cut in zip(self._at(den), fine):
             idx = [x * (2 * len(own) or 1) + y for x in idx
@@ -195,10 +189,6 @@ class BoxRegion:
         den, cuts, a, b = self._merged(other)
         return _region(self.dim, den,
                        *_sweep(cuts, [x and not y for x, y in zip(a, b)], _close))
-
-    def complement(self) -> "BoxRegion":
-        return _region(self.dim, self.den,
-                       *_sweep(self.cuts, [not x for x in self.flags], _close))
 
     def _morph(self, r, sign: int):
         """(den, cuts, flags) once each closed run [a, b] of in-cells on a
@@ -228,25 +218,6 @@ class BoxRegion:
     def shrink(self, r) -> "BoxRegion":
         """Inner generalized ball {x : d(x, complement) >= r}."""
         return _region(self.dim, *self._morph(r, -1), drop=self.dim > 1)
-
-    def contains(self, point) -> bool:
-        """Whether the cell that holds the point is in."""
-        coords = [ratio(c) for c in point]
-        den = lcm(self.den, *(d for _, d in coords))
-        return self._on(den, [(n * (den // d) % den,) for n, d in coords])[0]
-
-    def distance(self, point) -> Fraction:
-        """Exact max-metric distance from point to the region (FAR if empty):
-        the least over in-cells of the largest per-axis arc distance."""
-        if self.is_empty():
-            return FAR
-        coords = [ratio(c) for c in point]
-        den = lcm(self.den, *(d for _, d in coords))
-        xs = [n * (den // d) for n, d in coords]
-        dists = [[min((x - hi) % den, (lo - x) % den) if (x - lo) % den > hi - lo
-                  else 0 for lo, hi in _cells(cut, den)]
-                 for x, cut in zip(xs, self._at(den))]
-        return Fraction(min(map(max, compress(product(*dists), self.flags))), den)
 
     def measure(self) -> Fraction:
         lengths = [[hi - lo for lo, hi in _cells(cut, self.den)] for cut in self.cuts]
@@ -280,17 +251,11 @@ class FiniteRegion:
             return FiniteRegion.whole(order)
         return FiniteRegion(order, (center,))
 
-    def is_empty(self) -> bool:
-        return not self.members
-
     def union(self, other: "FiniteRegion") -> "FiniteRegion":
         return FiniteRegion(self.order, self.members | other.members)
 
     def subtract(self, other: "FiniteRegion") -> "FiniteRegion":
         return FiniteRegion(self.order, self.members - other.members)
-
-    def complement(self) -> "FiniteRegion":
-        return FiniteRegion(self.order, set(range(self.order)) - self.members)
 
     def expand(self, r) -> "FiniteRegion":
         num, den = ratio(r)
@@ -305,16 +270,6 @@ class FiniteRegion:
         if len(self.members) == self.order:
             return self
         return FiniteRegion.empty(self.order)
-
-    def contains(self, point: int) -> bool:
-        return point in self.members
-
-    def distance(self, point: int) -> Fraction:
-        if point in self.members:
-            return Fraction(0)
-        if not self.members:
-            return FAR
-        return Fraction(1)
 
     def measure(self) -> Fraction:
         return Fraction(len(self.members), self.order)

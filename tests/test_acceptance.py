@@ -28,6 +28,7 @@ from haar.packing import (
 )
 from haar.regions import BoxRegion
 from conftest import FIXTURE_TABLES, finite_fixture_groups
+from region_oracle import RegionOracle
 
 mpmath.mp.prec = 120
 
@@ -141,7 +142,8 @@ def test_criterion_06_lemma_sandwich_and_even_distribution():
         r_pack = Fraction(1, 1 << n)
 
         def mu_T(region):
-            return Fraction(sum(1 for p in pts if region.distance((p,)) == 0), K)
+            oracle = RegionOracle(region)
+            return Fraction(sum(1 for p in pts if oracle.distance((p,)) == 0), K)
 
         for i in range(20):
             radius = Fraction(i + 1, 100)

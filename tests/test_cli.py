@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -15,8 +16,12 @@ from haar.cli import (
     parse_group,
 )
 from haar.exactreal import CertifiedValue, ConfigError, Dyadic
-from haar.functions import builtin_names
-from conftest import haar_errors
+from haar.functions import builtin_integrand, builtin_names, values_integrand
+from haar.generic import ModulusOfContinuity, compute_integral
+from haar.groups import make_group
+from haar.packing import PackingTable
+from conftest import FIXTURE_TABLES, haar_errors
+from region_oracle import RegionOracle
 
 
 def run(capsys, *argv):
@@ -90,6 +95,24 @@ class TestIntegrate:
         assert code == 0 and err == ""
         v, e = parse_printed(out)
         assert abs(v - 1) <= min(e, Fraction(1, 1 << k))
+
+    @pytest.mark.parametrize("group", ["cyclic:5", "s3"])
+    def test_finite_generic_route_matches_the_discrete_modulus(self, group):
+        # the command line reads every group's modulus off the spec's
+        # Lipschitz constant; on a finite group every packing at level >= 1
+        # is the whole group, so this gives the discrete modulus' bits
+        G = (parse_group(group, None) if group != "s3"
+             else make_group("finite", table=FIXTURE_TABLES["s3"]()))
+        rng = random.Random(26)
+        specs = [builtin_integrand("one", "finite"),
+                 values_integrand([rng.randint(-9, 9) for _ in range(G.order)])]
+        for n in range(1, 11):
+            for spec in specs:
+                got = cli._integrate_value(G, "generic", spec, n, None)
+                want = compute_integral(G, spec.eval, ModulusOfContinuity.discrete(),
+                                        spec.bound, PackingTable(G), n)
+                assert (got.value, got.error_exponent) == \
+                    (want.value, want.error_exponent), (spec.name, n)
 
     def test_unknown_function_is_config_error(self, capsys):
         code, out, err = run(capsys, "integrate", "--group", "circle",
@@ -527,10 +550,10 @@ class TestGroupParsing:
     def test_ball_parsing(self):
         circle = parse_group("circle", None)
         ball = parse_ball("ball(1/4, 1/8)", circle)
-        assert ball.region.distance((Dyadic(1, -2),)) == 0
+        assert RegionOracle(ball.region).distance((Dyadic(1, -2),)) == 0
         T = parse_group("torus:2", None)
         ball = parse_ball("ball(0:1/2, 1/8)", T)
-        assert ball.region.distance((Dyadic(0), Dyadic(1, -1))) == 0
+        assert RegionOracle(ball.region).distance((Dyadic(0), Dyadic(1, -1))) == 0
 
     @pytest.mark.parametrize("group", ["su2", "so3", "o3", "u2"])
     def test_ball_on_a_group_without_located_sets(self, group):

@@ -43,6 +43,12 @@ def mp_fraction(x) -> Fraction:
     return -v if sign else v
 
 
+def table(ax, t) -> list:
+    """One outward int64 (lo, hi) table of an axis as exact (lo, hi) pairs."""
+    return [(Fraction(lo, 1 << ax.g), Fraction(hi, 1 << ax.g))
+            for lo, hi in zip(t[0].tolist(), t[1].tolist())]
+
+
 def _lift(g):
     """The lift of the circle function g(re, im): g((a, b)/rho) rho, 0 at rho = 0."""
     def lifted(a, b, c, d):
@@ -93,16 +99,18 @@ def test_axis_tables_enclose_mpmath_entry_by_entry(kind, n):
     with mpmath.workdps(60):
         oracle = [tuple(map(mp_fraction, row)) for row in mp_axis(kind, n)]
         width = mp_fraction((2 if kind == "phi" else 1) * mpmath.pi / n)
-    assert ax.n == n == len(ax.sin_mid) == len(ax.cos_mid)
+    sin, cos = table(ax, ax.sin), table(ax, ax.cos)
+    weights = None if ax.w is None else table(ax, ax.w)
+    assert ax.n == n == len(sin) == len(cos)
     for i, (s, c, w) in enumerate(oracle):
-        assert ax.sin_mid[i].contains(s) and ax.cos_mid[i].contains(c), i
+        assert sin[i][0] <= s <= sin[i][1] and cos[i][0] <= c <= cos[i][1], i
         if kind != "phi":
-            assert ax.weights[i].contains(w) and ax.weights[i].lo.sign() >= 0, i
+            assert 0 <= weights[i][0] <= w <= weights[i][1], i
     if kind == "phi":
-        assert ax.weights is None
+        assert weights is None
     else:
-        assert sum(v.lo.as_fraction() for v in ax.weights) <= 1
-        assert sum(v.hi.as_fraction() for v in ax.weights) >= 1
+        assert sum(lo for lo, _ in weights) <= 1
+        assert sum(hi for _, hi in weights) >= 1
     assert Fraction(ax.h, 1 << ax.g) >= width
 
 
@@ -186,15 +194,16 @@ def test_weights_round_outward_from_the_kernel_brackets(kind, n):
     sin_h_over_pi = [2 * s * c / p for s in s0 for c in c0 for p in pis]
     with mpmath.workdps(60):
         exact = [mp_fraction(w) for _, _, w in mp_axis(kind, n)]
-    for i, w in enumerate(_grid._build_axis(kind, n, _grid.GUARD).weights):
+    ax = _grid._build_axis(kind, n, _grid.GUARD)
+    for i, (wlo, whi) in enumerate(table(ax, ax.w)):
         slo, shi = max(0, brackets[i][0]), brackets[i][1]
         if kind == "theta":
             lo, hi = slo * s0[0], shi * s0[1]
         else:
             t = [k * c for k in sin_h_over_pi for c in (1 - 2 * shi * shi, 1 - 2 * slo * slo)]
             lo, hi = max(0, Fraction(1, n) - max(t)), Fraction(1, n) - min(t)
-        assert w.lo.as_fraction() <= lo and w.hi.as_fraction() >= hi, i
-        assert w.contains(exact[i]) and w.lo.sign() >= 0, i
+        assert wlo <= lo and whi >= hi, i
+        assert 0 <= wlo <= exact[i] <= whi, i
 
 
 def mp_disc_bound(L, ns):

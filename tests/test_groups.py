@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from haar.exactreal import Dyadic, Interval, pi_enclosure
+from haar.exactreal import ONE, ZERO, Dyadic, Interval, pi_enclosure
 from haar.groups import (
-    InvalidCayleyTable, Versor, QUAT_ONE, QUAT_I, QUAT_J,
+    InvalidCayleyTable, Versor, QUAT_ONE,
     cyclic_table, make_group, parse_cayley, validate_cayley_table,
 )
 from conftest import finite_fixture_groups
+
+QUAT_I = Versor.exact(ZERO, ONE, ZERO, ZERO)
+QUAT_J = Versor.exact(ZERO, ZERO, ONE, ZERO)
 
 
 def rand_versor(rng, wp=40) -> Versor:
@@ -162,7 +165,8 @@ class TestSU2:
         rng = random.Random(6)
         for _ in range(30):
             q1, q2 = rand_versor(rng), rand_versor(rng)
-            n2 = su2.op(q1, q2, 40).norm2()
+            q = su2.op(q1, q2, 40)
+            n2 = q.dot(q)
             assert n2.lo.as_fraction() <= 1 <= n2.hi.as_fraction() + Fraction(1, 1000)
 
 

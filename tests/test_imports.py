@@ -12,6 +12,7 @@ without running ``__init__`` and imports one module first.
 import ast
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,9 +48,9 @@ def test_module_imports_first(module):
     assert proc.returncode == 0, proc.stderr
 
 
-# Definitions that no other code in the package reads, each with the
-# acceptance criterion, benchmark, test or documented entry point that keeps
-# it.  Methods are named Class.method.
+# Definitions that no other code in the package reads, each with what keeps
+# it, which its reason names first (``ENTRY_CATEGORIES``).  Methods are named
+# Class.method.
 ENTRY_POINTS = {
     "translate_su2_integrand": "criterion 8; the su2-translated benchmark",
     "invert_su2_integrand": "criterion 8; the su2-translated benchmark",
@@ -58,31 +59,41 @@ ENTRY_POINTS = {
     "packing_size": "criterion 7",
     "packing_size_bracket": "criterion 7",
     "separation_certificate": "criterion 7",
-    "find_coinner_radius": "the paper's coinner radius, a documented entry point",
     "sin_enclosure": "criterion 11; the routes reach sin/cos through sincos_pi",
     "cos_enclosure": "criterion 11; the routes reach sin/cos through sincos_pi",
-    "Interval.contains": "the enclosure oracle of criterion 11 and the tests",
-    "Interval.contains_interval": "the nesting tests of the exactreal kernels",
-    "Versor.norm2": "the unit-norm tests of the SU(2) product",
-    "QUAT_I": "the quaternion product tests",
-    "QUAT_J": "the quaternion product tests",
-    "BoxRegion.union": "the region algebra's oracle tests; the tracer's "
-                       "regions.op span",
-    "FiniteRegion.union": "the region algebra's oracle tests; the tracer's "
-                          "regions.op span",
-    "BoxRegion.contains": "the region and partition oracle tests",
-    "FiniteRegion.contains": "the region and partition oracle tests",
-    "BoxRegion.complement": "the region algebra's oracle tests",
-    "FiniteRegion.complement": "the region algebra's oracle tests",
-    "BoxRegion.distance": "the packing counts' enumeration oracle tests",
-    "FiniteRegion.distance": "the packing counts' enumeration oracle tests",
-    "_Parser.error": "argparse calls it on every usage error",
-    "_Axis.sin_mid": "the axis table oracle tests read the int tables as intervals",
-    "_Axis.cos_mid": "the axis table oracle tests read the int tables as intervals",
-    "_Axis.weights": "the axis table oracle tests read the int tables as intervals",
-    "_scalar_sweep": "the per-cell interval oracle the grid tests call directly; "
-                     "the tracer's grid.sweep span patches it",
+    "Interval.contains": "criterion 11: its enclosure oracle",
+    "find_coinner_radius": "documented API: the paper's coinner radius",
+    "_Parser.error": "CLI: argparse calls it on every usage error",
+    "ModulusOfContinuity.discrete": "benchmark: workloads.py finite integrals",
+    "_scalar_sweep": "tracer: the grid.sweep span patches it; the grid tests "
+                     "call it as their per-cell interval oracle",
+    "BoxRegion.union": "tracer: the regions.op span patches it",
+    "FiniteRegion.union": "tracer: the regions.op span patches it",
 }
+ENTRY_CATEGORIES = re.compile(
+    r"(route|CLI|criterion \d+|documented API|benchmark|tracer)\b")
+
+
+def test_every_entry_point_names_what_keeps_it():
+    untagged = [name for name, why in ENTRY_POINTS.items()
+                if not ENTRY_CATEGORIES.match(why)]
+    assert not untagged, "entry points without a category: " + ", ".join(untagged)
+
+
+def test_region_oracle_reads_no_private_name():
+    # the tests' membership and distance oracle calls no private helper of
+    # the region algebra or the packing counts it checks
+    checked = {"haar.regions", "haar.packing"}
+    tree = ast.parse((Path(__file__).parent / "region_oracle.py").read_text())
+    stray = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            stray += [a.name for a in node.names if a.name in checked]
+        elif isinstance(node, ast.ImportFrom):
+            stray += [f"{node.module}.{a.name}" for a in node.names
+                      if node.module in checked and a.name.startswith("_")
+                      or f"{node.module}.{a.name}" in checked]
+    assert not stray, "the region oracle imports " + ", ".join(stray)
 
 
 def _definitions(tree):

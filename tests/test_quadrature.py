@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from haar import _grid, exactreal, quadrature
 from haar.exactreal import ConfigError, Dyadic, Interval, NoConvergence
@@ -225,6 +225,54 @@ class TestCircleConstants:
         assert spec.lipschitz == (Dyadic(0) if name == "one" else Dyadic(13, -1))
         assert (fx - fy).abs().lo <= spec.lipschitz * circle_metric(x, y).hi
         assert fx.abs().lo <= spec.bound and fy.abs().lo <= spec.bound
+
+
+def s3_point(p) -> Versor:
+    """The rational point of S^3 over the rational triple p (inverse
+    stereographic projection), each component enclosed to 2^-80."""
+    s = sum(c * c for c in p)
+    comps = [(1 - s) / (1 + s)] + [2 * c / (1 + s) for c in p]
+    return Versor(*(Interval.from_fractions(c, c, 80) for c in comps))
+
+
+def s3_pair(p, dp):
+    """Two nearby rational points of S^3: over p/8 and over p/8 + dp/1024."""
+    return (s3_point([Fraction(c, 8) for c in p]),
+            s3_point([Fraction(c, 8) + Fraction(d, 1024) for c, d in zip(p, dp)]))
+
+
+# (group kind, builtin): each is checked under its group's metric, the one
+# the grid's discretization bound assumes (trace under ``so3_metric``)
+SU2_CONSTANT_CASES = [("su2", name) for name in (
+    "abs-sum", "w2", "lift:one", "lift:re", "lift:re2", "lift:im", "lift:abs-re")] \
+    + [("so3", "trace")]
+
+
+class TestSU2Constants:
+    """Try to falsify the declared SU(2)-family constants: for nearby exact
+    rational points x, y of S^3, the lower end of |f(x) - f(y)| must not pass
+    L d(x, y), d the group's metric, nor the lower end of |f(x)| the bound."""
+
+    @given(case=st.sampled_from(SU2_CONSTANT_CASES),
+           p=st.tuples(*[st.integers(-32, 32)] * 3),
+           dp=st.tuples(*[st.integers(-16, 16)] * 3))
+    @example(case=("su2", "abs-sum"), p=(0, 0, 0), dp=(16, 16, 16))
+    def test_lipschitz_and_bound_hold(self, case, p, dp):
+        kind, name = case
+        spec = builtin_integrand(name, kind)
+        x, y = s3_pair(p, dp)
+        fx, fy = spec.eval(x, 80), spec.eval(y, 80)
+        assert (fx - fy).abs().lo <= spec.lipschitz * make_group(kind).metric(x, y, 80).hi
+        assert fx.abs().lo <= spec.bound and fy.abs().lo <= spec.bound
+
+    def test_the_abs_sum_example_refuses_three_halves(self):
+        # the example above, 1 + (1/64)(1, 1, 1) seen from 1, has ratio about
+        # 1.70 (the supremum is sqrt 3, near the +-1 axes), so it would
+        # falsify a declared L = 3/2 for abs-sum
+        spec = builtin_integrand("abs-sum", "su2")
+        x, y = s3_pair((0, 0, 0), (16, 16, 16))
+        gap = (spec.eval(x, 80) - spec.eval(y, 80)).abs().lo
+        assert gap > Dyadic(3, -1) * make_group("su2").metric(x, y, 80).hi
 
 
 class TestSU2Integrals:
