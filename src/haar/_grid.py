@@ -122,6 +122,7 @@ from .groups import Versor
 SCALE = 29                     # fixed-point fraction bits of the sweep
 GUARD = SCALE + 6              # axis tables at kernel_bits(GUARD) bits
 BLOCK_CELLS = 1 << 16
+MAX_CELLS = 10 ** 11           # default effort cap of the SU(2)-family grid
 FORM_Q = 3                     # a component form's n3 / (2 n1), odd
 _LIVE_AXES = {"a": 1, "ab": 2, "abcd": 3}   # grid axes each ``uses`` reads
 _ONE_FX = (1 << SCALE, 1 << SCALE)
@@ -189,13 +190,12 @@ def _sincos_table(a, den: int, g: int):
             (table[cos_row, idx], table[cos_row + 1, idx]))
 
 
-def _build_axis(kind: str, n: int, guard: int, table=None) -> _Axis:
+def _build_axis(kind: str, n: int, table=None) -> _Axis:
     """Midpoint sin/cos tables and closed-form weights for one axis.
 
-    The midpoints are pi (2i+1)/(2n) (2 pi (2k+1)/(2n) for phi) at g =
-    ``kernel_bits(guard)`` bits, from one ``_sincos_table`` pass, or from
-    ``table``, the (sin, cos) pairs of those midpoints that the caller
-    sliced from the phi table.  With h = pi/n the weights follow from the
+    The midpoints are pi (2i+1)/(2n) (2 pi (2k+1)/(2n) for phi) at g = ``_G``
+    bits, from one ``_sincos_table`` pass, or from ``table``, the (sin, cos)
+    pairs of those midpoints that the caller sliced from the phi table.  With h = pi/n the weights follow from the
     midpoints m_i alone:
 
       theta  w = (cos(m - h/2) - cos(m + h/2))/2 = sin m sin(h/2)
@@ -208,7 +208,7 @@ def _build_axis(kind: str, n: int, guard: int, table=None) -> _Axis:
     and cos m_0 are positive, so their lower ends clamp at 0, as does
     each weight's.
     """
-    g = kernel_bits(guard)
+    g = _G
     plo, phi_ = _pi_fixed(g)
     if kind == "phi":
         # midpoints 2 pi (2k+1)/(2n) = pi (2k+1)/n, uniform weights 1/n
@@ -241,7 +241,7 @@ def _grid_axes(ns: list[int]) -> list[_Axis]:
     angle at either denominator gives the same brackets, so the axis takes
     phi's entries (every q-th, n of them) and runs no series of its own.
     """
-    phi = _build_axis("phi", ns[2], GUARD) if len(ns) == 3 else _DEAD_AXIS
+    phi = _build_axis("phi", ns[2]) if len(ns) == 3 else _DEAD_AXIS
     axes = []
     for kind, n in zip(_KINDS[:2], ns):
         q, r = divmod(phi.n, 2 * n)
@@ -249,7 +249,7 @@ def _grid_axes(ns: list[int]) -> list[_Axis]:
         if r == 0 and q % 2:
             cut = slice((q - 1) // 2, (q - 1) // 2 + q * n, q)
             table = tuple((lo[cut], hi[cut]) for lo, hi in (phi.sin, phi.cos))
-        axes.append(_build_axis(kind, n, GUARD, table))
+        axes.append(_build_axis(kind, n, table))
     return axes + [_DEAD_AXIS] * (2 - len(axes)) + [phi]
 
 
@@ -433,7 +433,7 @@ def _choose_resolution(live: int, L: float, budget: float,
             cells(k * x, math.pi ** 2 / 4)][:live] + n3
 
 
-def su2_grid_integral(spec, n: int, *, max_cells: int = 10 ** 11) -> Interval:
+def su2_grid_integral(spec, n: int, *, max_cells: int = MAX_CELLS) -> Interval:
     """Certified enclosure of the Haar integral of ``spec`` over SU(2).
 
     The grid is sized from spec.lipschitz by the closed form of the
@@ -530,9 +530,7 @@ def _block_sweep(fixed, form, premap, bound: Dyadic, eta: _Axis,
     es_lo, ts_lo = np.maximum(es_lo, 0), np.maximum(ts_lo, 0)     # sines >= 0
     n2, n3 = theta.n, phi.n
     _check_headroom(bound, m_fx, n3, tw_hi, ew_hi)
-    if max(abs(v) for row in premap for pair in row for v in pair) > 2 << SCALE:
-        raise NoConvergence("pre-map entries past 2 leave the sweep no int64 "
-                            "headroom")
+    _check_premap(premap)
     pc, ps = (pc_lo, pc_hi), (ps_lo, ps_hi)
     means = None if form is None else _form_means(form, premap, pc, ps, m_fx)
     depth = n3 if form is None else 16    # see the module docstring
@@ -571,6 +569,12 @@ def _block_sweep(fixed, form, premap, bound: Dyadic, eta: _Axis,
         acc_lo += int(np.minimum(el * rl, eh * rl).sum())
         acc_hi += int(np.maximum(el * rh, eh * rh).sum())
     return Interval(Dyadic(acc_lo, -2 * SCALE), Dyadic(acc_hi, -2 * SCALE))
+
+
+def _check_premap(premap):
+    """Refuse a pre-map entry past 2 (the grid's and the circle rule's)."""
+    if max(abs(v) for row in premap for pair in row for v in pair) > 2 << SCALE:
+        raise NoConvergence("pre-map entries past 2 leave no int64 headroom")
 
 
 def _check_headroom(bound: Dyadic, m_fx: int, n3: int, tw_hi, ew_hi):

@@ -34,7 +34,7 @@ from .generic import (
 from .groups import make_group, parse_cayley
 from .functions import builtin_integrand, builtin_names, values_integrand
 from .packing import PackingTable
-from .quadrature import QUADRATURE_KINDS, haar_integral_derived
+from .quadrature import MAX_CELLS, QUADRATURE_KINDS, haar_integral_derived
 
 
 def _parse_int(tok: str, what: str) -> int:
@@ -172,7 +172,7 @@ def format_dyadic_exact_decimal(d: Dyadic) -> str:
 def _integrate_value(G, method, spec, n, effort_cap) -> CertifiedValue:
     if method == "quadrature":
         return haar_integral_derived(G.kind, spec, n,
-                                     max_cells=effort_cap or 10 ** 11)
+                                     max_cells=effort_cap or MAX_CELLS)
     return compute_integral(G, spec.eval,
                             ModulusOfContinuity.from_lipschitz(spec.lipschitz),
                             spec.bound, PackingTable(G), n,

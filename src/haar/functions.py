@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._grid import _G, SCALE, fp_abs, fp_add, fp_mul, fp_square
+from ._grid import GUARD, SCALE, fp_abs, fp_mul, fp_square
 from .exactreal import (
     Dyadic, Interval, ZERO, ONE, fraction_ceil_to, fraction_floor_to, sincos_pi,
-    sincos_pi_fixed,
 )
 from .groups import Group, Versor, circle_normalize
 from .quadrature import IntegrandSpec, lift_circle_function
@@ -185,90 +184,85 @@ def _neg(u):
     return -u[1], -u[0]
 
 
+def _translate_premap(premap, g: Versor, side: str):
+    """M L_g (or M R_g) for the pre-map M.  Left and right multiplication
+    matrices transpose to multiplication by conj(g), so row k of M L_g is
+    the quaternion conj(g) (row k of M), and of M R_g it is (row k of M)
+    conj(g).  On the identity's rows, whose entries are 0 or 2^SCALE, every
+    product is exact; composing onto an earlier pre-map rounds outward."""
+    gc = [(iv.lo.scaled_floor(SCALE), iv.hi.scaled_ceil(SCALE))
+          for iv in g.conjugate().components()]
+    return tuple(
+        tuple((int(lo), int(hi)) for lo, hi in (
+            _quat_mul_fixed(gc, row, SCALE) if side == "left"
+            else _quat_mul_fixed(row, gc, SCALE)))
+        for row in premap)
+
+
+def _invert_premap(premap):
+    """M D, D = diag(1, -1, -1, -1): columns 1-3 of M negated, exactly."""
+    return tuple((row[0], *map(_neg, row[1:])) for row in premap)
+
+
 def translate_su2_integrand(spec: IntegrandSpec, g: Versor, G: Group,
                             side: str = "left") -> IntegrandSpec:
     """f(g o x) (or f(x o g)); Lipschitz/bound survive by bi-invariance.
 
     The vectorized form is ``spec.fixed_eval`` behind the pre-map M L_g (or
-    M R_g), M being ``spec``'s own.  Left and right multiplication matrices
-    transpose to multiplication by conj(g), so row k of M L_g is the
-    quaternion conj(g) (row k of M), and of M R_g it is (row k of M) conj(g).
-    On the identity's rows, whose entries are 0 or 2^SCALE, every product is
-    exact; composing onto an earlier pre-map rounds outward.
+    M R_g), M being ``spec``'s own (``_translate_premap``).
     """
     def ev(q, wp):
         prod = g.multiply(q, wp) if side == "left" else q.multiply(g, wp)
         return spec.eval(prod, wp)
-
-    gc = [(iv.lo.scaled_floor(SCALE), iv.hi.scaled_ceil(SCALE))
-          for iv in g.conjugate().components()]
-    premap = tuple(
-        tuple((int(lo), int(hi)) for lo, hi in (
-            _quat_mul_fixed(gc, row, SCALE) if side == "left"
-            else _quat_mul_fixed(row, gc, SCALE)))
-        for row in spec.premap)
 
     # a translate mixes every quaternion component into every other, so the
     # grid must stay fully three-dimensional whatever the base f reads; a
     # component form follows the map, which changes only M
     return IntegrandSpec(ev, spec.lipschitz, spec.bound,
                          name=f"{spec.name}o{side}", fixed_eval=spec.fixed_eval,
-                         form=spec.form, premap=premap, uses="abcd")
+                         form=spec.form, premap=_translate_premap(spec.premap, g, side),
+                         uses="abcd")
 
 
 def invert_su2_integrand(spec: IntegrandSpec) -> IntegrandSpec:
     """f(x^-1); on versors inversion is conjugation (negate the vector part).
 
-    The vectorized form and the component form are ``spec``'s behind M D,
-    D = diag(1, -1, -1, -1): columns 1-3 of the pre-map are negated, exactly.
+    The vectorized form and the component form are ``spec``'s behind M D
+    (``_invert_premap``).
     """
     def ev(q, wp):
         return spec.eval(q.conjugate(), wp)
 
-    premap = tuple((row[0], *map(_neg, row[1:])) for row in spec.premap)
     return IntegrandSpec(ev, spec.lipschitz, spec.bound,
                          name=f"{spec.name}^-1", fixed_eval=spec.fixed_eval,
-                         form=spec.form, premap=premap, uses=spec.uses)
+                         form=spec.form, premap=_invert_premap(spec.premap),
+                         uses=spec.uses)
 
 
 def translate_circle_integrand(spec: IntegrandSpec, g: Dyadic) -> IntegrandSpec:
     """f(g + t mod 1) on the circle; exact translation of the argument.
 
-    ``complex_fixed`` is ``spec``'s behind the rotation of (re, im) by
-    (cos 2 pi g, sin 2 pi g), a bracket at 2^-``_G`` from one
-    ``sincos_pi_fixed`` run here, rounded outward to the call's scale.
+    U(1) is SU(2)'s (a, b) plane, so t -> g + t is left multiplication by
+    the versor cos 2 pi g + i sin 2 pi g, whose brackets ``sincos_pi`` gives
+    at 2^-``_grid._G``: ``complex_fixed`` is ``spec``'s behind the pre-map M
+    L_g (``_translate_premap``), which the circle rule folds into its table.
     """
-
     def ev(t, wp):
         return spec.eval(circle_normalize(t + g), wp)
 
-    cfixed = None
-    if spec.complex_fixed is not None:
-        q = 2 * g.as_fraction()
-        slo, shi, clo, chi = sincos_pi_fixed(q.numerator, q.denominator, _G)
-
-        def cfixed(re, im, scale):     # (c re - s im, s re + c im), outward
-            sh = _G - scale
-            c, s = (clo >> sh, -(-chi >> sh)), (slo >> sh, -(-shi >> sh))
-            cr, si = fp_mul(c, re, scale), fp_mul(s, im, scale)
-            return spec.complex_fixed(
-                (cr[0] - si[1], cr[1] - si[0]),
-                fp_add(fp_mul(s, re, scale), fp_mul(c, im, scale)), scale)
-
-    return IntegrandSpec(ev, spec.lipschitz, spec.bound,
-                         name=f"{spec.name}+{g}", complex_fixed=cfixed)
+    s, c = sincos_pi(2 * g.as_fraction(), GUARD)
+    v = Versor(c, s, *[Interval.point(ZERO)] * 2)
+    return IntegrandSpec(ev, spec.lipschitz, spec.bound, name=f"{spec.name}+{g}",
+                         complex_fixed=spec.complex_fixed,
+                         premap=_translate_premap(spec.premap, v, "left"))
 
 
 def invert_circle_integrand(spec: IntegrandSpec) -> IntegrandSpec:
-    """f(-t mod 1); ``complex_fixed`` is ``spec``'s on the exact conjugate
-    (re, -im)."""
+    """f(-t mod 1): conjugation in the (a, b) plane, so ``complex_fixed`` is
+    ``spec``'s behind the pre-map M D (``_invert_premap``)."""
     def ev(t, wp):
         return spec.eval(circle_normalize(-t), wp)
 
-    cfixed = None
-    if spec.complex_fixed is not None:
-        def cfixed(re, im, scale):
-            return spec.complex_fixed(re, _neg(im), scale)
-
-    return IntegrandSpec(ev, spec.lipschitz, spec.bound,
-                         name=f"{spec.name}^-1", complex_fixed=cfixed)
+    return IntegrandSpec(ev, spec.lipschitz, spec.bound, name=f"{spec.name}^-1",
+                         complex_fixed=spec.complex_fixed,
+                         premap=_invert_premap(spec.premap))

@@ -128,7 +128,8 @@ class Group:
 # finite groups
 # ---------------------------------------------------------------------------
 
-def validate_cayley_table(table) -> None:
+def validate_cayley_table(table) -> tuple:
+    """Check a group table; return the inverse of each element."""
     k = len(table)
     if k == 0:
         raise InvalidCayleyTable("empty table")
@@ -150,9 +151,11 @@ def validate_cayley_table(table) -> None:
             for c in range(k):
                 if table[tab][c] != row_a[row_b[c]]:
                     raise InvalidCayleyTable(f"associativity fails at ({a},{b},{c})")
-    for a in range(k):
-        if not any(table[a][b] == 0 and table[b][a] == 0 for b in range(k)):
-            raise InvalidCayleyTable(f"element {a} has no inverse")
+    inv = tuple(next((b for b in range(k) if table[a][b] == 0 and table[b][a] == 0),
+                     None) for a in range(k))
+    if None in inv:
+        raise InvalidCayleyTable(f"element {inv.index(None)} has no inverse")
+    return inv
 
 
 def parse_cayley(text: str):
@@ -171,14 +174,8 @@ def parse_cayley(text: str):
 
 
 def _finite_group(table) -> Group:
-    validate_cayley_table(table)
+    inv = validate_cayley_table(table)
     k = len(table)
-    inv = [0] * k
-    for a in range(k):
-        for b in range(k):
-            if table[a][b] == 0:
-                inv[a] = b
-    inv = tuple(inv)
     table = tuple(tuple(row) for row in table)
 
     def metric(a, b, p):
@@ -265,23 +262,15 @@ def so3_metric(q1: Versor, q2: Versor, p: int) -> Interval:
     return arccos_enclosure(_clamp_to_unit(q1.dot(q2).abs()), p)
 
 
-def _su2_group() -> Group:
+def _versor_group(kind: str, metric, diameter_bound: Dyadic) -> Group:
+    """SU(2) or, through the double cover, SO(3): versors under the
+    quaternion product, told apart by the metric and its diameter bound."""
     return Group(
-        kind="su2", identity=QUAT_ONE,
-        metric=su2_geodesic_metric,
+        kind=kind, identity=QUAT_ONE,
+        metric=metric,
         op=lambda a, b, p: a.multiply(b, p),
         inverse=lambda a, p: a.conjugate(),
-        diameter_bound=Dyadic(13, -2),   # 3.25 >= pi
-    )
-
-
-def _so3_group() -> Group:
-    return Group(
-        kind="so3", identity=QUAT_ONE,
-        metric=so3_metric,
-        op=lambda a, b, p: a.multiply(b, p),
-        inverse=lambda a, p: a.conjugate(),
-        diameter_bound=Dyadic(13, -3),   # 1.625 >= pi/2
+        diameter_bound=diameter_bound,
     )
 
 
@@ -327,12 +316,11 @@ def make_group(kind: str, *, k: int = None, table=None, dim: int = None) -> Grou
         if dim is None or dim < 1:
             raise ConfigError(f"torus groups need a dimension dim >= 1, not {dim}")
         return _torus_group(dim)
-    if kind == "su2":
-        return _su2_group()
-    if kind == "so3":
-        return _so3_group()
-    if kind == "o3":
-        return product_group("o3", _so3_group(), _finite_group(cyclic_table(2)))
-    if kind == "u2":
-        return product_group("u2", _su2_group(), _circle_group())
+    if kind in ("su2", "u2"):
+        su2 = _versor_group("su2", su2_geodesic_metric, Dyadic(13, -2))  # >= pi
+        return su2 if kind == "su2" else product_group("u2", su2, _circle_group())
+    if kind in ("so3", "o3"):
+        so3 = _versor_group("so3", so3_metric, Dyadic(13, -3))   # >= pi/2
+        return so3 if kind == "so3" else product_group(
+            "o3", so3, _finite_group(cyclic_table(2)))
     raise ConfigError(f"unknown group kind {kind!r}")

@@ -25,12 +25,13 @@ from fractions import Fraction
 import numpy as np
 
 from ._grid import (
-    GUARD, IDENTITY_PREMAP, SCALE, _shift_out, _sincos_table, form_fixed,
-    fp_add, fp_div_pos, fp_sqrt, fp_square, su2_grid_integral,
+    _G, IDENTITY_PREMAP, MAX_CELLS, SCALE, _check_premap, _combine, _shift_out,
+    _sincos_table, form_fixed, fp_add, fp_div_pos, fp_sqrt, fp_square,
+    su2_grid_integral,
 )
 from .exactreal import (
     CertifiedValue, ConfigError, Dyadic, Interval, InvalidBound, NoConvergence,
-    kernel_bits, sqrt_enclosure,
+    sqrt_enclosure,
 )
 from .groups import Versor
 
@@ -57,11 +58,13 @@ class IntegrandSpec:
     (lo, hi) pair of python ints at ``_grid.SCALE`` fraction bits, entries in
     [-2, 2], by default the identity: the grid engine calls ``fixed_eval`` on
     M x instead of on the grid versor x (``_grid`` folds M into its axis
-    tables).  It belongs to ``fixed_eval`` and ``form`` alone: ``eval_fn``
-    evaluates the whole integrand on x itself.  A translation is such a map
-    (``functions``), so a wrapper that forwards ``fixed_eval`` must forward
-    ``premap`` too, or compose it with its own map; dropping it makes the
-    sweep certify a different function.
+    tables).  It belongs to every fixed-point form, ``fixed_eval``, ``form``
+    and ``complex_fixed``, and to no other: ``eval_fn`` evaluates the whole
+    integrand on x itself.  U(1) is SU(2)'s (a, b) plane, so the circle rule
+    applies rows 0-1 of M to (cos, sin) as (a, b).  Translations and the
+    inversion are such maps (``functions``), so a wrapper that forwards a
+    fixed-point form must forward ``premap`` too, or compose it with its own
+    map; dropping it makes the rule certify a different function.
 
     ``form`` = (const, terms) optionally declares f(x) = const + sum coef *
     h((M x)_k) over terms (k, h, coef), h one of "abs", "square" and "id",
@@ -73,10 +76,8 @@ class IntegrandSpec:
 
     Circle integrands carry ``complex_fixed(re, im, scale)``, f at unit
     complex numbers given as (lo, hi) int pairs at 2^-scale (numpy arrays),
-    returning outward (lo, hi); ``translate_circle_integrand`` and
-    ``invert_circle_integrand`` forward it behind a rotation or the
-    conjugation.  ``eval_complex`` is f at (re, im) ``Interval``s; the lift
-    to SU(2) requires it and ``complex_fixed``.
+    returning outward (lo, hi).  ``eval_complex`` is f at (re, im)
+    ``Interval``s; the lift to SU(2) requires it and ``complex_fixed``.
     """
 
     def __init__(self, eval_fn, lipschitz: Dyadic, bound: Dyadic, *,
@@ -150,18 +151,19 @@ def _circle_sums(f: IntegrandSpec, N: int) -> tuple[int, int]:
     so ``_sincos_table`` gives the (sin, cos) table as outward int64 pairs,
     one array run of the Taylor series per block over its distinct reduced
     angles (about N/8 lanes in all), and ``f.complex_fixed`` runs once per
-    block of ``_circle_blocks``, so the memory stays bounded at any N.  A
-    point whose enclosure lies wholly outside [-bound, bound] proves the
-    declared bound false.  The sums are taken in python ints, so no
-    enclosure width can wrap them.
+    block of ``_circle_blocks``, on rows 0-1 of ``f.premap`` times (cos,
+    sin), so the memory stays bounded at any N.  A point wholly outside
+    [-bound, bound] proves the declared bound false.  The sums are taken in
+    python ints, so no enclosure width can wrap them.
     """
-    g = kernel_bits(GUARD)
+    _check_premap(f.premap)
     m = f.bound.scaled_floor(SCALE)
     sum_lo = sum_hi = 0
     for a in _circle_blocks(N, CIRCLE_BLOCK):
-        sin, cos = (_shift_out(t, g - SCALE) for t in _sincos_table(a, N, g))
+        sin, cos = (_shift_out(t, _G - SCALE) for t in _sincos_table(a, N, _G))
+        x = [_combine(row[:2], (cos, sin)) or (0, 0) for row in f.premap[:2]]
         lo, hi = (np.broadcast_to(np.asarray(v, dtype=np.int64), a.shape)
-                  for v in f.complex_fixed(cos, sin, SCALE))
+                  for v in f.complex_fixed(*x, SCALE))
         if int(lo.max()) > m or int(hi.min()) < -m:
             raise InvalidBound(f"circle integrand {f.name!r} escaped its "
                                f"declared bound {f.bound}")
@@ -202,7 +204,7 @@ def haar_integral_circle(f: IntegrandSpec, n: int,
 # ---------------------------------------------------------------------------
 
 def haar_integral_su2(f: IntegrandSpec, n: int, *,
-                      max_cells: int = 10 ** 11) -> CertifiedValue:
+                      max_cells: int = MAX_CELLS) -> CertifiedValue:
     """Certified Haar integral over SU(2) = H_1 via the spherical grid."""
     enc = su2_grid_integral(f, n, max_cells=max_cells)
     return CertifiedValue(enc.midpoint(), -n)
@@ -242,7 +244,7 @@ def _average(f: IntegrandSpec, tags, keyword: str) -> IntegrandSpec:
 
 
 def haar_integral_derived(kind: str, f: IntegrandSpec, n: int, *,
-                          max_cells: int = 10 ** 11) -> CertifiedValue:
+                          max_cells: int = MAX_CELLS) -> CertifiedValue:
     """Haar integral on any group kind in ``QUADRATURE_KINDS``.
 
     circle and su2 run their own rules (the circle rule takes at most
@@ -283,11 +285,13 @@ def lift_circle_function(f: IntegrandSpec) -> IntegrandSpec:
     only on the (a, b) components, is bounded by f.bound, and is Lipschitz
     with constant f.bound + f.lipschitz / 4: splitting any increment into a
     radius move (slope bound M) and a phase move (arc length (re,im)-distance
-    over 2 pi rho, and chord >= (2/pi) arc shrinks it to L/4).
+    over 2 pi rho, and chord >= (2/pi) arc shrinks it to L/4).  It reads
+    (a, b) itself, so a spec with a pre-map is refused.
     """
-    if f.eval_complex is None or f.complex_fixed is None:
+    if f.eval_complex is None or f.complex_fixed is None or \
+            f.premap != IDENTITY_PREMAP:
         raise ValueError("lifting needs a circle integrand with eval_complex "
-                         "and complex_fixed")
+                         "and complex_fixed, and no pre-map")
     M = f.bound
     Mf = M.as_fraction()
     lift_L = M + Dyadic(f.lipschitz.m, f.lipschitz.e - 2)

@@ -95,7 +95,7 @@ def test_axis_tables_enclose_mpmath_entry_by_entry(kind, n):
     # every midpoint sin/cos and every exact cumulative weight difference
     # against mpmath at 60 digits; the weights are a probability vector, and
     # h 2^-g, the cell width that ``_disc_bound`` reads, bounds the true one
-    ax = _grid._build_axis(kind, n, _grid.SCALE + 6)
+    ax = _grid._build_axis(kind, n)
     with mpmath.workdps(60):
         oracle = [tuple(map(mp_fraction, row)) for row in mp_axis(kind, n)]
         width = mp_fraction((2 if kind == "phi" else 1) * mpmath.pi / n)
@@ -125,7 +125,7 @@ def test_one_taylor_run_per_distinct_reduced_angle(kind, n, monkeypatch):
     taylor = exactreal._taylor_sincos
     monkeypatch.setattr(exactreal, "_taylor_sincos",
                         lambda y, g: runs.extend(np.ravel(y).tolist()) or taylor(y, g))
-    _grid._build_axis(kind, n, _grid.GUARD)
+    _grid._build_axis(kind, n)
     den = n if kind == "phi" else 2 * n
     folded = {abs(q - Fraction(round(2 * q), 2))
               for q in (Fraction(2 * i + 1, den) for i in range(n))}
@@ -194,7 +194,7 @@ def test_weights_round_outward_from_the_kernel_brackets(kind, n):
     sin_h_over_pi = [2 * s * c / p for s in s0 for c in c0 for p in pis]
     with mpmath.workdps(60):
         exact = [mp_fraction(w) for _, _, w in mp_axis(kind, n)]
-    ax = _grid._build_axis(kind, n, _grid.GUARD)
+    ax = _grid._build_axis(kind, n)
     for i, (wlo, whi) in enumerate(table(ax, ax.w)):
         slo, shi = max(0, brackets[i][0]), brackets[i][1]
         if kind == "theta":
@@ -252,8 +252,7 @@ def mp_riemann_sum(f, ns):
 
 def grid_axes(ns):
     live = [n for n in ns if n is not None]
-    guard = _grid.SCALE + 6
-    return ([_grid._build_axis(kind, n, guard) for kind, n in zip(_grid._KINDS, live)]
+    return ([_grid._build_axis(kind, n) for kind, n in zip(_grid._KINDS, live)]
             + [_grid._DEAD_AXIS] * (3 - len(live)))
 
 
@@ -546,7 +545,7 @@ def test_one_sided_products_equal_the_interval_rule():
         return all(np.array_equal(u, v) for u, v in zip(x, y))
 
     for n in range(1, 81):
-        (es, _, _), (ts, tc, _) = (_grid._build_axis(kind, n, _grid.GUARD).fixed(_grid.SCALE)
+        (es, _, _), (ts, tc, _) = (_grid._build_axis(kind, n).fixed(_grid.SCALE)
                                    for kind in ("eta", "theta"))
         assert es[0].min() >= 0 and ts[0].min() >= 0   # the sweep's clamp is a no-op
         se = (es[0][:, None], es[1][:, None])
@@ -946,7 +945,7 @@ def test_form_path_sizes_phi_as_a_table(name, monkeypatch):
             m.setattr(exactreal, "_taylor_sincos",
                       lambda y, g: runs.extend(np.ravel(y).tolist()) or taylor(y, g))
             runs.clear()
-            _grid._build_axis("phi", phi.n, _grid.GUARD)
+            _grid._build_axis("phi", phi.n)
         assert len(runs) <= phi.n // 8 + 2, (n, phi.n, len(runs))
 
 
@@ -980,7 +979,7 @@ def test_sliced_tables_equal_the_axis_own_tables(q):
     for m in [*range(1, 25), 101, 256]:
         sliced = _grid._grid_axes([m, m, 2 * q * m])
         for kind, ax in zip(_grid._KINDS, sliced):
-            own = _grid._build_axis(kind, ax.n, _grid.GUARD)
+            own = _grid._build_axis(kind, ax.n)
             for got, want in zip((*ax.sin, *ax.cos, *(ax.w or ())),
                                  (*own.sin, *own.cos, *(own.w or ()))):
                 assert got.tolist() == want.tolist(), (q, m, kind)

@@ -74,6 +74,7 @@ class TestFiniteGroups:
     def test_parse_cayley_roundtrip(self):
         text = "3\n0 1 2\n1 2 0\n2 0 1\n"
         assert parse_cayley(text) == cyclic_table(3)
+        assert validate_cayley_table(cyclic_table(3)) == (0, 2, 1)   # inverses
         with pytest.raises(InvalidCayleyTable):
             parse_cayley("2\n0 1\n")
 

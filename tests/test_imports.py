@@ -189,8 +189,8 @@ BUG_RAISES = {
     ("packing", "packing_size_bracket", "ValueError"):
         "a packing radius is positive by definition",
     ("quadrature", "lift_circle_function", "ValueError"):
-        "only circle integrands, which carry eval_complex and complex_fixed, "
-        "are lifted",
+        "only the circle builtins, which carry eval_complex and complex_fixed "
+        "and no pre-map, are lifted",
     ("cli", "_format_fraction_decimal", "ValueError"):
         "callers round the value onto the decimal grid first",
     ("functions", "builtin_integrand", "KeyError"):

@@ -101,15 +101,21 @@ MP_CIRCLE = {
 
 def circle_variants(name, seed):
     """(spec, t -> its argument of the base function): the builtin, two
-    seeded dyadic translates and the inverse."""
+    seeded dyadic translates, the inverse, a translate of a translate, and
+    a translate and the inverse composed in both orders."""
     base = builtin_integrand(name, "circle")
     rng = random.Random(seed)
-    out = [(base, lambda t: t), (invert_circle_integrand(base), lambda t: -t)]
-    for _ in range(2):
-        g = Fraction(rng.randint(1, 1023), 1024)
-        out.append((translate_circle_integrand(base, Dyadic(g.numerator, -10)),
-                    lambda t, g=g: t + g))
-    return out
+    g, h = (Fraction(rng.randint(1, 1023), 1024) for _ in range(2))
+
+    def move(spec, x):
+        return translate_circle_integrand(spec, Dyadic(x.numerator, -10))
+
+    inv = invert_circle_integrand
+    return [(base, lambda t: t), (inv(base), lambda t: -t),
+            (move(base, g), lambda t: t + g), (move(base, h), lambda t: t + h),
+            (move(move(base, g), h), lambda t: t + g + h),
+            (inv(move(base, g)), lambda t: g - t),
+            (move(inv(base), h), lambda t: -(t + h))]
 
 
 class TestCircleRule:
@@ -132,13 +138,18 @@ class TestCircleRule:
                 assert exact - slack <= Fraction(hi, 1 << _grid.SCALE), (spec.name, N)
 
     def test_rotated_table_contains_the_moved_point(self):
+        # a translate's complex_fixed reads rows 0-1 of its pre-map applied
+        # to (cos, sin), as the circle rule folds them into its table
         N = 1024
-        sin, cos, _ = _grid._build_axis("phi", N, _grid.GUARD).fixed(_grid.SCALE)
+        sin, cos, _ = _grid._build_axis("phi", N).fixed(_grid.SCALE)
         rng = random.Random(84)
         for num in [0, 256, 512, 384] + [rng.randint(1, 1023) for _ in range(4)]:
             g = Dyadic(num, -10)
-            moved = [translate_circle_integrand(builtin_integrand(name, "circle"), g)
-                     .complex_fixed(cos, sin, _grid.SCALE) for name in ("re", "im")]
+            moved = []
+            for name in ("re", "im"):
+                spec = translate_circle_integrand(builtin_integrand(name, "circle"), g)
+                x = (_grid._combine(row[:2], (cos, sin)) for row in spec.premap[:2])
+                moved.append(spec.complex_fixed(*x, _grid.SCALE))
             with mpmath.workdps(60):
                 for j in range(N):
                     x = 2 * mpmath.pi * (mpmath.mpf(2 * j + 1) / (2 * N)
@@ -191,6 +202,15 @@ class TestCircleRule:
         plain = IntegrandSpec(base.eval, base.lipschitz, base.bound, name="plain")
         with pytest.raises(ConfigError, match="complex_fixed"):
             haar_integral_circle(plain, 4)
+
+    def test_premap_entries_past_two_are_refused(self):
+        base = builtin_integrand("re", "circle")
+        wide = ((3 << _grid.SCALE,) * 2, (0, 0), (0, 0), (0, 0))
+        spec = IntegrandSpec(base.eval, base.lipschitz, base.bound, name="wide",
+                             complex_fixed=base.complex_fixed,
+                             premap=(wide,) + _grid.IDENTITY_PREMAP[1:])
+        with pytest.raises(NoConvergence, match="pre-map entries past 2"):
+            haar_integral_circle(spec, 4)
 
     def test_false_bound_is_refused(self):
         base = builtin_integrand("re", "circle")
@@ -251,18 +271,29 @@ SU2_CONSTANT_CASES = [("su2", name) for name in (
 class TestSU2Constants:
     """Try to falsify the declared SU(2)-family constants: for nearby exact
     rational points x, y of S^3, the lower end of |f(x) - f(y)| must not pass
-    L d(x, y), d the group's metric, nor the lower end of |f(x)| the bound."""
+    L d(x, y), d the group's metric, nor the lower end of |f(x)| the bound;
+    on the builtin and behind a left or right translate by the rational
+    versor over g/8, or the inversion."""
 
     @given(case=st.sampled_from(SU2_CONSTANT_CASES),
+           wrap=st.sampled_from(["plain", "left", "right", "invert"]),
+           g=st.tuples(*[st.integers(-32, 32)] * 3),
            p=st.tuples(*[st.integers(-32, 32)] * 3),
            dp=st.tuples(*[st.integers(-16, 16)] * 3))
-    @example(case=("su2", "abs-sum"), p=(0, 0, 0), dp=(16, 16, 16))
-    def test_lipschitz_and_bound_hold(self, case, p, dp):
+    @example(case=("su2", "abs-sum"), wrap="plain", g=(0, 0, 0), p=(0, 0, 0),
+             dp=(16, 16, 16))
+    def test_lipschitz_and_bound_hold(self, case, wrap, g, p, dp):
         kind, name = case
+        G = make_group(kind)
         spec = builtin_integrand(name, kind)
+        if wrap == "invert":
+            spec = invert_su2_integrand(spec)
+        elif wrap != "plain":
+            spec = translate_su2_integrand(
+                spec, s3_point([Fraction(c, 8) for c in g]), G, wrap)
         x, y = s3_pair(p, dp)
         fx, fy = spec.eval(x, 80), spec.eval(y, 80)
-        assert (fx - fy).abs().lo <= spec.lipschitz * make_group(kind).metric(x, y, 80).hi
+        assert (fx - fy).abs().lo <= spec.lipschitz * G.metric(x, y, 80).hi
         assert fx.abs().lo <= spec.bound and fy.abs().lo <= spec.bound
 
     def test_the_abs_sum_example_refuses_three_halves(self):
@@ -634,6 +665,18 @@ class TestLift:
             plain = IntegrandSpec(re.eval, re.lipschitz, re.bound, **forms)
             with pytest.raises(ValueError, match="eval_complex and complex_fixed"):
                 lift_circle_function(plain)
+
+    def test_lift_refuses_a_premap(self):
+        # the lift reads (a, b) itself, so it would drop a translate's or
+        # the inverse's pre-map
+        re = builtin_integrand("re", "circle")
+        for moved in (translate_circle_integrand(re, Dyadic(1, -3)),
+                      invert_circle_integrand(re)):
+            spec = IntegrandSpec(re.eval, re.lipschitz, re.bound,
+                                 eval_complex=re.eval_complex,
+                                 complex_fixed=re.complex_fixed, premap=moved.premap)
+            with pytest.raises(ValueError, match="no pre-map"):
+                lift_circle_function(spec)
 
     def test_scalar_eval_near_zero_radius(self):
         lifted = builtin_integrand("lift:one", "su2")
