@@ -18,6 +18,17 @@ form's grid puts the eta and theta midpoints among phi's
 (``_grid_axes``).  No ``Fraction`` or ``Interval`` enters the tables, and
 the discretization bound sums them as python ints.
 
+The tables are a pure function of the grid shape (n1, n2, n3), so
+``_grid_axes`` keeps those of the last ``MAX_GRIDS`` shapes: each axis' sin,
+cos and weights at 2^-``_G``, and the eta and theta sums of the
+discretization bound (``_Axis.sums``, summed once when the axis is built).
+A later integral on the same shape, of any spec, builds no table and runs no
+series.  Every table array is read-only, so a sweep that wrote into one (the
+in-place ``_shr_floor`` and ``_shr_ceil``) would raise rather than corrupt a
+later integral.  An entry holds O(n1 + n2 + n3) int64: about 70 MB for a
+component form's grid at the ``MAX_CELLS`` cap (m^2 = 10^11 cells, n3 = 6m),
+and the cache at most ``MAX_GRIDS`` times that.
+
 The cell loop runs in fixed point: interval endpoints are int64 multiples of
 2^-SCALE, products round outward by integer shifts, and numpy carries the
 vectorized loop.  Every int64 operation is exact (magnitudes are kept below
@@ -107,6 +118,7 @@ weight tables must stay below 2^63 - 2^SCALE, else the sweep refuses (M <= 30).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -123,6 +135,7 @@ SCALE = 29                     # fixed-point fraction bits of the sweep
 GUARD = SCALE + 6              # axis tables at kernel_bits(GUARD) bits
 BLOCK_CELLS = 1 << 16
 MAX_CELLS = 10 ** 11           # default effort cap of the SU(2)-family grid
+MAX_GRIDS = 8                  # grid shapes whose tables ``_grid_axes`` keeps
 FORM_Q = 3                     # a component form's n3 / (2 n1), odd
 _LIVE_AXES = {"a": 1, "ab": 2, "abcd": 3}   # grid axes each ``uses`` reads
 _ONE_FX = (1 << SCALE, 1 << SCALE)
@@ -137,17 +150,30 @@ _KINDS = ("eta", "theta", "phi")
 # ---------------------------------------------------------------------------
 
 class _Axis:
-    """One axis' tables as outward int64 pairs ``(lo, hi)`` at 2^-g; ``w`` is
-    None for phi (uniform weights), and ``h`` bounds the cell width from
-    above."""
-    __slots__ = ("n", "g", "sin", "cos", "w", "h")
+    """One axis' tables as outward int64 pairs ``(lo, hi)`` at 2^-g, read-only;
+    ``w`` is None for phi (uniform weights), ``h`` bounds the cell width from
+    above, and ``sums`` are a weighted axis' ``_axis_sums``."""
+    __slots__ = ("n", "g", "sin", "cos", "w", "h", "sums")
 
     def __init__(self, n, g, sin, cos, w, h):
         self.n, self.g, self.sin, self.cos, self.w, self.h = n, g, sin, cos, w, h
+        for t in (*sin, *cos, *(w or ())):
+            t.flags.writeable = False
+        self.sums = None if w is None else _axis_sums(self)
 
     def fixed(self, scale):
         return [_shift_out(t, self.g - scale) if t is not None else None
                 for t in (self.sin, self.cos, self.w)]
+
+
+def _axis_sums(ax: _Axis):
+    """(sum_i w_hi sin_hi at 2^-2g, sum_i sinmax_i at 2^-(g+1), sum_i
+    sinmax_i^2 at 2^-(2g+2)), sinmax_i = min(1, sin_hi + h/2) since sin is
+    1-Lipschitz; ints."""
+    s_hi = ax.sin[1]
+    s_max = np.minimum(2 * s_hi + ax.h, 2 << ax.g).tolist()
+    return (sum(map(operator.mul, ax.w[1].tolist(), s_hi.tolist())), sum(s_max),
+            sum(x * x for x in s_max))
 
 
 def _shift_out(t, s: int):
@@ -233,8 +259,10 @@ def _build_axis(kind: str, n: int, table=None) -> _Axis:
     return _Axis(n, g, sin, cos, (w_lo, w_hi), -(-phi_ // n))
 
 
-def _grid_axes(ns: list[int]) -> list[_Axis]:
-    """eta, theta and phi on ``ns`` cells of the live axes, the rest dead.
+@functools.lru_cache(maxsize=MAX_GRIDS)
+def _grid_axes(ns: tuple[int, ...]) -> tuple[_Axis, _Axis, _Axis]:
+    """eta, theta and phi on ``ns`` cells of the live axes, the rest dead,
+    kept for the last ``MAX_GRIDS`` shapes (the module docstring).
 
     When n3 = 2 q n for odd q, the midpoint pi (2i+1)/(2n) is the phi
     midpoint pi (2k+1)/n3 at k = q i + (q-1)/2, and the reduction of the
@@ -250,22 +278,12 @@ def _grid_axes(ns: list[int]) -> list[_Axis]:
             cut = slice((q - 1) // 2, (q - 1) // 2 + q * n, q)
             table = tuple((lo[cut], hi[cut]) for lo, hi in (phi.sin, phi.cos))
         axes.append(_build_axis(kind, n, table))
-    return axes + [_DEAD_AXIS] * (2 - len(axes)) + [phi]
+    return (*axes, *[_DEAD_AXIS] * (2 - len(axes)), phi)
 
 
 # ---------------------------------------------------------------------------
 # certified discretization bound from the tables
 # ---------------------------------------------------------------------------
-
-def _axis_sums(ax: _Axis):
-    """(sum_i w_hi sin_hi at 2^-2g, sum_i sinmax_i at 2^-(g+1), sum_i
-    sinmax_i^2 at 2^-(2g+2)), sinmax_i = min(1, sin_hi + h/2) since sin is
-    1-Lipschitz; ints."""
-    s_hi = ax.sin[1]
-    s_max = np.minimum(2 * s_hi + ax.h, 2 << ax.g).tolist()
-    return (sum(map(operator.mul, ax.w[1].tolist(), s_hi.tolist())), sum(s_max),
-            sum(x * x for x in s_max))
-
 
 def _disc_bound(L: Fraction, eta: _Axis, theta: _Axis, phi: _Axis) -> Fraction:
     """L (h1^2/4)(2/pi) sum sinmax_i^2 + L S1 (h2^2/8) sum sinmax_j + L S1 S2
@@ -277,8 +295,8 @@ def _disc_bound(L: Fraction, eta: _Axis, theta: _Axis, phi: _Axis) -> Fraction:
         return Fraction(0)
     G = 1 << eta.g
     plo = _pi_fixed(eta.g)[0]
-    s1, _, e_max2 = _axis_sums(eta)
-    t_weighted, t_max, _ = _axis_sums(theta)
+    s1, _, e_max2 = eta.sums
+    t_weighted, t_max, _ = theta.sums
     h1, h2, h3 = eta.h, theta.h, phi.h
     # over the common denominator 16 G^5 plo
     num = (2 * G * G * h1 * h1 * e_max2
@@ -459,7 +477,7 @@ def su2_grid_integral(spec, n: int, *, max_cells: int = MAX_CELLS) -> Interval:
             raise NoConvergence(
                 f"su2 grid needs {cells} cells for 2^-{n}; over the effort "
                 f"cap of {max_cells}")
-        eta, theta, phi = _grid_axes(ns)
+        eta, theta, phi = _grid_axes(tuple(ns))
         disc = _disc_bound(L, eta, theta, phi)
         if disc <= disc_budget:
             break

@@ -277,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, help="ball(center,radius)")
     p = command("packing", cmd_packing, "print a maximum packing")
     p.add_argument("--precision", "-n", type=int, default=4)
-    p = command("bench", cmd_bench, "timing CSV over a precision range",
-                integrand, effort_cap)
+    p = command("bench", cmd_bench, "timing CSV over a precision range; the "
+                "first repeat at each n builds the SU(2) grid's tables, later "
+                "repeats reuse them", integrand, effort_cap)
     p.add_argument("--n-min", type=natural, default=4)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--repeats", type=int, default=5)

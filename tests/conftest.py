@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import settings
 
-from haar import HaarError, make_group
+from haar import HaarError, _grid, make_group
 from haar.groups import cyclic_table
 
 # the same examples on every run, so two trees are compared on equal draws;
@@ -84,6 +84,13 @@ FIXTURE_TABLES = {
     "s3": s3_table,
     "q8": q8_table,
 }
+
+
+@pytest.fixture
+def empty_grid_cache():
+    """Start from an empty SU(2) grid-table cache, so that a test which
+    counts or forbids table builds sees every build its integral needs."""
+    _grid._grid_axes.cache_clear()
 
 
 @pytest.fixture

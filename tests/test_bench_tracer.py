@@ -14,6 +14,8 @@ packing class's, ``generic.pseudo_count``, ``generic.compute_measure`` and
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 import spans  # noqa: E402
@@ -22,6 +24,7 @@ import workloads  # noqa: E402
 from haar import _grid, functions, generic, quadrature, regions  # noqa: E402
 
 
+@pytest.mark.usefixtures("empty_grid_cache")
 def test_tracer_records_a_grid_sweep():
     calls = workloads.build(workloads.make_inputs("su2-sweep", 1))
     sweep = _grid._fixed_sweep

@@ -16,7 +16,9 @@ formula in mpmath.  The one-sided products of the form sweep are checked
 against the four-product rule bit for bit, and its phi means against exact
 Fraction means; the sin/cos kernel the tables are built from,
 ``exactreal.sincos_pi_fixed``, is checked against mpmath, and its int64
-array series against its python-int series, in ``test_exactreal.py``.
+array series against its python-int series, in ``test_exactreal.py``.  The
+per-shape cache of the tables gives the same values cold and warm, keys on
+the whole shape, keeps at most ``MAX_GRIDS`` grids and refuses writes.
 """
 
 import math
@@ -32,7 +34,7 @@ from haar import _grid, exactreal
 from haar.exactreal import Dyadic
 from haar.functions import builtin_integrand, invert_su2_integrand, translate_su2_integrand
 from haar.groups import Versor, make_group
-from haar.quadrature import IntegrandSpec, _average
+from haar.quadrature import IntegrandSpec, _average, haar_integral_derived
 
 
 def mp_fraction(x) -> Fraction:
@@ -949,6 +951,7 @@ def test_form_path_sizes_phi_as_a_table(name, monkeypatch):
         assert len(runs) <= phi.n // 8 + 2, (n, phi.n, len(runs))
 
 
+@pytest.mark.usefixtures("empty_grid_cache")
 @pytest.mark.parametrize("name", list(_form_specs()))
 def test_form_integral_runs_the_series_for_one_table(name, monkeypatch):
     # the whole integral, every attempt and the sweep included, runs the
@@ -977,7 +980,7 @@ def test_sliced_tables_equal_the_axis_own_tables(q):
     # eta and theta sliced from phi's table at n3 = 2 q m equal their own
     # midpoint tables at den 2m bit for bit: sin, cos and the weights
     for m in [*range(1, 25), 101, 256]:
-        sliced = _grid._grid_axes([m, m, 2 * q * m])
+        sliced = _grid._grid_axes((m, m, 2 * q * m))
         for kind, ax in zip(_grid._KINDS, sliced):
             own = _grid._build_axis(kind, ax.n)
             for got, want in zip((*ax.sin, *ax.cos, *(ax.w or ())),
@@ -1023,3 +1026,105 @@ def test_grid_that_misses_grows_by_the_measured_ratio(name, true, shrink, monkey
     assert 2 <= len(calls) <= 3
     assert enc.width().as_fraction() <= Fraction(1, 1 << (n - 1))
     assert abs(enc.midpoint().as_fraction() - true) <= Fraction(1, 1 << n)
+
+
+# ---------------------------------------------------------------------------
+# the per-shape table cache of ``_grid_axes``
+# ---------------------------------------------------------------------------
+
+def _cache_cases():
+    """label -> a certified integral, over every way a spec reaches the grid."""
+    from test_groups import rand_versor
+    su2, abs_sum = make_group("su2"), builtin_integrand("abs-sum", "su2")
+    r = rand_versor(random.Random(29))
+    cases = {f"{name} n={n}": (kind, builtin_integrand(name, kind), n)
+             for name, kind in [("abs-sum", "su2"), ("w2", "su2"), ("trace", "so3")]
+             for n in range(3, 8)}
+    cases.update({
+        "abs-sum left": ("su2", translate_su2_integrand(abs_sum, r, su2, "left"), 5),
+        "abs-sum right": ("su2", translate_su2_integrand(abs_sum, r, su2, "right"), 5),
+        "abs-sum inverted": ("su2", invert_su2_integrand(abs_sum), 5),
+        "o3 abs-sum": ("o3", abs_sum, 4),
+        "u2 w2": ("u2", builtin_integrand("w2", "su2"), 4),
+        "lift:re2": ("su2", builtin_integrand("lift:re2", "su2"), 5)})
+    return cases
+
+
+def _dyadic(cv):
+    return cv.value.m, cv.value.e
+
+
+def _tables(ax):
+    return [t.tolist() for t in (*ax.sin, *ax.cos, *(ax.w or ()))]
+
+
+@pytest.mark.usefixtures("empty_grid_cache")
+@pytest.mark.parametrize("label", list(_cache_cases()))
+def test_cold_and_warm_grids_give_bit_identical_values(label, monkeypatch):
+    # the second call reads the first one's cached tables and gives the
+    # same (mantissa, exponent); the integrals leave those tables as a
+    # fresh build makes them, bit for bit
+    kind, spec, n = _cache_cases()[label]
+    grids = []
+    disc_bound = _grid._disc_bound
+    monkeypatch.setattr(_grid, "_disc_bound", lambda *a: grids.append(a[1:]) or disc_bound(*a))
+    cold = haar_integral_derived(kind, spec, n)
+    hits = _grid._grid_axes.cache_info().hits
+    warm = haar_integral_derived(kind, spec, n)
+    assert _grid._grid_axes.cache_info().hits > hits
+    assert _dyadic(cold) == _dyadic(warm)
+    for kind_, ax in zip(_grid._KINDS, grids[-1]):
+        fresh = ax if ax is _grid._DEAD_AXIS else _grid._build_axis(kind_, ax.n)
+        assert _tables(ax) == _tables(fresh) and ax.sums == fresh.sums, (label, kind_)
+
+
+@pytest.mark.usefixtures("empty_grid_cache")
+@pytest.mark.parametrize("name", list(_form_specs()))
+def test_a_repeated_shape_builds_no_table(name, monkeypatch):
+    # abs-sum and its translates and inverse share one grid shape at each
+    # n: after the plain abs-sum, none builds an axis or runs the series
+    spec = _form_specs()[name]
+    builds = []
+    build, taylor = _grid._build_axis, exactreal._taylor_sincos
+    for n in (4, 5):
+        plain = builtin_integrand(name.split()[0], "su2")     # abs-sum, or w2
+        haar_integral_derived("su2", plain, n)
+        with monkeypatch.context() as m:
+            m.setattr(_grid, "_build_axis", lambda *a: builds.append(a) or build(*a))
+            m.setattr(exactreal, "_taylor_sincos", lambda *a: builds.append(a) or taylor(*a))
+            haar_integral_derived("su2", spec, n)
+        assert builds == [], (name, n)
+
+
+@pytest.mark.usefixtures("empty_grid_cache")
+def test_the_cache_keeps_at_most_its_bound():
+    for m in range(1, 2 * _grid.MAX_GRIDS + 1):
+        _grid._grid_axes((m, m, 6 * m))
+        assert _grid._grid_axes.cache_info().currsize == min(m, _grid.MAX_GRIDS)
+    assert _grid._grid_axes.cache_info().maxsize == _grid.MAX_GRIDS
+
+
+@pytest.mark.usefixtures("empty_grid_cache")
+def test_shapes_that_differ_in_n3_get_their_own_phi_axis():
+    # the key is the whole shape: (4, 4, 24) slices eta and theta from phi,
+    # (4, 4, 8) and (4, 4, 12) do not, and each phi has its own n3 entries
+    for n3 in (24, 8, 12, 24):
+        eta, theta, phi = _grid._grid_axes((4, 4, n3))
+        assert (eta.n, theta.n, phi.n) == (4, 4, n3)
+        assert _tables(phi) == _tables(_grid._build_axis("phi", n3))
+    assert _grid._grid_axes((4, 4))[2] is _grid._DEAD_AXIS
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 24), (3, 5, 8), (6, 7), (9,)])
+def test_cached_tables_refuse_in_place_writes(shape):
+    # every table of a cached grid, phi's slices and the shared dead axis
+    # included, is read-only: the in-place shifts raise and change nothing
+    for ax in (*_grid._grid_axes(shape), _grid._DEAD_AXIS):
+        before = _tables(ax)
+        for t in (*ax.sin, *ax.cos, *(ax.w or ())):
+            with pytest.raises(ValueError, match="read-only"):
+                _grid._shr_ceil(t, 3)
+            with pytest.raises(ValueError, match="read-only"):
+                _grid._shr_floor(t, 3)
+        assert _tables(ax) == before
+    assert not _grid._ZERO.flags.writeable

@@ -314,6 +314,7 @@ class TestSU2Integrals:
         check(cv, TRUE_VALUES[name], 6)
 
     @pytest.mark.parametrize("kind", ["su2", "so3", "o3", "u2"])
+    @pytest.mark.usefixtures("empty_grid_cache")
     def test_eval_only_spec_is_refused(self, kind, monkeypatch):
         # the grid reads fixed_eval (or a form) only: a spec with an interval
         # eval alone is refused by name, before any axis table is built
@@ -574,6 +575,7 @@ class TestDerivedIntegrals:
     @pytest.mark.parametrize("kind, name, n, live", [
         ("o3", "sign", 8, 1), ("o3", "abs-sum", 4, 3),
         ("u2", "re-factor", 4, 1), ("u2", "w2*re", 3, 1)])
+    @pytest.mark.usefixtures("empty_grid_cache")
     def test_one_su2_integral_per_derived_group(self, kind, name, n, live,
                                                 monkeypatch):
         # the second factor is averaged inside one sweep: one SU(2) integral
@@ -612,6 +614,7 @@ class TestDerivedIntegrals:
         with pytest.raises(NoConvergence, match="wrap int64"):
             haar_integral_derived("o3", spec, 4)
 
+    @pytest.mark.usefixtures("empty_grid_cache")
     def test_u2_outer_rule_refused_before_any_sweep(self, monkeypatch):
         def no_grid(*args):
             raise AssertionError("grid built for a refused integral")
