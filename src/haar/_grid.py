@@ -20,14 +20,17 @@ the discretization bound sums them as python ints.
 
 The tables are a pure function of the grid shape (n1, n2, n3), so
 ``_grid_axes`` keeps those of the last ``MAX_GRIDS`` shapes: each axis' sin,
-cos and weights at 2^-``_G``, and the eta and theta sums of the
-discretization bound (``_Axis.sums``, summed once when the axis is built).
-A later integral on the same shape, of any spec, builds no table and runs no
-series.  Every table array is read-only, so a sweep that wrote into one (the
-in-place ``_shr_floor`` and ``_shr_ceil``) would raise rather than corrupt a
-later integral.  An entry holds O(n1 + n2 + n3) int64: about 70 MB for a
-component form's grid at the ``MAX_CELLS`` cap (m^2 = 10^11 cells, n3 = 6m),
-and the cache at most ``MAX_GRIDS`` times that.
+cos and weights at 2^-``_G`` and again rounded to the sweep's 2^-SCALE
+(``_Axis.fixed``), the eta and theta sums of the discretization bound
+(``_Axis.sums``) and their weight sums for the sweep's headroom check
+(``_Axis.w_sum``), all computed once when the axis is built.  A later
+integral on the same shape, of any spec, builds no table, runs no series
+and rounds no table.  Every table array is read-only, so a sweep that wrote
+into one (the in-place ``_shr_floor`` and ``_shr_ceil``) would raise rather
+than corrupt a later integral.  An entry holds O(n1 + n2 + n3) int64: about
+160 MB for a component form's grid at the ``MAX_CELLS`` cap (m^2 = 10^11
+cells, n3 = 6m: 28m int64 at 2^-``_G``, eta and theta taking phi's sin and
+cos, and 36m at 2^-SCALE), and the cache at most ``MAX_GRIDS`` times that.
 
 The cell loop runs in fixed point: interval endpoints are int64 multiples of
 2^-SCALE, products round outward by integer shifts, and numpy carries the
@@ -152,18 +155,20 @@ _KINDS = ("eta", "theta", "phi")
 class _Axis:
     """One axis' tables as outward int64 pairs ``(lo, hi)`` at 2^-g, read-only;
     ``w`` is None for phi (uniform weights), ``h`` bounds the cell width from
-    above, and ``sums`` are a weighted axis' ``_axis_sums``."""
-    __slots__ = ("n", "g", "sin", "cos", "w", "h", "sums")
+    above, ``fixed`` is (sin, cos, w) rounded outward to the sweep's
+    2^-SCALE, also read-only, and a weighted axis' ``sums`` are its
+    ``_axis_sums`` and ``w_sum`` the sum of its upper weights at 2^-SCALE."""
+    __slots__ = ("n", "g", "sin", "cos", "w", "h", "fixed", "sums", "w_sum")
 
     def __init__(self, n, g, sin, cos, w, h):
         self.n, self.g, self.sin, self.cos, self.w, self.h = n, g, sin, cos, w, h
-        for t in (*sin, *cos, *(w or ())):
-            t.flags.writeable = False
+        self.fixed = [_shift_out(t, g - SCALE) if t is not None else None
+                      for t in (sin, cos, w)]
+        for pair in (sin, cos, w, *self.fixed):
+            for t in pair or ():
+                t.flags.writeable = False
         self.sums = None if w is None else _axis_sums(self)
-
-    def fixed(self, scale):
-        return [_shift_out(t, self.g - scale) if t is not None else None
-                for t in (self.sin, self.cos, self.w)]
+        self.w_sum = None if w is None else int(self.fixed[2][1].sum())
 
 
 def _axis_sums(ax: _Axis):
@@ -542,12 +547,12 @@ def _block_sweep(fixed, form, premap, bound: Dyadic, eta: _Axis,
     # 16 MB buffer raises the threshold to 16 MB and blocks reuse memory.
     np.empty(16 << 20, dtype=np.uint8)
     m_fx = (bound.as_fraction().__ceil__() + 1) << SCALE
-    (es_lo, es_hi), (ec_lo, ec_hi), (ew_lo, ew_hi) = eta.fixed(SCALE)
-    (ts_lo, ts_hi), (tc_lo, tc_hi), (tw_lo, tw_hi) = theta.fixed(SCALE)
-    (ps_lo, ps_hi), (pc_lo, pc_hi), _ = phi.fixed(SCALE)
+    (es_lo, es_hi), (ec_lo, ec_hi), (ew_lo, ew_hi) = eta.fixed
+    (ts_lo, ts_hi), (tc_lo, tc_hi), (tw_lo, tw_hi) = theta.fixed
+    (ps_lo, ps_hi), (pc_lo, pc_hi), _ = phi.fixed
     es_lo, ts_lo = np.maximum(es_lo, 0), np.maximum(ts_lo, 0)     # sines >= 0
     n2, n3 = theta.n, phi.n
-    _check_headroom(bound, m_fx, n3, tw_hi, ew_hi)
+    _check_headroom(bound, m_fx, n3, theta.w_sum, eta.w_sum)
     _check_premap(premap)
     pc, ps = (pc_lo, pc_hi), (ps_lo, ps_hi)
     means = None if form is None else _form_means(form, premap, pc, ps, m_fx)
@@ -591,14 +596,17 @@ def _block_sweep(fixed, form, premap, bound: Dyadic, eta: _Axis,
 
 def _check_premap(premap):
     """Refuse a pre-map entry past 2 (the grid's and the circle rule's)."""
+    if premap is IDENTITY_PREMAP:
+        return
     if max(abs(v) for row in premap for pair in row for v in pair) > 2 << SCALE:
         raise NoConvergence("pre-map entries past 2 leave no int64 headroom")
 
 
-def _check_headroom(bound: Dyadic, m_fx: int, n3: int, tw_hi, ew_hi):
-    """Refuse a sweep whose int64 phi, theta or eta sums could pass 2^63."""
-    row = int(tw_hi.sum()) * m_fx
-    need = max(n3 * m_fx, row, int(ew_hi.sum()) * ((row >> SCALE) + 1))
+def _check_headroom(bound: Dyadic, m_fx: int, n3: int, tw_sum: int, ew_sum: int):
+    """Refuse a sweep whose int64 phi, theta or eta sums could pass 2^63;
+    ``tw_sum`` and ``ew_sum`` are theta's and eta's ``w_sum``."""
+    row = tw_sum * m_fx
+    need = max(n3 * m_fx, row, ew_sum * ((row >> SCALE) + 1))
     if need >= (1 << 63) - (1 << SCALE):    # room for _shr_ceil's addend
         raise NoConvergence(
             f"declared bound {float(bound.as_fraction()):g} needs sweep sums up "

@@ -37,7 +37,7 @@ from .exactreal import (
 )
 from .groups import Group
 from .packing import PackingTable
-from .regions import ratio
+from .regions import BoxRegion, ratio
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +339,17 @@ def ring_bound(G: Group, cells, M: Fraction, n: int) -> Dyadic:
     return fraction_ceil_to(M * len(cells) ** 2 * s, n + 10)
 
 
+def _translation_class(cell: PartitionCell):
+    """A circle or torus cell's region moved to the identity, as its exact
+    (den, cuts, flags): equal for translates.  A finite cell is its own
+    class."""
+    region, c = cell.set.region, cell.center
+    if not isinstance(region, BoxRegion):
+        return cell.index
+    at_e = region.centred(c if isinstance(c, tuple) else (c,))
+    return at_e.den, at_e.cuts, tuple(at_e.flags)
+
+
 def compute_integral(G: Group, f, modulus: ModulusOfContinuity, bound_M,
                      packings: PackingTable, n: int, *,
                      max_level: Optional[int] = None) -> CertifiedValue:
@@ -361,6 +372,15 @@ def compute_integral(G: Group, f, modulus: ModulusOfContinuity, bound_M,
     2^-(n+19): one step of 2^-(n+10) (on torus:d at most d times that, on
     finite groups 0).  Both t and q grow with log ncells, not with ncells,
     so no cell needs measures or radii of ncells bits.
+
+    One measure per translation class.  The Haar measure is left-invariant,
+    mu(gU) = mu(U), so a certified enclosure of mu(U) is one of mu(gU) for
+    every g.  On the circle and tori the cells are translates of a few
+    shapes: each is moved to the identity (``BoxRegion.centred``), and its
+    exact (den, cuts, flags) keys the enclosure of the first cell of its
+    class, at the same t and ``max_level``.  Every cell still adds its own
+    enclosure, 2^-t wide, to the sum, so the schedule above is unchanged.
+    Finite cells keep one measure each.
     """
     M = Fraction(*ratio(bound_M))
     if M <= 0:
@@ -373,9 +393,13 @@ def compute_integral(G: Group, f, modulus: ModulusOfContinuity, bound_M,
     cells = find_nice_partition(G, packings, m_f, radius_precision=qprec)
     wp_f = n + 6
     total = Interval.from_int(0)
+    measures = {}
     for cell in cells:
-        meas = compute_measure(cell.set, packings, t,
-                               max_level=max_level).as_interval()
+        key = _translation_class(cell)
+        if key not in measures:
+            measures[key] = compute_measure(cell.set, packings, t,
+                                            max_level=max_level).as_interval()
+        meas = measures[key]
         fv = f(cell.center, wp_f)
         if fv.lo.as_fraction() > M or fv.hi.as_fraction() < -M:
             raise InvalidBound(

@@ -160,6 +160,25 @@ class BoxRegion:
         flags = [all(c) for c in product(*(cells for _, cells in axes))]
         return _region(dim, den, [cut for cut, _ in axes], flags, drop=False)
 
+    def centred(self, center) -> "BoxRegion":
+        """This region moved by -center, exactly.
+
+        Over lcm(den, the center's denominators) each axis' cuts move by -x
+        mod den and rotate back to sorted order; when cut r becomes the
+        first, that axis' cells rotate by 2r and the row-major flags follow.
+        A translate of a canonical region is canonical up to the gcd step,
+        so translates of one set give one (den, cuts, flags)."""
+        coords = [ratio(c) for c in center]
+        den = lcm(self.den, *(d for _, d in coords))
+        cuts, idx = [], [0]
+        for cut, (n, d) in zip(self._at(den), coords):
+            moved = [(c - n * (den // d)) % den for c in cut]
+            r = moved.index(min(moved)) if moved else 0
+            cuts.append(tuple(moved[r:] + moved[:r]))
+            m = 2 * len(cut) or 1
+            idx = [x * m + (y + 2 * r) % m for x in idx for y in range(m)]
+        return _region(self.dim, den, cuts, [self.flags[x] for x in idx], drop=False)
+
     def _at(self, den: int):
         """The cuts over a multiple den of this region's denominator."""
         k = den // self.den

@@ -78,3 +78,26 @@ def test_tracer_records_the_generic_layers():
     names = {s[0] for s in tracer.spans}
     assert {"regions.op", "packing.count_within", "generic.pseudo_count",
             "generic.radius_level"} <= names
+
+
+def test_tracer_counts_one_measure_per_translation_class(monkeypatch):
+    # the generic workload's circle re2 integral measures one cell of each
+    # translation class, and the tracer's measure spans count exactly those
+    calls = workloads.build(workloads.make_inputs("generic", 1))
+    integral = next(c for c in calls if c.label.startswith("generic circle re2"))
+    keys = []
+    translation_class = generic._translation_class
+    monkeypatch.setattr(generic, "_translation_class",
+                        lambda cell: keys.append(translation_class(cell)) or keys[-1])
+    tracer = spans.Tracer()
+    tracer.install(calls)
+    try:
+        integral.run()
+    finally:
+        tracer.uninstall()
+    (cells,) = [s[5] for s in tracer.spans if s[0] == "generic.partition"]
+    measures = [s for s in tracer.spans if s[0] == "generic.measure"]
+    assert len(keys) == cells > len(set(keys))
+    assert len(measures) == len(set(keys))
+    metrics = spans.layer_metrics(tracer.spans, tracer.counts)
+    assert metrics["generic.measure_calls"] == len(set(keys))

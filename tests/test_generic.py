@@ -441,6 +441,12 @@ class TestNicePartition:
         assert Fraction(1, 16) < r.value.as_fraction() < Fraction(1, 8)
 
 
+# each circle builtin's integral lies in [lo, hi] (2/pi for abs-re)
+CIRCLE_INTEGRALS = {"re": (Fraction(0),) * 2, "re2": (Fraction(1, 2),) * 2,
+                    "abs-re": (Fraction(6366197723675813, 10 ** 16),
+                               Fraction(6366197723675814, 10 ** 16))}
+
+
 class TestComputeIntegral:
     def test_torus_lipschitz_integral_certifies_the_constant(self):
         # 49 cells on torus:2, each shrunk and thickened on its cut grid; the
@@ -514,12 +520,14 @@ class TestComputeIntegral:
     @pytest.mark.parametrize("name", ["re", "re2", "abs-re"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_flat_schedule_certificate(self, circle, monkeypatch, name, n):
-        # every cell is measured to one 2^-t whose summed error fits 2^-(n+3),
-        # the left-out ring mass fits one 2^-(n+10) step, and the value is
-        # certified against the closed form
+        # every cell's measure is enclosed to one 2^-t, and the cells' summed
+        # error fits 2^-(n+3); the cells are translates of a few shapes, so
+        # at most 8 measures are computed; the left-out ring mass fits one
+        # 2^-(n+10) step, and the value is certified against the closed form
         from haar.functions import builtin_integrand
-        ts, rings = [], []
+        ts, rings, partitions = [], [], []
         measure, ring = generic.compute_measure, generic.ring_bound
+        partition = generic.find_nice_partition
 
         def spy_measure(U, packings, t, **kw):
             ts.append(t)
@@ -529,23 +537,79 @@ class TestComputeIntegral:
             rings.append(ring(*args))
             return rings[-1]
 
+        def spy_partition(*args, **kw):
+            partitions.append(partition(*args, **kw))
+            return partitions[-1]
+
         monkeypatch.setattr(generic, "compute_measure", spy_measure)
         monkeypatch.setattr(generic, "ring_bound", spy_ring)
+        monkeypatch.setattr(generic, "find_nice_partition", spy_partition)
         spec = builtin_integrand(name, "circle")
         v = compute_integral(circle, spec.eval,
                              ModulusOfContinuity.from_lipschitz(spec.lipschitz),
                              spec.bound, PackingTable(circle), n)
         M = spec.bound.as_fraction()
         (t,) = set(ts)
-        assert M * len(ts) / (1 << t) <= Fraction(1, 1 << (n + 3))
+        (cells,) = partitions
+        assert M * len(cells) / (1 << t) <= Fraction(1, 1 << (n + 3))
+        assert 1 <= len(ts) <= 8 < len(cells)
         assert len(rings) == 1
         assert rings[0].as_fraction() <= Fraction(1, 1 << (n + 10))
-        # 2/pi lies in [lo, hi]; the certified interval must cover it
-        lo, hi = {"re": (Fraction(0),) * 2, "re2": (Fraction(1, 2),) * 2,
-                  "abs-re": (Fraction(6366197723675813, 10 ** 16),
-                             Fraction(6366197723675814, 10 ** 16))}[name]
+        lo, hi = CIRCLE_INTEGRALS[name]
         err = Fraction(1, 1 << n)
         assert v.value.as_fraction() - err <= lo and hi <= v.value.as_fraction() + err
+
+    @pytest.mark.parametrize("name, n", [("re", 7), ("re2", 7), ("abs-re", 7),
+                                         ("re2", 8), ("re2", 9)])
+    def test_fine_circle_integrals_are_certified(self, circle, name, n):
+        from haar.functions import builtin_integrand
+        spec = builtin_integrand(name, "circle")
+        v = compute_integral(circle, spec.eval,
+                             ModulusOfContinuity.from_lipschitz(spec.lipschitz),
+                             spec.bound, PackingTable(circle), n)
+        lo, hi = CIRCLE_INTEGRALS[name]
+        err = Fraction(1, 1 << n)
+        assert v.value.as_fraction() - err <= lo and hi <= v.value.as_fraction() + err
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_torus_cells_share_measures(self, monkeypatch, n):
+        # 49, 225 and 961 cells on torus:2, translates of at most 20 shapes
+        T = make_group("torus", dim=2)
+        calls = []
+        measure = generic.compute_measure
+        monkeypatch.setattr(generic, "compute_measure",
+                            lambda *a, **kw: calls.append(a[0]) or measure(*a, **kw))
+        v = compute_integral(T, lambda x, wp: Interval.from_int(1),
+                             ModulusOfContinuity.from_lipschitz(Dyadic(1)),
+                             Dyadic(1), PackingTable(T), n)
+        assert 1 <= len(calls) <= 20
+        assert abs(v.value.as_fraction() - 1) <= Fraction(1, 1 << n)
+
+    @pytest.mark.parametrize("name, vals, m, e", [
+        ("z5", [8, -7, 2, 0, -7], -1677721, -21),
+        ("z6", [7, 2, 3, 4, -9, -8], -349525, -21),
+        ("z2xz2", [-6, 5, -2, 2], -1, -2),
+        ("s3", [-7, 6, 1, 8, 4, -3], 3145727, -21),
+        ("q8", [5, -4, -2, 4, 4, 9, 7, -3], 5, -1)])
+    def test_finite_cells_keep_one_measure_each(self, monkeypatch, name, vals, m, e):
+        # a finite integral measures every cell's own set once, and its value
+        # is bit for bit the one of one measure per cell
+        from haar.functions import values_integrand
+        G = dict(finite_fixture_groups(max_order=6))[name]
+        measured, partitions = [], []
+        measure, partition = generic.compute_measure, generic.find_nice_partition
+        monkeypatch.setattr(generic, "compute_measure",
+                            lambda *a, **kw: measured.append(a[0]) or measure(*a, **kw))
+        monkeypatch.setattr(generic, "find_nice_partition",
+                            lambda *a, **kw: partitions.append(partition(*a, **kw))
+                            or partitions[-1])
+        spec = values_integrand(vals)
+        v = compute_integral(G, spec.eval, ModulusOfContinuity.discrete(),
+                             spec.bound, PackingTable(G), 10)
+        (cells,) = partitions
+        assert len(cells) == G.order
+        assert [id(U) for U in measured] == [id(cell.set) for cell in cells]
+        assert (v.value.m, v.value.e) == (m, e)
 
     def test_finite_ring_bound_is_zero(self):
         G = make_group("cyclic", k=5)

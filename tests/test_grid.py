@@ -547,7 +547,7 @@ def test_one_sided_products_equal_the_interval_rule():
         return all(np.array_equal(u, v) for u, v in zip(x, y))
 
     for n in range(1, 81):
-        (es, _, _), (ts, tc, _) = (_grid._build_axis(kind, n).fixed(_grid.SCALE)
+        (es, _, _), (ts, tc, _) = (_grid._build_axis(kind, n).fixed
                                    for kind in ("eta", "theta"))
         assert es[0].min() >= 0 and ts[0].min() >= 0   # the sweep's clamp is a no-op
         se = (es[0][:, None], es[1][:, None])
@@ -1055,7 +1055,7 @@ def _dyadic(cv):
 
 
 def _tables(ax):
-    return [t.tolist() for t in (*ax.sin, *ax.cos, *(ax.w or ()))]
+    return [t.tolist() for pair in (ax.sin, ax.cos, ax.w, *ax.fixed) for t in pair or ()]
 
 
 @pytest.mark.usefixtures("empty_grid_cache")
@@ -1076,6 +1076,7 @@ def test_cold_and_warm_grids_give_bit_identical_values(label, monkeypatch):
     for kind_, ax in zip(_grid._KINDS, grids[-1]):
         fresh = ax if ax is _grid._DEAD_AXIS else _grid._build_axis(kind_, ax.n)
         assert _tables(ax) == _tables(fresh) and ax.sums == fresh.sums, (label, kind_)
+        assert ax.w_sum == fresh.w_sum, (label, kind_)
 
 
 @pytest.mark.usefixtures("empty_grid_cache")
@@ -1117,11 +1118,12 @@ def test_shapes_that_differ_in_n3_get_their_own_phi_axis():
 
 @pytest.mark.parametrize("shape", [(4, 4, 24), (3, 5, 8), (6, 7), (9,)])
 def test_cached_tables_refuse_in_place_writes(shape):
-    # every table of a cached grid, phi's slices and the shared dead axis
-    # included, is read-only: the in-place shifts raise and change nothing
+    # every table of a cached grid, its 2^-SCALE roundings, phi's slices and
+    # the shared dead axis included, is read-only: the in-place shifts raise
+    # and change nothing
     for ax in (*_grid._grid_axes(shape), _grid._DEAD_AXIS):
         before = _tables(ax)
-        for t in (*ax.sin, *ax.cos, *(ax.w or ())):
+        for t in (t for pair in (ax.sin, ax.cos, ax.w, *ax.fixed) for t in pair or ()):
             with pytest.raises(ValueError, match="read-only"):
                 _grid._shr_ceil(t, 3)
             with pytest.raises(ValueError, match="read-only"):

@@ -141,7 +141,7 @@ class TestCircleRule:
         # a translate's complex_fixed reads rows 0-1 of its pre-map applied
         # to (cos, sin), as the circle rule folds them into its table
         N = 1024
-        sin, cos, _ = _grid._build_axis("phi", N).fixed(_grid.SCALE)
+        sin, cos, _ = _grid._build_axis("phi", N).fixed
         rng = random.Random(84)
         for num in [0, 256, 512, 384] + [rng.randint(1, 1023) for _ in range(4)]:
             g = Dyadic(num, -10)

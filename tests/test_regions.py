@@ -5,11 +5,13 @@ import random
 import time
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from haar.regions import BoxRegion, FiniteRegion
+from haar.exactreal import Dyadic
+from haar.regions import BoxRegion, FiniteRegion, ratio
 from region_oracle import RegionOracle
 
 
@@ -179,10 +181,14 @@ def lattice_balls(dim, step):
     return st.lists(ball, min_size=1, max_size=3)
 
 
-def lattice_region(dim, balls, step):
+def lattice_region(dim, balls, step, shift=None):
+    """The union of the balls, every centre moved by ``shift`` (a Fraction
+    per axis) when given."""
     den = UNITS // step
+    shift = shift or (0,) * dim
     return reduce(BoxRegion.union, (BoxRegion.ball(
-        dim, [F(c, den) for c in centre], F(r, den)) for centre, r in balls))
+        dim, [F(c, den) + t for c, t in zip(centre, shift)], F(r, den))
+        for centre, r in balls))
 
 
 def in_balls(balls, step, y) -> bool:
@@ -256,6 +262,55 @@ def test_equal_sets_have_equal_grids(dim, data):
     assert grid(a.union(b)) == grid(b.union(a))
     assert grid(a.expand(r).expand(s)) == grid(a.expand(r + s))
     assert grid(a.subtract(a)) == grid(BoxRegion.empty(dim))
+
+
+def _key(x):
+    return x.den, x.cuts, tuple(x.flags)
+
+
+def _resolving_points(region, moved, p):
+    """Points that resolve the cells of ``moved`` and of ``region`` moved by
+    -p on every axis: each cut of either and a point between each two
+    neighbouring cuts, as Fractions, on the product of the axes."""
+    coords = [ratio(c) for c in p]
+    den = lcm(region.den, moved.den, *(d for _, d in coords))
+    axes = []
+    for own, cut, (n, d) in zip(region.cuts, moved.cuts, coords):
+        at = sorted({(c * (den // region.den) - n * (den // d)) % den for c in own}
+                    | {c * (den // moved.den) for c in cut}) or [0]
+        mids = [a + b + 2 * den * (b <= a) for a, b in zip(at, at[1:] + at[:1])]
+        axes.append([F(u, 2 * den) for u in [2 * a for a in at] + mids])
+    return itertools.product(*axes)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_centred_translates_share_one_key(dim, data):
+    # a region built from centres moved by s, centred at p + s, has the key
+    # of the region centred at p, and each centred region is exactly its
+    # region moved by -p (so equal keys mean translates)
+    A, B = data.draw(lattice_balls(dim, STEP_A)), data.draw(lattice_balls(dim, STEP_B))
+    op = data.draw(st.sampled_from(["ball", "subtract", "expand", "shrink"]))
+    r = F(data.draw(st.integers(1, 4)), 8)
+    s, p = ([Dyadic(k, -4) for k in data.draw(st.tuples(*[st.integers(0, 15)] * dim))]
+            for _ in range(2))
+
+    def build(shift):
+        a = lattice_region(dim, A, STEP_A, shift)
+        if op == "subtract":
+            return a.subtract(lattice_region(dim, B, STEP_B, shift))
+        return {"ball": a, "expand": a.expand(r), "shrink": a.shrink(r)}[op]
+
+    region, moved = build(None), build([t.as_fraction() for t in s])
+    ps = [x + y for x, y in zip(p, s)]
+    at_p, at_ps = region.centred(p), moved.centred(ps)
+    assert _key(at_p) == _key(at_ps), (A, B, op, r, s, p)
+    for R, C, q in ((region, at_p, p), (moved, at_ps, ps)):
+        oracle, centred = RegionOracle(R), RegionOracle(C)
+        for x in _resolving_points(R, C, q):
+            y = [xc + qc.as_fraction() for xc, qc in zip(x, q)]
+            assert centred.contains(x) == oracle.contains(y), (A, B, op, r, s, p, x)
 
 
 class TestFiniteRegions:
